@@ -3,7 +3,7 @@ I(T) = integral of log|zeta(1/2+it)| / (1/4 + t^2) over [-T, T], whose decay
 is equivalent to the Riemann Hypothesis, together with the argument, zero,
 resonator and Dirichlet-polynomial machinery needed to study it."""
 
-from .config import DEFAULT, FAST, PrecisionConfig
+from .config import DEFAULT, PrecisionConfig
 from .errors import (
     BetaOutOfRange,
     BranchAmbiguous,

@@ -10,13 +10,12 @@ import numpy as np
 
 
 def comp_sum(values) -> float:
-    """Neumaier-compensated sum of a 1-d float array, in array order.
+    """Correctly rounded sum of a 1-d float array (``math.fsum``).
 
-    Exact to within one ulp of the condition of the sum; used for the
-    fixed-order panel reductions.
+    Shewchuk's exact summation, so the result does not depend on the
+    order; used for the fixed-order panel reductions.
     """
     arr = np.asarray(values, dtype=float).ravel()
-    # math.fsum is exact (Shewchuk) and fast enough for panel counts here
     return math.fsum(arr.tolist())
 
 

@@ -1,8 +1,8 @@
 """Precision configuration shared by every numerical routine.
 
-All accumulation-heavy sums in this package use error-compensated
-(Neumaier) float64 accumulation; phase-critical reductions additionally
-go through numpy longdouble (80-bit extended on x86-64).  That policy is
+Panel, segment and table reductions are correctly rounded float64 sums
+(``math.fsum`` via :mod:`bsylab.accum`); phase-critical reductions go
+through numpy longdouble (80-bit extended on x86-64).  That policy is
 fixed package-wide; PrecisionConfig only controls term budgets and
 tolerances.
 """
@@ -23,7 +23,7 @@ class PrecisionConfig:
 
     target_abs_error: float = 1e-12
     euler_maclaurin_terms: int = 14
-    rs_correction_terms: int = 2
+    rs_correction_terms: int = MAX_RS_CORRECTION_TERMS
     quad_tol: float = 1e-9
     max_subdivisions: int = 20_000
 
@@ -57,9 +57,3 @@ class PrecisionConfig:
 
 #: Default configuration; suitable for every acceptance-scale experiment.
 DEFAULT = PrecisionConfig()
-
-#: Relaxed configuration for long scans where 1e-6 absolute suffices.
-FAST = PrecisionConfig(
-    target_abs_error=1e-9, quad_tol=1e-6, euler_maclaurin_terms=12,
-    rs_correction_terms=2, max_subdivisions=20_000,
-)

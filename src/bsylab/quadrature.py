@@ -3,9 +3,10 @@
 The adaptive driver keeps a stack of intervals and evaluates the
 integrand on *all* active intervals in a single array call, so
 integrands backed by the vectorized zeta engines stay cheap.  Error
-estimation uses embedded Gauss-Legendre pairs (7 vs 15 points) rather
-than hardcoded Kronrod tables.  Reduction order is fixed (ascending
-interval position) for bit-reproducibility.
+estimation compares two separate Gauss-Legendre rules, 7 and 15 points
+(not nested: 22 evaluations per panel), rather than Kronrod tables.
+Reduction order is fixed (ascending interval position) for
+bit-reproducibility.
 """
 
 import math

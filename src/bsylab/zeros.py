@@ -25,6 +25,18 @@ _SCAN_DENSITY = 24.0
 
 _BLOCK = 128.0
 
+#: Census edges step this far off a found ordinate (0.05 clearance).
+_EDGE_STEP = 0.07
+
+#: The scan reaches this far past T, so the last edge can move up.
+_EDGE_PAD = 1.0
+
+#: Secant points are kept this fraction of the bracket width inside it.
+_REFINE_MARGIN = 1e-6
+
+#: Safety cap on Illinois rounds (about 15 are needed at 1e-9).
+_REFINE_MAX_ROUNDS = 64
+
 
 @dataclass
 class ZeroList:
@@ -95,19 +107,40 @@ def _z_signs(ts: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
     return vals
 
 
-def _bisect_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                     cfg: PrecisionConfig, iters: int = 45) -> np.ndarray:
-    """Vectorized bisection of sign-change brackets of Z."""
-    lo, hi = lo.copy(), hi.copy()
-    slo = np.sign(flo)
-    for _ in range(iters):
-        if float(np.max(hi - lo)) < 0.05 * ORDINATE_ACCURACY:
+def _refine_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+                     fhi: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+    """Vectorized Illinois (modified regula falsi) on sign-change brackets.
+
+    ``flo``/``fhi`` are Z at the bracket ends, taken from the scan.  Each
+    round evaluates Z at the secant point of every bracket still wider
+    than 0.05 * ORDINATE_ACCURACY and keeps the half with the sign
+    change; an end kept twice in a row has its value halved (Dowell &
+    Jarratt, BIT 11 (1971)), so both ends close in superlinearly.
+    """
+    lo, hi = lo.astype(float), hi.astype(float)
+    flo, fhi = flo.astype(float), fhi.astype(float)
+    kept = np.zeros(lo.shape, dtype=int)  # end kept last round: -1 lo, +1 hi
+    for _ in range(_REFINE_MAX_ROUNDS):
+        act = np.nonzero(hi - lo >= 0.05 * ORDINATE_ACCURACY)[0]
+        if act.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        fm, _ = zeta.hardy_z_batch(mid, 1e-9, cfg)
-        left = np.sign(fm) == slo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
+        a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
+        w = b - a
+        x = np.clip(b - fb * w / (fb - fa), a + _REFINE_MARGIN * w,
+                    b - _REFINE_MARGIN * w)
+        # NaN, or an end reached by rounding: take the midpoint
+        x = np.where((x > a) & (x < b), x, a + 0.5 * w)
+        fx, _ = zeta.hardy_z_batch(x, 1e-9, cfg)
+        keep_lo = (fx != 0.0) & (np.sign(fx) == np.sign(fb))  # root in [a, x]
+        keep_hi = (fx != 0.0) & ~keep_lo                       # root in [x, b]
+        k = kept[act]
+        fa = np.where(keep_lo & (k == -1), 0.5 * fa, fa)
+        fb = np.where(keep_hi & (k == 1), 0.5 * fb, fb)
+        lo[act] = np.where(keep_lo, a, x)
+        hi[act] = np.where(keep_hi, b, x)
+        flo[act] = np.where(keep_lo, fa, fx)
+        fhi[act] = np.where(keep_hi, fb, fx)
+        kept[act] = np.where(keep_lo, -1, np.where(keep_hi, 1, 0))
     return 0.5 * (lo + hi)
 
 
@@ -164,25 +197,27 @@ def _sign_change_count(t: float, cfg: PrecisionConfig,
 def find_zeros_up_to(T: float, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
     """All ordinates in (0, T], verified against the independent count.
 
-    Scans Z for sign changes with height-adapted steps, bisects each
-    bracket, Newton-polishes on the accurate path, and refines any
-    128-unit block whose census disagrees with round(theta/pi + 1 + S).
+    Scans Z for sign changes with height-adapted steps on (5, T + 1],
+    refines each bracket by Illinois at 1e-9, Newton-polishes on the
+    accurate path, and checks every 128-unit block against
+    round(theta/pi + 1 + S), re-scanning a block at up to 256x the
+    density when the two disagree.  Census edges are moved off found
+    ordinates: interior edges downward, the last edge upward past T, so
+    a zero just below T stays in the list, which is then cut at T.
     """
     if T < 15.0:
         raise ValueError("find_zeros_up_to requires T >= 15")
-    found = _find_in_window(5.0, T, cfg, _SCAN_DENSITY)
+    found = _find_in_window(5.0, T + _EDGE_PAD, cfg, _SCAN_DENSITY)
 
     # block-wise census against the smooth count
-    edges = list(np.arange(_BLOCK, T, _BLOCK)) + [T]
-    counts = []
+    edges = [_shift_off_ordinate(e, found, -_EDGE_STEP)
+             for e in np.arange(_BLOCK, T, _BLOCK)]
+    edges.append(_shift_off_ordinate(T, found, _EDGE_STEP))
     prev = 0
-    for e in edges:
-        e_eff = _shift_off_ordinate(e, found, T)
-        c = _smooth_count(e_eff, cfg)
-        counts.append((e_eff, c))
     lo_edge = 5.0
     zs = []
-    for (e_eff, c) in counts:
+    for e_eff in edges:
+        c = _smooth_count(e_eff, cfg)
         expect = c - prev
         got = found[(found > lo_edge) & (found <= e_eff)]
         density = _SCAN_DENSITY
@@ -199,7 +234,7 @@ def find_zeros_up_to(T: float, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
                 f"smooth count expects {expect}")
         zs.append(got)
         prev, lo_edge = c, e_eff
-    ordinates = np.concatenate(zs) if zs else np.zeros(0)
+    ordinates = np.concatenate(zs)
     ordinates = ordinates[ordinates <= T]
     return ZeroList(ordinates, covered_height=T, source="computed",
                     verified=True)
@@ -212,20 +247,17 @@ def _find_in_window(lo: float, hi: float, cfg: PrecisionConfig,
     idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
     if idx.size == 0:
         return np.zeros(0)
-    roots = _bisect_brackets(grid[idx], grid[idx + 1], vals[idx], cfg)
+    roots = _refine_brackets(grid[idx], grid[idx + 1], vals[idx],
+                             vals[idx + 1], cfg)
     return np.sort(_newton_polish(roots, cfg))
 
 
-def _shift_off_ordinate(e: float, found: np.ndarray, T: float) -> float:
-    """Nudge a block edge away from any found ordinate."""
-    e = min(e, T)
-    if found.size == 0:
-        return e
+def _shift_off_ordinate(e: float, found: np.ndarray, step: float) -> float:
+    """Step a census edge until every found ordinate is over 0.05 away."""
     for _ in range(50):
-        d = np.min(np.abs(found - e)) if found.size else 1.0
-        if d > 0.05:
+        if found.size == 0 or np.min(np.abs(found - e)) > 0.05:
             return e
-        e = max(e - 0.07, 10.0)
+        e = max(e + step, 10.0)
     return e
 
 
@@ -243,7 +275,7 @@ def verify_zero_list(zl: ZeroList, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
             raise errors.Inconsistent(
                 "zero residual |Z(gamma)| too large",
                 index=int(np.nonzero(bad)[0][0]))
-    top = _shift_off_ordinate(zl.covered_height, g, zl.covered_height)
+    top = _shift_off_ordinate(zl.covered_height, g, -_EDGE_STEP)
     expected = _smooth_count(top, cfg) if top >= 10 else 0
     n_in = int(np.count_nonzero(g <= top))
     if n_in != expected:

@@ -5,10 +5,11 @@ test suite:
 
 * Euler-Maclaurin summation (``zeta_em``), valid on sigma >= -1 with a
   computable remainder bound; the accuracy workhorse.
-* The Riemann-Siegel main sum with up to four correction terms
-  (``hardy_z`` fast path), O(sqrt(t)) per point and vectorized, used for
-  long scans.  Correction functions C0..C3 are evaluated from Chebyshev
-  tables frozen in :mod:`bsylab._rs_coeffs`.
+* The Riemann-Siegel main sum with up to four correction terms (all
+  four by default), O(sqrt(t)) per point and vectorized;
+  ``hardy_z_batch`` takes it wherever ``rs_error_bound`` meets the
+  requested tolerance.  Correction functions C0..C3 are evaluated from
+  Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`.
 
 Phase-critical reductions accumulate in longdouble; everything else is
 compensated float64.
@@ -127,9 +128,12 @@ def _rs_theta_ld(ts: np.ndarray) -> np.ndarray:
     two_pi_ld = 2 * np.arccos(np.longdouble(-1.0))
     val = 0.5 * a * np.log(a / two_pi_ld) - 0.5 * a \
         - np.arccos(np.longdouble(-1.0)) / 8
-    for n in range(1, _THETA_N + 1):
-        val += np.longdouble(_THETA_C[n - 1]) * a ** (1 - 2 * n)
-    return np.sign(ts).astype(np.longdouble) * val
+    # sum_n c_n a^(1-2n) = (1/a) * polynomial in 1/a^2, by Horner
+    u = 1 / (a * a)
+    series = np.full(a.shape, np.longdouble(_THETA_C[_THETA_N - 1]))
+    for c in _THETA_C[_THETA_N - 2::-1]:
+        series = series * u + np.longdouble(c)
+    return np.sign(ts).astype(np.longdouble) * (val + series / a)
 
 
 def rs_theta(t: float) -> float:

@@ -1,5 +1,6 @@
 """Zero finding, counting, verification and the text cache format."""
 
+import functools
 import io
 import math
 
@@ -14,6 +15,8 @@ from bsylab.config import DEFAULT
 from bsylab.zeros import (
     ORDINATE_ACCURACY,
     ZeroList,
+    _refine_brackets,
+    _SCAN_DENSITY,
     count_zeros,
     export_zeros,
     find_zeros_up_to,
@@ -21,7 +24,7 @@ from bsylab.zeros import (
     mean_gap,
     verify_zero_list,
 )
-from bsylab.zeta import hardy_z
+from bsylab.zeta import hardy_z, hardy_z_batch
 
 mpmath.mp.dps = 30
 
@@ -62,6 +65,52 @@ def test_ordinates_match_mpmath(zeros_100):
         oracle = float(mpmath.zetazero(k).imag)
         assert abs(float(zeros_100.ordinates[k - 1]) - oracle) \
             <= ORDINATE_ACCURACY * 10
+
+
+#: Indices of the Lehmer pair near t = 7005.06 (gap ~0.038).
+LEHMER_PAIR = (6709, 6710)
+
+
+@functools.lru_cache(maxsize=None)
+def _zetazero(k: int) -> float:
+    return float(mpmath.zetazero(k).imag)
+
+
+def _refined_roots(lo: float, hi: float, step: float) -> np.ndarray:
+    """Illinois roots of the sign changes of Z on a grid, unpolished."""
+    grid = np.arange(lo, hi, step)
+    vals = hardy_z_batch(grid, 1e-6, DEFAULT)[0]
+    idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
+    return _refine_brackets(grid[idx], grid[idx + 1], vals[idx],
+                            vals[idx + 1], DEFAULT)
+
+
+def test_illinois_refinement_matches_mpmath():
+    # brackets at the default scan step near t = 100 (zeros 28..31) ...
+    roots = _refined_roots(95.0, 105.0, mean_gap(105.0) / _SCAN_DENSITY)
+    assert roots.size == 4
+    for k, r in zip(range(28, 32), roots):
+        assert abs(r - _zetazero(k)) <= ORDINATE_ACCURACY
+    # ... and a grid fine enough to split the Lehmer pair
+    roots = _refined_roots(7004.9, 7005.3, 0.005)
+    assert roots.size == 2
+    for k, r in zip(LEHMER_PAIR, roots):
+        assert abs(r - _zetazero(k)) <= ORDINATE_ACCURACY
+
+
+def test_lehmer_pair_in_tall_list(zeros_10k):
+    for k in LEHMER_PAIR:
+        assert abs(float(zeros_10k.ordinates[k - 1]) - _zetazero(k)) \
+            <= ORDINATE_ACCURACY
+
+
+@pytest.mark.parametrize("k, offset", [(31, 0.005), (35, 0.03), (39, 0.049)])
+def test_height_just_above_ordinate_keeps_it(k, offset):
+    # T within the 0.05 census clearance above zero k
+    gamma = _zetazero(k)
+    zl = verify_zero_list(find_zeros_up_to(gamma + offset, DEFAULT), DEFAULT)
+    assert len(zl) == k
+    assert abs(float(zl.ordinates[-1]) - gamma) <= ORDINATE_ACCURACY
 
 
 def test_verify_marks_verified(zeros_100):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bsylab import errors
 from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.zeta import (
+    _rs_theta_ld,
     hardy_z,
     hardy_z_batch,
     log_abs_zeta_half,
@@ -91,6 +92,18 @@ def test_theta_against_loggamma_oracle():
                                                 1e-11 * max(1.0, abs(oracle)))
 
 
+@pytest.mark.parametrize("t", [30.0, 1e3, 5e4, 2e5])
+def test_theta_longdouble_matches_mpmath(t):
+    v = _rs_theta_ld(np.array([t]))[0]
+    head = float(v)
+    # head + tail is the longdouble value exactly
+    got = mpmath.mpf(head) + mpmath.mpf(float(v - np.longdouble(head)))
+    oracle = mpmath.siegeltheta(t)
+    tol = 4 * float(np.finfo(np.longdouble).eps) * abs(float(oracle)) \
+        + rs_theta_error_bound(t)
+    assert abs(float(got - oracle)) <= tol
+
+
 def test_theta_array_matches_scalar():
     ts = np.array([15.0, 100.0, 987.6])
     arr = rs_theta_array(ts)
@@ -105,10 +118,11 @@ def test_hardy_z_matches_mpmath(t):
     assert abs(float(zv) - oracle) <= max(zv.abs_error, 5e-11)
 
 
-def test_rs_error_bound_conservative():
+@pytest.mark.parametrize("n_corr", [2, 3, 4])
+def test_rs_error_bound_conservative(n_corr):
     # the fitted correction-term coefficients must over-cover reality
     cfg = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-3,
-                          rs_correction_terms=2)
+                          rs_correction_terms=n_corr)
     ts = np.geomspace(35.0, 2e5, 60)
     vals, bounds = hardy_z_batch(ts, 1e-3, cfg)
     for t, v, b in zip(ts, vals, bounds):
