@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, zeta
-from .accum import comp_sum
+from .accum import comp_sum, comp_sum_complex
 from .config import DEFAULT, PrecisionConfig
 from .resonator import ResonatorTable
 from .sieve import primes_up_to
@@ -69,19 +69,15 @@ class Lemma3Request:
 
 
 def eval_R_batch(table, ts) -> np.ndarray:
-    """R(t) = sum of r(n) n^(-it) on an array of heights."""
+    """R(t) = sum of r(n) n^(-it) on an array of heights.
+
+    One ``zeta._phase_sum``: a blocked matrix product when ts is a
+    uniform grid (linspace or T + dx*arange), the direct longdouble-phase
+    sum otherwise.
+    """
     ns, rs = _table_arrays(table)
     ts = np.asarray(ts, dtype=float)
-    lnn = np.log(ns.astype(np.longdouble))
-    out = np.empty(ts.shape, dtype=complex)
-    step = max(1, 4_000_000 // max(ns.size, 1))
-    for i in range(0, ts.size, step):
-        sl = slice(i, min(i + step, ts.size))
-        ph = (ts[sl].astype(np.longdouble)[:, None] * lnn[None, :]) \
-            % np.longdouble(2 * np.pi)
-        out[sl] = (rs[None, :]
-                   * np.exp(-1j * ph.astype(float))).sum(axis=1)
-    return out
+    return zeta._phase_sum(np.log(ns.astype(np.longdouble)), rs, ts)[0]
 
 
 def eval_R(table, t: float) -> complex:
@@ -124,7 +120,11 @@ def mean_square_exact(table, T: float) -> float:
 
 #: Above this height the zeta evaluations inside the moment integral
 #: switch from Euler-Maclaurin to the symmetric truncated functional
-#: equation (accuracy ~ t^(-alpha/2 - 1/4), far cheaper).
+#: equation (accuracy ~ t^(-alpha/2 - 1/4), O(sqrt t) terms instead of
+#: O(t)).  Both engines sum the uniform moment grid as one blocked
+#: matrix product (``zeta._phase_sum``), which costs O(sqrt(K) * M)
+#: phase reductions for K points and M terms; the cut-over is not
+#: re-tuned to that cost.
 _AFE_CUTOVER = 30_000.0
 
 
@@ -169,7 +169,7 @@ def _log_zeta_vertical(alpha: float, ts: np.ndarray,
         def eval_one(t: float) -> complex:
             return complex(zeta.zeta_afe_batch(alpha, np.array([t]))[0][0])
     else:
-        vals, bnds = zeta._em_batch(alpha, ts, cfg, longdouble_phase=False)
+        vals, bnds = zeta._em_batch(alpha, ts, cfg)
         point_err = float(np.max(bnds))
 
         def eval_one(t: float) -> complex:
@@ -236,32 +236,49 @@ def lemma3_lhs(req: Lemma3Request, cfg: PrecisionConfig = DEFAULT,
     return fine
 
 
+def _prime_power_correlations(ns: np.ndarray, rs: np.ndarray, N: int
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c(q) = sum over m of r(m) r(mq) for the prime powers q = p^k <= N.
+
+    Returns (q, p, c) over the q with c(q) != 0.  Only the table entries
+    m <= N // q are enumerated, and m*q is looked up in the ascending
+    ``ns`` by binary search.
+    """
+    p = primes_up_to(N)
+    q = p.copy()
+    qs, bases = [q], [p]
+    while True:
+        keep = q <= N // p
+        if not np.any(keep):
+            break
+        p = p[keep]
+        q = q[keep] * p
+        qs.append(q)
+        bases.append(p)
+    q, p = np.concatenate(qs), np.concatenate(bases)
+    counts = np.searchsorted(ns, N // q, side="right")
+    qi = np.repeat(np.arange(q.size), counts)
+    mi = np.arange(qi.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mq = ns[mi] * q[qi]
+    j = np.minimum(np.searchsorted(ns, mq), ns.size - 1)
+    hit = ns[j] == mq
+    c = np.bincount(qi[hit], weights=rs[mi[hit]] * rs[j[hit]],
+                    minlength=q.size)
+    nz = c != 0.0
+    return q[nz], p[nz], c[nz]
+
+
 def lemma3_rhs(req: Lemma3Request) -> complex:
     """T * sum over mn <= N of Lambda(n) r(m) r(mn) / (n^(alpha+ih) log n).
 
-    Exact finite sum; n runs over prime powers and r(mn) != 0 restricts
-    to n prime and coprime to m for squarefree-supported tables.
+    Exact finite sum over the prime powers n, each weighted by its
+    correlation c(n) = sum over m of r(m) r(mn).
     """
     ns, rs = _table_arrays(req.table)
-    N = _table_capacity(req.table)
-    lut = {int(n): float(r) for n, r in zip(ns, rs)}
-    s = complex(req.alpha, req.h)
-    total = 0.0 + 0.0j
-    for p in primes_up_to(N).tolist():
-        lp = math.log(p)
-        pk = p
-        while pk <= N:
-            # coefficient of the prime power pk
-            c = 0.0
-            for m, rm in lut.items():
-                if m * pk <= N:
-                    rmn = lut.get(m * pk)
-                    if rmn:
-                        c += rm * rmn
-            if c != 0.0:
-                total += c * lp * pk ** (-s) / (math.log(pk))
-            pk *= p
-    return req.T * total
+    q, p, c = _prime_power_correlations(ns, rs, _table_capacity(req.table))
+    lq = np.log(q)
+    terms = c * np.log(p) * np.exp(-complex(req.alpha, req.h) * lq) / lq
+    return req.T * comp_sum_complex(terms)
 
 
 def lemma3_compare(req: Lemma3Request,
@@ -294,25 +311,9 @@ def s1_resonance_statistic(table, h: float, T: float = 0.0,
     if not 0.0 <= h <= 1.0:
         raise ValueError("need 0 <= h <= 1")
     ns, rs = _table_arrays(table)
-    N = _table_capacity(table)
-    lut = {int(n): float(r) for n, r in zip(ns, rs)}
-    s_sq = 0.0
-    s_lin = 0.0
-    for p in primes_up_to(N).tolist():
-        lp = math.log(p)
-        pk = p
-        while pk <= N:
-            lpk = math.log(pk)
-            c = 0.0
-            for m, rm in lut.items():
-                if m * pk <= N:
-                    rmn = lut.get(m * pk)
-                    if rmn:
-                        c += rm * rmn
-            if c != 0.0:
-                base = c * lp / (math.sqrt(pk) * lpk * lpk)
-                s_sq += base * math.sin(0.5 * h * lpk) ** 2
-                s_lin += base * math.sin(h * lpk)
-            pk *= p
+    q, p, c = _prime_power_correlations(ns, rs, _table_capacity(table))
+    lq = np.log(q)
+    base = c * np.log(p) / (np.sqrt(q) * lq * lq)
     den = comp_sum(rs ** 2)
-    return (2.0 / math.pi) * s_sq / den, 2.0 * s_lin / den
+    return ((2.0 / math.pi) * comp_sum(base * np.sin(0.5 * h * lq) ** 2)
+            / den, 2.0 * comp_sum(base * np.sin(h * lq)) / den)

@@ -11,8 +11,14 @@ test suite:
   requested tolerance.  Correction functions C0..C3 are evaluated from
   Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`.
 
-Phase-critical reductions accumulate in longdouble; everything else is
-compensated float64.
+Every Dirichlet-polynomial sum of the module (the Euler-Maclaurin main
+sum, the two sums of the approximate functional equation, and R(t) in
+:mod:`bsylab.dirichlet`) goes through one kernel, ``_phase_sum``.  On a
+uniform grid of heights it is one blocked matrix product, a first step
+toward Odlyzko-Schoenhage multi-evaluation; on any other input it sums
+the chunked (points x terms) phase matrix directly.  Phases are reduced
+mod 2*pi in longdouble on both paths; everything else is compensated
+float64.
 """
 
 import math
@@ -26,6 +32,13 @@ from ._rs_coeffs import C0_CHEB, C1_CHEB, C2_CHEB, C3_CHEB
 from .config import DEFAULT, POLE_THRESHOLD, PrecisionConfig
 
 TWO_PI = 2.0 * math.pi
+
+#: 2*pi to longdouble precision.
+_TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
+
+#: Reducing a phase phi by float64 2*pi instead misplaces it by
+#: phi * |2*pi - fl(2*pi)| / (2*pi) = phi * 3.9e-17.
+_F64_TWO_PI_REL = float(abs(np.longdouble(TWO_PI) - _TWO_PI_LD) / _TWO_PI_LD)
 
 #: Validity threshold of the theta asymptotic expansion.
 THETA_T_MIN = 10.0
@@ -125,9 +138,7 @@ def rs_theta_array(ts: np.ndarray) -> np.ndarray:
 def _rs_theta_ld(ts: np.ndarray) -> np.ndarray:
     """theta(t) in 80-bit floats for t >= THETA_T_MIN (phase use)."""
     a = np.abs(ts).astype(np.longdouble)
-    two_pi_ld = 2 * np.arccos(np.longdouble(-1.0))
-    val = 0.5 * a * np.log(a / two_pi_ld) - 0.5 * a \
-        - np.arccos(np.longdouble(-1.0)) / 8
+    val = 0.5 * a * np.log(a / _TWO_PI_LD) - 0.5 * a - _TWO_PI_LD / 16
     # sum_n c_n a^(1-2n) = (1/a) * polynomial in 1/a^2, by Horner
     u = 1 / (a * a)
     series = np.full(a.shape, np.longdouble(_THETA_C[_THETA_N - 1]))
@@ -165,11 +176,115 @@ def _theta_any(ts: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Euler-Maclaurin
+# Dirichlet-polynomial phase sums
 # ----------------------------------------------------------------------
 
-_EM_CHUNK = 4_000_000  # max elements of the (points x terms) phase matrix
+_EM_CHUNK = 4_000_000  # max elements of any (points x terms) intermediate
 
+#: A height may sit this many float64 ulps of max|t| off the arithmetic
+#: progression and still count as on it (linspace and T + dx*arange
+#: round each point by one or two).
+_GRID_ULPS = 8.0
+
+
+def _phase_roundoff(tmax: float, lmax: float, amp_sum: float) -> float:
+    """Floating-point floor of a phase sum with |t| <= tmax, log n <= lmax.
+
+    t*log(n) is reduced mod 2*pi in 80-bit floats (unit roundoff
+    ~1.1e-19), so each term carries an absolute phase error of order
+    t*log(n)*1e-19; the amplitude-weighted total plus double-precision
+    rounding of the unit phases and the accumulation gives the floor.
+    """
+    return (1.5e-18 * (1.0 + tmax) * lmax + 1.5e-15) * amp_sum
+
+
+def _unit_phases(ts_ld: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """exp(-i t log n) as a (len(ts) x len(logs)) complex matrix."""
+    ph = (ts_ld[:, None] * logs[None, :]) % _TWO_PI_LD
+    return np.exp(-1j * ph.astype(float))
+
+
+def _as_progression(ts: np.ndarray):
+    """(t_0, dt, eps) with eps_k = t_k - (t_0 + k*dt) in float64, where
+    dt = (t_last - t_0)/(K - 1) in longdouble, when every |eps_k| is
+    within _GRID_ULPS ulps of max|t|; None otherwise."""
+    K = ts.size
+    t0 = np.longdouble(ts[0])
+    dt = (np.longdouble(ts[-1]) - t0) / (K - 1)
+    eps = (ts - (t0 + dt * np.arange(K, dtype=np.longdouble))).astype(float)
+    tol = _GRID_ULPS * np.spacing(float(np.max(np.abs(ts))))
+    return (t0, dt, eps) if float(np.max(np.abs(eps))) <= tol else None
+
+
+def _phase_sum(logs: np.ndarray, amps: np.ndarray,
+               ts: np.ndarray) -> tuple[np.ndarray, float]:
+    """S(t_k) = sum_n a_n exp(-i t_k l_n) for every height, and a bound.
+
+    ``logs`` are the l_n in longdouble, ``amps`` the real a_n and ``ts``
+    a 1-d float array.  The bound is the floating-point floor of
+    ``_phase_roundoff``, plus the eps remainder below on the grid path
+    and the float64-2*pi reduction error on the direct path.
+
+    When ts is an arithmetic progression t_k = t_0 + k*dt (to within
+    _GRID_ULPS ulps) and B + J < K, the sum is one blocked product: with
+    k = b*J + j, J = ceil(sqrt(K)) (capped so M*J <= _EM_CHUNK) and
+    B = ceil(K/J),
+
+        S(t_k) = sum_n [a_n exp(-i (t_0 + b*J*dt) l_n)] [exp(-i j*dt l_n)],
+
+    a (B x M) @ (M x J) complex matrix product, so the transcendental
+    work is (B + J) * M instead of K * M.  The residual eps_k of each
+    given t_k off the progression is taken to first order, with a second
+    product over the amplitudes a_n l_n; the remainder
+    max eps^2 * sum |a_n| l_n^2 / 2 is added to the bound.  Any other
+    input sums the phase matrix directly, in chunks of _EM_CHUNK.
+    """
+    K, M = ts.size, logs.size
+    amps_abs = np.abs(amps)
+    tmax = float(np.max(np.abs(ts))) if K else 0.0
+    bound = _phase_roundoff(tmax, float(np.max(logs, initial=0.0)),
+                            float(amps_abs.sum()))
+    vals = np.empty(K, dtype=complex)
+    J = min(math.isqrt(max(K - 1, 0)) + 1, max(1, _EM_CHUNK // max(M, 1)))
+    B = -(-K // J)
+    grid = _as_progression(ts) if B + J < K else None
+    if grid is None:
+        # reduced by float64 2*pi, as before the grid path existed: the
+        # zero finder and the quadrature rest on these values to the ulp
+        bound += _F64_TWO_PI_REL * tmax * float(
+            (amps_abs * logs.astype(float)).sum())
+        step = max(1, _EM_CHUNK // max(M, 1))
+        for i in range(0, K, step):
+            sl = slice(i, min(i + step, K))
+            ph = ((ts[sl].astype(np.longdouble)[:, None] * logs[None, :])
+                  % np.longdouble(TWO_PI)).astype(float)
+            # real/imag accumulated separately: ~3x faster than complex exp
+            vals[sl] = (amps[None, :] * np.cos(ph)).sum(axis=1)
+            vals[sl] -= 1j * (amps[None, :] * np.sin(ph)).sum(axis=1)
+        return vals, bound
+
+    t0, dt, eps = grid
+    inner = _unit_phases(dt * np.arange(J, dtype=np.longdouble), logs).T
+    slope_amps = amps * logs.astype(float)
+    slope = np.empty(K, dtype=complex)
+    rows = max(1, _EM_CHUNK // (2 * max(M, J)))
+    for b0 in range(0, B, rows):
+        b1 = min(B, b0 + rows)
+        outer = _unit_phases(
+            t0 + (J * dt) * np.arange(b0, b1, dtype=np.longdouble), logs)
+        prod = np.concatenate([outer * amps, outer * slope_amps]) @ inner
+        k0, k1 = b0 * J, min(K, b1 * J)
+        vals[k0:k1] = prod[:b1 - b0].ravel()[:k1 - k0]
+        slope[k0:k1] = prod[b1 - b0:].ravel()[:k1 - k0]
+    vals -= 1j * eps * slope
+    bound += 0.5 * float(np.max(eps * eps)) \
+        * float((amps_abs * logs.astype(float) ** 2).sum())
+    return vals, bound
+
+
+# ----------------------------------------------------------------------
+# Euler-Maclaurin
+# ----------------------------------------------------------------------
 
 def _em_remainder_bound(sigma: float, tmax: float, M: int, K: int) -> float:
     """Standard remainder bound: |(s+2K+1)/(sigma+2K+1)| * |next term|."""
@@ -194,28 +309,15 @@ def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
         f"t={tmax} with {K} correction terms")
 
 
-def _em_roundoff(tmax: float, M: int, amp_sum: float,
-                 longdouble_phase: bool = True) -> float:
-    """Floating-point floor of the truncated-sum evaluation.
-
-    With longdouble phases, t*log(n) is reduced mod 2*pi in 80-bit floats
-    (unit roundoff ~1.1e-19), so each term carries an absolute phase error
-    of order t*log(M)*1e-19.  With plain float64 phases the per-term phase
-    error grows to t*log(M)*1.2e-16.  Either way the amplitude-weighted
-    total plus double-precision accumulation noise gives the floor below.
-    """
-    lnM = math.log(M + 2.0)
-    coeff = 1.5e-18 if longdouble_phase else 1.2e-16
-    return coeff * (1.0 + tmax) * lnM * amp_sum + 1.5e-15 * amp_sum
-
-
 def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
-              target: float | None = None,
-              longdouble_phase: bool = True) -> tuple[np.ndarray, np.ndarray]:
+              target: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """zeta(sigma + i t) for an array of non-negative t, with error bounds.
 
     All points share one truncation M chosen from max(ts); callers should
-    chunk wildly different heights separately.
+    chunk wildly different heights separately.  The main sum over n < M
+    is one ``_phase_sum``: a blocked matrix product when ts is a uniform
+    grid, the direct longdouble-phase sum otherwise.  The bound is the
+    remainder bound plus that sum's roundoff.
     """
     ts = np.asarray(ts, dtype=float)
     if target is None:
@@ -225,22 +327,8 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     M = _em_choose_M(sigma, tmax, cfg, target)
 
     n = np.arange(1, M, dtype=float)
-    lnn_ld = np.log(n.astype(np.longdouble))
-    lnn = lnn_ld.astype(float)
-    amp = n ** (-sigma)
-    vals = np.zeros(ts.shape, dtype=complex)
-    step = max(1, _EM_CHUNK // max(M, 1))
-    for i in range(0, ts.size, step):
-        sl = slice(i, min(i + step, ts.size))
-        if longdouble_phase:
-            ph = (ts[sl].astype(np.longdouble)[:, None]
-                  * lnn_ld[None, :]) % np.longdouble(TWO_PI)
-            ph = ph.astype(float)
-        else:
-            ph = ts[sl, None] * lnn[None, :]
-        # real/imag accumulated separately: ~3x faster than complex exp
-        vals[sl] = (amp[None, :] * np.cos(ph)).sum(axis=1)
-        vals[sl] -= 1j * (amp[None, :] * np.sin(ph)).sum(axis=1)
+    vals, roundoff = _phase_sum(np.log(n.astype(np.longdouble)),
+                                n ** (-sigma), ts)
 
     s = sigma + 1j * ts
     Mf = float(M)
@@ -251,8 +339,7 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
         vals += _B2K_OVER_FACT[k] * poch * mpow
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
         mpow = mpow / (Mf * Mf)
-    bound = _em_remainder_bound(sigma, tmax, M, K)
-    bound += _em_roundoff(tmax, M, float(amp.sum()), longdouble_phase)
+    bound = _em_remainder_bound(sigma, tmax, M, K) + roundoff
     return vals, np.full(ts.shape, bound)
 
 
@@ -283,7 +370,8 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
         mpow = mpow / (Mf * Mf)
     bound = _em_remainder_bound(smin, abs(t), M, K)
-    bound += _em_roundoff(abs(t), M, float(ampm.sum(axis=1).max()))
+    bound += _phase_roundoff(abs(t), float(lnn[-1]),
+                             float(ampm.sum(axis=1).max()))
     return vals, np.full(sigmas.shape, bound)
 
 
@@ -331,7 +419,6 @@ def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
     N = np.floor(tau).astype(int)
     p = tau - N
     theta_ld = _rs_theta_ld(ts)
-    two_pi_ld = 2 * np.arccos(np.longdouble(-1.0))
 
     vals = np.zeros(ts.shape)
     # main sum, grouped by common truncation N
@@ -344,7 +431,7 @@ def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
         lnn = np.log(n.astype(np.longdouble))
         arg = (theta_ld[idx][:, None]
                - ts[idx].astype(np.longdouble)[:, None] * lnn[None, :]
-               ) % two_pi_ld
+               ) % _TWO_PI_LD
         vals[idx] = 2.0 * (np.cos(arg.astype(float))
                            / np.sqrt(n)[None, :]).sum(axis=1)
 
@@ -516,12 +603,10 @@ def zeta_afe_batch(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for Nv, a, b in zip(Nuniq, bidx[:-1], bidx[1:]):
         idx = order[a:b]
         n = np.arange(1, Nv + 1, dtype=float)
-        lnn = np.log(n)
-        ph = (ts[idx].astype(np.longdouble)[:, None]
-              * lnn.astype(np.longdouble)[None, :]) % np.longdouble(TWO_PI)
-        e = np.exp(-1j * ph.astype(float))
-        direct = (n[None, :] ** (-sigma) * e).sum(axis=1)
-        mirror = (n[None, :] ** (sigma - 1.0) * np.conj(e)).sum(axis=1)
-        vals[idx] = direct + chi[idx] * mirror
+        lnn = np.log(n.astype(np.longdouble))
+        # mirror sum of n^(sigma-1) n^(+it): the conjugate of a phase sum
+        direct, _ = _phase_sum(lnn, n ** (-sigma), ts[idx])
+        mirror, _ = _phase_sum(lnn, n ** (sigma - 1.0), ts[idx])
+        vals[idx] = direct + chi[idx] * np.conj(mirror)
     bound = AFE_BOUND_COEF * ts ** (-sigma / 2.0 - 0.25)
     return vals, bound

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -38,6 +39,25 @@ def test_eval_R_brute_force(toy_table):
     oracle = sum(float(r) * complex(n) ** complex(0, -t)
                  for n, r in zip(toy_table.ns.tolist(), toy_table.rs))
     assert abs(eval_R(toy_table, t) - oracle) < 1e-10
+
+
+def test_eval_R_batch_grid_vs_python_loop(toy_table):
+    # the loop reduces each phase in 30-digit arithmetic, so it is exact
+    # to double precision
+    ts = np.linspace(1000.0, 2000.0, 4001)
+    vals = eval_R_batch(toy_table, ts)
+    with mpmath.workdps(30):
+        two_pi = 2 * mpmath.pi
+        for k in range(0, ts.size, 97):
+            t = mpmath.mpf(float(ts[k]))
+            re, im = [], []
+            for n, r in zip(toy_table.ns.tolist(), toy_table.rs.tolist()):
+                ph = float(mpmath.fmod(t * mpmath.log(n), two_pi))
+                re.append(r * math.cos(ph))
+                im.append(-r * math.sin(ph))
+            oracle = complex(math.fsum(re), math.fsum(im))
+            assert abs(vals[k] - oracle) <= 1e-12 * comp_sum(
+                np.abs(toy_table.rs))
 
 
 def test_mean_square_trivial(trivial_table):
@@ -83,6 +103,15 @@ def test_lemma3_rhs_pair_loop_oracle(toy_table):
     rhs = lemma3_rhs(req)
     oracle = _rhs_brute(req)
     assert abs(rhs - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_lemma3_rhs_prime_powers_oracle():
+    # a dense table, so that c(p^k) with k >= 2 contributes too
+    ns = np.arange(1, 301)
+    rs = np.cos(ns) / np.sqrt(ns)
+    req = Lemma3Request(alpha=0.7, h=0.2, T=50.0, table=(ns, rs))
+    oracle = _rhs_brute(req)
+    assert abs(lemma3_rhs(req) - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_lemma3_lhs_series_oracle_alpha2(trivial_table):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsylab import errors
+from bsylab import errors, zeta
 from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.zeta import (
     _rs_theta_ld,
@@ -172,3 +172,77 @@ def test_z_is_real_and_bound_positive(t):
     assert np.isreal(float(zv))
     assert zv.abs_error > 0
     assert rs_error_bound(np.array([t]), 2)[0] > 0
+
+
+# ----------------------------------------------------------------------
+# Uniform-grid path of the phase-sum kernel
+# ----------------------------------------------------------------------
+
+def _grid(kind, t0, dx, K):
+    if kind == "linspace":
+        return np.linspace(t0, t0 + dx * (K - 1), K)
+    return t0 + dx * np.arange(K)
+
+
+@pytest.mark.parametrize("sigma", [0.6, 2.0])
+@pytest.mark.parametrize("t0,dx,K", [(1000.3, 0.05, 2001),
+                                     (20000.1, 0.013, 150)])
+@pytest.mark.parametrize("kind", ["linspace", "arange"])
+def test_em_grid_path_matches_mpmath(sigma, t0, dx, K, kind):
+    ts = _grid(kind, t0, dx, K)
+    assert zeta._as_progression(ts) is not None    # takes the blocked path
+    vals, bounds = zeta._em_batch(sigma, ts)
+    for k in (0, 1, K // 3, K - 2, K - 1):
+        err = abs(vals[k] - _mp_zeta(complex(sigma, ts[k])))
+        assert err <= bounds[k]
+        assert err <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.6, 2.0])
+def test_em_grid_path_matches_direct_path(sigma):
+    ts = np.linspace(1000.0, 1100.0, 1201)
+    off = ts.copy()
+    off[600] += 1e-7                  # one point off the progression
+    assert zeta._as_progression(off) is None
+    grid, gb = zeta._em_batch(sigma, ts)
+    direct, db = zeta._em_batch(sigma, off)
+    keep = np.arange(ts.size) != 600
+    assert np.all(np.abs(grid - direct)[keep] <= (gb + db)[keep])
+
+
+def test_em_grid_path_in_row_chunks(monkeypatch):
+    ts = np.linspace(1000.0, 1100.0, 1201)
+    whole, wb = zeta._em_batch(0.6, ts)
+    # 585 terms: J is capped at 13 and the 93 block rows come in 16
+    # chunks
+    monkeypatch.setattr(zeta, "_EM_CHUNK", 8000)
+    part, pb = zeta._em_batch(0.6, ts)
+    assert np.all(np.abs(whole - part) <= wb + pb)
+
+
+@pytest.mark.parametrize("ts", [
+    np.array([1234.5]),
+    np.array([1234.5, 1234.75]),
+    np.array([1234.5, 1234.75, 1235.0]),
+    np.linspace(1010.0, 1000.0, 301),          # descending
+    np.full(50, 1234.5),                       # step 0
+], ids=["K1", "K2", "K3", "descending", "step0"])
+def test_em_batch_grid_edge_cases_match_mpmath(ts):
+    sigma = 0.6
+    vals, bounds = zeta._em_batch(sigma, ts)
+    for k in sorted({0, ts.size // 2, ts.size - 1}):
+        err = abs(vals[k] - _mp_zeta(complex(sigma, ts[k])))
+        assert err <= bounds[k]
+        assert err <= 1e-12
+
+
+def test_afe_grid_path_matches_pointwise():
+    ts = np.linspace(31_000.0, 31_050.0, 2001)
+    assert zeta._as_progression(ts) is not None
+    vals, _ = zeta.zeta_afe_batch(0.6, ts)
+    for k in (0, 777, 2000):
+        one, _ = zeta.zeta_afe_batch(0.6, ts[k:k + 1])
+        # the single point reduces its phases by float64 2*pi, which
+        # moves it by up to ~7e-12 here; a grouping or conjugation slip
+        # would show at the size of the sums, far above 1e-10
+        assert abs(vals[k] - one[0]) <= 1e-10
