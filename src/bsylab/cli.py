@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import argument, dirichlet, integral, resonator, zeros, zeta
+from . import acceptance, argument, dirichlet, integral, resonator, zeros, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
 from .errors import BsyError, ParseError
-from .sieve import factorize, primes_up_to
-
-MAX_PARALLELISM = 64
 
 _PRECISION_KEYS = {
     "target_abs_error": float,
@@ -43,14 +40,6 @@ class RunConfig:
 
     precision: PrecisionConfig = DEFAULT
     zero_cache_path: str = "zeros_cache.txt"
-    output_format: str = "csv"
-    parallelism: int = 1
-
-    def __post_init__(self):
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be 'csv' or 'json'")
-        if not 1 <= self.parallelism <= MAX_PARALLELISM:
-            raise ValueError(f"parallelism must be in [1, {MAX_PARALLELISM}]")
 
 
 def _fmt(x) -> str:
@@ -87,10 +76,6 @@ def load_run_config(path: str | None) -> RunConfig:
             prec_kwargs[key] = _PRECISION_KEYS[key](val)
         elif key == "zero_cache_path":
             run_kwargs["zero_cache_path"] = val
-        elif key == "output_format":
-            run_kwargs["output_format"] = val
-        elif key == "parallelism":
-            run_kwargs["parallelism"] = int(val)
         else:
             raise ParseError(f"unknown config key {key!r}")
     if prec_kwargs:
@@ -333,227 +318,38 @@ def _cmd_mv(args, rc: RunConfig, out) -> int:
 
 
 # ----------------------------------------------------------------------
-# report: scaled reproduction of each acceptance criterion
+# report: the acceptance experiments of bsylab.acceptance
 # ----------------------------------------------------------------------
 
-def _suite_zeta_engine(rc):
-    cfg = rc.precision
-    em_err = abs(complex(zeta.zeta_em(2.0, cfg)) - math.pi ** 2 / 6)
-    ts = np.linspace(35.0, 5000.0, 100)
-    worst = 0.0
-    for t in ts:
-        em = zeta.zeta_em(complex(0.5, t), cfg)
-        rs = zeta.hardy_z(t, cfg)
-        gap = abs(abs(em.value) - abs(float(rs)))
-        worst = max(worst, gap / (em.abs_error + rs.abs_error))
-    return max(em_err / 1e-10, worst), 1.0
+def _zeros_to(rc: RunConfig, height: float) -> zeros.ZeroList:
+    return _load_zeros(rc.zero_cache_path, height, rc.precision)
 
 
-def _suite_zero_finding(rc):
-    cfg = rc.precision
-    zl = zeros.verify_zero_list(zeros.find_zeros_up_to(100.0, cfg), cfg)
-    # independent sign-change count on a fine grid
-    grid = np.linspace(0.5, 100.0, 20001)
-    zs = zeta.hardy_z_batch(grid, 1e-6, cfg)[0]
-    count = int(np.count_nonzero(np.sign(zs[:-1]) != np.sign(zs[1:])))
-    # bisection oracle for the first ordinate
-    lo, hi = 14.0, 14.2
-    flo = float(zeta.hardy_z(lo, cfg))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = float(zeta.hardy_z(mid, cfg))
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    gamma1 = 0.5 * (lo + hi)
-    return max(abs(len(zl) - count),
-               abs(float(zl.ordinates[0]) - gamma1) / 1e-8), 1.0
-
-
-def _theorem2_sup(rc, tmax, cfg):
-    ladder = [10.0 * 2 ** k for k in range(20) if 10.0 * 2 ** k <= tmax]
-    zl = _load_zeros(rc.zero_cache_path, ladder[-1] + 5.0, cfg)
-    results = integral.compute_I_many(ladder, zl, cfg)
-    return max(abs(r.value) * T * T / math.log(T)
-               for T, r in zip(ladder, results))
-
-
-def _suite_theorem2_bounded(rc):
-    sup0 = _theorem2_sup(rc, 640.0, rc.precision)
-    sup1 = _theorem2_sup(rc, 640.0, rc.precision.refined(10.0))
-    return abs(sup1 - sup0) / abs(sup0), 0.01
-
-
-def _suite_decay_exponent(rc):
-    cfg = rc.precision
-    ladder = np.array([10.0 * 2 ** k for k in range(10)])
-    zl = _load_zeros(rc.zero_cache_path, float(ladder[-1]) + 5.0, cfg)
-    results = integral.compute_I_many(ladder, zl, cfg)
-    samples = np.column_stack([ladder, [r.value for r in results]])
-    fit = integral.fit_decay(samples, "pure_power")
-    alpha = float(fit.fitted_params[1])
-    return abs(alpha - 2.0), 0.2
-
-
-def _suite_weight_identity(rc):
-    x = 1e4
-    return abs(integral.weight_identity_check(x, rc.precision)), \
-        4.0 * (1.0 + math.log(x)) / x
-
-
-def _suite_zero_sum(rc):
-    cfg = rc.precision
-    term = integral.zero_sum_term(zeros.ZeroCandidate(0.5 + 1e-9, 50.0))
-    zl = _load_zeros(rc.zero_cache_path, 105.0, cfg)
-    cand = zeros.ZeroCandidate(0.75, 40.0)
-    base = integral.theorem2_residual(100.0, [], zl, cfg)[0]
-    shifted = integral.theorem2_residual(100.0, [cand], zl, cfg)[0]
-    expect = 2.0 * math.pi * integral.zero_sum_term(cand)
-    rel = abs((base - shifted) - expect) / abs(expect)
-    return max(term / 1e-8, rel / 1e-12), 1.0
-
-
-def _suite_argument(rc):
-    cfg = rc.precision
-    zl = _load_zeros(rc.zero_cache_path, 205.0, cfg)
-    ts = np.linspace(15.3, 199.7, 30)
-    bad = 0
-    for t in ts:
-        s = argument.S_of_t(t, cfg, zl)
-        n_formula = round(zeta.rs_theta(t) / math.pi + 1.0 + s)
-        n_count = int(np.count_nonzero(zl.ordinates <= t))
-        bad += int(n_formula != n_count)
-    # approximately-constant check: total movement of the fitted linear
-    # trend (the bounded sigma > 2 tail oscillation sits in the band)
-    tg = np.linspace(20.0, 200.0, 13)
-    drifts = np.array([argument.S1_direct(t, zl, cfg)
-                       - argument.S1_littlewood(t, cfg) for t in tg])
-    design = np.column_stack([np.ones_like(tg), tg])
-    slope = np.linalg.lstsq(design, drifts, rcond=None)[0][1]
-    drift = abs(slope) * (tg[-1] - tg[0])
-    return max(float(bad), drift / 0.2), 1.0
-
-
-def _suite_lemma2_omega(rc):
-    # the statistics are O(1) sups; a 1e-6 quadrature tolerance suffices
-    # and keeps long unweighted scans within the subdivision budget
-    cfg = dataclasses.replace(rc.precision, quad_tol=1e-6,
-                              max_subdivisions=200_000)
-    failures = 0
-    zl = _load_zeros(rc.zero_cache_path, 2010.0, cfg)
-    grid = np.geomspace(20.0, 2000.0, 40)
-    rep = argument.lemma2_scan(20.0, grid, zl, cfg)
-    norms = np.abs(argument.lemma2_normalized(rep.samples[:, 0],
-                                              rep.samples[:, 1]))
-    half = norms.size // 2
-    if not np.isfinite(norms).all():
-        failures += 1
-    if norms[half:].max() > 2.0 * max(norms[:half].max(), 1e-30):
-        failures += 1
-    om = argument.omega_scan(200.0, 0.3, zl, cfg)
-    mx, _, mn, _ = om.fitted_params
-    if not (mx > 0.0 > mn):
-        failures += 1
-    return float(failures), 0.0
-
-
-def _pair_loop_numerator(table):
-    ns, rs = table.ns, table.rs
-    lookup = {int(n): float(r) for n, r in zip(ns, rs)}
-    p = table.params
-    total = []
-    for n, rn in lookup.items():
-        for m, rm in lookup.items():
-            q, rem = divmod(n, m)
-            if rem or q < 2:
-                continue
-            f = factorize(q)
-            if len(f) != 1 or f[0][1] != 1:
-                continue
-            prime = f[0][0]
-            lnp = math.log(prime)
-            total.append(rm * rn * lnp
-                         * math.sin(p.h * lnp) ** p.mu
-                         / (math.sqrt(prime) * lnp ** p.nu))
-    return comp_sum(np.array(total if total else [0.0]))
-
-
-def _suite_resonator(rc):
-    params = resonator.ResonatorParams(
-        mu=2, nu=0, N=100, h=0.1, L=1.0, A=2.0, B=30.0, override=True)
-    worst = 0.0
-    failures = 0.0
-    for h in (0.05, 0.1):
-        ph = dataclasses.replace(params, h=h)
-        for variant in ("plus", "minus"):
-            table = resonator.build_resonator(ph, variant)
-            num = resonator.resonator_numerator(table)
-            oracle = _pair_loop_numerator(table)
-            worst = max(worst, abs(num - oracle) / max(abs(oracle), 1e-30))
-            ratio = num / resonator.resonator_denominator(table)
-            ok = ratio > 0 if variant == "plus" else ratio < 0
-            failures += 0.0 if ok else 1.0
-    return max(worst / 1e-12, failures), 1.0
-
-
-def _suite_mean_value(rc):
-    from scipy.integrate import quad
-
-    cfg = rc.precision
-    params = resonator.ResonatorParams(
-        mu=2, nu=0, N=100, h=0.1, L=1.0, A=2.0, B=30.0, override=True)
-    table = resonator.build_resonator(params, "plus")
-    T = 1000.0
-    ms = dirichlet.mean_square_exact(table, T)
-    oracle = quad(lambda x: abs(dirichlet.eval_R(table, x)) ** 2,
-                  T, 2.0 * T, limit=2000, epsabs=1e-10, epsrel=1e-12)[0]
-    ms_ratio = abs(ms - oracle) / cfg.quad_tol
-    gap2 = abs(lemma3_series_gap(100.0, 0.0, cfg))
-    return max(ms_ratio, gap2 / 1e-6), 1.0
-
-
-def lemma3_series_gap(T: float, h: float, cfg: PrecisionConfig) -> complex:
-    """Quadrature-vs-series gap for the vertical log-zeta integral.
-
-    At abscissa 2 the prime-power series for log zeta converges
-    absolutely, so integral over [T, 2T] of log zeta(2 + i(t+h)) dt can
-    be summed termwise; this returns the difference between the
-    quadrature value (trivial coefficient table) and that series.
-    """
-    triv = (np.array([1]), np.array([1.0]))
-    req = dirichlet.Lemma3Request(alpha=2.0, h=h, T=T, table=triv)
-    lhs = dirichlet.lemma3_lhs(req, cfg)
-    nmax = 200_000
-    pps, lams = [], []
-    for p in primes_up_to(nmax).tolist():
-        pk = p
-        while pk <= nmax:
-            pps.append(pk)
-            lams.append(math.log(p))
-            pk *= p
-    order = sorted(zip(pps, lams))
-    pps = np.array([pk for pk, _ in order], dtype=float)
-    lams = np.array([l for _, l in order])
-    ln = np.log(pps.astype(np.longdouble))
-    phase = (np.exp(-1j * (2.0 * T) * ln) - np.exp(-1j * T * ln)) / (-1j * ln)
-    terms = (lams / (pps * pps * ln.astype(float))
-             * np.exp(-1j * h * ln) * phase).astype(complex)
-    return lhs - complex(comp_sum(np.real(terms)),
-                         comp_sum(np.imag(terms)))
+def _ladder(rc: RunConfig):
+    zl = _zeros_to(rc, float(acceptance.LADDER[-1]))
+    return zl, acceptance.ladder_I(zl, rc.precision)
 
 
 _SUITES = {
-    "zeta-engine": (1, _suite_zeta_engine),
-    "zero-finding": (2, _suite_zero_finding),
-    "theorem2-bounded": (3, _suite_theorem2_bounded),
-    "decay-exponent": (4, _suite_decay_exponent),
-    "weight-identity": (5, _suite_weight_identity),
-    "zero-sum-term": (6, _suite_zero_sum),
-    "argument-suite": (7, _suite_argument),
-    "lemma2-omega": (8, _suite_lemma2_omega),
-    "resonator-exact": (9, _suite_resonator),
-    "mean-value": (10, _suite_mean_value),
+    "zeta-engine": (1, lambda rc: acceptance.zeta_engine(rc.precision)),
+    "zero-finding": (2, lambda rc: acceptance.zero_census(rc.precision)),
+    "theorem2-bounded": (3, lambda rc: acceptance.theorem2_bounded(
+        *_ladder(rc), rc.precision)),
+    "decay-exponent": (4, lambda rc: acceptance.decay_exponent(
+        _ladder(rc)[1])),
+    "weight-identity": (5, lambda rc: acceptance.weight_identity(
+        rc.precision)),
+    "zero-sum-term": (6, lambda rc: acceptance.zero_sum(
+        _zeros_to(rc, 100.0), rc.precision)),
+    "argument-suite": (7, lambda rc: acceptance.argument_suite(
+        _zeros_to(rc, 500.0), rc.precision)),
+    "lemma2-omega": (8, lambda rc: acceptance.lemma2_omega(
+        _zeros_to(rc, 1e4), rc.precision)),
+    "resonator-exact": (9, lambda rc: acceptance.resonator_exact(
+        acceptance.TOY_PARAMS)),
+    "mean-value": (10, lambda rc: acceptance.lemma3_mv(
+        resonator.build_resonator(acceptance.TOY_PARAMS, "plus"),
+        acceptance.TRIVIAL_TABLE, rc.precision)),
 }
 
 
@@ -566,7 +362,7 @@ def _cmd_report(args, rc: RunConfig, out) -> int:
         return 1
     cid, fn = _SUITES[suite]
     try:
-        measured, threshold = fn(rc)
+        measured, threshold, detail = fn(rc)
     except Exception as exc:
         print(json.dumps({
             "criterion_id": cid, "suite": suite,
@@ -579,6 +375,7 @@ def _cmd_report(args, rc: RunConfig, out) -> int:
         "measured": _fmt(measured),
         "threshold": _fmt(threshold),
         "pass": bool(measured <= threshold),
+        "detail": detail,
     }), file=out)
     return 0
 
@@ -695,7 +492,7 @@ def build_parser() -> _Parser:
     _add_precision_flags(pm)
 
     p = sub.add_parser("report",
-                       help="run a scaled acceptance-criterion experiment")
+                       help="run one acceptance experiment")
     p.add_argument("suite")
     _add_precision_flags(p)
 

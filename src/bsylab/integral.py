@@ -23,7 +23,7 @@ import numpy as np
 from . import errors, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
-from .quadrature import IntegralResult, log_singular_batch
+from .quadrature import _GL7, _GL15, IntegralResult, log_singular_batch
 from .zeros import ZeroCandidate, ZeroList
 
 __all__ = [
@@ -82,10 +82,6 @@ def bsy_integrand(t: float, cfg: PrecisionConfig = DEFAULT) -> float:
 # Segment profile engine
 # ----------------------------------------------------------------------
 
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
-
-
 def _z_log_derivative(gammas: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
     """log|Z'(gamma)| for each ordinate via a 5-point stencil."""
     if gammas.size == 0:
@@ -133,8 +129,7 @@ def _rule_eval(lo, hi, gs, zps, nodes, wts, z_tol, cfg, weight_f=_weight):
 
 
 def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
-                     cfg: PrecisionConfig, hard_fail: bool = True,
-                     weight_f=_weight):
+                     cfg: PrecisionConfig, weight_f=_weight):
     """Integrals of log|Z(t)|*weight(t) over each [cuts[i], cuts[i+1]].
 
     Returns (values, error_estimates, subintervals, n_singular) as
@@ -227,13 +222,8 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
         bad = ~ok
         n_panels += int(np.count_nonzero(bad))
         if n_panels > cfg.max_subdivisions:
-            if hard_fail:
-                raise errors.ToleranceNotMet(
-                    f"subdivision cap {cfg.max_subdivisions} reached")
-            np.add.at(vals, cur["seg"][bad], fine[bad])
-            np.add.at(errs, cur["seg"][bad], err[bad])
-            np.add.at(nsub, cur["seg"][bad], 1)
-            break
+            raise errors.ToleranceNotMet(
+                f"subdivision cap {cfg.max_subdivisions} reached")
         mid = 0.5 * (L[bad] + H[bad])
         cur = dict(
             lo=np.concatenate([L[bad], mid]),

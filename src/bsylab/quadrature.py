@@ -19,8 +19,6 @@ from .errors import ToleranceNotMet
 
 _GL7 = np.polynomial.legendre.leggauss(7)
 _GL15 = np.polynomial.legendre.leggauss(15)
-_GL5 = np.polynomial.legendre.leggauss(5)
-_GL10 = np.polynomial.legendre.leggauss(10)
 
 
 @dataclass
@@ -75,11 +73,9 @@ def adaptive_quad(f, a: float, b: float, tol: float,
                 raise ToleranceNotMet(
                     f"subdivision cap {max_subdivisions} reached on "
                     f"[{a}, {b}]")
-            rest = _panel_eval(f, lo_bad, hi_bad, *_GL15)
             done_lo.extend(lo_bad.tolist())
-            done_val.extend(rest.tolist())
-            done_err.extend(np.abs(
-                rest - _panel_eval(f, lo_bad, hi_bad, *_GL7)).tolist())
+            done_val.extend(fine[~ok].tolist())
+            done_err.extend(err[~ok].tolist())
             break
         mid = 0.5 * (lo_bad + hi_bad)
         lo = np.concatenate([lo_bad, mid])

@@ -4,11 +4,11 @@ Zero lists are expensive to build, so they are session-scoped and the
 tall one is shared by every suite that scans high.
 """
 
-import numpy as np
 import pytest
 
+from bsylab.acceptance import TOY_PARAMS, TRIVIAL_TABLE
 from bsylab.config import DEFAULT
-from bsylab.resonator import ResonatorParams, build_resonator
+from bsylab.resonator import build_resonator
 from bsylab.zeros import find_zeros_up_to, verify_zero_list
 
 
@@ -29,8 +29,7 @@ def zeros_10k():
 
 @pytest.fixture(scope="session")
 def toy_params():
-    return ResonatorParams(mu=2, nu=0, N=100, h=0.1, L=1.0, A=2.0, B=30.0,
-                           override=True)
+    return TOY_PARAMS
 
 
 @pytest.fixture(scope="session")
@@ -40,4 +39,4 @@ def toy_table(toy_params):
 
 @pytest.fixture(scope="session")
 def trivial_table():
-    return (np.array([1]), np.array([1.0]))
+    return TRIVIAL_TABLE

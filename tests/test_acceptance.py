@@ -1,367 +1,66 @@
 """Acceptance gate: ten criteria, one pass/fail line printed per criterion.
 
-Each test prints ``ACCEPTANCE <n> <name>: PASS|FAIL (measured vs
-threshold)`` so the gate is legible straight from the pytest log.
+Each test prints ``ACCEPTANCE <n> <name>: PASS|FAIL (measured figures)``
+so the gate is legible straight from the pytest log.  The experiments
+live in ``bsylab.acceptance``; ``bsy report`` runs the same functions.
 """
 
-import dataclasses
-import math
-
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from bsylab import argument, dirichlet, integral, resonator, zeros, zeta
-from bsylab.accum import comp_sum
-from bsylab.config import DEFAULT, PrecisionConfig
-from bsylab.sieve import factorize, primes_up_to
+from bsylab import acceptance
+from bsylab.config import DEFAULT
 
 
-def _line(n, name, ok, detail):
+def _line(n, name, result):
+    measured, threshold, detail = result
+    ok = measured <= threshold
     verdict = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {n} {name}: {verdict} ({detail})")
     assert ok, f"criterion {n} ({name}): {detail}"
 
 
-# ---------------------------------------------------------------- 1
+@pytest.fixture(scope="module")
+def ladder_I(zeros_10k):
+    return acceptance.ladder_I(zeros_10k, DEFAULT)
 
 
 def test_criterion_1_zeta_engine():
-    em2 = abs(complex(zeta.zeta_em(2.0, DEFAULT)) - math.pi ** 2 / 6)
-
-    ts = np.linspace(10.0, 1e4, 1000)
-    # force the Riemann-Siegel path wherever it is valid (t >= 30);
-    # below that the hybrid falls back to the same series on both sides
-    cfg = dataclasses.replace(DEFAULT, rs_correction_terms=4)
-    rs_vals, rs_bounds = zeta.hardy_z_batch(ts, 1e-2, cfg)
-    worst = 0.0
-    for t, rv, rb in zip(ts.tolist(), np.abs(rs_vals), rs_bounds):
-        em = zeta.zeta_em(complex(0.5, t), DEFAULT)
-        gap = abs(abs(complex(em)) - rv)
-        worst = max(worst, gap / (em.abs_error + rb))
-    ok = em2 <= 1e-10 and worst <= 1.0
-    _line(1, "zeta-engine", ok,
-          f"|zeta(2) err|={em2:.3e} (<=1e-10), "
-          f"max gap/bound={worst:.3f} (<=1) on 1000 pts")
-
-
-# ---------------------------------------------------------------- 2
+    _line(1, "zeta-engine", acceptance.zeta_engine(DEFAULT))
 
 
 def test_criterion_2_zeros():
-    zl = zeros.verify_zero_list(zeros.find_zeros_up_to(100.0, DEFAULT),
-                                DEFAULT)
-    grid = np.linspace(0.5, 100.0, 40001)
-    zs = zeta.hardy_z_batch(grid, 1e-6, DEFAULT)[0]
-    independent = int(np.count_nonzero(np.sign(zs[:-1]) != np.sign(zs[1:])))
-
-    lo, hi = 14.0, 14.2
-    flo = float(zeta.hardy_z(lo, DEFAULT))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if (float(zeta.hardy_z(mid, DEFAULT)) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    gamma1_gap = abs(float(zl.ordinates[0]) - 0.5 * (lo + hi))
-
-    ok = (zl.verified and len(zl) == independent == 29
-          and gamma1_gap <= 1e-8)
-    _line(2, "zeros", ok,
-          f"count={len(zl)} oracle={independent} (both 29), "
-          f"gamma1 gap={gamma1_gap:.2e} (<=1e-8)")
-
-
-# ------------------------------------------------------- 3 and 4 shared
-
-
-LADDER = np.array([10.0 * 2 ** k for k in range(10)])   # 10 .. 5120
-
-
-@pytest.fixture(scope="module")
-def ladder_I(zeros_10k):
-    res = integral.compute_I_many(LADDER, zeros_10k, DEFAULT)
-    return np.array([r.value for r in res])
+    _line(2, "zeros", acceptance.zero_census(DEFAULT))
 
 
 def test_criterion_3_theorem2_bounded(zeros_10k, ladder_I):
-    def sup_norm(vals):
-        return max(abs(v) * T * T / math.log(T)
-                   for T, v in zip(LADDER.tolist(), vals))
-
-    sup0 = sup_norm(ladder_I)
-    fine = integral.compute_I_many(LADDER, zeros_10k, DEFAULT.refined(10.0))
-    sup1 = sup_norm([r.value for r in fine])
-    change = abs(sup1 - sup0) / abs(sup0)
-    ok = math.isfinite(sup0) and change < 0.01
-    _line(3, "theorem2-bounded", ok,
-          f"sup |I| T^2/log T = {sup0:.6f}, refinement change "
-          f"{change:.2e} (<1%)")
+    _line(3, "theorem2-bounded",
+          acceptance.theorem2_bounded(zeros_10k, ladder_I, DEFAULT))
 
 
 def test_criterion_4_decay_exponent(ladder_I):
-    samples = np.column_stack([LADDER, ladder_I])
-    pure = integral.fit_decay(samples, "pure_power")
-    logt = integral.fit_decay(samples, "logT_over_T2")
-    alpha = float(pure.fitted_params[1])
-
-    # "sign-change windows flagged, not counted": residual RMS for the
-    # model comparison is scored off the flagged windows, where log|I|
-    # dips into a zero crossing and carries no decay information
-    sign = np.sign(ladder_I)
-    keep = np.ones(len(ladder_I), bool)
-    for i in range(len(ladder_I) - 1):
-        if sign[i] != sign[i + 1]:
-            keep[i] = keep[i + 1] = False
-    y = np.log(np.abs(ladder_I))
-    lt = np.log(LADDER)
-    r_pure = y - (pure.fitted_params[0] - alpha * lt)
-    r_logt = y - (math.log(logt.fitted_params[0])
-                  + np.log(lt) - 2.0 * lt)
-    rms_pure = float(np.sqrt(np.mean(r_pure[keep] ** 2)))
-    rms_logt = float(np.sqrt(np.mean(r_logt[keep] ** 2)))
-
-    ok = 1.8 <= alpha <= 2.2 and rms_logt <= rms_pure and len(pure.flags)
-    _line(4, "decay-exponent", ok,
-          f"alpha={alpha:.4f} in [1.8,2.2]; RMS logT/T^2={rms_logt:.4f} "
-          f"<= pure={rms_pure:.4f} off {int(np.sum(~keep))} flagged pts; "
-          f"{len(pure.flags)} windows flagged")
-
-
-# ---------------------------------------------------------------- 5
+    _line(4, "decay-exponent", acceptance.decay_exponent(ladder_I))
 
 
 def test_criterion_5_weight_identity():
-    x = 1e4
-    val = abs(integral.weight_identity_check(x, DEFAULT))
-    bound = 4.0 * (1.0 + math.log(x)) / x
-    ok = val <= bound
-    _line(5, "weight-identity", ok, f"|check({x:g})|={val:.3e} <= {bound:.3e}")
-
-
-# ---------------------------------------------------------------- 6
+    _line(5, "weight-identity", acceptance.weight_identity(DEFAULT))
 
 
 def test_criterion_6_zero_sum(zeros_10k):
-    tiny = integral.zero_sum_term(zeros.ZeroCandidate(0.5 + 1e-9, 50.0))
-    cand = zeros.ZeroCandidate(0.75, 40.0)
-    base = integral.theorem2_residual(100.0, [], zeros_10k, DEFAULT)[0]
-    shifted = integral.theorem2_residual(100.0, [cand], zeros_10k,
-                                         DEFAULT)[0]
-    expect = 2.0 * math.pi * integral.zero_sum_term(cand)
-    rel = abs((base - shifted) - expect) / abs(expect)
-    ok = tiny <= 1e-8 and rel <= 1e-12
-    _line(6, "zero-sum", ok,
-          f"term(beta=1/2+1e-9)={tiny:.2e} (<=1e-8), "
-          f"shift rel err={rel:.2e} (<=1e-12)")
-
-
-# ---------------------------------------------------------------- 7
-
-
-def _sigma_tail(t: float) -> float:
-    total = 0.0
-    for p in primes_up_to(3000).tolist():
-        pk, k = p, 1
-        while pk <= 10 ** 6:
-            total += math.cos(t * k * math.log(p)) \
-                / (pk * pk * k * k * math.log(p))
-            pk *= p
-            k += 1
-    return total / math.pi
+    _line(6, "zero-sum", acceptance.zero_sum(zeros_10k, DEFAULT))
 
 
 def test_criterion_7_argument_suite(zeros_10k):
-    rng = np.random.default_rng(20260826)
-    ts = rng.uniform(15.0, 500.0, 200)
-    bad = 0
-    for t in ts.tolist():
-        s = argument.S_of_t(t, DEFAULT, zeros_10k)
-        n = round(zeta.rs_theta(t) / math.pi + 1.0 + s)
-        bad += int(n != int(np.count_nonzero(zeros_10k.ordinates <= t)))
-
-    # drift: total movement of the linear trend of the difference; the
-    # bounded sigma > 2 tail oscillation lives in the constant band and
-    # is additionally verified to explain the difference pointwise
-    tg = np.linspace(20.0, 500.0, 25)
-    diff = np.array([argument.S1_direct(t, zeros_10k, DEFAULT)
-                     - argument.S1_littlewood(t, DEFAULT)
-                     for t in tg.tolist()])
-    design = np.column_stack([np.ones_like(tg), tg])
-    slope = np.linalg.lstsq(design, diff, rcond=None)[0][1]
-    drift = abs(slope) * (tg[-1] - tg[0])
-    corrected = diff - np.array([_sigma_tail(t) for t in tg.tolist()])
-    band = float(corrected.max() - corrected.min())
-
-    ok = bad == 0 and drift <= 0.2 and band < 1e-4
-    _line(7, "argument-suite", ok,
-          f"reconstruction failures={bad}/200, drift={drift:.4f} (<=0.2), "
-          f"tail-corrected band={band:.2e}")
-
-
-# ---------------------------------------------------------------- 8
+    _line(7, "argument-suite", acceptance.argument_suite(zeros_10k, DEFAULT))
 
 
 def test_criterion_8_lemma2_omega(zeros_10k):
-    # O(1) sup statistics.  The scans need the fast Riemann-Siegel path
-    # (4 correction terms, 1e-8 point target) and a quadrature tolerance
-    # above the resulting integrand noise floor (~1e-8 per unit length
-    # over 1e4), else the adaptive pass chases noise for half an hour.
-    cfg = dataclasses.replace(DEFAULT, target_abs_error=1e-8,
-                              quad_tol=1e-4, rs_correction_terms=4,
-                              max_subdivisions=200_000)
-    grid = np.geomspace(30.0, 1e4, 60)
-    rep = argument.lemma2_scan(20.0, grid, zeros_10k, cfg)
-    norms = np.abs(argument.lemma2_normalized(rep.samples[:, 0],
-                                              rep.samples[:, 1]))
-    sup = float(norms.max())
-    # trend on octave means: single points of a sup statistic are noise
-    last_mean = float(norms[rep.samples[:, 0] >= 5e3].mean())
-    earlier_mean = float(norms[rep.samples[:, 0] < 5e3].mean())
-    trend_ok = last_mean <= 1.25 * earlier_mean
-
-    om = argument.omega_scan(1e3, 0.3, zeros_10k, cfg)
-    mx, tmx, mn, tmn = om.fitted_params
-
-    ok = math.isfinite(sup) and trend_ok and mx > 0 > mn
-    _line(8, "lemma2-omega", ok,
-          f"normalized sup={sup:.3f} finite, last-octave mean "
-          f"{last_mean:.3f} <= 1.25*earlier {earlier_mean:.3f}; "
-          f"omega max={mx:+.2f}@{tmx:.1f} min={mn:+.2f}@{tmn:.1f}")
-
-
-# ---------------------------------------------------------------- 9
-
-
-def _pair_loop(table):
-    """(m, mp) pair loop over the table itself; independent of the
-    vectorized masked reduction used by resonator_numerator."""
-    p_ = table.params
-    lut = dict(zip(table.ns.tolist(), table.rs.tolist()))
-    terms = []
-    for n, rn in lut.items():
-        if n == 1:
-            continue
-        for p, _ in factorize(n):
-            m = n // p
-            rm = lut.get(m)
-            if rm is None:
-                continue
-            lp = math.log(p)
-            terms.append(rm * rn * lp * math.sin(p_.h * lp) ** p_.mu
-                         / (math.sqrt(p) * lp ** p_.nu))
-    return comp_sum(np.array(terms if terms else [0.0]))
-
-
-def _random_override_params(rng):
-    nu = int(rng.integers(0, 3))
-    mu = int(rng.integers(1, 4))
-    a = float(rng.uniform(1.5, 20.0))
-    b = a * float(rng.uniform(3.0, 15.0))
-    n = int(rng.integers(200, 50_000))
-    return resonator.ResonatorParams(mu=mu, nu=nu, N=n, h=0.1, L=1.0,
-                                     A=a, B=b, override=True)
+    _line(8, "lemma2-omega", acceptance.lemma2_omega(zeros_10k, DEFAULT))
 
 
 def test_criterion_9_resonator(toy_params):
-    worst = 0.0
-    sign_ok = True
-    for h in (0.05, 0.1):
-        ph = dataclasses.replace(toy_params, h=h)
-        for variant in ("plus", "minus"):
-            t = resonator.build_resonator(ph, variant)
-            num = resonator.resonator_numerator(t)
-            oracle = _pair_loop(t)
-            worst = max(worst, abs(num - oracle) / max(abs(oracle), 1e-300))
-            ratio = num / resonator.resonator_denominator(t)
-            sign_ok &= (ratio > 0) if variant == "plus" else (ratio < 0)
-
-    rng = np.random.default_rng(7)
-    tables = 0
-    while tables < 5:
-        params = _random_override_params(rng)
-        try:
-            t = resonator.build_resonator(params, "plus",
-                                          entry_cap=10_000)
-        except resonator.errors.TableTooLarge:
-            continue
-        if t.ns.size < 3:
-            continue
-        tables += 1
-        num = resonator.resonator_numerator(t)
-        oracle = _pair_loop(t)
-        worst = max(worst, abs(num - oracle) / max(abs(oracle), 1e-300))
-
-    ok = worst <= 1e-12 and sign_ok
-    _line(9, "resonator", ok,
-          f"max pair-loop rel gap={worst:.2e} (<=1e-12) over toy+5 random; "
-          f"signs {'correct' if sign_ok else 'WRONG'} for h in {{0.05,0.1}}")
-
-
-# ---------------------------------------------------------------- 10
-
-
-def _table_50():
-    params = resonator.ResonatorParams(mu=2, nu=0, N=400, h=0.1, L=1.0,
-                                       A=2.0, B=30.0, override=True)
-    return resonator.build_resonator(params, "plus")
+    _line(9, "resonator", acceptance.resonator_exact(toy_params))
 
 
 def test_criterion_10_lemma3_mv(toy_table, trivial_table):
-    T = 1e3
-    ms = dirichlet.mean_square_exact(toy_table, T)
-    oracle = quad(lambda x: abs(dirichlet.eval_R(toy_table, x)) ** 2,
-                  T, 2.0 * T, limit=2000, epsabs=1e-10, epsrel=1e-12)[0]
-    ms_gap = abs(ms - oracle)
-
-    t50 = _table_50()
-    base = comp_sum(t50.rs ** 2)
-    ratios = [dirichlet.mean_square_exact(t50, Tk) / (Tk * base)
-              for Tk in (1e3, 1e4, 1e5)]
-    ratio_ok = (0.9 <= ratios[0] <= 1.1
-                and abs(ratios[1] - 1) < abs(ratios[0] - 1)
-                and abs(ratios[2] - 1) < abs(ratios[1] - 1))
-
-    # bounded check: the gap cannot be certified below the zeta engine's
-    # own pointwise error times the polynomial mass, so each rung gets
-    # that budget on top of twice the first rung's gap.  The tight
-    # series oracle below certifies the quadrature itself.
-    loose = dataclasses.replace(DEFAULT, quad_tol=1e-3)
-    base_toy = comp_sum(toy_table.rs ** 2)
-    N_toy = toy_table.params.N
-    gaps, budgets = [], []
-    for Tk in (1e3, 1e4, 1e5):
-        gaps.append(dirichlet.lemma3_compare(
-            dirichlet.Lemma3Request(alpha=0.6, h=0.1, T=Tk, table=toy_table),
-            loose))
-        scale = N_toy * math.log(Tk * N_toy) ** 1.5 * base_toy
-        point = (zeta.AFE_BOUND_COEF * Tk ** (-0.6 / 2.0 - 0.25)
-                 if 2.0 * Tk > 30_000.0 else 1e-8)
-        budgets.append(point * dirichlet.mean_square_exact(toy_table, Tk)
-                       / scale)
-    bounded_ok = all(g <= 2.0 * gaps[0] + b + 1e-6
-                     for g, b in zip(gaps, budgets))
-
-    # absolutely convergent series oracle at alpha = 2
-    Ts, h = 100.0, 0.0
-    lhs = dirichlet.lemma3_lhs(
-        dirichlet.Lemma3Request(alpha=2.0, h=h, T=Ts, table=trivial_table),
-        DEFAULT)
-    total = 0j
-    for p in primes_up_to(120_000).tolist():
-        pk = p
-        while pk <= 120_000:
-            ln = math.log(pk)
-            total += (math.log(p) / (pk * pk * ln)
-                      * (np.exp(-2j * Ts * ln) - np.exp(-1j * Ts * ln))
-                      / (-1j * ln))
-            pk *= p
-    series_gap = abs(lhs - total)
-
-    ok = (ms_gap <= DEFAULT.quad_tol and ratio_ok and bounded_ok
-          and series_gap <= 1e-6)
-    _line(10, "lemma3-mv", ok,
-          f"mean-square gap={ms_gap:.2e} (<=quad_tol); ratios={np.round(ratios, 4).tolist()} "
-          f"monotone to 1; alpha=0.6 gaps={[f'{g:.2e}' for g in gaps]} "
-          f"within budgets={[f'{b:.2e}' for b in budgets]}; "
-          f"alpha=2 series gap={series_gap:.2e} (<=1e-6)")
+    _line(10, "lemma3-mv",
+          acceptance.lemma3_mv(toy_table, trivial_table, DEFAULT))

@@ -2,11 +2,17 @@
 
 import io
 import json
-import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from bsylab import resonator
 from bsylab.cli import RunConfig, load_run_config, run
+from bsylab.errors import ParseError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(argv, cwd=None):
@@ -114,13 +120,9 @@ def test_computational_errors_exit_2(cache_file, capsys):
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg_path = tmp_path / "bsy.conf"
     cfg_path.write_text("quad_tol = 1e-7   # loose\n"
-                        "target_abs_error = 1e-10\n"
-                        "output_format = json\n"
-                        "parallelism = 2\n")
+                        "target_abs_error = 1e-10\n")
     rc = load_run_config(str(cfg_path))
     assert rc.precision.quad_tol == 1e-7
-    assert rc.output_format == "json"
-    assert rc.parallelism == 2
 
     monkeypatch.setenv("BSY_CONFIG", str(cfg_path))
     rc = load_run_config(None)
@@ -145,11 +147,11 @@ def test_flag_overrides_config(tmp_path, cache_file):
     assert err_tight < err_loose
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(parallelism=0)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml")
+def test_config_unknown_key_rejected(tmp_path):
+    cfg_path = tmp_path / "bsy.conf"
+    cfg_path.write_text("parallelism = 2\n")
+    with pytest.raises(ParseError, match="unknown config key"):
+        load_run_config(str(cfg_path))
 
 
 def test_report_fast_suites(tmp_path):
@@ -161,3 +163,31 @@ def test_report_fast_suites(tmp_path):
         doc = json.loads(buf.getvalue())
         assert doc["criterion_id"] == cid
         assert doc["pass"] is True
+
+
+def test_report_one_failed_check_fails(monkeypatch):
+    real = resonator.resonator_denominator
+    calls = []
+
+    def flip_second(table):
+        calls.append(table)
+        d = real(table)
+        return -d if len(calls) == 2 else d
+
+    monkeypatch.setattr(resonator, "resonator_denominator", flip_second)
+    code, out = _run(["report", "resonator-exact"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert "signs WRONG" in doc["detail"]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ")
+             .splitlines() if line.startswith("bsy ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert _run(argv[1:])[0] == 0, shlex.join(argv)
