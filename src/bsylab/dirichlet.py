@@ -83,8 +83,7 @@ def eval_R_batch(table, ts) -> np.ndarray:
 def eval_R(table, t: float) -> complex:
     """R(t) for a single height, compensated accumulation."""
     ns, rs = _table_arrays(table)
-    ph = (float(t) * np.log(ns.astype(np.longdouble))) \
-        % np.longdouble(2 * np.pi)
+    ph = (float(t) * np.log(ns.astype(np.longdouble))) % zeta._TWO_PI_LD
     terms = rs * np.exp(-1j * ph.astype(float))
     return complex(comp_sum(terms.real), comp_sum(terms.imag))
 
@@ -107,9 +106,8 @@ def mean_square_exact(table, T: float) -> float:
     ell_ld = lnn[j] - lnn[i]
     ell = ell_ld.astype(float)
     s2 = np.sin(((2.0 * np.longdouble(T)) * ell_ld
-                 % np.longdouble(2 * np.pi)).astype(float))
-    s1 = np.sin((np.longdouble(T) * ell_ld
-                 % np.longdouble(2 * np.pi)).astype(float))
+                 % zeta._TWO_PI_LD).astype(float))
+    s1 = np.sin((np.longdouble(T) * ell_ld % zeta._TWO_PI_LD).astype(float))
     off = 2.0 * rs[i] * rs[j] * (s2 - s1) / ell
     return diag + comp_sum(off)
 

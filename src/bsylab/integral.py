@@ -23,7 +23,7 @@ import numpy as np
 from . import errors, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
-from .quadrature import _GL7, _GL15, IntegralResult, log_singular_batch
+from .quadrature import IntegralResult, adaptive_panels, log_singular_batch
 from .zeros import ZeroCandidate, ZeroList
 
 __all__ = [
@@ -82,50 +82,64 @@ def bsy_integrand(t: float, cfg: PrecisionConfig = DEFAULT) -> float:
 # Segment profile engine
 # ----------------------------------------------------------------------
 
-def _z_log_derivative(gammas: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
-    """log|Z'(gamma)| for each ordinate via a 5-point stencil."""
-    if gammas.size == 0:
-        return np.zeros(0)
+def _z_log_derivative(gammas: np.ndarray,
+                      cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """log|Z'(gamma)| for each ordinate via a 5-point stencil.
+
+    Also returns the relative error of |Z'| that the Z errors at the four
+    stencil points carry, (e_1 + 8 e_2 + 8 e_3 + e_4) / (12 h |Z'|).
+    """
     h = 1e-4
     offs = np.array([-2.0, -1.0, 1.0, 2.0]) * h
     pts = (gammas[:, None] + offs[None, :]).ravel()
-    z, _ = zeta.hardy_z_batch(pts, cfg.target_abs_error, cfg)
-    z = z.reshape(gammas.size, 4)
-    zp = (z[:, 0] - 8.0 * z[:, 1] + 8.0 * z[:, 2] - z[:, 3]) / (12.0 * h)
-    return np.log(np.maximum(np.abs(zp), 1e-300))
+    z, e = zeta.hardy_z_batch(pts, cfg.target_abs_error, cfg)
+    z, e = z.reshape(gammas.size, 4), e.reshape(gammas.size, 4)
+    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    azp = np.maximum(np.abs(z @ stencil), 1e-300)
+    return np.log(azp), (e @ np.abs(stencil)) / azp
 
 
-def _remainder_values(ts: np.ndarray, gs: np.ndarray, zps: np.ndarray,
-                      z_tol: float, cfg: PrecisionConfig,
-                      weight_f=_weight) -> np.ndarray:
-    """log|Z(t)/(t-gamma)| * weight(t), with NaN gamma meaning no zero.
+def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
+    """The smooth-remainder integrand of ``adaptive_panels``.
 
-    Within the guard radius of gamma the quotient is replaced by the
-    stencil derivative magnitude (removable singularity).
+    Panel payload "g" indexes ``ords`` (-1: no ordinate in the panel).
+    At each node the value is log|Z(t)/(t-gamma)| * weight(t), and its
+    pointwise bound is weight(t) * (-log(1 - e/|Z(t)|)) with e the error
+    bound of Z(t); it is infinite where e >= |Z(t)|/2.  Within
+    _NEAR_GUARD of gamma the quotient is replaced by the stencil
+    derivative |Z'(gamma)| (removable singularity) and e/|Z| by the
+    stencil's relative error; the stencil is evaluated once per ordinate,
+    the first time a node lands that close.
     """
-    z, _ = zeta.hardy_z_batch(ts, z_tol, cfg)
-    la = np.log(np.maximum(np.abs(z), 1e-300))
-    out = la.copy()
-    has_g = ~np.isnan(gs)
-    if np.any(has_g):
-        d = np.abs(ts[has_g] - gs[has_g])
-        sub = la[has_g] - np.log(np.maximum(d, 1e-300))
-        near = d < _NEAR_GUARD
+    zp_log = np.full(ords.shape, np.nan)
+    zp_rel = np.full(ords.shape, np.nan)
+
+    def f(ts, payload):
+        z, e = zeta.hardy_z_batch(ts.ravel(), cfg.target_abs_error, cfg)
+        az = np.maximum(np.abs(z), 1e-300).reshape(ts.shape)
+        out = np.log(az)
+        rel = e.reshape(ts.shape) / az
+        gi = np.broadcast_to(payload["g"][:, None], ts.shape)
+        has = gi >= 0
+        d = np.abs(ts[has] - ords[gi[has]])
+        out[has] -= np.log(np.maximum(d, 1e-300))
+        near = np.zeros(ts.shape, dtype=bool)
+        near[has] = d < _NEAR_GUARD
         if np.any(near):
-            sub[near] = zps[has_g][near]
-        out[has_g] = sub
-    return out * weight_f(ts)
+            need = np.unique(gi[near])
+            need = need[np.isnan(zp_log[need])]
+            if need.size:
+                zp_log[need], zp_rel[need] = _z_log_derivative(ords[need],
+                                                               cfg)
+            out[near] = zp_log[gi[near]]
+            rel[near] = zp_rel[gi[near]]
+        w = weight_f(ts)
+        pw = np.full(ts.shape, np.inf)
+        bounded = rel < 0.5
+        pw[bounded] = -np.log1p(-rel[bounded])
+        return out * w, pw * np.abs(w)
 
-
-def _rule_eval(lo, hi, gs, zps, nodes, wts, z_tol, cfg, weight_f=_weight):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    g_rep = np.repeat(gs, nodes.size)
-    zp_rep = np.repeat(zps, nodes.size)
-    vals = _remainder_values(ts, g_rep, zp_rep, z_tol, cfg, weight_f)
-    vals = vals.reshape(lo.size, nodes.size)
-    return half * (vals * wts[None, :]).sum(axis=1)
+    return f
 
 
 def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
@@ -135,6 +149,9 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     Returns (values, error_estimates, subintervals, n_singular) as
     per-segment arrays.  All segments are processed in one batched
     adaptive pass; panels are cut so each contains at most one ordinate.
+    A segment's error estimate sums |K15 - G7| and the propagated
+    pointwise Z error P over its accepted smooth-remainder panels, plus
+    the graded-mesh and stub bounds of its log-singular parts.
     """
     cuts = np.asarray(cuts, dtype=float)
     if np.any(np.diff(cuts) < 0):
@@ -197,42 +214,16 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
         np.add.at(errs, seg[sing], se)
         np.add.at(nsing, seg[sing], 1)
 
-    # --- per-ordinate stencil derivative, used inside the guard radius
-    zp_by_g = _z_log_derivative(gs[sing], cfg)
-    zps = np.full(gs.shape, np.nan)
-    zps[sing] = zp_by_g
-
-    # --- smooth remainders: batched adaptive with per-panel budgets
+    # --- smooth remainders: one batched adaptive pass over all panels
+    gi = np.full(gs.shape, -1)
+    gi[sing] = np.arange(np.count_nonzero(sing))
     total_w = float(cuts[-1] - cuts[0])
-    budget = cfg.quad_tol * (hi - lo) / max(total_w, 1e-300)
-    z_tol = cfg.target_abs_error
-    n_panels = lo.size
-    cur = dict(lo=lo, hi=hi, gs=gs, zps=zps, seg=seg, budget=budget)
-    while cur["lo"].size:
-        L, H = cur["lo"], cur["hi"]
-        coarse = _rule_eval(L, H, cur["gs"], cur["zps"], *_GL7,
-                            z_tol, cfg, weight_f)
-        fine = _rule_eval(L, H, cur["gs"], cur["zps"], *_GL15,
-                          z_tol, cfg, weight_f)
-        err = np.abs(fine - coarse)
-        ok = err <= np.maximum(cur["budget"], 1e-300)
-        np.add.at(vals, cur["seg"][ok], fine[ok])
-        np.add.at(errs, cur["seg"][ok], err[ok])
-        np.add.at(nsub, cur["seg"][ok], 1)
-        bad = ~ok
-        n_panels += int(np.count_nonzero(bad))
-        if n_panels > cfg.max_subdivisions:
-            raise errors.ToleranceNotMet(
-                f"subdivision cap {cfg.max_subdivisions} reached")
-        mid = 0.5 * (L[bad] + H[bad])
-        cur = dict(
-            lo=np.concatenate([L[bad], mid]),
-            hi=np.concatenate([mid, H[bad]]),
-            gs=np.concatenate([cur["gs"][bad]] * 2),
-            zps=np.concatenate([cur["zps"][bad]] * 2),
-            seg=np.concatenate([cur["seg"][bad]] * 2),
-            budget=np.concatenate([0.5 * cur["budget"][bad]] * 2),
-        )
+    p = adaptive_panels(_remainder_rule(gs[sing], cfg, weight_f), lo, hi,
+                        cfg.quad_tol / max(total_w, 1e-300),
+                        {"g": gi, "seg": seg}, cfg.max_subdivisions)
+    np.add.at(vals, p.payload["seg"], p.value)
+    np.add.at(errs, p.payload["seg"], p.rule_error + p.pointwise)
+    np.add.at(nsub, p.payload["seg"], 1)
     return vals, errs, nsub, nsing
 
 

@@ -1,12 +1,15 @@
 """Vectorized adaptive quadrature and graded-mesh log-singular panels.
 
-The adaptive driver keeps a stack of intervals and evaluates the
-integrand on *all* active intervals in a single array call, so
-integrands backed by the vectorized zeta engines stay cheap.  Error
-estimation compares two separate Gauss-Legendre rules, 7 and 15 points
-(not nested: 22 evaluations per panel), rather than Kronrod tables.
-Reduction order is fixed (ascending interval position) for
-bit-reproducibility.
+One adaptive routine, ``adaptive_panels``, serves every smooth integral
+of the package.  It keeps a stack of panels and evaluates the integrand
+on *all* active panels in a single array call, so integrands backed by
+the vectorized zeta engines stay cheap.  Each panel carries the nested
+Gauss-Kronrod 7/15 pair (QUADPACK constants): 15 evaluations give the
+Kronrod value K15 and, from the odd nodes, the embedded Gauss value G7.
+A panel is accepted when |K15 - G7| is within its share of the budget
+plus P, the integrand's own pointwise error propagated through the
+Kronrod weights; P is reported as part of the error.  Reduction order
+is fixed for bit-reproducibility.
 """
 
 import math
@@ -14,16 +17,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import comp_sum
+from .accum import comp_sum, comp_sum_complex
 from .errors import ToleranceNotMet
 
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
+# Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15),
+# nodes ascending; the 7 Gauss nodes are the odd positions 1, 3, ..., 13.
+_XK = np.array([0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245,
+                0.0])
+_WK = np.array([0.022935322010529224963732008058970,
+                0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518,
+                0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550,
+                0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649,
+                0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975,
+                0.417959183673469387755102040816327])
+GK15_NODES = np.concatenate([-_XK, _XK[-2::-1]])
+GK15_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
+G7_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
 
 
 @dataclass
 class IntegralResult:
-    """Value, conservative error estimate and subdivision diagnostics."""
+    """Value, error estimate and subdivision diagnostics.
+
+    ``abs_error_est`` sums, over the accepted panels, |K15 - G7| and the
+    propagated pointwise error of the integrand, plus the stub and
+    rule-difference bounds of any log-singular panels.
+    """
 
     value: float
     abs_error_est: float
@@ -31,13 +62,70 @@ class IntegralResult:
     singularities_handled: int = 0
 
 
-def _panel_eval(f, lo, hi, nodes, weights):
-    """Integrals of f over each [lo_i, hi_i] with a fixed rule; batched."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = f(ts.ravel()).reshape(ts.shape)
-    return half * (vals * weights[None, :]).sum(axis=1)
+@dataclass
+class Panels:
+    """The accepted panels of one ``adaptive_panels`` run."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    value: np.ndarray          # K15
+    rule_error: np.ndarray     # |K15 - G7|
+    pointwise: np.ndarray      # P, the propagated pointwise error
+    payload: dict
+
+
+def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
+                    max_subdivisions: int = 20_000,
+                    hard_fail: bool = True) -> Panels:
+    """Batched globally adaptive Gauss-Kronrod 7/15 over [lo_i, hi_i].
+
+    ``f(ts, payload)`` gets the (n, 15) Kronrod nodes of the n active
+    panels and their payload rows (a dict of per-panel arrays, copied to
+    both halves on bisection) and returns (values, pointwise): the
+    integrand at ts and a per-node bound on its own error, or None when
+    the values are exact.  With P = half-width * sum_k w_k pointwise_k,
+    a panel is accepted when |K15 - G7| <= density * width + P; a panel
+    with an infinite P (a node whose error has no bound) is bisected
+    instead.  Raises ToleranceNotMet once more than ``max_subdivisions``
+    panels have been made, unless ``hard_fail`` is False, in which case
+    the unaccepted panels are returned as they stand.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    payload = {k: np.asarray(v) for k, v in (payload or {}).items()}
+    keys = list(payload)
+    span = (float(np.min(lo, initial=0.0)), float(np.max(hi, initial=0.0)))
+    done = []
+    n_panels = lo.size
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        vals, pw = f(mid[:, None] + half[:, None] * GK15_NODES[None, :],
+                     payload)
+        fine = half * (vals @ GK15_WEIGHTS)
+        err = np.abs(fine - half * (vals[:, 1::2] @ G7_WEIGHTS))
+        P = np.zeros(lo.size) if pw is None else half * (pw @ GK15_WEIGHTS)
+        budget = np.maximum(density * (hi - lo), 1e-300)
+        ok = np.isfinite(P) & (err <= budget + P)
+        bad = ~ok
+        n_panels += int(np.count_nonzero(bad))
+        if n_panels > max_subdivisions:
+            if hard_fail:
+                raise ToleranceNotMet(
+                    f"subdivision cap {max_subdivisions} reached on "
+                    f"[{span[0]}, {span[1]}]")
+            ok[:] = True
+        done.append([lo[ok], hi[ok], fine[ok], err[ok], P[ok]]
+                    + [payload[k][ok] for k in keys])
+        if ok.all():
+            break
+        lo, mid, hi = lo[bad], mid[bad], hi[bad]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        payload = {k: np.concatenate([v[bad]] * 2)
+                   for k, v in payload.items()}
+    cols = [np.concatenate(c) for c in zip(*done)] if done \
+        else [lo, hi, lo, lo, lo] + [payload[k] for k in keys]
+    return Panels(*cols[:5], dict(zip(keys, cols[5:])))
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
@@ -46,48 +134,20 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     """Globally adaptive integration of a vectorized integrand on [a, b].
 
     ``f`` maps an ndarray of points to an ndarray of values (real or
-    complex).  Raises ToleranceNotMet if the subdivision cap is reached
-    while the summed error estimate still exceeds ``tol`` (unless
-    ``hard_fail`` is False, in which case the best estimate is returned).
+    complex), taken as exact (P = 0).  Raises ToleranceNotMet if the
+    subdivision cap is reached while the summed error estimate still
+    exceeds ``tol`` (unless ``hard_fail`` is False, in which case the
+    best estimate is returned).
     """
     if b <= a:
         return IntegralResult(0.0, 0.0, 0)
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    done_lo, done_val, done_err = [], [], []
-    n_panels = 1
-    while lo.size:
-        coarse = _panel_eval(f, lo, hi, *_GL7)
-        fine = _panel_eval(f, lo, hi, *_GL15)
-        err = np.abs(fine - coarse)
-        # local acceptance: proportional share of the global budget
-        budget = tol * (hi - lo) / (b - a)
-        ok = err <= np.maximum(budget, 1e-300)
-        done_lo.extend(lo[ok].tolist())
-        done_val.extend(fine[ok].tolist())
-        done_err.extend(err[ok].tolist())
-        lo_bad, hi_bad = lo[~ok], hi[~ok]
-        n_panels += lo_bad.size
-        if n_panels > max_subdivisions:
-            if hard_fail:
-                raise ToleranceNotMet(
-                    f"subdivision cap {max_subdivisions} reached on "
-                    f"[{a}, {b}]")
-            done_lo.extend(lo_bad.tolist())
-            done_val.extend(fine[~ok].tolist())
-            done_err.extend(err[~ok].tolist())
-            break
-        mid = 0.5 * (lo_bad + hi_bad)
-        lo = np.concatenate([lo_bad, mid])
-        hi = np.concatenate([mid, hi_bad])
-    order = np.argsort(np.array(done_lo), kind="stable")
-    vals = np.asarray(done_val)[order]
-    errs = np.asarray(done_err)[order]
-    if np.iscomplexobj(vals):
-        value = complex(comp_sum(vals.real), comp_sum(vals.imag))
-    else:
-        value = comp_sum(vals)
-    return IntegralResult(value, comp_sum(errs), len(done_val))
+    p = adaptive_panels(
+        lambda ts, _: (f(ts.ravel()).reshape(ts.shape), None),
+        [a], [b], tol / (b - a), None, max_subdivisions, hard_fail)
+    # correctly rounded sums: independent of the acceptance order
+    value = comp_sum_complex(p.value) if np.iscomplexobj(p.value) \
+        else comp_sum(p.value)
+    return IntegralResult(value, comp_sum(p.rule_error), p.value.size)
 
 
 def graded_log_mesh(w_min_rel: float, per_cell: int = 10):

@@ -294,7 +294,10 @@ def import_zeros(stream) -> ZeroList:
 
     UTF-8 text, '#'-prefixed comment lines, one decimal ordinate per
     line, strictly ascending, dot decimal separator.  ``stream`` is a
-    file path or an iterable of lines.
+    file path or an iterable of lines.  The covered height is read from
+    a ``# zero ordinates up to H`` line (as ``export_zeros`` writes it;
+    H below the last ordinate raises ParseError), else it is the last
+    ordinate.
     """
     close = False
     if isinstance(stream, (str, os.PathLike)):
@@ -307,10 +310,24 @@ def import_zeros(stream) -> ZeroList:
             stream.close()
 
 
+_HEADER = "# zero ordinates up to "
+
+
 def _parse_zero_lines(stream) -> ZeroList:
     ords = []
+    header = None
     for ln, raw in enumerate(stream, start=1):
         line = raw.strip()
+        if line.startswith(_HEADER):
+            try:
+                header = float(line[len(_HEADER):])
+            except ValueError:
+                header = math.nan
+            if not math.isfinite(header) or header <= 0:
+                raise errors.ParseError(
+                    f"line {ln}: bad covered height: {line!r}",
+                    line_number=ln)
+            continue
         if not line or line.startswith("#"):
             continue
         try:
@@ -327,6 +344,12 @@ def _parse_zero_lines(stream) -> ZeroList:
         ords.append(v)
     arr = np.asarray(ords)
     covered = float(arr[-1]) if arr.size else 0.0
+    if header is not None:
+        if header < covered:
+            raise errors.ParseError(
+                f"covered height {header!r} below the last ordinate "
+                f"{covered!r}")
+        covered = header
     return ZeroList(arr, covered_height=covered, source="imported",
                     verified=False)
 
@@ -338,7 +361,7 @@ def export_zeros(zl: ZeroList, stream) -> None:
         stream = open(stream, "w", encoding="utf-8")
         close = True
     try:
-        stream.write(f"# zero ordinates up to {zl.covered_height!r}\n")
+        stream.write(f"{_HEADER}{zl.covered_height!r}\n")
         stream.write(f"# source={zl.source} verified={zl.verified}\n")
         for g in zl.ordinates:
             stream.write(f"{g:.12f}\n")

@@ -36,10 +36,6 @@ TWO_PI = 2.0 * math.pi
 #: 2*pi to longdouble precision.
 _TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
 
-#: Reducing a phase phi by float64 2*pi instead misplaces it by
-#: phi * |2*pi - fl(2*pi)| / (2*pi) = phi * 3.9e-17.
-_F64_TWO_PI_REL = float(abs(np.longdouble(TWO_PI) - _TWO_PI_LD) / _TWO_PI_LD)
-
 #: Validity threshold of the theta asymptotic expansion.
 THETA_T_MIN = 10.0
 
@@ -222,8 +218,7 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
 
     ``logs`` are the l_n in longdouble, ``amps`` the real a_n and ``ts``
     a 1-d float array.  The bound is the floating-point floor of
-    ``_phase_roundoff``, plus the eps remainder below on the grid path
-    and the float64-2*pi reduction error on the direct path.
+    ``_phase_roundoff``, plus the eps remainder below on the grid path.
 
     When ts is an arithmetic progression t_k = t_0 + k*dt (to within
     _GRID_ULPS ulps) and B + J < K, the sum is one blocked product: with
@@ -249,15 +244,11 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
     B = -(-K // J)
     grid = _as_progression(ts) if B + J < K else None
     if grid is None:
-        # reduced by float64 2*pi, as before the grid path existed: the
-        # zero finder and the quadrature rest on these values to the ulp
-        bound += _F64_TWO_PI_REL * tmax * float(
-            (amps_abs * logs.astype(float)).sum())
         step = max(1, _EM_CHUNK // max(M, 1))
         for i in range(0, K, step):
             sl = slice(i, min(i + step, K))
             ph = ((ts[sl].astype(np.longdouble)[:, None] * logs[None, :])
-                  % np.longdouble(TWO_PI)).astype(float)
+                  % _TWO_PI_LD).astype(float)
             # real/imag accumulated separately: ~3x faster than complex exp
             vals[sl] = (amps[None, :] * np.cos(ph)).sum(axis=1)
             vals[sl] -= 1j * (amps[None, :] * np.sin(ph)).sum(axis=1)
@@ -355,7 +346,7 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
     M = _em_choose_M(smin, abs(t), cfg, target)
     n = np.arange(1, M, dtype=float)
     lnn = np.log(n.astype(np.longdouble))
-    ph = (np.longdouble(t) * lnn) % np.longdouble(TWO_PI)
+    ph = (np.longdouble(t) * lnn) % _TWO_PI_LD
     phase = np.exp(-1j * ph.astype(float))
     ampm = np.exp(-np.outer(sigmas, lnn.astype(float)))
     vals = ampm @ phase

@@ -17,6 +17,7 @@ from bsylab.argument import (
 )
 from bsylab.config import DEFAULT
 from bsylab.sieve import primes_up_to
+from bsylab.zeros import ZeroList
 from bsylab.zeta import rs_theta
 
 
@@ -111,6 +112,20 @@ def test_omega_scan_both_signs_and_grid(zeros_550):
     expect = rep.samples[:, 1] / (0.3 * np.sqrt(np.log(ts)
                                                 / np.log(np.log(ts))))
     np.testing.assert_allclose(norm, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("ulps", [1, 64])
+def test_omega_scan_survives_ordinates_moved_by_ulps(zeros_550, ulps):
+    # the listed ordinates and the zeros of the Z engine differ by ulps;
+    # the quadrature must not chase that mismatch into the subdivision cap
+    moved = zeros_550.ordinates
+    for _ in range(ulps):
+        moved = np.nextafter(moved, np.inf)
+    zl = ZeroList(moved, zeros_550.covered_height, zeros_550.source, True)
+    mx, tmx, mn, tmn = omega_scan(200.0, 0.3, zl, DEFAULT).fitted_params
+    ref = omega_scan(200.0, 0.3, zeros_550, DEFAULT).fitted_params
+    assert mx > 0 > mn
+    assert (tmx, tmn) == (ref[1], ref[3])
 
 
 def test_omega_scan_needs_coverage(zeros_100):

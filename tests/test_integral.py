@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bsylab import errors
+from bsylab import errors, integral, zeta
 from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.integral import (
     MODELS,
@@ -25,6 +25,7 @@ from bsylab.integral import (
     weight_identity_check,
     zero_sum_term,
 )
+from bsylab.quadrature import G7_WEIGHTS, GK15_NODES, GK15_WEIGHTS
 from bsylab.zeros import ZeroCandidate
 from bsylab.zeta import hardy_z_batch, log_abs_zeta_half
 
@@ -170,3 +171,75 @@ def test_refinement_stays_within_bound(zeros_100):
     coarse = compute_I(60.0, zeros_100, DEFAULT)
     fine = compute_I(60.0, zeros_100, DEFAULT.refined(10.0))
     assert abs(coarse.value - fine.value) <= max(coarse.abs_error_est, 1e-12)
+
+
+@pytest.mark.parametrize("centred", [False, True])
+def test_z_points_per_panel(zeros_100, monkeypatch, centred):
+    # 15 Z points per evaluated panel, plus the 4-point stencil once per
+    # ordinate that a node came within _NEAR_GUARD of
+    a, b = (float(zeros_100.ordinates[5]) + np.array([-0.5, 0.5])
+            if centred else (0.0, 100.0))
+    ords = zeros_100.ordinates[(zeros_100.ordinates > a)
+                               & (zeros_100.ordinates < b)]
+    panels, near, stencils = [], set(), []
+    points = [0]
+    panels_of, z_batch = integral.adaptive_panels, zeta.hardy_z_batch
+    stencil = integral._z_log_derivative
+
+    def counting_panels(f, *args, **kwargs):
+        def rule(ts, payload):
+            panels.append(ts.shape[0])
+            gi = np.broadcast_to(payload["g"][:, None], ts.shape)
+            close = (gi >= 0) & (np.abs(ts - ords[gi]) < integral._NEAR_GUARD)
+            near.update(ords[gi[close]].tolist())
+            return f(ts, payload)
+        return panels_of(rule, *args, **kwargs)
+
+    def counting_z(ts, *args, **kwargs):
+        points[0] += np.asarray(ts).size
+        return z_batch(ts, *args, **kwargs)
+
+    def counting_stencil(gammas, cfg):
+        stencils.extend(gammas.tolist())
+        return stencil(gammas, cfg)
+
+    monkeypatch.setattr(integral, "adaptive_panels", counting_panels)
+    monkeypatch.setattr(zeta, "hardy_z_batch", counting_z)
+    monkeypatch.setattr(integral, "_z_log_derivative", counting_stencil)
+    integral._segment_profile(np.array([a, b]), zeros_100.ordinates, DEFAULT)
+    # a panel centred on an ordinate (as the +-_SING_RADIUS panels of
+    # isolated zeros are) has its middle node on it
+    assert len(near) == 1 if centred else len(near) > 1
+    assert sorted(stencils) == sorted(near)
+    assert points[0] == 15 * sum(panels) + 4 * len(stencils)
+
+
+def test_pointwise_error_reaches_estimate(zeros_550, monkeypatch):
+    # a smooth segment near t = 400 with Z good to 1e-6 only (taken from
+    # Riemann-Siegel there): the error estimate is sum |K15 - G7| plus
+    # the propagated Z error P, here about a tenth of the total
+    cfg = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-6)
+    g = zeros_550.ordinates
+    k = int(np.searchsorted(g, 400.0))
+    a, b = g[k] + 0.1, g[k + 1] - 0.1
+    runs = []
+    panels_of = integral.adaptive_panels
+    monkeypatch.setattr(integral, "adaptive_panels",
+                        lambda *args, **kw: runs.append(panels_of(*args, **kw))
+                        or runs[-1])
+    v, e, _, nsing = integral._segment_profile(np.array([a, b]), g, cfg)
+    assert nsing[0] == 0
+    p = runs[0]
+    mid, half = 0.5 * (p.lo + p.hi), 0.5 * (p.hi - p.lo)
+    ts = mid[:, None] + half[:, None] * GK15_NODES[None, :]
+    z, zerr = hardy_z_batch(ts.ravel(), cfg.target_abs_error, cfg)
+    z, zerr = np.abs(z.reshape(ts.shape)), zerr.reshape(ts.shape)
+    w = 1.0 / (0.25 + ts ** 2)
+    vals = np.log(z) * w
+    k15 = half * (vals @ GK15_WEIGHTS)
+    g7 = half * (vals[:, 1::2] @ G7_WEIGHTS)
+    rule = float(np.sum(np.abs(k15 - g7)))
+    P = float(np.sum(half * ((-np.log1p(-zerr / z) * w) @ GK15_WEIGHTS)))
+    assert P > 0.05 * e[0]
+    assert e[0] - rule == pytest.approx(P, rel=1e-9)
+    assert v[0] == pytest.approx(float(np.sum(k15)), rel=1e-12)

@@ -10,7 +10,11 @@ from scipy.integrate import quad
 
 from bsylab import errors
 from bsylab.quadrature import (
+    G7_WEIGHTS,
+    GK15_NODES,
+    GK15_WEIGHTS,
     IntegralResult,
+    adaptive_panels,
     adaptive_quad,
     graded_log_mesh,
     log_singular_batch,
@@ -92,3 +96,33 @@ def test_linearity_property(a, width):
     res = adaptive_quad(f, a, a + width, 1e-12)
     truth = (a + width) ** 2 + (a + width) - a ** 2 - a
     assert abs(res.value - truth) <= 1e-9 * max(1.0, abs(truth))
+
+
+def test_kronrod_nodes_embed_gauss_7():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(GK15_NODES[1::2] - nodes)) <= 1e-15
+    assert np.max(np.abs(G7_WEIGHTS - weights)) <= 1e-15
+
+
+def test_gauss_kronrod_degrees():
+    # K15 integrates x^k exactly on [-1, 1] for k <= 22 (23 by symmetry),
+    # the embedded G7 for k <= 13; neither for the next even power
+    k = np.arange(25)
+    exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+    k15 = np.abs(GK15_NODES[None, :] ** k[:, None] @ GK15_WEIGHTS - exact)
+    g7 = np.abs(GK15_NODES[None, 1::2] ** k[:, None] @ G7_WEIGHTS - exact)
+    assert np.all(k15[:23] <= 1e-15) and k15[24] > 1e-12
+    assert np.all(g7[:14] <= 1e-15) and g7[14] > 1e-6
+
+
+def test_node_without_error_bound_is_never_accepted():
+    # an infinite pointwise error (no bound) must not pass as small
+    def f(ts, _):
+        return np.ones(ts.shape), np.where(ts > 1.5, np.inf, 1e-20)
+
+    with pytest.raises(errors.ToleranceNotMet):
+        adaptive_panels(f, [0.0], [2.0], 1e-9, max_subdivisions=50)
+    p = adaptive_panels(f, [0.0], [2.0], 1e-9, max_subdivisions=50,
+                        hard_fail=False)
+    assert np.all(np.isfinite(p.pointwise[p.hi <= 1.5]))
+    assert np.all(np.isinf(p.pointwise[p.hi > 1.5]))

@@ -136,8 +136,34 @@ def test_export_import_roundtrip(zeros_100, tmp_path):
     assert back.source == "imported"
     np.testing.assert_allclose(back.ordinates, zeros_100.ordinates,
                                rtol=0, atol=1e-12)
-    # coverage is conservatively the last ordinate after re-import
-    assert back.covered_height == float(back.ordinates[-1])
+    # the "# zero ordinates up to H" header carries the covered height
+    assert back.covered_height == zeros_100.covered_height
+    assert back.covered_height > float(back.ordinates[-1])
+
+
+def test_import_bad_header_rejected():
+    for height in ("20.0", "nan", "-5", "thirty"):
+        with pytest.raises(errors.ParseError):
+            import_zeros(io.StringIO(
+                f"# zero ordinates up to {height}\n14.13\n21.02\n"))
+    # without the header the last ordinate is the covered height
+    assert import_zeros(io.StringIO("14.13\n21.02\n")).covered_height \
+        == 21.02
+
+
+def test_load_zeros_uses_header_height(zeros_100, tmp_path, monkeypatch):
+    from bsylab import cli, zeros
+
+    path = tmp_path / "cache.txt"
+    export_zeros(zeros_100, str(path))
+    need = 0.5 * (float(zeros_100.ordinates[-1]) + zeros_100.covered_height)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("zero file recomputed")
+
+    monkeypatch.setattr(zeros, "find_zeros_up_to", no_search)
+    zl = cli._load_zeros(str(path), need, DEFAULT)
+    assert zl.verified and len(zl) == len(zeros_100)
 
 
 def test_import_accepts_comments_and_reports_bad_lines():

@@ -242,7 +242,7 @@ def test_afe_grid_path_matches_pointwise():
     vals, _ = zeta.zeta_afe_batch(0.6, ts)
     for k in (0, 777, 2000):
         one, _ = zeta.zeta_afe_batch(0.6, ts[k:k + 1])
-        # the single point reduces its phases by float64 2*pi, which
-        # moves it by up to ~7e-12 here; a grouping or conjugation slip
-        # would show at the size of the sums, far above 1e-10
+        # the single point takes the direct path, ~4e-15 off the grid
+        # path here; a grouping or conjugation slip would show at the
+        # size of the sums, far above 1e-10
         assert abs(vals[k] - one[0]) <= 1e-10
