@@ -225,7 +225,7 @@ def lemma2_omega(zl: zeros.ZeroList, cfg: PrecisionConfig):
 
 def _pair_loop(table):
     """(m, mp) pair loop over the table itself; independent of the
-    vectorized masked reduction used by resonator_numerator."""
+    vectorized c(p^k) correlation kernel behind resonator_numerator."""
     p_ = table.params
     lut = dict(zip(table.ns.tolist(), table.rs.tolist()))
     terms = []

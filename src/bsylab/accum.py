@@ -23,8 +23,3 @@ def comp_sum_complex(values) -> complex:
     arr = np.asarray(values, dtype=complex).ravel()
     return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
-
-def longdouble_dot(a, b) -> float:
-    """Dot product accumulated in longdouble (80-bit extended on x86)."""
-    return float(np.dot(np.asarray(a, dtype=np.longdouble),
-                        np.asarray(b, dtype=np.longdouble)))

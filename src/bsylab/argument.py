@@ -94,9 +94,7 @@ def S1_direct(t: float, zeros: ZeroList,
     branch-tracked anchor evaluation plus a smooth quadrature of theta.
     """
     t = float(t)
-    if not zeros.verified or zeros.covered_height < t:
-        raise errors.ZeroListInsufficient(
-            f"verified zeros covering {t} required")
+    zeros.require_height(t)
     g = zeros.ordinates[zeros.ordinates < t]
     edges = np.concatenate([[0.0], g, [t]])
     lo, hi = edges[:-1], edges[1:]
@@ -139,9 +137,7 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
         raise ValueError("t_grid must be strictly ascending")
     if T < 3.0 or grid[0] < T:
         raise ValueError("need 3 <= T <= min(t_grid)")
-    if not zeros.verified or zeros.covered_height < grid[-1]:
-        raise errors.ZeroListInsufficient(
-            f"verified zeros covering {grid[-1]} required")
+    zeros.require_height(grid[-1])
     cuts = grid.copy() if grid[0] == T else np.concatenate([[T], grid])
     v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg,
                                   weight_f=lambda t: np.ones_like(t))
@@ -173,9 +169,7 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
         raise ValueError("need 0 < h <= 1")
     if T < 10.0:
         raise ValueError("need T >= 10")
-    if not zeros.verified or zeros.covered_height < 2 * T + h:
-        raise errors.ZeroListInsufficient(
-            f"verified zeros covering {2 * T + h} required")
+    zeros.require_height(2 * T + h)
     delta = h / 4.0
     n = int(math.ceil(T / delta))
     centers = T + delta * np.arange(n + 1)

@@ -1,11 +1,11 @@
 """Command-line entry point ``bsy``.
 
-Subcommands: zeta, zeros, integral, arg, resonator, mv, report.
-Configuration comes from a ``key = value`` file (``--config`` flag or the
-``BSY_CONFIG`` environment variable); command-line flags override file
-values.  All numeric output is printed with 17 significant digits.  Exit
-codes: 0 success, 1 usage error, 2 computational error (a machine-readable
-JSON object describing the error is written to stderr).
+Subcommands: zeta, zeros, integral, integral-scan, arg, resonator, mv,
+report.  Configuration comes from a ``key = value`` file (``--config``
+flag or the ``BSY_CONFIG`` environment variable); command-line flags
+override file values.  All numeric output is printed with 17 significant
+digits.  Exit codes: 0 success, 1 usage error, 2 computational error (a
+machine-readable JSON object describing the error is written to stderr).
 """
 
 from __future__ import annotations
@@ -170,28 +170,31 @@ def _integral_csv_row(T: float, res) -> str:
                      str(res.subintervals), str(res.singularities_handled)])
 
 
+def _cmd_integral_scan(args, rc: RunConfig, out) -> int:
+    cfg = rc.precision
+    zl = zeros.verify_zero_list(zeros.import_zeros(args.zeros), cfg)
+    tmin, tmax, npts = float(args.tmin), float(args.tmax), int(args.points)
+    if not (0 < tmin < tmax and npts >= 2):
+        raise ValueError("need 0 < tmin < tmax and points >= 2")
+    Ts = np.geomspace(tmin, tmax, npts)
+    results = integral.compute_I_many(Ts, zl, cfg)
+    samples = np.column_stack([Ts, [r.value for r in results]])
+    fit = integral.fit_decay(samples, args.model)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("T,I,abs_err,subintervals,singularities\n")
+        for T, r in zip(Ts, results):
+            fh.write(_integral_csv_row(T, r) + "\n")
+    print(json.dumps({
+        "model": fit.model,
+        "fitted_params": [_fmt(p) for p in fit.fitted_params],
+        "residual_rms": _fmt(fit.residual_rms),
+        "flags": list(fit.flags),
+    }), file=out)
+    return 0
+
+
 def _cmd_integral(args, rc: RunConfig, out) -> int:
     cfg = rc.precision
-    if args.integral_cmd == "scan":
-        zl = zeros.verify_zero_list(zeros.import_zeros(args.zeros), cfg)
-        tmin, tmax, npts = float(args.tmin), float(args.tmax), int(args.points)
-        if not (0 < tmin < tmax and npts >= 2):
-            raise ValueError("need 0 < tmin < tmax and points >= 2")
-        Ts = np.geomspace(tmin, tmax, npts)
-        results = integral.compute_I_many(Ts, zl, cfg)
-        samples = np.column_stack([Ts, [r.value for r in results]])
-        fit = integral.fit_decay(samples, args.model)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("T,I,abs_err,subintervals,singularities\n")
-            for T, r in zip(Ts, results):
-                fh.write(_integral_csv_row(T, r) + "\n")
-        print(json.dumps({
-            "model": fit.model,
-            "fitted_params": [_fmt(p) for p in fit.fitted_params],
-            "residual_rms": _fmt(fit.residual_rms),
-            "flags": list(fit.flags),
-        }), file=out)
-        return 0
     zl = zeros.verify_zero_list(zeros.import_zeros(args.zeros), cfg)
     T = float(args.T)
     if args.tmax is not None:
@@ -418,13 +421,12 @@ def build_parser() -> _Parser:
     _add_precision_flags(pv)
 
     p = sub.add_parser("integral", help="critical-line weighted integral")
-    p.add_argument("--T", type=float)
-    p.add_argument("--zeros", help="verified zero-list file")
+    p.add_argument("--T", required=True, type=float)
+    p.add_argument("--zeros", required=True, help="verified zero-list file")
     p.add_argument("--tmax", type=float,
                    help="compute the truncated tail over [T, tmax]")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_precision_flags(p)
-    p.set_defaults(integral_cmd="point")
 
     p = sub.add_parser("integral-scan",
                        help="scan I(T) over a grid and fit a decay model")
@@ -435,7 +437,6 @@ def build_parser() -> _Parser:
     p.add_argument("--zeros", required=True)
     p.add_argument("--out", required=True)
     _add_precision_flags(p)
-    p.set_defaults(integral_cmd="scan", command="integral")
 
     p = sub.add_parser("arg", help="argument statistics S, S1 and scans")
     asub = p.add_subparsers(dest="arg_cmd", required=True)
@@ -503,6 +504,7 @@ _HANDLERS = {
     "zeta": _cmd_zeta,
     "zeros": _cmd_zeros,
     "integral": _cmd_integral,
+    "integral-scan": _cmd_integral_scan,
     "arg": _cmd_arg,
     "resonator": _cmd_resonator,
     "mv": _cmd_mv,
@@ -525,12 +527,7 @@ def run(argv=None, out=None) -> int:
     try:
         rc = load_run_config(getattr(args, "config", None))
         rc = _apply_flag_overrides(rc, args)
-        if args.command == "integral" and args.integral_cmd == "point":
-            if args.T is None or args.zeros is None:
-                parser.error("integral requires --T and --zeros")
         return _HANDLERS[args.command](args, rc, out)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (BsyError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, zeta
+from . import errors, resonator, zeta
 from .accum import comp_sum, comp_sum_complex
 from .config import DEFAULT, PrecisionConfig
 from .resonator import ResonatorTable
-from .sieve import primes_up_to
 
 __all__ = [
     "Lemma3Request", "eval_R", "eval_R_batch", "mean_square_exact",
@@ -81,18 +80,17 @@ def eval_R_batch(table, ts) -> np.ndarray:
 
 
 def eval_R(table, t: float) -> complex:
-    """R(t) for a single height, compensated accumulation."""
-    ns, rs = _table_arrays(table)
-    ph = (float(t) * np.log(ns.astype(np.longdouble))) % zeta._TWO_PI_LD
-    terms = rs * np.exp(-1j * ph.astype(float))
-    return complex(comp_sum(terms.real), comp_sum(terms.imag))
+    """R(t) at a single height."""
+    return complex(eval_R_batch(table, [t])[0])
 
 
 def mean_square_exact(table, T: float) -> float:
     """Integral of |R(t)|^2 over [T, 2T], in closed form.
 
     Equals T * sum r^2 + sum over pairs m < n of
-    2 r(m) r(n) (sin(2T l) - sin(T l)) / l with l = log(n/m).
+    2 r(m) r(n) (sin(2T l) - sin(T l)) / l with l = log(n/m); the pair
+    sum is Im S(T) - Im S(2T) of one ``zeta._phase_sum`` S with those
+    amplitudes and frequencies.
     """
     T = float(T)
     if T <= 0:
@@ -103,13 +101,10 @@ def mean_square_exact(table, T: float) -> float:
         return diag
     lnn = np.log(ns.astype(np.longdouble))
     i, j = np.triu_indices(ns.size, k=1)
-    ell_ld = lnn[j] - lnn[i]
-    ell = ell_ld.astype(float)
-    s2 = np.sin(((2.0 * np.longdouble(T)) * ell_ld
-                 % zeta._TWO_PI_LD).astype(float))
-    s1 = np.sin((np.longdouble(T) * ell_ld % zeta._TWO_PI_LD).astype(float))
-    off = 2.0 * rs[i] * rs[j] * (s2 - s1) / ell
-    return diag + comp_sum(off)
+    ell = lnn[j] - lnn[i]
+    S, _ = zeta._phase_sum(ell, 2.0 * rs[i] * rs[j] / ell.astype(float),
+                           np.array([T, 2.0 * T]))
+    return diag + float(S[0].imag - S[1].imag)
 
 
 # ----------------------------------------------------------------------
@@ -234,38 +229,6 @@ def lemma3_lhs(req: Lemma3Request, cfg: PrecisionConfig = DEFAULT,
     return fine
 
 
-def _prime_power_correlations(ns: np.ndarray, rs: np.ndarray, N: int
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c(q) = sum over m of r(m) r(mq) for the prime powers q = p^k <= N.
-
-    Returns (q, p, c) over the q with c(q) != 0.  Only the table entries
-    m <= N // q are enumerated, and m*q is looked up in the ascending
-    ``ns`` by binary search.
-    """
-    p = primes_up_to(N)
-    q = p.copy()
-    qs, bases = [q], [p]
-    while True:
-        keep = q <= N // p
-        if not np.any(keep):
-            break
-        p = p[keep]
-        q = q[keep] * p
-        qs.append(q)
-        bases.append(p)
-    q, p = np.concatenate(qs), np.concatenate(bases)
-    counts = np.searchsorted(ns, N // q, side="right")
-    qi = np.repeat(np.arange(q.size), counts)
-    mi = np.arange(qi.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    mq = ns[mi] * q[qi]
-    j = np.minimum(np.searchsorted(ns, mq), ns.size - 1)
-    hit = ns[j] == mq
-    c = np.bincount(qi[hit], weights=rs[mi[hit]] * rs[j[hit]],
-                    minlength=q.size)
-    nz = c != 0.0
-    return q[nz], p[nz], c[nz]
-
-
 def lemma3_rhs(req: Lemma3Request) -> complex:
     """T * sum over mn <= N of Lambda(n) r(m) r(mn) / (n^(alpha+ih) log n).
 
@@ -273,7 +236,7 @@ def lemma3_rhs(req: Lemma3Request) -> complex:
     correlation c(n) = sum over m of r(m) r(mn).
     """
     ns, rs = _table_arrays(req.table)
-    q, p, c = _prime_power_correlations(ns, rs, _table_capacity(req.table))
+    q, p, c = resonator._prime_power_correlations(ns, rs, _table_capacity(req.table))
     lq = np.log(q)
     terms = c * np.log(p) * np.exp(-complex(req.alpha, req.h) * lq) / lq
     return req.T * comp_sum_complex(terms)
@@ -294,22 +257,19 @@ def lemma3_compare(req: Lemma3Request,
 # Windowed-argument resonance statistics
 # ----------------------------------------------------------------------
 
-def s1_resonance_statistic(table, h: float, T: float = 0.0,
-                           cfg: PrecisionConfig = DEFAULT
-                           ) -> tuple[float, float]:
+def s1_resonance_statistic(table, h: float) -> tuple[float, float]:
     """Exact main-term ratios of the windowed argument statistics.
 
     Returns (sin_sq, sin_lin):
       sin_sq  = (2/pi) * sum Lambda(n) r(m) r(mn) sin^2((h/2) log n)
                        / (sqrt(n) (log n)^2)  /  sum r^2,
       sin_lin = 2 * the same sum with sin(h log n) weight / sum r^2.
-    Both are exact finite sums over mn <= N (T does not enter the main
-    terms; the argument is kept for interface symmetry).
+    Both are exact finite sums over mn <= N.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError("need 0 <= h <= 1")
     ns, rs = _table_arrays(table)
-    q, p, c = _prime_power_correlations(ns, rs, _table_capacity(table))
+    q, p, c = resonator._prime_power_correlations(ns, rs, _table_capacity(table))
     lq = np.log(q)
     base = c * np.log(p) / (np.sqrt(q) * lq * lq)
     den = comp_sum(rs ** 2)

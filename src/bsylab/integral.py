@@ -228,11 +228,9 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
 
 
 def _require_cover(zl: ZeroList, height: float) -> None:
-    if not isinstance(zl, ZeroList) or not zl.verified:
+    if not isinstance(zl, ZeroList):
         raise errors.ZeroListInsufficient("zero list must be verified")
-    if zl.covered_height < height:
-        raise errors.ZeroListInsufficient(
-            f"zero list covers {zl.covered_height}, need {height}")
+    zl.require_height(height)
 
 
 def compute_I(T: float, zeros: ZeroList,

@@ -8,9 +8,11 @@ L (log p)^nu / sqrt(p).  The minus variant carries the extra sign
     sum over mn <= N of Lambda(n) sin^mu(h log n) r(m) r(mn)
                                   / (sqrt(n) (log n)^nu)
 
-and the denominator sum of r(n)^2; only n = p prime with p not dividing
-m contributes to the numerator (squarefree support), which reduces the
-double sum to a sum over window primes.
+and the denominator sum of r(n)^2.  The numerator is a weighted sum of
+the prime-power correlations c(q) = sum over m of r(m) r(mq), one
+vectorized kernel (``_prime_power_correlations``) that also serves the
+main terms of :mod:`bsylab.dirichlet`; on the squarefree support only
+q = p prime in the window has c(q) != 0.
 """
 
 import math
@@ -21,7 +23,8 @@ from scipy.optimize import brentq
 
 from . import errors
 from .accum import comp_sum
-from .sieve import primes_in, von_mangoldt  # noqa: F401 (re-exported)
+from .sieve import primes_in, primes_up_to
+from .sieve import von_mangoldt  # noqa: F401 (re-exported)
 
 __all__ = [
     "ResonatorParams", "ResonatorTable", "solve_L", "build_resonator",
@@ -173,36 +176,50 @@ def resonator_denominator(table: ResonatorTable) -> float:
     return comp_sum(table.rs ** 2)
 
 
-def resonator_numerator(table: ResonatorTable, mu: int | None = None,
-                        nu: int | None = None,
-                        h: float | None = None) -> float:
-    """The Lambda-weighted double sum, via its prime reduction.
+def _prime_power_correlations(ns: np.ndarray, rs: np.ndarray, N: int
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c(q) = sum over m of r(m) r(mq) for the prime powers q = p^k <= N.
 
-    Only n = p prime in the window with p not dividing m and mp <= N
-    contributes; the inner sum of r(m)^2 is restricted accordingly.
-    The minus variant flips the overall sign (r(m) r(mp) = -r(m)^2 r(p)
-    there).
+    Returns (q, p, c) over the q with c(q) != 0.  Only the table entries
+    m <= N // q are enumerated, and m*q is looked up in the ascending
+    ``ns`` by binary search.
+    """
+    p = primes_up_to(N)
+    q = p.copy()
+    qs, bases = [q], [p]
+    while True:
+        keep = q <= N // p
+        if not np.any(keep):
+            break
+        p = p[keep]
+        q = q[keep] * p
+        qs.append(q)
+        bases.append(p)
+    q, p = np.concatenate(qs), np.concatenate(bases)
+    counts = np.searchsorted(ns, N // q, side="right")
+    qi = np.repeat(np.arange(q.size), counts)
+    mi = np.arange(qi.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mq = ns[mi] * q[qi]
+    j = np.minimum(np.searchsorted(ns, mq), ns.size - 1)
+    hit = ns[j] == mq
+    c = np.bincount(qi[hit], weights=rs[mi[hit]] * rs[j[hit]],
+                    minlength=q.size)
+    nz = c != 0.0
+    return q[nz], p[nz], c[nz]
+
+
+def resonator_numerator(table: ResonatorTable) -> float:
+    """The Lambda-weighted double sum, over the correlations c(q).
+
+    Equals the sum over prime powers q = p^k <= N of
+    log p * sin^mu(h log q) * c(q) / (sqrt(q) (log q)^nu); on the
+    squarefree support only primes q = p have c(q) != 0.
     """
     p_ = table.params
-    mu = p_.mu if mu is None else mu
-    nu = p_.nu if nu is None else nu
-    h = p_.h if h is None else h
-    ps = primes_in(p_.A, p_.B)
-    ns, rs = table.ns, np.abs(table.rs)
-    rsq = rs ** 2
-    terms = np.zeros(ps.size)
-    for i, p in enumerate(ps.astype(int)):
-        if p > p_.N:
-            break
-        lp = math.log(p)
-        rp = p_.L * lp ** nu / math.sqrt(p)
-        w = lp * math.sin(h * lp) ** mu * rp / (math.sqrt(p) * lp ** nu)
-        if w == 0.0:
-            continue
-        sel = (ns <= p_.N // p) & (ns % p != 0)
-        terms[i] = w * comp_sum(rsq[sel])
-    total = comp_sum(terms)
-    return -total if table.sign_variant == "minus" else total
+    q, p, c = _prime_power_correlations(table.ns, table.rs, p_.N)
+    lq = np.log(q)
+    return comp_sum(np.log(p) * np.sin(p_.h * lq) ** p_.mu * c
+                    / (np.sqrt(q) * lq ** p_.nu))
 
 
 def lemma4_check(params: ResonatorParams) -> dict:

@@ -62,11 +62,11 @@ class ZeroList:
     def __len__(self):
         return self.ordinates.size
 
-    def up_to(self, t: float) -> np.ndarray:
-        return self.ordinates[self.ordinates <= t]
-
-    def require_height(self, t: float):
-        if t > self.covered_height + 1e-12:
+    def require_height(self, t: float) -> None:
+        """Raise ZeroListInsufficient unless verified and covering t."""
+        if not self.verified:
+            raise errors.ZeroListInsufficient("zero list must be verified")
+        if self.covered_height < t:
             raise errors.ZeroListInsufficient(
                 f"zero list covers {self.covered_height}, need {t}")
 

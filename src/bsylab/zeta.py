@@ -11,14 +11,19 @@ test suite:
   requested tolerance.  Correction functions C0..C3 are evaluated from
   Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`.
 
-Every Dirichlet-polynomial sum of the module (the Euler-Maclaurin main
-sum, the two sums of the approximate functional equation, and R(t) in
-:mod:`bsylab.dirichlet`) goes through one kernel, ``_phase_sum``.  On a
+Dirichlet-polynomial sums go through one kernel, ``_phase_sum``: the
+Euler-Maclaurin main sum, the two sums of the approximate functional
+equation, and in :mod:`bsylab.dirichlet` R(t) (batched and at one
+height) and the off-diagonal part of the exact mean square.  On a
 uniform grid of heights it is one blocked matrix product, a first step
 toward Odlyzko-Schoenhage multi-evaluation; on any other input it sums
-the chunked (points x terms) phase matrix directly.  Phases are reduced
-mod 2*pi in longdouble on both paths; everything else is compensated
-float64.
+the chunked (points x terms) phase matrix directly.  The
+Euler-Maclaurin sum over a sigma grid at one height takes its unit
+phases from the same ``_unit_phases`` and shares the correction tail
+``_em_tail`` with the height batch.  The Riemann-Siegel main sum keeps
+its own cos-only loop: Z needs only the real part, and ``_phase_sum``
+pays for both cos and sin.  Phases are reduced mod 2*pi in longdouble
+everywhere; everything else is compensated float64.
 """
 
 import math
@@ -48,22 +53,6 @@ RS_T_MIN = 30.0
 #: t in [30, 2e5] against a 25-digit reference with a ~3x margin
 #: (see tests/test_zeta.py::test_rs_error_bound_conservative).
 RS_BOUND_COEF = (4.5, 0.4, 0.16, 0.03, 0.6)
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = sigma + i t of the critical strip."""
-
-    sigma: float
-    t: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise ValueError("ComplexPoint must be finite")
-
-    @property
-    def s(self) -> complex:
-        return complex(self.sigma, self.t)
 
 
 @dataclass(frozen=True)
@@ -300,6 +289,21 @@ def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
         f"t={tmax} with {K} correction terms")
 
 
+def _em_tail(s: np.ndarray, M: int, K: int) -> np.ndarray:
+    """The Euler-Maclaurin terms added to the sum over n < M:
+    M^(1-s)/(s-1) + M^(-s)/2 + sum over k <= K of
+    B_2k/(2k)! * s(s+1)...(s+2k-2) * M^(-s-2k+1)."""
+    Mf = float(M)
+    tail = Mf ** (1.0 - s) / (s - 1.0) + 0.5 * Mf ** (-s)
+    poch = s.astype(complex)
+    mpow = Mf ** (-s - 1.0)
+    for k in range(1, K + 1):
+        tail += _B2K_OVER_FACT[k] * poch * mpow
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        mpow = mpow / (Mf * Mf)
+    return tail
+
+
 def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
               target: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """zeta(sigma + i t) for an array of non-negative t, with error bounds.
@@ -320,16 +324,7 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     n = np.arange(1, M, dtype=float)
     vals, roundoff = _phase_sum(np.log(n.astype(np.longdouble)),
                                 n ** (-sigma), ts)
-
-    s = sigma + 1j * ts
-    Mf = float(M)
-    vals += Mf ** (1.0 - s) / (s - 1.0) + 0.5 * Mf ** (-s)
-    poch = s.copy()
-    mpow = Mf ** (-s - 1.0)
-    for k in range(1, K + 1):
-        vals += _B2K_OVER_FACT[k] * poch * mpow
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        mpow = mpow / (Mf * Mf)
+    vals += _em_tail(sigma + 1j * ts, M, K)
     bound = _em_remainder_bound(sigma, tmax, M, K) + roundoff
     return vals, np.full(ts.shape, bound)
 
@@ -346,34 +341,20 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
     M = _em_choose_M(smin, abs(t), cfg, target)
     n = np.arange(1, M, dtype=float)
     lnn = np.log(n.astype(np.longdouble))
-    ph = (np.longdouble(t) * lnn) % _TWO_PI_LD
-    phase = np.exp(-1j * ph.astype(float))
+    phase = _unit_phases(np.array([t], dtype=np.longdouble), lnn)[0]
     ampm = np.exp(-np.outer(sigmas, lnn.astype(float)))
-    vals = ampm @ phase
-
-    s = sigmas + 1j * t
-    Mf = float(M)
-    vals += Mf ** (1.0 - s) / (s - 1.0) + 0.5 * Mf ** (-s)
-    poch = s.astype(complex)
-    mpow = Mf ** (-s - 1.0)
-    for k in range(1, K + 1):
-        vals += _B2K_OVER_FACT[k] * poch * mpow
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        mpow = mpow / (Mf * Mf)
+    vals = ampm @ phase + _em_tail(sigmas + 1j * t, M, K)
     bound = _em_remainder_bound(smin, abs(t), M, K)
     bound += _phase_roundoff(abs(t), float(lnn[-1]),
                              float(ampm.sum(axis=1).max()))
     return vals, np.full(sigmas.shape, bound)
 
 
-def zeta_em(s: complex | ComplexPoint,
-            cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
+def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
     """Euler-Maclaurin evaluation of zeta(s) with an attached error bound.
 
     Requires sigma >= -1 and |s - 1| >= the pole threshold.
     """
-    if isinstance(s, ComplexPoint):
-        s = s.s
     s = complex(s)
     if s.real < -1.0:
         raise ValueError("zeta_em requires sigma >= -1")
@@ -412,7 +393,10 @@ def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
     theta_ld = _rs_theta_ld(ts)
 
     vals = np.zeros(ts.shape)
-    # main sum, grouped by common truncation N
+    # main sum, grouped by common truncation N.  Not a _phase_sum: Z
+    # needs only the cosines, and summing cos and sin through the shared
+    # kernel made the arg_scan benchmark ~7% slower (3 of 3 paired runs,
+    # 2-vCPU x86 machine).
     order = np.argsort(N, kind="stable")
     Nuniq, starts = np.unique(N[order], return_index=True)
     bounds_idx = np.append(starts, N.size)

@@ -105,6 +105,7 @@ def test_resonator_and_mv_roundtrip(tmp_path):
 def test_usage_errors_exit_1(capsys):
     assert run(["nosuch"]) == 1
     assert run(["integral", "--nonsense"]) == 1
+    assert run(["integral", "--T", "50"]) == 1
     assert run(["report", "nosuch-suite"]) == 1
     capsys.readouterr()
 

@@ -20,6 +20,7 @@ from bsylab.dirichlet import (
     mean_square_exact,
     s1_resonance_statistic,
 )
+from bsylab.resonator import ResonatorParams, build_resonator
 from bsylab.sieve import factorize, von_mangoldt
 
 
@@ -70,6 +71,28 @@ def test_mean_square_vs_quadrature_oracle(toy_table):
     oracle = quad(lambda x: abs(eval_R(toy_table, x)) ** 2, T, 2.0 * T,
                   limit=2000, epsabs=1e-9, epsrel=1e-12)[0]
     assert abs(ms - oracle) <= DEFAULT.quad_tol
+
+
+def test_mean_square_large_table_vs_pair_loop():
+    # ~3.6e4 off-diagonal pairs summed at T = 1e5 without a compensated
+    # sum; the oracle is the pair loop in 30-digit arithmetic
+    params = ResonatorParams(mu=2, nu=0, N=3000, h=0.1, L=1.0, A=2.0,
+                             B=60.0, override=True)
+    table = build_resonator(params, "plus")
+    assert table.ns.size == 270
+    T = 1e5
+    with mpmath.workdps(30):
+        T_mp = mpmath.mpf(T)
+        logs = [mpmath.log(int(n)) for n in table.ns]
+        rs = [mpmath.mpf(float(r)) for r in table.rs]
+        oracle = T_mp * mpmath.fsum(r * r for r in rs)
+        for a in range(len(rs)):
+            for b in range(a + 1, len(rs)):
+                ell = logs[b] - logs[a]
+                oracle += 2 * rs[a] * rs[b] * (
+                    mpmath.sin(2 * T_mp * ell) - mpmath.sin(T_mp * ell)) / ell
+    diag = T * comp_sum(table.rs ** 2)
+    assert abs(mean_square_exact(table, T) - float(oracle)) <= 1e-14 * diag
 
 
 def test_mean_square_approaches_diagonal(toy_table):
