@@ -236,7 +236,7 @@ def lemma3_rhs(req: Lemma3Request) -> complex:
     correlation c(n) = sum over m of r(m) r(mn).
     """
     ns, rs = _table_arrays(req.table)
-    q, p, c = resonator._prime_power_correlations(ns, rs, _table_capacity(req.table))
+    q, p, c = resonator._prime_power_correlations(ns, rs)
     lq = np.log(q)
     terms = c * np.log(p) * np.exp(-complex(req.alpha, req.h) * lq) / lq
     return req.T * comp_sum_complex(terms)
@@ -269,7 +269,7 @@ def s1_resonance_statistic(table, h: float) -> tuple[float, float]:
     if not 0.0 <= h <= 1.0:
         raise ValueError("need 0 <= h <= 1")
     ns, rs = _table_arrays(table)
-    q, p, c = resonator._prime_power_correlations(ns, rs, _table_capacity(table))
+    q, p, c = resonator._prime_power_correlations(ns, rs)
     lq = np.log(q)
     base = c * np.log(p) / (np.sqrt(q) * lq * lq)
     den = comp_sum(rs ** 2)

@@ -176,19 +176,21 @@ def resonator_denominator(table: ResonatorTable) -> float:
     return comp_sum(table.rs ** 2)
 
 
-def _prime_power_correlations(ns: np.ndarray, rs: np.ndarray, N: int
+def _prime_power_correlations(ns: np.ndarray, rs: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c(q) = sum over m of r(m) r(mq) for the prime powers q = p^k <= N.
+    """c(q) = sum over m of r(m) r(mq) for the prime powers q = p^k.
 
-    Returns (q, p, c) over the q with c(q) != 0.  Only the table entries
-    m <= N // q are enumerated, and m*q is looked up in the ascending
-    ``ns`` by binary search.
+    Returns (q, p, c) over the q with c(q) != 0.  Since m*q must be an
+    entry of the ascending ``ns``, only q <= ns[-1] and the entries
+    m <= ns[-1] // q are enumerated, so the cost depends on the table,
+    not on its nominal N; m*q is looked up by binary search.
     """
-    p = primes_up_to(N)
+    top = int(ns[-1])
+    p = primes_up_to(top)
     q = p.copy()
     qs, bases = [q], [p]
     while True:
-        keep = q <= N // p
+        keep = q <= top // p
         if not np.any(keep):
             break
         p = p[keep]
@@ -196,7 +198,7 @@ def _prime_power_correlations(ns: np.ndarray, rs: np.ndarray, N: int
         qs.append(q)
         bases.append(p)
     q, p = np.concatenate(qs), np.concatenate(bases)
-    counts = np.searchsorted(ns, N // q, side="right")
+    counts = np.searchsorted(ns, top // q, side="right")
     qi = np.repeat(np.arange(q.size), counts)
     mi = np.arange(qi.size) - np.repeat(np.cumsum(counts) - counts, counts)
     mq = ns[mi] * q[qi]
@@ -216,7 +218,7 @@ def resonator_numerator(table: ResonatorTable) -> float:
     squarefree support only primes q = p have c(q) != 0.
     """
     p_ = table.params
-    q, p, c = _prime_power_correlations(table.ns, table.rs, p_.N)
+    q, p, c = _prime_power_correlations(table.ns, table.rs)
     lq = np.log(q)
     return comp_sum(np.log(p) * np.sin(p_.h * lq) ** p_.mu * c
                     / (np.sqrt(q) * lq ** p_.nu))

@@ -187,6 +187,20 @@ def test_lemma4_signs():
     assert out["normalized_plus"] > 0
 
 
+def test_lemma4_large_N_costs_by_table():
+    # N = 1e10 leaves window primes 11..19 and a 16-entry table; the
+    # correlation kernel must be bounded by the table, not sieve to N.
+    params = ResonatorParams.solved(N=10 ** 10, nu=0, h=0.1)
+    out = lemma4_check(params)
+    assert out["ratio_plus"] > 0 > out["ratio_minus"]
+    for variant in ("plus", "minus"):
+        table = build_resonator(params, variant)
+        assert table.ns.size == 16
+        oracle = _pair_loop(table)
+        assert abs(resonator_numerator(table) - oracle) \
+            <= 1e-12 * abs(oracle)
+
+
 def test_lemma4_h_guard():
     params = ResonatorParams.solved(N=4103, nu=0, h=0.9)
     with pytest.raises(ValueError):
