@@ -71,8 +71,9 @@ def eval_R_batch(table, ts) -> np.ndarray:
     """R(t) = sum of r(n) n^(-it) on an array of heights.
 
     One ``zeta._phase_sum``: a blocked matrix product when ts is a
-    uniform grid (linspace or T + dx*arange), the direct longdouble-phase
-    sum otherwise.
+    uniform grid (linspace or T + dx*arange), an expansion about each
+    cluster of nearby heights otherwise, and the direct longdouble-phase
+    sum when no two heights are near.
     """
     ns, rs = _table_arrays(table)
     ts = np.asarray(ts, dtype=float)
@@ -89,22 +90,32 @@ def mean_square_exact(table, T: float) -> float:
 
     Equals T * sum r^2 + sum over pairs m < n of
     2 r(m) r(n) (sin(2T l) - sin(T l)) / l with l = log(n/m); the pair
-    sum is Im S(T) - Im S(2T) of one ``zeta._phase_sum`` S with those
-    amplitudes and frequencies.
+    sum is Im S(T) - Im S(2T) of a ``zeta._phase_sum`` S with those
+    amplitudes and frequencies.  Pairs are taken in row blocks of at
+    most ``zeta._EM_CHUNK`` (one row at least), so memory stays bounded
+    as the table grows; the block sums are added by ``comp_sum``.
     """
     T = float(T)
     if T <= 0:
         raise ValueError("T must be positive")
     ns, rs = _table_arrays(table)
     diag = T * comp_sum(rs ** 2)
-    if ns.size == 1:
-        return diag
     lnn = np.log(ns.astype(np.longdouble))
-    i, j = np.triu_indices(ns.size, k=1)
-    ell = lnn[j] - lnn[i]
-    S, _ = zeta._phase_sum(ell, 2.0 * rs[i] * rs[j] / ell.astype(float),
-                           np.array([T, 2.0 * T]))
-    return diag + float(S[0].imag - S[1].imag)
+    per_row = np.arange(ns.size - 1, 0, -1)
+    first = np.concatenate([[0], np.cumsum(per_row)])  # first pair of row
+    off = []
+    i0 = 0
+    while i0 < ns.size - 1:
+        i1 = max(i0 + 1, int(np.searchsorted(
+            first, first[i0] + zeta._EM_CHUNK, side="right")) - 1)
+        i = np.repeat(np.arange(i0, i1), per_row[i0:i1])
+        j = np.arange(first[i0], first[i1]) - first[i] + i + 1
+        ell = lnn[j] - lnn[i]
+        S, _ = zeta._phase_sum(ell, 2.0 * rs[i] * rs[j] / ell.astype(float),
+                               np.array([T, 2.0 * T]))
+        off.append(float(S[0].imag - S[1].imag))
+        i0 = i1
+    return diag + comp_sum(off)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bsylab import errors
+from bsylab import errors, zeta
 from bsylab.accum import comp_sum
 from bsylab.config import DEFAULT
 from bsylab.dirichlet import (
@@ -93,6 +93,18 @@ def test_mean_square_large_table_vs_pair_loop():
                     mpmath.sin(2 * T_mp * ell) - mpmath.sin(T_mp * ell)) / ell
     diag = T * comp_sum(table.rs ** 2)
     assert abs(mean_square_exact(table, T) - float(oracle)) <= 1e-14 * diag
+
+
+def test_mean_square_in_row_blocks(monkeypatch):
+    table = build_resonator(ResonatorParams(mu=2, nu=0, N=3000, h=0.1,
+                                            L=1.0, A=2.0, B=60.0,
+                                            override=True), "plus")
+    T = 1e5
+    whole = mean_square_exact(table, T)
+    # 36,315 pairs in blocks of at most 5000: 8 blocks, rows kept whole
+    monkeypatch.setattr(zeta, "_EM_CHUNK", 5000)
+    blocked = mean_square_exact(table, T)
+    assert abs(blocked - whole) <= 1e-14 * T * comp_sum(table.rs ** 2)
 
 
 def test_mean_square_approaches_diagonal(toy_table):

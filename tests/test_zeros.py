@@ -125,6 +125,14 @@ def test_verify_rejects_missing_zero(zeros_100):
         verify_zero_list(broken, DEFAULT)
 
 
+def test_verify_rejects_moved_ordinate(zeros_100):
+    g = zeros_100.ordinates.copy()
+    g[7] += 1e-6
+    with pytest.raises(errors.Inconsistent) as exc:
+        verify_zero_list(ZeroList(g, zeros_100.covered_height), DEFAULT)
+    assert exc.value.index == 7
+
+
 def test_mean_gap_positive_and_shrinking():
     assert mean_gap(100.0) > mean_gap(1000.0) > 0
 

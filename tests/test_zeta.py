@@ -246,3 +246,91 @@ def test_afe_grid_path_matches_pointwise():
         # path here; a grouping or conjugation slip would show at the
         # size of the sums, far above 1e-10
         assert abs(vals[k] - one[0]) <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# Cluster path of the phase-sum kernel
+# ----------------------------------------------------------------------
+
+def _direct_sum(logs, amps, ts):
+    """sum_n a_n exp(-i t l_n), phases reduced by a longdouble 2 pi."""
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    ph = ((np.asarray(ts, dtype=np.longdouble)[:, None] * logs[None, :])
+          % two_pi).astype(float)
+    re = (amps[None, :] * np.cos(ph)).sum(axis=1)
+    return re - 1j * (amps[None, :] * np.sin(ph)).sum(axis=1)
+
+
+def _em_terms(sigma, M):
+    n = np.arange(1, M, dtype=float)
+    return np.log(n.astype(np.longdouble)), n ** (-sigma)
+
+
+@pytest.mark.parametrize("t", [150.0, 1200.0, 2e4])
+@pytest.mark.parametrize("sigma", [0.5, 0.6, 2.0])
+def test_em_clusters_match_mpmath(sigma, t):
+    from bsylab.quadrature import GK15_NODES
+    h = 1e-5
+    calls = {f"gk{w}": t + w * GK15_NODES for w in (0.5, 0.07, 1e-3)}
+    calls["triplet"] = t + np.array([0.0, h, -h])      # as _newton_polish
+    calls["stencil"] = t + np.array([-2.0, -1.0, 1.0, 2.0]) * 1e-4
+    calls["lone"] = np.array([t])
+    for name, ts in calls.items():
+        vals, bounds = zeta._em_batch(sigma, ts)
+        for k in sorted({0, ts.size // 2, ts.size - 1}):
+            err = abs(vals[k] - _mp_zeta(complex(sigma, ts[k])))
+            assert err <= bounds[k], name
+            assert err <= 1e-12, name
+
+
+def test_cluster_path_input_order_and_repeats():
+    logs, amps = _em_terms(0.6, 400)
+    # unsorted, one height repeated, two clusters and a lone height
+    ts = np.array([1000.4, 1000.1, 1005.0, 1000.4, 1000.25, 1000.9, 1000.7])
+    vals, bound = zeta._phase_sum(logs, amps, ts)
+    assert vals[0] == vals[3]
+    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
+    rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
+    assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
+
+
+@pytest.mark.parametrize("ts", [np.array([]), np.array([1000.4])],
+                         ids=["K0", "K1"])
+def test_phase_sum_tiny_inputs(ts):
+    logs, amps = _em_terms(0.6, 400)
+    vals, _ = zeta._phase_sum(logs, amps, ts)
+    assert vals.shape == ts.shape
+    assert np.array_equal(vals, _direct_sum(logs, amps, ts))
+
+
+def test_isolated_heights_sum_directly():
+    # more than 2*rho apart, so no two heights share a cluster
+    logs, amps = _em_terms(0.5, 3000)
+    ts = np.array([2e4, 150.3, 1200.7, 1201.9])
+    vals, _ = zeta._phase_sum(logs, amps, ts)
+    assert np.array_equal(vals, _direct_sum(logs, amps, ts))
+
+
+def test_low_expansion_order_stays_within_bound(monkeypatch):
+    # decide the order against a floor 1e8 times the real one: J drops
+    # to about half, and the truncation tail must enter the bound
+    logs, amps = _em_terms(0.5, 1200)
+    ts = 1000.0 + 0.3 * np.linspace(-1.0, 1.0, 9) ** 3
+    exact = _direct_sum(logs, amps, ts)
+    full, full_bound = zeta._phase_sum(logs, amps, ts)
+    orders = []
+    taylor_order = zeta._taylor_order
+
+    def coarse(r, amp_sum, floor):
+        orders.append(taylor_order(r, amp_sum, floor)[0])
+        J, tail = taylor_order(r, amp_sum, 1e8 * floor)
+        orders.append(J)
+        return J, tail
+
+    monkeypatch.setattr(zeta, "_taylor_order", coarse)
+    low, low_bound = zeta._phase_sum(logs, amps, ts)
+    assert orders[1] < orders[0]
+    err = np.abs(low - exact)
+    assert np.max(err) > 100 * full_bound       # the low order shows
+    assert np.all(err <= low_bound)
+    assert np.all(np.abs(full - exact) <= full_bound)
