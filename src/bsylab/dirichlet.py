@@ -60,8 +60,10 @@ class Lemma3Request:
     def __post_init__(self):
         if not 0.5 <= self.alpha <= 2.0:
             raise ValueError("alpha must lie in [1/2, 2]")
-        if self.T < 3.0:
-            raise ValueError("T must be >= 3")
+        if not (math.isfinite(self.T) and self.T >= 3.0):
+            raise ValueError("T must be finite and >= 3")
+        if not math.isfinite(self.h):
+            raise ValueError("h must be finite")
         if self.eps_margin <= 0:
             raise ValueError("eps_margin must be positive")
         _table_arrays(self.table)
@@ -88,34 +90,32 @@ def eval_R(table, t: float) -> complex:
 def mean_square_exact(table, T: float) -> float:
     """Integral of |R(t)|^2 over [T, 2T], in closed form.
 
-    Equals T * sum r^2 + sum over pairs m < n of
-    2 r(m) r(n) (sin(2T l) - sin(T l)) / l with l = log(n/m); the pair
-    sum is Im S(T) - Im S(2T) of a ``zeta._phase_sum`` S with those
-    amplitudes and frequencies.  Pairs are taken in row blocks of at
-    most ``zeta._EM_CHUNK`` (one row at least), so memory stays bounded
-    as the table grows; the block sums are added by ``comp_sum``.
+    Equals T * sum r^2 plus, over pairs i < j with l = log n_j - log n_i
+    (in longdouble), 2 r_i r_j (sin(2T l) - sin(T l)) / l.  With
+    v(t) = r e^(-i t log n) from ``zeta._unit_phases`` (2n phase
+    reductions), r_i r_j sin(t l) = Im v_i conj(v_j), so the pair sum is
+    a bilinear form with Montgomery and Vaughan's Hilbert kernel 2/l: per
+    block of at most ``zeta._EM_CHUNK`` elements of W (one row at least),
+    one real product W @ [Re v(T), Re v(2T), Im v(T), Im v(2T)] and a
+    row-wise dot product; ``comp_sum`` adds the blocks.  Each pair term
+    is off by a few ulps of 2|r_i r_j|/l plus its phase error, so the pair
+    sum is within ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)``.
     """
     T = float(T)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
     ns, rs = _table_arrays(table)
-    diag = T * comp_sum(rs ** 2)
     lnn = np.log(ns.astype(np.longdouble))
-    per_row = np.arange(ns.size - 1, 0, -1)
-    first = np.concatenate([[0], np.cumsum(per_row)])  # first pair of row
+    v = rs * zeta._unit_phases(np.array([T, 2.0 * T], np.longdouble), lnn)
+    X = np.concatenate([v.real, v.imag]).T
+    Y = X[:, [2, 3, 0, 1]] * [-1.0, 1.0, 1.0, -1.0]  # Im(v_i conj v_j)
+    rows = max(1, zeta._EM_CHUNK // ns.size)
     off = []
-    i0 = 0
-    while i0 < ns.size - 1:
-        i1 = max(i0 + 1, int(np.searchsorted(
-            first, first[i0] + zeta._EM_CHUNK, side="right")) - 1)
-        i = np.repeat(np.arange(i0, i1), per_row[i0:i1])
-        j = np.arange(first[i0], first[i1]) - first[i] + i + 1
-        ell = lnn[j] - lnn[i]
-        S, _ = zeta._phase_sum(ell, 2.0 * rs[i] * rs[j] / ell.astype(float),
-                               np.array([T, 2.0 * T]))
-        off.append(float(S[0].imag - S[1].imag))
-        i0 = i1
-    return diag + comp_sum(off)
+    for i0 in range(0, ns.size, rows):
+        ell = (lnn[None, i0:] - lnn[i0:i0 + rows, None]).astype(float)
+        W = np.divide(2.0, ell, out=np.zeros_like(ell), where=ell > 0)
+        off.append(float(np.sum(Y[i0:i0 + rows] * (W @ X[i0:]))))
+    return T * comp_sum(rs ** 2) + comp_sum(off)
 
 
 # ----------------------------------------------------------------------

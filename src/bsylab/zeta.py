@@ -13,9 +13,9 @@ test suite:
 
 Dirichlet-polynomial sums go through one kernel, ``_phase_sum``: the
 Euler-Maclaurin main sum, the two sums of the approximate functional
-equation, and in :mod:`bsylab.dirichlet` R(t) (batched and at one
-height) and the off-diagonal part of the exact mean square.  It takes
-one of three paths, each with its remainder in the returned bound:
+equation, and R(t) in :mod:`bsylab.dirichlet` (batched and at one
+height).  It takes one of three paths, each with its remainder in the
+returned bound:
 
 * a uniform grid of heights is one blocked matrix product;
 * any other input is cut into clusters of nearby heights (quadrature
@@ -30,10 +30,13 @@ one of three paths, each with its remainder in the returned bound:
 
 The Euler-Maclaurin sum over a sigma grid at one height takes its unit
 phases from the same ``_unit_phases`` and shares the correction tail
-``_em_tail`` with the height batch.  The Riemann-Siegel main sum keeps
-its own cos-only loop: Z needs only the real part, and ``_phase_sum``
-pays for both cos and sin.  Phases are reduced mod 2*pi in longdouble
-everywhere; everything else is compensated float64.
+``_em_tail`` with the height batch.  The exact mean square of
+:mod:`bsylab.dirichlet` takes its phases from ``_unit_phases`` too: its
+pair sum is a bilinear form in the phases at T and 2T.  The
+Riemann-Siegel main sum keeps its own cos-only loop: Z needs only the
+real part, and ``_phase_sum`` pays for both cos and sin.  Phases are
+reduced mod 2*pi in longdouble everywhere; everything else is
+compensated float64.
 """
 
 import math

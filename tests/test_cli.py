@@ -102,6 +102,22 @@ def test_resonator_and_mv_roundtrip(tmp_path):
                         "normalized_gap"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--T", "nan"],
+    ["exact", "--T", "inf"],
+    ["lemma3", "--alpha", "0.6", "--h", "0.1", "--T", "nan"],
+    ["lemma3", "--alpha", "0.6", "--h", "inf", "--T", "100"],
+])
+def test_mv_non_finite_input_exits_2(tmp_path, toy_table, capsys, argv):
+    table = str(tmp_path / "toy.txt")
+    resonator.write_table(toy_table, table)
+    assert run(["mv", argv[0], "--table", table, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError"
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["nosuch"]) == 1
     assert run(["integral", "--nonsense"]) == 1

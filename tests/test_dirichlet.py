@@ -73,26 +73,64 @@ def test_mean_square_vs_quadrature_oracle(toy_table):
     assert abs(ms - oracle) <= DEFAULT.quad_tol
 
 
-def test_mean_square_large_table_vs_pair_loop():
-    # ~3.6e4 off-diagonal pairs summed at T = 1e5 without a compensated
-    # sum; the oracle is the pair loop in 30-digit arithmetic
+@pytest.fixture(scope="module")
+def table_270():
     params = ResonatorParams(mu=2, nu=0, N=3000, h=0.1, L=1.0, A=2.0,
                              B=60.0, override=True)
     table = build_resonator(params, "plus")
     assert table.ns.size == 270
-    T = 1e5
+    return table
+
+
+@pytest.fixture(scope="module")
+def pair_sums_270(table_270):
+    """The pair loop in 30-digit arithmetic on the 270-entry table: for
+    each T, the sum over a < b of 2 r_a r_b (sin(2T l) - sin(T l)) / l
+    with l = log(n_b/n_a); and the amplitude sum of 2|r_a r_b|/l."""
+    heights = (1.0, 10.0, 100.0, 1e5)
     with mpmath.workdps(30):
-        T_mp = mpmath.mpf(T)
-        logs = [mpmath.log(int(n)) for n in table.ns]
-        rs = [mpmath.mpf(float(r)) for r in table.rs]
-        oracle = T_mp * mpmath.fsum(r * r for r in rs)
+        Ts = [mpmath.mpf(T) for T in heights]
+        logs = [mpmath.log(int(n)) for n in table_270.ns]
+        rs = [mpmath.mpf(float(r)) for r in table_270.rs]
+        off = [mpmath.mpf(0)] * len(Ts)
+        amp_sum = mpmath.mpf(0)
         for a in range(len(rs)):
             for b in range(a + 1, len(rs)):
                 ell = logs[b] - logs[a]
-                oracle += 2 * rs[a] * rs[b] * (
-                    mpmath.sin(2 * T_mp * ell) - mpmath.sin(T_mp * ell)) / ell
-    diag = T * comp_sum(table.rs ** 2)
-    assert abs(mean_square_exact(table, T) - float(oracle)) <= 1e-14 * diag
+                amp = 2 * rs[a] * rs[b] / ell
+                amp_sum += abs(amp)
+                for k, T in enumerate(Ts):
+                    c, s = mpmath.cos_sin(T * ell)   # sin 2x = 2 sin x cos x
+                    off[k] += amp * s * (2 * c - 1)
+        sum_r2 = mpmath.fsum(r * r for r in rs)
+    return dict(zip(heights, off)), amp_sum, sum_r2
+
+
+def test_mean_square_large_table_vs_pair_loop(table_270, pair_sums_270):
+    # ~3.6e4 off-diagonal pairs summed at T = 1e5 without a compensated
+    # sum; the oracle is the pair loop in 30-digit arithmetic
+    T = 1e5
+    off, _, sum_r2 = pair_sums_270
+    with mpmath.workdps(30):
+        oracle = float(mpmath.mpf(T) * sum_r2 + off[T])
+    diag = T * comp_sum(table_270.rs ** 2)
+    assert abs(mean_square_exact(table_270, T) - oracle) <= 1e-14 * diag
+
+
+def test_mean_square_off_diagonal_small_T(table_270, pair_sums_270):
+    # at T >= 1e3 the diagonal T * sum r^2 is so large that rounding the
+    # total hides errors in the pair sum; at small T they show.  The
+    # bound is the phase floor of the pair sum plus the rounding of the
+    # diagonal and of the total.
+    off, amp_sum, _ = pair_sums_270
+    sum_r2 = np.sum(table_270.rs.astype(np.longdouble) ** 2)
+    lmax = float(np.log(table_270.ns[-1]))
+    for T in (1.0, 10.0, 100.0):
+        ms = mean_square_exact(table_270, T)
+        got = np.longdouble(ms) - np.longdouble(T) * sum_r2
+        bound = (zeta._phase_roundoff(2.0 * T, lmax, float(amp_sum))
+                 + 2.0 * np.spacing(T * float(sum_r2)) + np.spacing(ms))
+        assert abs(float(got - np.longdouble(float(off[T])))) <= bound
 
 
 def test_mean_square_in_row_blocks(monkeypatch):
@@ -101,10 +139,16 @@ def test_mean_square_in_row_blocks(monkeypatch):
                                             override=True), "plus")
     T = 1e5
     whole = mean_square_exact(table, T)
-    # 36,315 pairs in blocks of at most 5000: 8 blocks, rows kept whole
+    # 270 rows, at most 5000 elements of W per block: 15 blocks of 18 rows
     monkeypatch.setattr(zeta, "_EM_CHUNK", 5000)
     blocked = mean_square_exact(table, T)
     assert abs(blocked - whole) <= 1e-14 * T * comp_sum(table.rs ** 2)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
+def test_mean_square_rejects_bad_heights(trivial_table, T):
+    with pytest.raises(ValueError):
+        mean_square_exact(trivial_table, T)
 
 
 def test_mean_square_approaches_diagonal(toy_table):
@@ -165,6 +209,13 @@ def test_lemma3_lhs_series_oracle_alpha2(trivial_table):
                   * (np.exp(-2j * T * ln) - np.exp(-1j * T * ln))
                   / (-1j * ln))
     assert abs(lhs - total) <= 1e-6
+
+
+@pytest.mark.parametrize("T, h", [(math.nan, 0.1), (math.inf, 0.1),
+                                  (100.0, math.nan), (100.0, math.inf)])
+def test_lemma3_request_rejects_non_finite(toy_table, T, h):
+    with pytest.raises(ValueError):
+        Lemma3Request(alpha=0.6, h=h, T=T, table=toy_table)
 
 
 def test_lemma3_alpha_guard(toy_table):
