@@ -83,6 +83,7 @@ from .dirichlet import (
     eval_R_batch,
     lemma3_compare,
     lemma3_lhs,
+    lemma3_normalization,
     lemma3_rhs,
     mean_square_exact,
     s1_resonance_statistic,

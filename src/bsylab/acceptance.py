@@ -320,18 +320,14 @@ def lemma3_mv(toy_table: resonator.ResonatorTable, trivial_table,
     # that budget on top of twice the first rung's gap.  The tight
     # series oracle below certifies the quadrature itself.
     loose = dataclasses.replace(cfg, quad_tol=1e-3)
-    base_toy = comp_sum(toy_table.rs ** 2)
-    N_toy = toy_table.params.N
     gaps, budgets = [], []
     for Tk in (1e3, 1e4, 1e5):
-        gaps.append(dirichlet.lemma3_compare(
-            dirichlet.Lemma3Request(alpha=0.6, h=0.1, T=Tk, table=toy_table),
-            loose))
-        scale = N_toy * math.log(Tk * N_toy) ** 1.5 * base_toy
+        req = dirichlet.Lemma3Request(alpha=0.6, h=0.1, T=Tk, table=toy_table)
+        gaps.append(dirichlet.lemma3_compare(req, loose))
         point = (zeta.AFE_BOUND_COEF * Tk ** (-0.6 / 2.0 - 0.25)
                  if 2.0 * Tk > 30_000.0 else 1e-8)
         budgets.append(point * dirichlet.mean_square_exact(toy_table, Tk)
-                       / scale)
+                       / dirichlet.lemma3_normalization(req))
     bounded_ok = all(g <= 2.0 * gaps[0] + b + 1e-6
                      for g, b in zip(gaps, budgets))
 

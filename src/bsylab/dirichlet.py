@@ -23,7 +23,7 @@ from .resonator import ResonatorTable
 
 __all__ = [
     "Lemma3Request", "eval_R", "eval_R_batch", "mean_square_exact",
-    "lemma3_lhs", "lemma3_rhs", "lemma3_compare",
+    "lemma3_lhs", "lemma3_rhs", "lemma3_normalization", "lemma3_compare",
     "s1_resonance_statistic",
 ]
 
@@ -74,8 +74,8 @@ def eval_R_batch(table, ts) -> np.ndarray:
 
     One ``zeta._phase_sum``: a blocked matrix product when ts is a
     uniform grid (linspace or T + dx*arange), an expansion about each
-    cluster of nearby heights otherwise, and the direct longdouble-phase
-    sum when no two heights are near.
+    cluster of nearby heights otherwise (a lone height is a cluster of
+    one).
     """
     ns, rs = _table_arrays(table)
     ts = np.asarray(ts, dtype=float)
@@ -253,15 +253,19 @@ def lemma3_rhs(req: Lemma3Request) -> complex:
     return req.T * comp_sum_complex(terms)
 
 
+def lemma3_normalization(req: Lemma3Request) -> float:
+    """N (log TN)^(3/2) sum r^2, the scale of the moment gap."""
+    _, rs = _table_arrays(req.table)
+    N = _table_capacity(req.table)
+    return N * math.log(req.T * N) ** 1.5 * comp_sum(rs ** 2)
+
+
 def lemma3_compare(req: Lemma3Request,
                    cfg: PrecisionConfig = DEFAULT,
                    spacing: float = 0.05) -> float:
-    """|LHS - RHS| / (N (log TN)^(3/2) sum r^2)."""
-    ns, rs = _table_arrays(req.table)
-    N = _table_capacity(req.table)
+    """|LHS - RHS| / ``lemma3_normalization``."""
     gap = abs(lemma3_lhs(req, cfg, spacing=spacing) - lemma3_rhs(req))
-    scale = N * math.log(req.T * N) ** 1.5 * comp_sum(rs ** 2)
-    return gap / scale
+    return gap / lemma3_normalization(req)
 
 
 # ----------------------------------------------------------------------

@@ -75,8 +75,7 @@ class Panels:
 
 
 def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
-                    max_subdivisions: int = 20_000,
-                    hard_fail: bool = True) -> Panels:
+                    max_subdivisions: int = 20_000) -> Panels:
     """Batched globally adaptive Gauss-Kronrod 7/15 over [lo_i, hi_i].
 
     ``f(ts, payload)`` gets the (n, 15) Kronrod nodes of the n active
@@ -87,8 +86,7 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
     a panel is accepted when |K15 - G7| <= density * width + P; a panel
     with an infinite P (a node whose error has no bound) is bisected
     instead.  Raises ToleranceNotMet once more than ``max_subdivisions``
-    panels have been made, unless ``hard_fail`` is False, in which case
-    the unaccepted panels are returned as they stand.
+    panels have been made.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -110,11 +108,9 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
         bad = ~ok
         n_panels += int(np.count_nonzero(bad))
         if n_panels > max_subdivisions:
-            if hard_fail:
-                raise ToleranceNotMet(
-                    f"subdivision cap {max_subdivisions} reached on "
-                    f"[{span[0]}, {span[1]}]")
-            ok[:] = True
+            raise ToleranceNotMet(
+                f"subdivision cap {max_subdivisions} reached on "
+                f"[{span[0]}, {span[1]}]")
         done.append([lo[ok], hi[ok], fine[ok], err[ok], P[ok]]
                     + [payload[k][ok] for k in keys])
         if ok.all():
@@ -129,21 +125,19 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
-                  max_subdivisions: int = 20_000,
-                  hard_fail: bool = True) -> IntegralResult:
+                  max_subdivisions: int = 20_000) -> IntegralResult:
     """Globally adaptive integration of a vectorized integrand on [a, b].
 
     ``f`` maps an ndarray of points to an ndarray of values (real or
     complex), taken as exact (P = 0).  Raises ToleranceNotMet if the
     subdivision cap is reached while the summed error estimate still
-    exceeds ``tol`` (unless ``hard_fail`` is False, in which case the
-    best estimate is returned).
+    exceeds ``tol``.
     """
     if b <= a:
         return IntegralResult(0.0, 0.0, 0)
     p = adaptive_panels(
         lambda ts, _: (f(ts.ravel()).reshape(ts.shape), None),
-        [a], [b], tol / (b - a), None, max_subdivisions, hard_fail)
+        [a], [b], tol / (b - a), None, max_subdivisions)
     # correctly rounded sums: independent of the acceptance order
     value = comp_sum_complex(p.value) if np.iscomplexobj(p.value) \
         else comp_sum(p.value)

@@ -12,10 +12,10 @@ test suite:
   Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`.
 
 Dirichlet-polynomial sums go through one kernel, ``_phase_sum``: the
-Euler-Maclaurin main sum, the two sums of the approximate functional
-equation, and R(t) in :mod:`bsylab.dirichlet` (batched and at one
-height).  It takes one of three paths, each with its remainder in the
-returned bound:
+Euler-Maclaurin main sum, the Riemann-Siegel main sum, the two sums of
+the approximate functional equation, and R(t) in :mod:`bsylab.dirichlet`
+(batched and at one height).  It takes one of two paths, each with its
+remainder in the returned bound:
 
 * a uniform grid of heights is one blocked matrix product;
 * any other input is cut into clusters of nearby heights (quadrature
@@ -23,18 +23,16 @@ returned bound:
   Taylor expansion in the height offset about its midpoint, after
   Odlyzko and Schoenhage: one phase reduction per term and cluster, the
   moments of all clusters as one real matrix product, and an expansion
-  order set by the truncation tail;
-* when no two heights of a call share a cluster (one height, or far
-  apart), the (points x terms) phase matrix is summed directly, so
-  single points such as ``zeta_em`` keep their arithmetic.
+  order set by the truncation tail.  A lone height is a cluster of one.
 
-The Euler-Maclaurin sum over a sigma grid at one height takes its unit
+The Riemann-Siegel and functional-equation sums run to
+N = floor(sqrt(t/2pi)), which varies with t; ``_truncated_sums`` groups
+the heights by N and calls the kernel once per group.  The
+Euler-Maclaurin sum over a sigma grid at one height takes its unit
 phases from the same ``_unit_phases`` and shares the correction tail
 ``_em_tail`` with the height batch.  The exact mean square of
 :mod:`bsylab.dirichlet` takes its phases from ``_unit_phases`` too: its
-pair sum is a bilinear form in the phases at T and 2T.  The
-Riemann-Siegel main sum keeps its own cos-only loop: Z needs only the
-real part, and ``_phase_sum`` pays for both cos and sin.  Phases are
+pair sum is a bilinear form in the phases at T and 2T.  Phases are
 reduced mod 2*pi in longdouble everywhere; everything else is
 compensated float64.
 """
@@ -201,10 +199,10 @@ def _phase_roundoff(tmax: float, lmax: float, amp_sum: float) -> float:
     ~1.1e-19), so each term carries an absolute phase error of order
     t*log(n)*1e-19; the amplitude-weighted total plus double-precision
     rounding of the unit phases and the accumulation gives the floor.
-    ``_phase_sum`` returns it as the bound of the direct path and adds
-    the eps remainder on the grid path, and the truncation tail and the
-    rounding of the expansion (this floor at tmax = 0, times e^r - 1) on
-    the cluster path.
+    ``_phase_sum`` adds the eps remainder to it on the grid path, and the
+    truncation tail and the rounding of the expansion (this floor at
+    tmax = 0, times e^r - 1) on the cluster path; a lone height gets the
+    floor alone.
     """
     return (1.5e-18 * (1.0 + tmax) * lmax + 1.5e-15) * amp_sum
 
@@ -246,7 +244,7 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
     ``logs`` are the l_n >= 0 in longdouble, ``amps`` the real a_n and
     ``ts`` a 1-d float array, in any order.  The bound is the
     floating-point floor of ``_phase_roundoff`` plus the remainder of
-    whichever of three paths runs:
+    whichever of two paths runs:
 
     * Uniform grid.  When ts is an arithmetic progression
       t_k = t_0 + k*dt (to within _GRID_ULPS ulps) and B + J < K, the sum
@@ -278,19 +276,19 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
       and sums round relative to sum_j |m_j| |x|^j, which can reach
       e^r sum|a_n|.  The floor's phase part is not scaled, because the
       expansion passes an error in a_n exp(-i c l_n) on unamplified.
-    * Isolated heights.  When no two heights share a cluster (one
-      height, or all more than 2*rho apart), the phase matrix is summed
-      directly, in chunks of _EM_CHUNK, with the floor as the bound; so
-      single points keep the arithmetic they had before clusters.
+      A lone height is a cluster of one: x = 0, r = 0, J = 1, no tail,
+      so its bound is the floor.
     """
     K, M = ts.size, logs.size
     amps_abs = np.abs(amps)
     amp_sum = float(amps_abs.sum())
     lmax = float(np.max(logs, initial=0.0))
-    tmax = float(np.max(np.abs(ts))) if K else 0.0
+    tmax = float(np.max(np.abs(ts), initial=0.0))
     bound = _phase_roundoff(tmax, lmax, amp_sum)
     vals = np.empty(K, dtype=complex)
-    J = min(math.isqrt(max(K - 1, 0)) + 1, max(1, _EM_CHUNK // max(M, 1)))
+    if K == 0:
+        return vals, bound
+    J = min(math.isqrt(K - 1) + 1, max(1, _EM_CHUNK // max(M, 1)))
     B = -(-K // J)
     grid = _as_progression(ts) if B + J < K else None
     if grid is not None:
@@ -321,17 +319,6 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
     while i < K:
         starts.append(i)
         i = nxt[i]
-    if len(starts) == K:
-        step = max(1, _EM_CHUNK // max(M, 1))
-        for i in range(0, K, step):
-            sl = slice(i, min(i + step, K))
-            ph = ((ts[sl].astype(np.longdouble)[:, None] * logs[None, :])
-                  % _TWO_PI_LD).astype(float)
-            # real/imag accumulated separately: ~3x faster than complex exp
-            vals[sl] = (amps[None, :] * np.cos(ph)).sum(axis=1)
-            vals[sl] -= 1j * (amps[None, :] * np.sin(ph)).sum(axis=1)
-        return vals, bound
-
     C = len(starts)
     starts = np.array(starts)
     ends = np.append(starts[1:], K)
@@ -410,8 +397,7 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     chunk wildly different heights separately.  The main sum over n < M
     is one ``_phase_sum``: a blocked matrix product when ts is a uniform
     grid, a Taylor expansion about each cluster of nearby heights
-    otherwise, and the direct longdouble-phase sum when no two heights
-    are near (so a single point sums directly).  The bound is the
+    otherwise (a single point is a cluster of one).  The bound is the
     remainder bound plus that sum's bound.
     """
     ts = np.asarray(ts, dtype=float)
@@ -482,33 +468,46 @@ def rs_error_bound(t, n_corr: int):
     return RS_BOUND_COEF[n_corr] * t ** (-(2 * n_corr + 1) / 4.0) + 5e-18 * t
 
 
+def _truncated_sums(ts: np.ndarray,
+                    exponents) -> tuple[np.ndarray, np.ndarray]:
+    """sum over n <= floor(sqrt(t/2pi)) of n^(-e) n^(-it), per exponent e.
+
+    Heights are grouped by their truncation, and each group is one
+    ``_phase_sum`` per exponent.  Returns the sums and their bounds,
+    each of shape (len(exponents), len(ts)).
+    """
+    N = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
+    sums = np.empty((len(exponents), ts.size), dtype=complex)
+    bounds = np.empty((len(exponents), ts.size))
+    order = np.argsort(N, kind="stable")
+    Nuniq, starts = np.unique(N[order], return_index=True)
+    for Nv, idx in zip(Nuniq.tolist(), np.split(order, starts[1:])):
+        n = np.arange(1, Nv + 1, dtype=float)
+        lnn = np.log(n.astype(np.longdouble))
+        for row, e in enumerate(exponents):
+            sums[row, idx], bounds[row, idx] = _phase_sum(lnn, n ** -e,
+                                                          ts[idx])
+    return sums, bounds
+
+
 def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hardy Z via the Riemann-Siegel formula, vectorized, t >= RS_T_MIN."""
+    """Hardy Z via the Riemann-Siegel formula, vectorized, t >= RS_T_MIN.
+
+    The main sum is 2 Re(exp(i theta) S(t)), S(t) the sum over
+    n <= N = floor(sqrt(t/2pi)) of n^(-1/2) n^(-it) from
+    ``_truncated_sums``, with theta from ``_rs_theta_ld`` reduced by the
+    longdouble 2*pi.  The bound is ``rs_error_bound`` plus twice the
+    bound of S.
+    """
     ts = np.asarray(ts, dtype=float)
     if ts.size and float(np.min(ts)) < RS_T_MIN:
         raise ValueError("RS path requires t >= RS_T_MIN")
     tau = np.sqrt(ts / TWO_PI)
-    N = np.floor(tau).astype(int)
+    N = np.floor(tau)
     p = tau - N
-    theta_ld = _rs_theta_ld(ts)
-
-    vals = np.zeros(ts.shape)
-    # main sum, grouped by common truncation N.  Not a _phase_sum: Z
-    # needs only the cosines, and summing cos and sin through the shared
-    # kernel made the arg_scan benchmark ~7% slower (3 of 3 paired runs,
-    # 2-vCPU x86 machine).
-    order = np.argsort(N, kind="stable")
-    Nuniq, starts = np.unique(N[order], return_index=True)
-    bounds_idx = np.append(starts, N.size)
-    for Nv, a, b in zip(Nuniq, bounds_idx[:-1], bounds_idx[1:]):
-        idx = order[a:b]
-        n = np.arange(1, Nv + 1, dtype=float)
-        lnn = np.log(n.astype(np.longdouble))
-        arg = (theta_ld[idx][:, None]
-               - ts[idx].astype(np.longdouble)[:, None] * lnn[None, :]
-               ) % _TWO_PI_LD
-        vals[idx] = 2.0 * (np.cos(arg.astype(float))
-                           / np.sqrt(n)[None, :]).sum(axis=1)
+    rot = np.exp(1j * (_rs_theta_ld(ts) % _TWO_PI_LD).astype(float))
+    (S,), (S_bound,) = _truncated_sums(ts, (0.5,))
+    vals = 2.0 * (rot * S).real
 
     # correction terms
     corr = np.zeros(ts.shape)
@@ -520,7 +519,7 @@ def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
         taupow = taupow / tau
     sign = np.where(N % 2 == 1, 1.0, -1.0)
     vals += sign * tau ** (-0.5) * corr
-    return vals, rs_error_bound(ts, n_corr)
+    return vals, rs_error_bound(ts, n_corr) + 2.0 * S_bound
 
 
 def hardy_z_batch(ts: np.ndarray, abs_tol: float,
@@ -667,21 +666,10 @@ def zeta_afe_batch(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ts = np.asarray(ts, dtype=float)
     if ts.size and float(np.min(ts)) < RS_T_MIN:
         raise ValueError("AFE path requires t >= RS_T_MIN")
-    tau = np.sqrt(ts / TWO_PI)
-    N = np.floor(tau).astype(int)
     s = sigma + 1j * ts
     chi = np.exp(_log_chi(s))
-    vals = np.zeros(ts.shape, dtype=complex)
-    order = np.argsort(N, kind="stable")
-    Nuniq, starts = np.unique(N[order], return_index=True)
-    bidx = np.append(starts, N.size)
-    for Nv, a, b in zip(Nuniq, bidx[:-1], bidx[1:]):
-        idx = order[a:b]
-        n = np.arange(1, Nv + 1, dtype=float)
-        lnn = np.log(n.astype(np.longdouble))
-        # mirror sum of n^(sigma-1) n^(+it): the conjugate of a phase sum
-        direct, _ = _phase_sum(lnn, n ** (-sigma), ts[idx])
-        mirror, _ = _phase_sum(lnn, n ** (sigma - 1.0), ts[idx])
-        vals[idx] = direct + chi[idx] * np.conj(mirror)
+    # mirror sum of n^(sigma-1) n^(+it): the conjugate of a phase sum
+    (direct, mirror), _ = _truncated_sums(ts, (sigma, 1.0 - sigma))
+    vals = direct + chi * np.conj(mirror)
     bound = AFE_BOUND_COEF * ts ** (-sigma / 2.0 - 0.25)
     return vals, bound

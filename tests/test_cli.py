@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from bsylab import resonator
+from bsylab import dirichlet, resonator
 from bsylab.cli import RunConfig, load_run_config, run
+from bsylab.config import DEFAULT
 from bsylab.errors import ParseError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,6 +101,31 @@ def test_resonator_and_mv_roundtrip(tmp_path):
     doc = json.loads(out)
     assert set(doc) == {"lhs_re", "lhs_im", "rhs_re", "rhs_im",
                         "normalized_gap"}
+
+
+def test_mv_lemma3_evaluates_each_side_once(tmp_path, toy_table,
+                                            monkeypatch):
+    table = str(tmp_path / "toy.txt")
+    resonator.write_table(toy_table, table)
+    calls = []
+    lhs, rhs = dirichlet.lemma3_lhs, dirichlet.lemma3_rhs
+
+    def counted_lhs(req, cfg=DEFAULT, spacing=0.05):
+        calls.append(("lhs", spacing))
+        return lhs(req, cfg, spacing=spacing)
+
+    def counted_rhs(req):
+        calls.append(("rhs", None))
+        return rhs(req)
+
+    monkeypatch.setattr(dirichlet, "lemma3_lhs", counted_lhs)
+    monkeypatch.setattr(dirichlet, "lemma3_rhs", counted_rhs)
+    code, _ = _run(["mv", "lemma3", "--table", table, "--alpha", "0.6",
+                    "--h", "0.1", "--T", "100"])
+    assert code == 0
+    # refinement may call lemma3_lhs again at a finer spacing
+    assert calls.count(("lhs", 0.05)) == 1
+    assert calls.count(("rhs", None)) == 1
 
 
 @pytest.mark.parametrize("argv", [

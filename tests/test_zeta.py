@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bsylab import errors, zeta
 from bsylab.config import DEFAULT, PrecisionConfig
+from bsylab.quadrature import GK15_NODES
 from bsylab.zeta import (
     _rs_theta_ld,
     hardy_z,
@@ -129,6 +130,23 @@ def test_rs_error_bound_conservative(n_corr):
         assert abs(v - float(mpmath.siegelz(float(t)))) <= b
 
 
+@pytest.mark.parametrize("ts", [
+    np.linspace(5000.0, 5010.0, 2001),
+    20000.3 + 0.013 * np.arange(1500),
+    1e3 + 0.05 * GK15_NODES,
+    np.geomspace(35.0, 2e5, 40),
+], ids=["linspace", "arange", "gk", "lone"])
+def test_rs_on_phase_kernel_matches_mpmath(ts):
+    # one truncation group on a grid (twice), one cluster, and heights
+    # each in a group of its own
+    vals, bounds = zeta._rs_z_batch(ts, 4)
+    K = ts.size
+    for k in np.unique(np.r_[1, K - 2, np.linspace(0, K - 1, 15)]
+                       .astype(int)).tolist():
+        err = abs(vals[k] - float(mpmath.siegelz(float(ts[k]))))
+        assert err <= bounds[k], (k, err, bounds[k])
+
+
 def test_hardy_z_batch_agrees_with_em():
     ts = np.linspace(31.0, 4000.0, 400)
     vals, bounds = hardy_z_batch(ts, 1e-8, DEFAULT)
@@ -242,7 +260,7 @@ def test_afe_grid_path_matches_pointwise():
     vals, _ = zeta.zeta_afe_batch(0.6, ts)
     for k in (0, 777, 2000):
         one, _ = zeta.zeta_afe_batch(0.6, ts[k:k + 1])
-        # the single point takes the direct path, ~4e-15 off the grid
+        # the single point is a cluster of one, ~4e-15 off the grid
         # path here; a grouping or conjugation slip would show at the
         # size of the sums, far above 1e-10
         assert abs(vals[k] - one[0]) <= 1e-10
@@ -269,7 +287,6 @@ def _em_terms(sigma, M):
 @pytest.mark.parametrize("t", [150.0, 1200.0, 2e4])
 @pytest.mark.parametrize("sigma", [0.5, 0.6, 2.0])
 def test_em_clusters_match_mpmath(sigma, t):
-    from bsylab.quadrature import GK15_NODES
     h = 1e-5
     calls = {f"gk{w}": t + w * GK15_NODES for w in (0.5, 0.07, 1e-3)}
     calls["triplet"] = t + np.array([0.0, h, -h])      # as _newton_polish
@@ -284,31 +301,31 @@ def test_em_clusters_match_mpmath(sigma, t):
 
 
 def test_cluster_path_input_order_and_repeats():
-    logs, amps = _em_terms(0.6, 400)
-    # unsorted, one height repeated, two clusters and a lone height
-    ts = np.array([1000.4, 1000.1, 1005.0, 1000.4, 1000.25, 1000.9, 1000.7])
-    vals, bound = zeta._phase_sum(logs, amps, ts)
-    assert vals[0] == vals[3]
-    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
-    rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
-    assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
+    cases = {
+        # unsorted, one height repeated, two clusters and a lone height
+        "mixed": (0.6, 400, [1000.4, 1000.1, 1005.0, 1000.4, 1000.25,
+                             1000.9, 1000.7]),
+        "K1": (0.6, 400, [1000.4]),
+        # more than 2*rho apart, so every height is a cluster of one
+        "isolated": (0.5, 3000, [2e4, 150.3, 1200.7, 1201.9]),
+    }
+    for name, (sigma, M, ts) in cases.items():
+        logs, amps = _em_terms(sigma, M)
+        ts = np.array(ts)
+        vals, bound = zeta._phase_sum(logs, amps, ts)
+        err = np.abs(vals - _direct_sum(logs, amps, ts))
+        assert np.all(err <= bound), name
+        rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
+        assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound), name
+        if name == "mixed":
+            assert vals[0] == vals[3]
 
 
-@pytest.mark.parametrize("ts", [np.array([]), np.array([1000.4])],
-                         ids=["K0", "K1"])
+@pytest.mark.parametrize("ts", [np.array([])], ids=["K0"])
 def test_phase_sum_tiny_inputs(ts):
     logs, amps = _em_terms(0.6, 400)
     vals, _ = zeta._phase_sum(logs, amps, ts)
     assert vals.shape == ts.shape
-    assert np.array_equal(vals, _direct_sum(logs, amps, ts))
-
-
-def test_isolated_heights_sum_directly():
-    # more than 2*rho apart, so no two heights share a cluster
-    logs, amps = _em_terms(0.5, 3000)
-    ts = np.array([2e4, 150.3, 1200.7, 1201.9])
-    vals, _ = zeta._phase_sum(logs, amps, ts)
-    assert np.array_equal(vals, _direct_sum(logs, amps, ts))
 
 
 def test_low_expansion_order_stays_within_bound(monkeypatch):
