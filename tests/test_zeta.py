@@ -301,31 +301,34 @@ def test_em_clusters_match_mpmath(sigma, t):
 
 
 def test_cluster_path_input_order_and_repeats():
-    cases = {
-        # unsorted, one height repeated, two clusters and a lone height
-        "mixed": (0.6, 400, [1000.4, 1000.1, 1005.0, 1000.4, 1000.25,
-                             1000.9, 1000.7]),
-        "K1": (0.6, 400, [1000.4]),
-        # more than 2*rho apart, so every height is a cluster of one
-        "isolated": (0.5, 3000, [2e4, 150.3, 1200.7, 1201.9]),
-    }
-    for name, (sigma, M, ts) in cases.items():
-        logs, amps = _em_terms(sigma, M)
-        ts = np.array(ts)
-        vals, bound = zeta._phase_sum(logs, amps, ts)
-        err = np.abs(vals - _direct_sum(logs, amps, ts))
-        assert np.all(err <= bound), name
-        rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
-        assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound), name
-        if name == "mixed":
-            assert vals[0] == vals[3]
+    # unsorted, one height repeated, two clusters and a lone height
+    logs, amps = _em_terms(0.6, 400)
+    ts = np.array([1000.4, 1000.1, 1005.0, 1000.4, 1000.25, 1000.9,
+                   1000.7])
+    vals, bound = zeta._phase_sum(logs, amps, ts)
+    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
+    rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
+    assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
+    assert vals[0] == vals[3]
 
 
-@pytest.mark.parametrize("ts", [np.array([])], ids=["K0"])
+@pytest.mark.parametrize("ts", [np.array([]), np.array([1000.4])],
+                         ids=["K0", "K1"])
 def test_phase_sum_tiny_inputs(ts):
     logs, amps = _em_terms(0.6, 400)
-    vals, _ = zeta._phase_sum(logs, amps, ts)
+    vals, bound = zeta._phase_sum(logs, amps, ts)
     assert vals.shape == ts.shape
+    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
+
+
+def test_isolated_heights_sum_directly():
+    # more than 2*rho apart, so every height is a cluster of one
+    logs, amps = _em_terms(0.5, 3000)
+    ts = np.array([2e4, 150.3, 1200.7, 1201.9])
+    vals, bound = zeta._phase_sum(logs, amps, ts)
+    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
+    rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
+    assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
 
 
 def test_low_expansion_order_stays_within_bound(monkeypatch):
