@@ -102,7 +102,7 @@ def _apply_flag_overrides(rc: RunConfig, args) -> RunConfig:
 
 def _load_zeros(path: str, need_height: float,
                 cfg: PrecisionConfig) -> zeros.ZeroList:
-    """Zero list from a cache file, recomputed/extended when too short."""
+    """Cached zeros covering need_height, else all found anew and cached."""
     if os.path.exists(path):
         zl = zeros.import_zeros(path)
         if zl.covered_height >= need_height:

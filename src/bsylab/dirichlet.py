@@ -209,7 +209,8 @@ def lemma3_lhs(req: Lemma3Request, cfg: PrecisionConfig = DEFAULT,
 
     Composite-Simpson on a uniform grid (halved once for an error
     check); the vertical branch of log zeta is unwrapped along the grid
-    and anchored to the horizontal-tracking branch at both ends.
+    and anchored to the horizontal-tracking branch at both ends.  The
+    spacing is quartered to 1e-3 at most, then ToleranceNotMet is raised.
     """
     alpha, h, T = req.alpha, req.h, req.T
     if alpha < 0.5 + req.eps_margin:
@@ -234,10 +235,13 @@ def lemma3_lhs(req: Lemma3Request, cfg: PrecisionConfig = DEFAULT,
     # only the discretization part responds to refinement; the pointwise
     # evaluation-error term is a property of the zeta engine, not the grid
     est_quad = abs(fine - coarse) / 15.0
-    if est_quad > max(cfg.quad_tol * T, 1e-6 * abs(fine) + 1e-12):
-        return lemma3_lhs(req, cfg, spacing=spacing / 4.0) \
-            if spacing > 1e-3 else fine
-    return fine
+    tol = max(cfg.quad_tol * T, 1e-6 * abs(fine) + 1e-12)
+    if est_quad <= tol:
+        return fine
+    if spacing > 1e-3:
+        return lemma3_lhs(req, cfg, spacing=spacing / 4.0)
+    raise errors.ToleranceNotMet(
+        f"lemma3_lhs: estimate {est_quad:.3e} exceeds the tolerance {tol:.3e}")
 
 
 def lemma3_rhs(req: Lemma3Request) -> complex:

@@ -1,11 +1,16 @@
 """Nontrivial-zero ordinates: production, import/export, validation,
-and the counting function N(t).
+and the counting function N(t), certified by Turing's method.
 
-Counting is double-checked: the smooth count round(theta/pi + 1 + S(t))
-from branch-tracked arg zeta must match the sign-change count of Hardy's
-Z.  No Turing-method rigor is attempted at desk heights; the double
-check substitutes (mismatch raises Inconsistent and triggers grid
-refinement in find_zeros_up_to).
+Z is scanned at 1e-6 through the Gram points g_n (theta(g_n) = n pi),
+``_SCAN_DENSITY`` steps per Gram interval.  g_n is good when (-1)^n Z(g_n)
+exceeds its error bound.  A Gram block [g_j, g_k) between consecutive
+good points with fewer than k - j sign changes breaks Rosser's rule and
+is re-scanned at 4x the density, up to ``_ESCALATION_ROUNDS`` times.  K
+blocks that keep the rule above g_n > 168 pi, K >= 0.0061 log^2 g_p +
+0.08 log g_p at their top g_p, give N(g_n) <= n + 1 (R. P. Brent, Math.
+Comp. 33 (1979) 1361-1372, Th. 3.2); n + 1 sign changes below g_n then
+account for every zero up to it.  A block still short after the
+re-scans, or any other total, raises Inconsistent.
 """
 
 import math
@@ -20,16 +25,17 @@ from .config import DEFAULT, PrecisionConfig
 #: Default absolute accuracy of computed ordinates.
 ORDINATE_ACCURACY = 1e-9
 
-#: Zeros are scanned with step ~ mean_gap / _SCAN_DENSITY.
-_SCAN_DENSITY = 24.0
+#: Scan steps per Gram interval.
+_SCAN_DENSITY = 24
 
-_BLOCK = 128.0
+#: A short Gram block is re-scanned at 4x the density this many times.
+_ESCALATION_ROUNDS = 4
 
-#: Census edges step this far off a found ordinate (0.05 clearance).
-_EDGE_STEP = 0.07
+#: Lehman's bound on the integral of S holds above this height.
+_TURING_T_MIN = 168.0 * math.pi
 
-#: The scan reaches this far past T, so the last edge can move up.
-_EDGE_PAD = 1.0
+#: Gram intervals scanned above the one at max(T, 168 pi).
+_SCAN_MARGIN = 16
 
 #: Secant points are kept this fraction of the bracket width inside it.
 _REFINE_MARGIN = 1e-6
@@ -89,24 +95,6 @@ def mean_gap(t: float) -> float:
     return 2.0 * math.pi / math.log(max(t, 20.0) / (2.0 * math.pi))
 
 
-def _scan_grid(lo: float, hi: float, density: float) -> np.ndarray:
-    """Height-adapted scan grid on [lo, hi]."""
-    pieces = []
-    a = lo
-    while a < hi:
-        b = min(hi, max(a * 1.5, a + 64.0))
-        step = mean_gap(b) / density
-        pieces.append(np.arange(a, b, step))
-        a = b
-    pieces.append(np.array([hi]))
-    return np.concatenate(pieces)
-
-
-def _z_signs(ts: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
-    vals, _ = zeta.hardy_z_batch(ts, 1e-6, cfg)
-    return vals
-
-
 def _refine_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
                      fhi: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
     """Vectorized Illinois (modified regula falsi) on sign-change brackets.
@@ -159,110 +147,104 @@ def _newton_polish(g: np.ndarray, cfg: PrecisionConfig,
     return g
 
 
-def _smooth_count(t: float, cfg: PrecisionConfig) -> int:
-    """round(theta(t)/pi + 1 + S(t)) with branch-tracked S."""
-    th = zeta.rs_theta(t)
-    lz = zeta.log_zeta_branch(0.5, t, cfg)
-    x = th / math.pi + 1.0 + lz.imag / math.pi
-    n = int(round(x))
-    if abs(x - n) > 0.25:
+def _gram_index(t: float) -> int:
+    """Largest n with g_n <= t; -2 on [5, g_{-1}), where theta < -pi."""
+    return math.floor(float(zeta._theta_any(np.array([max(t, 5.0)]))[0])
+                      / math.pi)
+
+
+def _find_in_window(j: int, k: int, density: int, cfg: PrecisionConfig):
+    """Z at 1e-6 on [g_j, g_k], ``density`` steps per Gram interval
+    (g_{-2} = 5): the Gram heights, which are good, and the sign-change
+    brackets as rows (lo, hi, Z(lo), Z(hi), Gram interval index)."""
+    ns = np.arange(j, k + 1)
+    gs = np.where(ns < -1, 5.0, zeta.gram_points(np.maximum(ns, -1)))
+    grid = np.append((gs[:-1, None] + np.diff(gs)[:, None]
+                      * (np.arange(density) / density)).ravel(), gs[-1])
+    vals, errs = zeta.hardy_z_batch(grid, 1e-6, cfg)
+    good = (ns >= -1) & ((-1.0) ** ns * vals[::density] > errs[::density])
+    i = np.flatnonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))
+    return gs, good, np.array([grid[i], grid[i + 1], vals[i], vals[i + 1],
+                               j + i // density])
+
+
+def _certified_scan(T: float, cfg: PrecisionConfig, a: int = -2,
+                    below: int = 0) -> np.ndarray:
+    """Sign-change brackets (lo, hi, Z(lo), Z(hi)) of Z above g_a, ascending.
+
+    g_a is good with ``below`` zeros under it (a = -2: t = 5).  g_n is the
+    first good Gram point above max(T, 168 pi); the scan ends at the top
+    g_p of the K blocks above it.  Each bracket below g_n then holds one
+    zero and no other zero lies below g_n; else raises Inconsistent.
+    """
+    m = _gram_index(max(T, _TURING_T_MIN)) + 1
+    gs, good, br = _find_in_window(a, m + _SCAN_MARGIN, _SCAN_DENSITY, cfg)
+    goods = np.flatnonzero(good) + a
+    after = goods[goods >= m]
+    L = np.log(gs[after - a])
+    K = np.flatnonzero(np.arange(after.size) >= 0.0061 * L * L + 0.08 * L)
+    if not np.any(K > 0):
         raise errors.Inconsistent(
-            f"smooth zero count {x} suspiciously far from an integer at t={t}")
-    return n
+            f"no Turing certificate within {_SCAN_MARGIN} Gram intervals "
+            f"above g_{m} = {gs[m - a]}")
+    n, p = int(after[0]), int(after[K[K > 0][0]])
+    goods, br = goods[goods <= p], br[:, br[4] < p]
+    short = np.diff(np.searchsorted(br[4], goods)) < np.diff(goods)
+    for j, k in zip(goods[:-1][short].tolist(), goods[1:][short].tolist()):
+        inside = (br[4] >= j) & (br[4] < k)
+        sub, density = br[:, inside], _SCAN_DENSITY
+        for _ in range(_ESCALATION_ROUNDS):
+            if sub.shape[1] >= k - j:
+                break
+            density *= 4
+            sub = _find_in_window(j, k, density, cfg)[2]
+        if sub.shape[1] < k - j:
+            raise errors.Inconsistent(
+                f"Gram block [g_{j}, g_{k}) has {sub.shape[1]} sign changes"
+                f" at {density} steps per interval; Rosser's rule needs "
+                f"{k - j}")
+        br = np.concatenate([br[:, ~inside], sub], axis=1)
+    got = below + int(np.count_nonzero(br[4] < n))
+    if got != n + 1:
+        raise errors.Inconsistent(f"{got} zeros below g_{n} = {gs[n - a]}; "
+                                  f"Turing's method certifies {n + 1}")
+    return br[:4, np.argsort(br[0])]
 
 
 def count_zeros(t: float, cfg: PrecisionConfig = DEFAULT) -> int:
-    """N(t), cross-checked between the smooth formula and sign changes."""
+    """N(t) from the certified brackets; Z(t) places the one across t."""
     if t < 10.0:
         raise ValueError("count_zeros requires t >= 10")
     zt, _ = zeta.hardy_z_batch(np.array([t]), 1e-9, cfg)
     if abs(float(zt[0])) < 1e-6:
         raise errors.OnOrdinate(f"t = {t} is (numerically) a zero ordinate")
-    n_formula = _smooth_count(t, cfg)
-    n_scan = _sign_change_count(t, cfg)
-    if n_formula != n_scan:
-        raise errors.Inconsistent(
-            f"N({t}): smooth formula gives {n_formula}, sign-change scan "
-            f"gives {n_scan}")
-    return n_formula
-
-
-def _sign_change_count(t: float, cfg: PrecisionConfig,
-                       density: float = _SCAN_DENSITY) -> int:
-    grid = _scan_grid(5.0, t, density)
-    vals = _z_signs(grid, cfg)
-    return int(np.count_nonzero(np.sign(vals[1:]) != np.sign(vals[:-1])))
+    lo, hi, flo, _ = _certified_scan(t, cfg)
+    return int(np.count_nonzero(
+        (lo < t) & ((hi <= t) | (np.sign(flo) != np.sign(zt[0])))))
 
 
 def find_zeros_up_to(T: float, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
-    """All ordinates in (0, T], verified against the independent count.
-
-    Scans Z for sign changes with height-adapted steps on (5, T + 1],
-    refines each bracket by Illinois at 1e-9, Newton-polishes on the
-    accurate path, and checks every 128-unit block against
-    round(theta/pi + 1 + S), re-scanning a block at up to 256x the
-    density when the two disagree.  Census edges are moved off found
-    ordinates: interior edges downward, the last edge upward past T, so
-    a zero just below T stays in the list, which is then cut at T.
-    """
+    """All ordinates in (0, T], complete by Turing's method: the certified
+    brackets that start at or below T, refined by Illinois at 1e-9,
+    Newton-polished on the accurate path and cut at T."""
     if T < 15.0:
         raise ValueError("find_zeros_up_to requires T >= 15")
-    found = _find_in_window(5.0, T + _EDGE_PAD, cfg, _SCAN_DENSITY)
-
-    # block-wise census against the smooth count
-    edges = [_shift_off_ordinate(e, found, -_EDGE_STEP)
-             for e in np.arange(_BLOCK, T, _BLOCK)]
-    edges.append(_shift_off_ordinate(T, found, _EDGE_STEP))
-    prev = 0
-    lo_edge = 5.0
-    zs = []
-    for e_eff in edges:
-        c = _smooth_count(e_eff, cfg)
-        expect = c - prev
-        got = found[(found > lo_edge) & (found <= e_eff)]
-        density = _SCAN_DENSITY
-        for _ in range(4):
-            if got.size == expect:
-                break
-            density *= 4.0
-            got = _find_in_window(max(lo_edge - 0.5, 5.0), e_eff + 1e-12,
-                                  cfg, density)
-            got = got[(got > lo_edge) & (got <= e_eff)]
-        if got.size != expect:
-            raise errors.Inconsistent(
-                f"block ({lo_edge}, {e_eff}]: found {got.size} zeros, "
-                f"smooth count expects {expect}")
-        zs.append(got)
-        prev, lo_edge = c, e_eff
-    ordinates = np.concatenate(zs)
-    ordinates = ordinates[ordinates <= T]
-    return ZeroList(ordinates, covered_height=T, source="computed",
-                    verified=True)
-
-
-def _find_in_window(lo: float, hi: float, cfg: PrecisionConfig,
-                    density: float) -> np.ndarray:
-    grid = _scan_grid(lo, hi, density)
-    vals = _z_signs(grid, cfg)
-    idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
-    if idx.size == 0:
-        return np.zeros(0)
-    roots = _refine_brackets(grid[idx], grid[idx + 1], vals[idx],
-                             vals[idx + 1], cfg)
-    return np.sort(_newton_polish(roots, cfg))
-
-
-def _shift_off_ordinate(e: float, found: np.ndarray, step: float) -> float:
-    """Step a census edge until every found ordinate is over 0.05 away."""
-    for _ in range(50):
-        if found.size == 0 or np.min(np.abs(found - e)) > 0.05:
-            return e
-        e = max(e + step, 10.0)
-    return e
+    lo, hi, flo, fhi = _certified_scan(T, cfg)
+    m = lo <= T
+    roots = _refine_brackets(lo[m], hi[m], flo[m], fhi[m], cfg)
+    ordinates = np.sort(_newton_polish(roots, cfg))
+    return ZeroList(ordinates[ordinates <= T], covered_height=T,
+                    source="computed", verified=True)
 
 
 def verify_zero_list(zl: ZeroList, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
-    """Set ``verified`` by census and per-entry residual checks."""
+    """Set ``verified`` by per-entry residuals and a certified count.
+
+    Each ordinate must be a root of Z.  With g_a the last good Gram point
+    at or below the covered height H, the ordinates below g_a count
+    towards Turing's n + 1, and each sign change of Z in (g_a, H] must
+    hold exactly one listed ordinate.
+    """
     g = zl.ordinates
     if g.size:
         h = 1e-5
@@ -276,13 +258,24 @@ def verify_zero_list(zl: ZeroList, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
             raise errors.Inconsistent(
                 "zero residual |Z(gamma)| too large",
                 index=int(np.nonzero(bad)[0][0]))
-    top = _shift_off_ordinate(zl.covered_height, g, -_EDGE_STEP)
-    expected = _smooth_count(top, cfg) if top >= 10 else 0
-    n_in = int(np.count_nonzero(g <= top))
-    if n_in != expected:
+    # the window starts at g_a, the last good of the 9 Gram points up to H
+    H = zl.covered_height
+    j = max(_gram_index(H) - 8, -2)
+    gs, good, _ = _find_in_window(j, _gram_index(H), 1, cfg)
+    a = j + int(np.max(np.flatnonzero(good), initial=0))
+    ga = float(gs[a - j])
+    br = _certified_scan(H, cfg, a, int(np.count_nonzero(g < ga)))
+    lo, hi, flo = br[:3, br[0] < H]
+    held = np.searchsorted(g, hi, "right") - np.searchsorted(g, lo, "left")
+    unheld_across = bool(held.size) and hi[-1] > H and held[-1] == 0
+    if unheld_across:  # Z must keep its sign from lo[-1] to H
+        zh, eh = zeta.hardy_z_batch(np.array([H]), 1e-9, cfg)
+        unheld_across = not (zh[0] * flo[-1] > 0 and abs(zh[0]) > eh[0])
+    if unheld_across or np.any(held[hi <= H] != 1) or np.any(held > 1) \
+            or held.sum() != np.count_nonzero(g > ga):
         raise errors.Inconsistent(
-            f"census mismatch: list has {n_in} zeros below {top}, "
-            f"smooth count expects {expected}")
+            f"listed ordinates in ({ga}, {H}] do not match the sign "
+            f"changes of Z one to one")
     return ZeroList(zl.ordinates, zl.covered_height, zl.source, True)
 
 
@@ -300,15 +293,10 @@ def import_zeros(stream) -> ZeroList:
     H below the last ordinate raises ParseError), else it is the last
     ordinate.
     """
-    close = False
     if isinstance(stream, (str, os.PathLike)):
-        stream = open(stream, "r", encoding="utf-8")
-        close = True
-    try:
-        return _parse_zero_lines(stream)
-    finally:
-        if close:
-            stream.close()
+        with open(stream, encoding="utf-8") as f:
+            return _parse_zero_lines(f)
+    return _parse_zero_lines(stream)
 
 
 _HEADER = "# zero ordinates up to "
@@ -356,16 +344,12 @@ def _parse_zero_lines(stream) -> ZeroList:
 
 
 def export_zeros(zl: ZeroList, stream) -> None:
-    """Write the plain-text format (12 decimal places)."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8")
-        close = True
-    try:
-        stream.write(f"{_HEADER}{zl.covered_height!r}\n")
-        stream.write(f"# source={zl.source} verified={zl.verified}\n")
-        for g in zl.ordinates:
-            stream.write(f"{g:.12f}\n")
-    finally:
-        if close:
-            stream.close()
+    """Write the plain-text format (12 decimal places) to a path or stream."""
+    lines = [f"{_HEADER}{zl.covered_height!r}\n",
+             f"# source={zl.source} verified={zl.verified}\n"]
+    lines += [f"{g:.12f}\n" for g in zl.ordinates]
+    if isinstance(stream, (str, os.PathLike)):
+        with open(stream, "w", encoding="utf-8") as f:
+            f.writelines(lines)
+    else:
+        stream.writelines(lines)

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import lambertw, loggamma
 
 from . import errors
 from ._rs_coeffs import C0_CHEB, C1_CHEB, C2_CHEB, C3_CHEB
@@ -169,6 +169,16 @@ def _theta_any(ts: np.ndarray) -> np.ndarray:
     if np.any(~big):
         out[~big] = _theta_smallt(ts[~big])
     return out
+
+
+def gram_points(ns: np.ndarray) -> np.ndarray:
+    """Gram points g_n, theta(g_n) = n pi (n >= -1): Newton steps on
+    ``_theta_any`` from the root 2 pi exp(1 + W((8n + 1)/(8e))) of
+    theta's leading terms (t/2) log(t/(2 pi e)) - pi/8."""
+    g = TWO_PI * np.exp(1.0 + lambertw((8.0 * ns + 1.0) / (8.0 * math.e)).real)
+    for _ in range(6):
+        g -= (_theta_any(g) - math.pi * ns) / (0.5 * np.log(g / TWO_PI))
+    return g
 
 
 # ----------------------------------------------------------------------

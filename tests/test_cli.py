@@ -160,6 +160,19 @@ def test_computational_errors_exit_2(cache_file, capsys):
     assert doc["error"] == "ZeroListInsufficient"
 
 
+def test_zeros_verify_missing_last_ordinate_exits_2(tmp_path, zeros_100,
+                                                   capsys):
+    from bsylab.zeros import ZeroList, export_zeros
+    path = tmp_path / "short.txt"
+    export_zeros(ZeroList(zeros_100.ordinates[:-1],
+                          zeros_100.covered_height), path)
+    assert run(["zeros", "verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err.strip().splitlines()[-1])
+    assert doc["error"] == "Inconsistent"
+
+
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg_path = tmp_path / "bsy.conf"
     cfg_path.write_text("quad_tol = 1e-7   # loose\n"

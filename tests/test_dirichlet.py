@@ -211,6 +211,21 @@ def test_lemma3_lhs_series_oracle_alpha2(trivial_table):
     assert abs(lhs - total) <= 1e-6
 
 
+def test_lemma3_lhs_unconverged_raises(trivial_table, monkeypatch):
+    from bsylab import dirichlet
+    vertical = dirichlet._log_zeta_vertical
+
+    def noisy(alpha, ts, cfg):
+        lz, err = vertical(alpha, ts, cfg)
+        return lz + 0.5 * (np.arange(ts.size) % 2), err  # odd nodes only
+
+    monkeypatch.setattr(dirichlet, "_log_zeta_vertical", noisy)
+    req = Lemma3Request(alpha=2.0, h=0.0, T=20.0, table=trivial_table)
+    with pytest.raises(errors.ToleranceNotMet,
+                       match="estimate .* exceeds the tolerance"):
+        lemma3_lhs(req, DEFAULT)
+
+
 @pytest.mark.parametrize("T, h", [(math.nan, 0.1), (math.inf, 0.1),
                                   (100.0, math.nan), (100.0, math.inf)])
 def test_lemma3_request_rejects_non_finite(toy_table, T, h):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsylab import errors
+from bsylab import errors, zeros
 from bsylab.config import DEFAULT
 from bsylab.zeros import (
     ORDINATE_ACCURACY,
     ZeroList,
+    _certified_scan,
     _refine_brackets,
     _SCAN_DENSITY,
     count_zeros,
@@ -24,7 +25,7 @@ from bsylab.zeros import (
     mean_gap,
     verify_zero_list,
 )
-from bsylab.zeta import hardy_z, hardy_z_batch
+from bsylab.zeta import gram_points, hardy_z, hardy_z_batch
 
 mpmath.mp.dps = 30
 
@@ -98,6 +99,44 @@ def test_illinois_refinement_matches_mpmath():
         assert abs(r - _zetazero(k)) <= ORDINATE_ACCURACY
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 100, 1000, 6700, 13000])
+def test_gram_points_match_mpmath(n):
+    # theta(g) in float64 rounds g to about one ulp at 1.3e4 (1.8e-12)
+    assert abs(float(gram_points(n)) - float(mpmath.grampoint(n))) <= 2e-12
+
+
+# 98.82/98.84 and 111.02/111.04 lie 0.01 either side of gamma_29 and
+# gamma_35, in the zero's scan step, where Z(t) places the zero
+@pytest.mark.parametrize("t", [100.0, 550.5, 1004.3, 98.82, 98.84, 111.02,
+                               111.04])
+def test_count_zeros_matches_mpmath(t):
+    assert count_zeros(t, DEFAULT) == mpmath.nzeros(t)
+
+
+#: Good Gram points about the Lehmer pair: the block [g_6707, g_6709)
+#: holds both zeros in its first interval and none in its second.
+LEHMER_BLOCK = (6707, 6709)
+
+
+def test_coarse_scan_through_lehmer_pair(monkeypatch):
+    a = LEHMER_BLOCK[0]
+    below = int(mpmath.nzeros(float(gram_points(a))))
+    monkeypatch.setattr(zeros, "_SCAN_DENSITY", 1)
+    # one step per Gram interval misses the pair; with no re-scan the
+    # block's shortfall is fatal ...
+    monkeypatch.setattr(zeros, "_ESCALATION_ROUNDS", 0)
+    with pytest.raises(errors.Inconsistent,
+                       match=f"g_{a}, g_{LEHMER_BLOCK[1]}"):
+        _certified_scan(7005.2, DEFAULT, a, below)
+    # ... and the density escalation separates it
+    monkeypatch.undo()
+    monkeypatch.setattr(zeros, "_SCAN_DENSITY", 1)
+    lo, hi, _, _ = _certified_scan(7005.2, DEFAULT, a, below)
+    for gamma in map(_zetazero, LEHMER_PAIR):
+        assert np.count_nonzero((lo < gamma) & (gamma < hi)) == 1
+    assert np.count_nonzero((lo > 7004.9) & (hi < 7005.3)) == 2
+
+
 def test_lehmer_pair_in_tall_list(zeros_10k):
     for k in LEHMER_PAIR:
         assert abs(float(zeros_10k.ordinates[k - 1]) - _zetazero(k)) \
@@ -133,6 +172,22 @@ def test_verify_rejects_moved_ordinate(zeros_100):
     assert exc.value.index == 7
 
 
+# g_27 = 97.71 and g_28 = 99.99 are good, gamma_29 = 98.83: at H = 100
+# the count below g_28 misses gamma_29, at 99.9 its bracket holds no
+# listed ordinate, and at gamma_29 + 0.001 its bracket straddles H
+@pytest.mark.parametrize("H", [100.0, 99.9, 98.832])
+def test_verify_rejects_deleted_last_ordinate(zeros_100, H):
+    broken = ZeroList(zeros_100.ordinates[:-1], H)
+    with pytest.raises(errors.Inconsistent):
+        verify_zero_list(broken, DEFAULT)
+
+
+def test_verify_rejects_near_duplicate(zeros_100):
+    g = np.insert(zeros_100.ordinates, 10, zeros_100.ordinates[9] + 1e-10)
+    with pytest.raises(errors.Inconsistent):
+        verify_zero_list(ZeroList(g, zeros_100.covered_height), DEFAULT)
+
+
 def test_mean_gap_positive_and_shrinking():
     assert mean_gap(100.0) > mean_gap(1000.0) > 0
 
@@ -147,6 +202,10 @@ def test_export_import_roundtrip(zeros_100, tmp_path):
     # the "# zero ordinates up to H" header carries the covered height
     assert back.covered_height == zeros_100.covered_height
     assert back.covered_height > float(back.ordinates[-1])
+    # a pathlib.Path serves as well as a str, both ways
+    export_zeros(zeros_100, path)
+    np.testing.assert_array_equal(import_zeros(path).ordinates,
+                                  back.ordinates)
 
 
 def test_import_bad_header_rejected():
