@@ -4,9 +4,10 @@ S(t) is (1/pi) times the imaginary part of the branch-tracked log zeta
 at 1/2 + it (continuous variation from sigma = 2).  S jumps by +1 at
 each simple zero ordinate; at an ordinate the half-sum of the one-sided
 limits is returned.  S1(t) is the antiderivative of S, computed two
-ways: directly (gap-wise, since between consecutive ordinates S differs
-from -theta/pi by a constant) and through the horizontal-segment
-integral of log|zeta| from 1/2 to 2, which matches up to a bounded
+ways: directly from the certified zero list (by Riemann-von Mangoldt,
+N(u) = theta(u)/pi + 1 + S(u), and N is constant on each gap between
+consecutive ordinates) and through the horizontal-segment integral of
+log|zeta| from 1/2 to 2, off the line, which matches up to a bounded
 additive term.  Scan statistics probe the growth of the running
 integral of log|zeta(1/2+iu)| and the signed size of short windowed
 integrals around the critical line.
@@ -90,8 +91,13 @@ def S1_direct(t: float, zeros: ZeroList,
               cfg: PrecisionConfig = DEFAULT) -> float:
     """Integral of S(u) for u in [0, t], gap-wise between ordinates.
 
-    Within a gap S(u) + theta(u)/pi is constant, so each gap costs one
-    branch-tracked anchor evaluation plus a smooth quadrature of theta.
+    By Riemann-von Mangoldt, S(u) = N(u) - 1 - theta(u)/pi, and on the
+    k-th gap of the certified list N(u) = k, so each gap costs only a
+    smooth quadrature of theta.  One witness guards a list that is
+    marked verified but wrong: S by branch-tracked log zeta at the
+    midpoint of the wider of the top two gaps must lie within 1/4 of
+    the count there (else Inconsistent).  It sees a missing or extra
+    ordinate anywhere below that midpoint.
     """
     t = float(t)
     zeros.require_height(t)
@@ -99,10 +105,19 @@ def S1_direct(t: float, zeros: ZeroList,
     edges = np.concatenate([[0.0], g, [t]])
     lo, hi = edges[:-1], edges[1:]
     keep = hi - lo > 1e-12
-    lo, hi = lo[keep], hi[keep]
-    mids = 0.5 * (lo + hi)
-    anchors = np.array([S_of_t(float(m), cfg) for m in mids])
-    c = anchors + zeta._theta_any(mids) / math.pi
+    lo, hi, n = lo[keep], hi[keep], np.arange(lo.size)[keep]
+    if not n.size:
+        return 0.0
+    k = n.size - 1  # the wider of the top two gaps, the upper on a tie
+    if k and hi[k - 1] - lo[k - 1] > hi[k] - lo[k]:
+        k -= 1
+    mid = 0.5 * (lo[k] + hi[k])
+    s = zeta.log_zeta_branch(0.5, mid, cfg).imag / math.pi
+    expect = n[k] - 1.0 - float(zeta._theta_any(np.array([mid]))[0]) / math.pi
+    if abs(s - expect) > 0.25:
+        raise errors.Inconsistent(
+            f"S({mid}) = {s:.6f} by branch tracking, but {expect:.6f} "
+            f"from the zero list's count N = {n[k]} there")
 
     # integral of theta over each gap by fixed high-order quadrature
     nodes, wts = _GL20
@@ -110,7 +125,7 @@ def S1_direct(t: float, zeros: ZeroList,
     ts = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes[None, :]
     th = zeta._theta_any(ts.ravel()).reshape(ts.shape)
     th_int = half * (th * wts[None, :]).sum(axis=1)
-    pieces = c * (hi - lo) - th_int / math.pi
+    pieces = (n - 1.0) * (hi - lo) - th_int / math.pi
     return comp_sum(pieces)
 
 

@@ -142,6 +142,51 @@ def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     return f
 
 
+def _panel_layout(cuts: np.ndarray, ords: np.ndarray):
+    """Panels (lo, hi, gamma, segment) over the non-empty [cuts[i], cuts[i+1]].
+
+    Each ordinate strictly inside a segment gets a singular panel capped
+    at _SING_RADIUS around it (wider panels would make the graded log
+    mesh resolve the weight poorly) and at the midpoints to its
+    neighbours in the segment.  Smooth filler panels (gamma NaN) cover
+    the rest of the segment, except pieces no wider than 1e-14.  Panels
+    come ascending, segment by segment; ``ords`` must be ascending.
+    """
+    nseg = cuts.size - 1
+    # segment of each ordinate: cuts[k - 1] < gamma < cuts[k]
+    k = np.searchsorted(cuts, ords)
+    inside = (k > 0) & (k <= nseg)
+    inside[inside] = ords[inside] < cuts[k[inside]]
+    g, sg = ords[inside], k[inside] - 1
+    a, b = cuts[sg], cuts[sg + 1]
+    first = np.ones(g.size, dtype=bool)
+    first[1:] = sg[1:] != sg[:-1]
+    last = np.append(first[1:], True)
+    mid = 0.5 * (g[1:] + g[:-1])
+    left = np.maximum(np.maximum(a, g - _SING_RADIUS),
+                      np.where(first, a, np.concatenate([a[:1], mid])))
+    right = np.minimum(np.minimum(b, g + _SING_RADIUS),
+                       np.where(last, b, np.append(mid, b[-1:])))
+    pos = np.where(first, a, np.concatenate([a[:1], right[:-1]]))
+    fill = left > pos + 1e-14
+    tail = last & (b > right + 1e-14)
+    bare = np.flatnonzero((np.bincount(sg, minlength=nseg) == 0)
+                          & (cuts[1:] > cuts[:-1]))
+    j = np.arange(g.size)
+    lo = np.concatenate([pos[fill], left, right[tail], cuts[bare]])
+    hi = np.concatenate([left[fill], right, b[tail], cuts[bare + 1]])
+    gs = np.concatenate([np.full(np.count_nonzero(fill), math.nan), g,
+                         np.full(np.count_nonzero(tail) + bare.size,
+                                 math.nan)])
+    seg = np.concatenate([sg[fill], sg, sg[tail], bare])
+    # within a segment: filler before ordinate j (2j), its panel (2j+1), tail
+    key = np.concatenate([2 * j[fill], 2 * j + 1,
+                          np.full(np.count_nonzero(tail) + bare.size,
+                                  2 * g.size)])
+    order = np.lexsort((key, seg))
+    return lo[order], hi[order], gs[order], seg[order]
+
+
 def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
                      cfg: PrecisionConfig, weight_f=_weight):
     """Integrals of log|Z(t)|*weight(t) over each [cuts[i], cuts[i+1]].
@@ -157,45 +202,7 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     if np.any(np.diff(cuts) < 0):
         raise ValueError("cuts must be ascending")
     nseg = cuts.size - 1
-    lo_all, hi_all, g_all, seg_all = [], [], [], []
-    for i in range(nseg):
-        a, b = cuts[i], cuts[i + 1]
-        if b <= a:
-            continue
-        g = ords[(ords > a) & (ords < b)]
-        # singular panels capped at _SING_RADIUS around each ordinate
-        # (wider panels would make the graded log mesh resolve the
-        # weight poorly); everything else is smooth filler.
-        left = np.maximum.reduce([np.full(g.shape, a),
-                                  g - _SING_RADIUS,
-                                  np.concatenate([[a], 0.5 * (g[1:] + g[:-1])])
-                                  ]) if g.size else np.zeros(0)
-        right = np.minimum.reduce([np.full(g.shape, b),
-                                   g + _SING_RADIUS,
-                                   np.concatenate([0.5 * (g[1:] + g[:-1]),
-                                                   [b]])
-                                   ]) if g.size else np.zeros(0)
-        pos = a
-        for j in range(g.size):
-            if left[j] > pos + 1e-14:
-                lo_all.append(pos)
-                hi_all.append(left[j])
-                g_all.append(math.nan)
-                seg_all.append(i)
-            lo_all.append(left[j])
-            hi_all.append(right[j])
-            g_all.append(g[j])
-            seg_all.append(i)
-            pos = right[j]
-        if b > pos + 1e-14 or not g.size:
-            lo_all.append(pos)
-            hi_all.append(b)
-            g_all.append(math.nan)
-            seg_all.append(i)
-    lo = np.asarray(lo_all)
-    hi = np.asarray(hi_all)
-    gs = np.asarray(g_all)
-    seg = np.asarray(seg_all, dtype=int)
+    lo, hi, gs, seg = _panel_layout(cuts, ords)
 
     vals = np.zeros(nseg)
     errs = np.zeros(nseg)

@@ -240,8 +240,10 @@ def find_zeros_up_to(T: float, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
 def verify_zero_list(zl: ZeroList, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
     """Set ``verified`` by per-entry residuals and a certified count.
 
-    Each ordinate must be a root of Z.  With g_a the last good Gram point
-    at or below the covered height H, the ordinates below g_a count
+    Each ordinate must be a root of Z with a certified sign change of Z
+    across [gamma - h, gamma + h], h = 1e-5, and no two ordinates lie
+    within 2h: each holds a zero of its own.  With g_a the last good Gram
+    point at or below the covered height H, the ordinates below g_a count
     towards Turing's n + 1, and each sign change of Z in (g_a, H] must
     hold exactly one listed ordinate.
     """
@@ -249,15 +251,23 @@ def verify_zero_list(zl: ZeroList, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
     if g.size:
         h = 1e-5
         # one call: each triplet shares one phase reduction
-        z, _ = zeta.hardy_z_batch(np.concatenate([g, g + h, g - h]),
+        z, e = zeta.hardy_z_batch(np.concatenate([g, g + h, g - h]),
                                   cfg.target_abs_error, cfg)
         vals, vp, vm = np.split(z, 3)
+        _, ep, em = np.split(e, 3)
         deriv = np.abs(vp - vm) / (2 * h)
         bad = np.abs(vals) > 1e-7 * np.maximum(deriv, 1.0)
         if np.any(bad):
             raise errors.Inconsistent(
                 "zero residual |Z(gamma)| too large",
                 index=int(np.nonzero(bad)[0][0]))
+        lone = (vp * vm < 0) & (np.abs(vp) > ep) & (np.abs(vm) > em)
+        lone[1:] &= np.diff(g) > 2 * h
+        if not np.all(lone):
+            i = int(np.nonzero(~lone)[0][0])
+            raise errors.Inconsistent(
+                f"no certified sign change of Z within {h} of the listed "
+                f"ordinate {g[i]} that no other entry shares", index=i)
     # the window starts at g_a, the last good of the 9 Gram points up to H
     H = zl.covered_height
     j = max(_gram_index(H) - 8, -2)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bsylab import errors
+from bsylab import errors, zeta
+from bsylab.accum import comp_sum
 from bsylab.argument import (
+    _GL20,
     S1_direct,
     S1_littlewood,
     S_of_t,
@@ -43,6 +45,35 @@ def test_s1_continuous_across_ordinate(zeros_100):
     lo = S1_direct(g1 - 1e-5, zeros_100, DEFAULT)
     hi = S1_direct(g1 + 1e-5, zeros_100, DEFAULT)
     assert abs(hi - lo) < 1e-3
+
+
+def _s1_branch_tracked(t, zl):
+    """S1 gap by gap, with S + theta/pi on each gap taken from S at its
+    midpoint by branch tracking (one log zeta per gap)."""
+    g = zl.ordinates[zl.ordinates < t]
+    lo, hi = np.concatenate([[0.0], g]), np.concatenate([g, [t]])
+    mids, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    c = np.array([S_of_t(m, DEFAULT) for m in mids.tolist()]) \
+        + zeta._theta_any(mids) / math.pi
+    nodes, wts = _GL20
+    th = zeta._theta_any(mids[:, None] + half[:, None] * nodes[None, :])
+    return comp_sum(c * (hi - lo) - half * (th @ wts) / math.pi)
+
+
+@pytest.mark.parametrize("t", [100.0, 300.0])
+def test_s1_direct_matches_branch_tracked_gaps(zeros_550, t):
+    assert abs(S1_direct(t, zeros_550, DEFAULT)
+               - _s1_branch_tracked(t, zeros_550)) <= 1e-10
+
+
+def test_s1_direct_rejects_list_missing_an_ordinate(zeros_100):
+    # the witness, in one of the top two gaps, lies above each of these
+    g = zeros_100.ordinates
+    for i in range(g.size - 1):
+        zl = ZeroList(np.delete(g, i), zeros_100.covered_height,
+                      verified=True)
+        with pytest.raises(errors.Inconsistent):
+            S1_direct(100.0, zl, DEFAULT)
 
 
 def test_s1_littlewood_on_ordinate_raises(zeros_100):

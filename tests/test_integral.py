@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bsylab import errors, integral, zeta
@@ -165,6 +167,57 @@ def test_scan_report_validation():
     with pytest.raises(ValueError):
         ScanReport(good, "bogus", np.array([]), 0.0)
     assert set(MODELS) == {"pure_power", "logT_over_T2", "sqrtlog_T2"}
+
+
+@st.composite
+def _cuts_and_ordinates(draw):
+    """Ordinates on a 1/8 grid in (0, 40); ascending cuts drawn from the
+    same grid, from any float, and from the ordinates and their panel
+    edges give or take a few ulps, with repeats (so some segments are
+    empty and some ordinates lie on a cut)."""
+    ords = np.unique(draw(st.lists(st.integers(1, 319), max_size=40))) / 8.0
+    pool = st.integers(0, 320).map(lambda i: i / 8.0) \
+        | st.floats(0.0, 40.0, allow_nan=False)
+    if ords.size:
+        edge = st.sampled_from(ords.tolist()) \
+            | st.sampled_from(ords.tolist()).map(
+                lambda g: g - integral._SING_RADIUS)
+        pool = pool | st.tuples(edge, st.sampled_from(
+            [-1e-12, -5e-15, 0.0, 5e-15, 1e-12])).map(sum)
+    cuts = sorted(draw(st.lists(pool, min_size=1, max_size=12)))
+    cuts += cuts[:draw(st.integers(0, 2))]
+    return np.sort(np.array(cuts)), ords
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cuts_and_ordinates())
+# pieces of 1e-12 before and after a singular panel are kept, of 5e-15 not
+@example((np.array([9 - 1e-12, 11 + 1e-12, 13 - 5e-15, 15 + 5e-15]),
+          np.array([10.0, 14.0])))
+def test_panel_layout_tiles_segments(case):
+    cuts, ords = case
+    lo, hi, g, seg = integral._panel_layout(cuts, ords)
+    sing = ~np.isnan(g)
+    for i in range(cuts.size - 1):
+        a, b = cuts[i], cuts[i + 1]
+        mine = seg == i
+        if b <= a:
+            assert not np.any(mine)
+            continue
+        # ascending, no overlaps; only pieces up to 1e-14 wide are left out
+        l, h = lo[mine], hi[mine]
+        assert l.size and np.all(l < h)
+        assert 0.0 <= l[0] - a <= 1e-14 and 0.0 <= b - h[-1] <= 1e-14
+        assert np.all((l[1:] >= h[:-1]) & (l[1:] - h[:-1] <= 1e-14))
+        # one singular panel per ordinate strictly inside the segment
+        np.testing.assert_array_equal(g[mine & sing],
+                                      ords[(ords > a) & (ords < b)])
+    assert np.all(np.diff(seg) >= 0)
+    assert np.all((lo[sing] < g[sing]) & (g[sing] < hi[sing]))
+    assert np.all(hi[sing] - lo[sing] <= 2 * integral._SING_RADIUS)
+    # no ordinate inside a filler panel
+    fl, fh = lo[~sing, None], hi[~sing, None]
+    assert not np.any((ords[None, :] > fl) & (ords[None, :] < fh))
 
 
 def test_refinement_stays_within_bound(zeros_100):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsylab import errors, zeros
+from bsylab import errors, zeros, zeta
 from bsylab.config import DEFAULT
 from bsylab.zeros import (
     ORDINATE_ACCURACY,
@@ -186,6 +186,31 @@ def test_verify_rejects_near_duplicate(zeros_100):
     g = np.insert(zeros_100.ordinates, 10, zeros_100.ordinates[9] + 1e-10)
     with pytest.raises(errors.Inconsistent):
         verify_zero_list(ZeroList(g, zeros_100.covered_height), DEFAULT)
+
+
+# gamma_5 deleted, a twin of gamma_11 inserted: the total still equals
+# Turing's n + 1, and the twin passes the residual check
+@pytest.mark.parametrize("offset", [1e-10, 9e-8])
+def test_verify_rejects_deleted_ordinate_offset_by_a_twin(zeros_100, offset):
+    g = np.delete(zeros_100.ordinates, 4)
+    g = np.insert(g, 10, zeros_100.ordinates[10] + offset)
+    with pytest.raises(errors.Inconsistent) as exc:
+        verify_zero_list(ZeroList(g, zeros_100.covered_height), DEFAULT)
+    assert exc.value.index == 10
+
+
+def test_verify_needs_a_sign_change_at_each_ordinate(zeros_100, monkeypatch):
+    # |Z| keeps every residual small but changes sign nowhere
+    z_batch = zeta.hardy_z_batch
+
+    def abs_z(*args, **kwargs):
+        z, e = z_batch(*args, **kwargs)
+        return np.abs(z), e
+
+    monkeypatch.setattr(zeta, "hardy_z_batch", abs_z)
+    with pytest.raises(errors.Inconsistent) as exc:
+        verify_zero_list(zeros_100, DEFAULT)
+    assert exc.value.index == 0
 
 
 def test_mean_gap_positive_and_shrinking():
