@@ -94,10 +94,10 @@ def S1_direct(t: float, zeros: ZeroList,
     By Riemann-von Mangoldt, S(u) = N(u) - 1 - theta(u)/pi, and on the
     k-th gap of the certified list N(u) = k, so each gap costs only a
     smooth quadrature of theta.  One witness guards a list that is
-    marked verified but wrong: S by branch-tracked log zeta at the
-    midpoint of the wider of the top two gaps must lie within 1/4 of
-    the count there (else Inconsistent).  It sees a missing or extra
-    ordinate anywhere below that midpoint.
+    marked verified but wrong: S(t) by branch-tracked log zeta must lie
+    within 1/4 of the list's count at t, with 1/2 for a listed ordinate
+    at t (else Inconsistent).  It sees a missing or extra ordinate
+    anywhere below t.
     """
     t = float(t)
     zeros.require_height(t)
@@ -108,16 +108,15 @@ def S1_direct(t: float, zeros: ZeroList,
     lo, hi, n = lo[keep], hi[keep], np.arange(lo.size)[keep]
     if not n.size:
         return 0.0
-    k = n.size - 1  # the wider of the top two gaps, the upper on a tie
-    if k and hi[k - 1] - lo[k - 1] > hi[k] - lo[k]:
-        k -= 1
-    mid = 0.5 * (lo[k] + hi[k])
-    s = zeta.log_zeta_branch(0.5, mid, cfg).imag / math.pi
-    expect = n[k] - 1.0 - float(zeta._theta_any(np.array([mid]))[0]) / math.pi
+    on = np.abs(zeros.ordinates - t) < ORDINATE_ACCURACY
+    count = np.count_nonzero((zeros.ordinates < t) & ~on) \
+        + 0.5 * np.count_nonzero(on)
+    s = S_of_t(t, cfg, zeros)
+    expect = count - 1.0 - float(zeta._theta_any(np.array([t]))[0]) / math.pi
     if abs(s - expect) > 0.25:
         raise errors.Inconsistent(
-            f"S({mid}) = {s:.6f} by branch tracking, but {expect:.6f} "
-            f"from the zero list's count N = {n[k]} there")
+            f"S({t}) = {s:.6f} by branch tracking, but {expect:.6f} "
+            f"from the zero list's count N = {count} there")
 
     # integral of theta over each gap by fixed high-order quadrature
     nodes, wts = _GL20

@@ -27,7 +27,6 @@ from .errors import BsyError, ParseError
 
 _PRECISION_KEYS = {
     "target_abs_error": float,
-    "euler_maclaurin_terms": int,
     "rs_correction_terms": int,
     "quad_tol": float,
     "max_subdivisions": int,
@@ -392,8 +391,6 @@ def _add_precision_flags(p):
     p.add_argument("--zero-cache", help="zero-list cache file")
     p.add_argument("--target-abs-error", dest="target_abs_error", type=float)
     p.add_argument("--quad-tol", dest="quad_tol", type=float)
-    p.add_argument("--euler-maclaurin-terms", dest="euler_maclaurin_terms",
-                   type=int)
     p.add_argument("--rs-correction-terms", dest="rs_correction_terms",
                    type=int)
     p.add_argument("--max-subdivisions", dest="max_subdivisions", type=int)

@@ -3,13 +3,14 @@
 Panel, segment and table reductions are correctly rounded float64 sums
 (``math.fsum`` via :mod:`bsylab.accum`); phase-critical reductions go
 through numpy longdouble (80-bit extended on x86-64).  That policy is
-fixed package-wide; PrecisionConfig only controls term budgets and
-tolerances.
+fixed package-wide; PrecisionConfig only controls tolerances, the
+quadrature budget and the Riemann-Siegel correction order.  The
+Euler-Maclaurin truncation and correction order are not configured:
+:mod:`bsylab.zeta` works them out from each call's target.
 """
 
 from dataclasses import dataclass, replace
 
-MAX_EULER_MACLAURIN_TERMS = 30
 MAX_RS_CORRECTION_TERMS = 4
 MAX_SUBDIVISIONS_CAP = 1_000_000
 
@@ -19,10 +20,10 @@ POLE_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision, truncation orders and quadrature tolerances."""
+    """Target accuracy, Riemann-Siegel correction order, quadrature
+    tolerance and subdivision budget."""
 
     target_abs_error: float = 1e-12
-    euler_maclaurin_terms: int = 14
     rs_correction_terms: int = MAX_RS_CORRECTION_TERMS
     quad_tol: float = 1e-9
     max_subdivisions: int = 20_000
@@ -34,8 +35,6 @@ class PrecisionConfig:
             raise ValueError("quad_tol must be > 0")
         if self.target_abs_error > self.quad_tol:
             raise ValueError("target_abs_error must be <= quad_tol")
-        if not 1 <= self.euler_maclaurin_terms <= MAX_EULER_MACLAURIN_TERMS:
-            raise ValueError("euler_maclaurin_terms out of range")
         if not 0 <= self.rs_correction_terms <= MAX_RS_CORRECTION_TERMS:
             raise ValueError("rs_correction_terms out of range")
         if not 1 <= self.max_subdivisions <= MAX_SUBDIVISIONS_CAP:
@@ -47,9 +46,6 @@ class PrecisionConfig:
             self,
             target_abs_error=self.target_abs_error / factor,
             quad_tol=self.quad_tol / factor,
-            euler_maclaurin_terms=min(
-                self.euler_maclaurin_terms + 2, MAX_EULER_MACLAURIN_TERMS
-            ),
             rs_correction_terms=MAX_RS_CORRECTION_TERMS,
             max_subdivisions=min(self.max_subdivisions * 4, MAX_SUBDIVISIONS_CAP),
         )

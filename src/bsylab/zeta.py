@@ -4,7 +4,10 @@ Two independent evaluation routes are provided and cross-checked by the
 test suite:
 
 * Euler-Maclaurin summation (``zeta_em``), valid on sigma >= -1 with a
-  computable remainder bound; the accuracy workhorse.
+  computable remainder bound; the accuracy workhorse.  No setting
+  fixes its truncation M or correction order K: each call takes the
+  pair of least M + K, its work per height, whose remainder bound
+  meets the call's target (``_em_truncation``).
 * The Riemann-Siegel main sum with up to four correction terms (all
   four by default), O(sqrt(t)) per point and vectorized;
   ``hardy_z_batch`` takes it wherever ``rs_error_bound`` meets the
@@ -361,42 +364,85 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
 # Euler-Maclaurin
 # ----------------------------------------------------------------------
 
+#: Highest correction order K; from t ~ 1e3 the least M + K pair takes
+#: it at any target <= 1e-6.
+_EM_K_MAX = 30
+
+#: Least truncation M.
+_EM_M_MIN = 24
+
+_EM_KS = np.arange(1, _EM_K_MAX + 1)
+_EM_2K1 = 2.0 * _EM_KS + 1.0
+_EM_JS = np.arange(2.0 * _EM_K_MAX + 1.0)
+_EM_LOG_B = np.log(np.abs(_B2K_OVER_FACT[2:_EM_K_MAX + 2]))
+
+
+def _em_log_remainder(sigma: float, tmax: float) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """(log A_K, a_K) for K = 1.._EM_K_MAX, the remainder after the order-K
+    tail at truncation M being at most A_K M^(-a_K): a_K = sigma + 2K + 1,
+    A_K = |B_2K+2/(2K+2)!| |s (s+1) ... (s+2K)| (|s| + 2K + 1) / a_K
+    with s = sigma + i tmax.  Kept in logs because the product alone
+    reaches 1e312 at K = 30, tmax = 2e5.  A vanishing factor (s = 0, -1)
+    gives log A_K = -inf: the remainder is then exactly zero.
+    """
+    with np.errstate(divide="ignore"):
+        logpoch = np.cumsum(np.log(np.hypot(sigma + _EM_JS, tmax)))[2::2]
+    a = sigma + _EM_2K1
+    return (_EM_LOG_B + logpoch
+            + np.log((math.hypot(sigma, tmax) + _EM_2K1) / a)), a
+
+
 def _em_remainder_bound(sigma: float, tmax: float, M: int, K: int) -> float:
     """Standard remainder bound: |(s+2K+1)/(sigma+2K+1)| * |next term|."""
-    s_abs = math.hypot(sigma, tmax)
-    poch = 1.0
-    for j in range(2 * K + 1):
-        poch *= math.hypot(sigma + j, tmax)
-    nxt = abs(_B2K_OVER_FACT[K + 1]) * poch * M ** (-(sigma + 2 * K + 1))
-    return nxt * (s_abs + 2 * K + 1) / (sigma + 2 * K + 1)
+    log_a, a = _em_log_remainder(sigma, tmax)
+    return float(np.exp(log_a[K - 1] - a[K - 1] * math.log(M)))
+
+
+def _em_truncation(sigma: float, tmax: float,
+                   target: float) -> tuple[int, int]:
+    """The truncation M >= _EM_M_MIN and correction order K <= _EM_K_MAX
+    of least M + K, the work per height (M - 1 phase terms and K tail
+    terms), whose remainder bound at sigma + i tmax meets ``target``.
+
+    Each K gives its least M directly from A_K M^(-a_K) <= target, aimed
+    1e-9 (relative) under the target so that rounding in the logs cannot
+    put the bound above it.  Raises PrecisionUnreachable when every K
+    needs M past 16 (tmax + 256), over 40 times the M a 1e-14 target
+    takes at any tmax up to 1e6.
+    """
+    log_a, a = _em_log_remainder(sigma, tmax)
+    log_m = (log_a - (math.log(target) - 1e-9)) / a
+    m_max = 16.0 * (tmax + 256.0)
+    ok = log_m <= math.log(m_max)
+    if not ok.any():
+        raise errors.PrecisionUnreachable(
+            f"Euler-Maclaurin cannot reach {target} at sigma={sigma}, "
+            f"t={tmax} with M <= {m_max:.0f} and K <= {_EM_K_MAX}")
+    M = np.maximum(_EM_M_MIN, np.ceil(np.exp(np.where(ok, log_m, 0.0))))
+    k = int(np.argmin(np.where(ok, M + _EM_KS, np.inf)))
+    return int(M[k]), k + 1
 
 
 def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
                  target: float) -> int:
-    K = cfg.euler_maclaurin_terms
-    M = max(24, int(0.35 * tmax) + 2 * K)
-    for _ in range(12):
-        if _em_remainder_bound(sigma, tmax, M, K) <= target:
-            return M
-        M = int(M * 1.4) + 8
-    raise errors.PrecisionUnreachable(
-        f"Euler-Maclaurin cannot reach {target} at sigma={sigma}, "
-        f"t={tmax} with {K} correction terms")
+    """The truncation M of ``_em_truncation`` (``cfg`` is not read)."""
+    return _em_truncation(sigma, tmax, target)[0]
 
 
 def _em_tail(s: np.ndarray, M: int, K: int) -> np.ndarray:
     """The Euler-Maclaurin terms added to the sum over n < M:
-    M^(1-s)/(s-1) + M^(-s)/2 + sum over k <= K of
-    B_2k/(2k)! * s(s+1)...(s+2k-2) * M^(-s-2k+1)."""
+    M^(-s) (M/(s-1) + 1/2 + sum over k <= K of B_2k/(2k)! c_k), where
+    c_k = s(s+1)...(s+2k-2) M^(1-2k) is one running product, each
+    Pochhammer factor taken with its power of M so that none overflows.
+    """
     Mf = float(M)
-    tail = Mf ** (1.0 - s) / (s - 1.0) + 0.5 * Mf ** (-s)
-    poch = s.astype(complex)
-    mpow = Mf ** (-s - 1.0)
-    for k in range(1, K + 1):
-        tail += _B2K_OVER_FACT[k] * poch * mpow
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        mpow = mpow / (Mf * Mf)
-    return tail
+    c = s / Mf
+    acc = _B2K_OVER_FACT[1] * c
+    for k in range(2, K + 1):
+        c = c * ((s + (2 * k - 3)) * (s + (2 * k - 2)) / (Mf * Mf))
+        acc += _B2K_OVER_FACT[k] * c
+    return Mf ** (-s) * (Mf / (s - 1.0) + 0.5 + acc)
 
 
 def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
@@ -414,8 +460,7 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     if target is None:
         target = cfg.target_abs_error
     tmax = float(np.max(ts)) if ts.size else 0.0
-    K = cfg.euler_maclaurin_terms
-    M = _em_choose_M(sigma, tmax, cfg, target)
+    M, K = _em_truncation(sigma, tmax, target)
 
     n = np.arange(1, M, dtype=float)
     vals, roundoff = _phase_sum(np.log(n.astype(np.longdouble)),
@@ -433,8 +478,7 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
     if target is None:
         target = cfg.target_abs_error
     smin = float(np.min(sigmas))
-    K = cfg.euler_maclaurin_terms
-    M = _em_choose_M(smin, abs(t), cfg, target)
+    M, K = _em_truncation(smin, abs(t), target)
     n = np.arange(1, M, dtype=float)
     lnn = np.log(n.astype(np.longdouble))
     phase = _unit_phases(np.array([t], dtype=np.longdouble), lnn)[0]

@@ -67,9 +67,9 @@ def test_s1_direct_matches_branch_tracked_gaps(zeros_550, t):
 
 
 def test_s1_direct_rejects_list_missing_an_ordinate(zeros_100):
-    # the witness, in one of the top two gaps, lies above each of these
+    # the witness, S at t itself, lies above each of these
     g = zeros_100.ordinates
-    for i in range(g.size - 1):
+    for i in range(g.size):
         zl = ZeroList(np.delete(g, i), zeros_100.covered_height,
                       verified=True)
         with pytest.raises(errors.Inconsistent):

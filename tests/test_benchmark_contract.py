@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` wraps bsylab functions by module and attribute
 name, binds their arguments by keyword to count work, and reads a few
-private helpers.  A refactor that renames one of them breaks the traced
-benchmark; this test catches that without running it.
+private helpers.  A refactor that renames one of them, or changes what
+one returns, breaks the traced benchmark; these tests catch that
+without running it.
 """
 
 import ast
@@ -11,6 +12,9 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +56,29 @@ def test_module_attributes_read_by_the_tracer_exist():
             ("zeta", "_em_choose_M"), ("dirichlet", "_table_arrays")} <= used
     for mod_name, attr in sorted(used):
         assert hasattr(modules[mod_name], attr), f"{mod_name}.{attr}"
+
+
+@pytest.mark.parametrize("sigma,ts,target", [
+    (0.5, [14.1], 1e-12),
+    (0.6, np.linspace(1000.0, 1100.0, 50), 1e-9),
+    (2.0, [0.0, 5.0], 1e-6),
+    (-0.5, [3e4, 2.9e4], 1e-12),
+])
+def test_em_choose_m_is_one_more_than_the_terms_em_batch_sums(
+        monkeypatch, sigma, ts, target):
+    from bsylab import zeta
+    from bsylab.config import DEFAULT
+    ts = np.asarray(ts, dtype=float)
+    summed = []
+    phase_sum = zeta._phase_sum
+
+    def spy(logs, amps, heights):
+        summed.append(logs.size)
+        return phase_sum(logs, amps, heights)
+
+    monkeypatch.setattr(zeta, "_phase_sum", spy)
+    zeta._em_batch(sigma, ts, DEFAULT, target)
+    # positionally, as the tracer's EM counter calls it
+    M = zeta._em_choose_M(sigma, float(np.max(ts)), DEFAULT, target)
+    assert isinstance(M, int)
+    assert summed == [M - 1]

@@ -5,6 +5,7 @@ eta-series and Bernoulli identities provide library-free cross-checks.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -85,6 +86,55 @@ def test_pole_guard():
         zeta_em(complex(1.0, 1e-6), DEFAULT)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sigma=st.floats(min_value=-0.5, max_value=2.5),
+       t=st.one_of(st.floats(min_value=0.0, max_value=2e5),   # and log-uniform
+                   st.floats(min_value=-1.0, max_value=math.log10(2e5)).map(
+                       lambda e: 10.0 ** e)),
+       target=st.floats(min_value=-14.0, max_value=-3.0).map(
+           lambda e: 10.0 ** e))
+def test_em_truncation_is_least_work_meeting_target(sigma, t, target):
+    M, K = zeta._em_truncation(sigma, t, target)
+    assert M >= zeta._EM_M_MIN and 1 <= K <= zeta._EM_K_MAX
+    assert zeta._em_remainder_bound(sigma, t, M, K) <= target
+    for k in range(1, zeta._EM_K_MAX + 1):
+        m = M + K - k - 1       # the largest M of a pair cheaper than (M, K)
+        if m >= zeta._EM_M_MIN:
+            assert zeta._em_remainder_bound(sigma, t, m, k) > target, k
+    # the Pochhammer product alone overflows here; the running one not
+    M30 = zeta._em_truncation(sigma, 2e5, target)[0]
+    assert np.all(np.isfinite(zeta._em_tail(np.array([complex(sigma, 2e5)]),
+                                            M30, 30)))
+
+
+@pytest.mark.parametrize("sigma,t,M,K", [(0.5, 100.0, 40, 5),
+                                         (-0.5, 3e3, 900, 30),
+                                         (2.5, 2e5, 60000, 30)])
+def test_em_remainder_bound_matches_direct_product(sigma, t, M, K):
+    s = mpmath.mpc(sigma, t)
+    b = mpmath.bernoulli(2 * K + 2) / mpmath.factorial(2 * K + 2)
+    direct = abs(b) * abs(mpmath.rf(s, 2 * K + 1)) \
+        * mpmath.mpf(M) ** (-(sigma + 2 * K + 1)) \
+        * (abs(s) + 2 * K + 1) / (sigma + 2 * K + 1)
+    got = zeta._em_remainder_bound(sigma, t, M, K)
+    assert abs(got - float(direct)) <= 1e-12 * float(direct)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e3, 2e5])
+def test_em_unreachable_target_raises(t):
+    with pytest.raises(errors.PrecisionUnreachable):
+        zeta._em_batch(0.5, np.array([t]), target=1e-300)
+
+
+@pytest.mark.parametrize("s,exact", [(-1.0, -1.0 / 12.0), (0.0, -0.5)])
+def test_em_at_a_vanishing_pochhammer_factor(s, exact):
+    # s + j = 0 for some j: the remainder is zero, and no log(0) warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zv = zeta_em(s, DEFAULT)
+    assert abs(complex(zv) - exact) <= zv.abs_error <= 1e-12
+
+
 def test_theta_against_loggamma_oracle():
     for t in (10.0, 50.0, 444.4, 1e4, 2e5):
         oracle = float(mpmath.im(mpmath.loggamma(0.25 + 0.5j * t))
@@ -117,6 +167,38 @@ def test_hardy_z_matches_mpmath(t):
     zv = hardy_z(t, DEFAULT)
     oracle = float(mpmath.siegelz(t))
     assert abs(float(zv) - oracle) <= max(zv.abs_error, 5e-11)
+
+
+#: C_k as the sum of Psi^(n) / (d pi^e) over its (n, d, e), with
+#: Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p (Edwards, Riemann's Zeta
+#: Function, ch. 7).
+_RS_CLOSED_FORM = (
+    ((0, 1, 0),),
+    ((3, -96, 2),),
+    ((2, 64, 2), (6, 18432, 4)),
+    ((1, -64, 2), (5, -3840, 4), (9, -5308416, 6)),
+)
+
+
+def _rs_closed_form(k: int, p: float) -> float:
+    """C_k(p) to 40 digits, the derivatives of Psi by mpmath.diff."""
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+
+        def psi(x):
+            return mpmath.cos(2 * pi * (x * x - x - mpmath.mpf(1) / 16)) \
+                / mpmath.cos(2 * pi * x)
+
+        return float(sum(mpmath.diff(psi, mpmath.mpf(p), n) / (d * pi ** e)
+                         for n, d, e in _RS_CLOSED_FORM[k]))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_rs_tables_match_closed_form(k):
+    ps = np.linspace(0.0, 1.0, 23)      # none within 0.02 of 1/4 or 3/4
+    got = np.polynomial.chebyshev.chebval(2.0 * ps - 1.0, zeta._RS_CHEBS[k])
+    ref = np.array([_rs_closed_form(k, p) for p in ps.tolist()])
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("n_corr", [2, 3, 4])
@@ -231,10 +313,20 @@ def test_em_grid_path_matches_direct_path(sigma):
 def test_em_grid_path_in_row_chunks(monkeypatch):
     ts = np.linspace(1000.0, 1100.0, 1201)
     whole, wb = zeta._em_batch(0.6, ts)
-    # 585 terms: J is capped at 13 and the 93 block rows come in 16
-    # chunks
+    # 268 terms: J is capped at 29 (35 uncapped) and the 42 block rows
+    # come in 3 chunks
     monkeypatch.setattr(zeta, "_EM_CHUNK", 8000)
+    sizes = []
+    unit_phases = zeta._unit_phases
+
+    def spy(ts_ld, logs):
+        sizes.append(ts_ld.size)       # J first, then each chunk's rows
+        return unit_phases(ts_ld, logs)
+
+    monkeypatch.setattr(zeta, "_unit_phases", spy)
     part, pb = zeta._em_batch(0.6, ts)
+    assert sizes[0] < math.isqrt(ts.size - 1) + 1
+    assert len(sizes) - 1 > 1
     assert np.all(np.abs(whole - part) <= wb + pb)
 
 
