@@ -37,6 +37,8 @@ def _table_arrays(table) -> tuple[np.ndarray, np.ndarray]:
     rs = np.asarray(rs, dtype=float)
     if ns.size != rs.size or ns.size == 0 or np.any(np.diff(ns) <= 0):
         raise ValueError("table must be nonempty with ascending n")
+    if ns[0] < 1:
+        raise ValueError("table entries n must be >= 1")
     return ns, rs
 
 
@@ -72,14 +74,14 @@ class Lemma3Request:
 def eval_R_batch(table, ts) -> np.ndarray:
     """R(t) = sum of r(n) n^(-it) on an array of heights.
 
-    One ``zeta._phase_sum``: a blocked matrix product when ts is a
-    uniform grid (linspace or T + dx*arange), an expansion about each
-    cluster of nearby heights otherwise (a lone height is a cluster of
-    one).
+    One ``zeta._phase_sum`` on the integers of the table: a blocked
+    matrix product when ts is a uniform grid (linspace or T + dx*arange),
+    an expansion about each cluster of nearby heights otherwise (a lone
+    height is a cluster of one).
     """
     ns, rs = _table_arrays(table)
     ts = np.asarray(ts, dtype=float)
-    return zeta._phase_sum(np.log(ns.astype(np.longdouble)), rs, ts)[0]
+    return zeta._phase_sum(ns, rs, ts)[0]
 
 
 def eval_R(table, t: float) -> complex:
@@ -92,21 +94,25 @@ def mean_square_exact(table, T: float) -> float:
 
     Equals T * sum r^2 plus, over pairs i < j with l = log n_j - log n_i
     (in longdouble), 2 r_i r_j (sin(2T l) - sin(T l)) / l.  With
-    v(t) = r e^(-i t log n) from ``zeta._unit_phases`` (2n phase
-    reductions), r_i r_j sin(t l) = Im v_i conj(v_j), so the pair sum is
-    a bilinear form with Montgomery and Vaughan's Hilbert kernel 2/l: per
-    block of at most ``zeta._EM_CHUNK`` elements of W (one row at least),
-    one real product W @ [Re v(T), Re v(2T), Im v(T), Im v(2T)] and a
-    row-wise dot product; ``comp_sum`` adds the blocks.  Each pair term
+    v(t) = r e^(-i t log n) from ``zeta._unit_phases`` (phases reduced
+    at T and 2T for the bases of the table only, its primes when it is
+    divisor-closed; the others are products),
+    r_i r_j sin(t l) = Im v_i conj(v_j), so the pair sum is a bilinear
+    form with Montgomery and Vaughan's Hilbert kernel 2/l: per block of
+    at most ``zeta._EM_CHUNK`` elements of W (one row at least), one real
+    product W @ [Re v(T), Re v(2T), Im v(T), Im v(2T)] and a row-wise
+    dot product; ``comp_sum`` adds the blocks.  Each pair term
     is off by a few ulps of 2|r_i r_j|/l plus its phase error, so the pair
-    sum is within ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)``.
+    sum is within ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)``
+    plus ``zeta._PRODUCT_ROUNDOFF`` * sum 2|r_i r_j|/l * (P_i + P_j),
+    P_i the products behind the phase of n_i (``zeta._factor_plan``).
     """
     T = float(T)
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
     ns, rs = _table_arrays(table)
     lnn = np.log(ns.astype(np.longdouble))
-    v = rs * zeta._unit_phases(np.array([T, 2.0 * T], np.longdouble), lnn)
+    v = rs * zeta._unit_phases(np.array([T, 2.0 * T], np.longdouble), ns)
     X = np.concatenate([v.real, v.imag]).T
     Y = X[:, [2, 3, 0, 1]] * [-1.0, 1.0, 1.0, -1.0]  # Im(v_i conj v_j)
     rows = max(1, zeta._EM_CHUNK // ns.size)
@@ -126,9 +132,9 @@ def mean_square_exact(table, T: float) -> float:
 #: switch from Euler-Maclaurin to the symmetric truncated functional
 #: equation (accuracy ~ t^(-alpha/2 - 1/4), O(sqrt t) terms instead of
 #: O(t)).  Both engines sum the uniform moment grid as one blocked
-#: matrix product (``zeta._phase_sum``), which costs O(sqrt(K) * M)
-#: phase reductions for K points and M terms; the cut-over is not
-#: re-tuned to that cost.
+#: matrix product (``zeta._phase_sum``), which costs O(sqrt(K) * pi(M))
+#: phase reductions and O(sqrt(K) * M) complex products for K points and
+#: M terms; the cut-over is not re-tuned to that cost.
 _AFE_CUTOVER = 30_000.0
 
 

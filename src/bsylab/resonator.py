@@ -262,7 +262,11 @@ def write_table(table: ResonatorTable, path: str) -> None:
 
 
 def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read (ns, rs) from a table file; header metadata is ignored."""
+    """Read (ns, rs) from a table file; header metadata is ignored.
+
+    Raises ParseError, with the line number, on a malformed line or an
+    entry n < 1.
+    """
     ns, rs = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -279,4 +283,7 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:
                 raise errors.ParseError(
                     f"line {ln}: bad number", line_number=ln)
+            if ns[-1] < 1:
+                raise errors.ParseError(
+                    f"line {ln}: n must be >= 1", line_number=ln)
     return np.asarray(ns, dtype=np.int64), np.asarray(rs, dtype=float)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 
-__all__ = ["primes_up_to", "primes_in", "von_mangoldt", "factorize",
-           "is_squarefree", "mobius"]
+__all__ = ["primes_up_to", "primes_in", "smallest_prime_factors",
+           "von_mangoldt", "factorize", "is_squarefree", "mobius"]
+
+#: The least-prime-factor table, grown on demand by ``smallest_prime_factors``.
+_SPF = np.arange(2, dtype=np.int32)
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -27,6 +30,29 @@ def primes_in(a: float, b: float) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     ps = primes_up_to(int(math.ceil(b)) - 1)
     return ps[(ps > a) & (ps < b)]
+
+
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """A read-only table whose entry k is the least prime factor of k, for
+    0 <= k <= n (entries 0 and 1 hold 0 and 1).
+
+    One table is kept and grown on demand to at least twice its size, so
+    a run of rising n sieves O(log n) times; it is never built at import.
+    """
+    global _SPF
+    n = int(n)
+    if n >= _SPF.size:
+        m = max(n + 1, 2 * _SPF.size)
+        spf = np.zeros(m, dtype=np.int32)
+        for p in range(2, math.isqrt(m - 1) + 1):
+            if spf[p] == 0:
+                tail = spf[p * p::p]
+                tail[tail == 0] = p
+        free = np.flatnonzero(spf == 0)
+        spf[free] = free                      # 0, 1 and the primes
+        spf.flags.writeable = False
+        _SPF = spf
+    return _SPF[:n + 1]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

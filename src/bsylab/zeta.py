@@ -35,18 +35,25 @@ Euler-Maclaurin sum over a sigma grid at one height takes its unit
 phases from the same ``_unit_phases`` and shares the correction tail
 ``_em_tail`` with the height batch.  The exact mean square of
 :mod:`bsylab.dirichlet` takes its phases from ``_unit_phases`` too: its
-pair sum is a bilinear form in the phases at T and 2T.  Phases are
-reduced mod 2*pi in longdouble everywhere; everything else is
-compensated float64.
+pair sum is a bilinear form in the phases at T and 2T.
+
+The kernel takes the integers n, not their logs.  n^(-it) is completely
+multiplicative, so ``_unit_phases`` reduces t*log(b) mod 2*pi in
+longdouble only for the bases b of the set (its primes, and any large
+cofactor left unfactored; ``_factor_plan``) and builds every other
+phase as the product E[n] = E[p] E[n/p], p the least prime factor of n.
+Each product adds ``_PRODUCT_ROUNDOFF`` to the bound.  Everything else
+is compensated float64.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lambertw, loggamma
 
-from . import errors
+from . import errors, sieve
 from ._rs_coeffs import C0_CHEB, C1_CHEB, C2_CHEB, C3_CHEB
 from .config import DEFAULT, POLE_THRESHOLD, PrecisionConfig
 
@@ -208,22 +215,182 @@ _CLUSTER_R = 3.0
 def _phase_roundoff(tmax: float, lmax: float, amp_sum: float) -> float:
     """Floating-point floor of a phase sum with |t| <= tmax, log n <= lmax.
 
-    t*log(n) is reduced mod 2*pi in 80-bit floats (unit roundoff
-    ~1.1e-19), so each term carries an absolute phase error of order
-    t*log(n)*1e-19; the amplitude-weighted total plus double-precision
-    rounding of the unit phases and the accumulation gives the floor.
-    ``_phase_sum`` adds the eps remainder to it on the grid path, and the
-    truncation tail and the rounding of the expansion (this floor at
-    tmax = 0, times e^r - 1) on the cluster path; a lone height gets the
-    floor alone.
+    t*log(b) is reduced mod 2*pi in 80-bit floats (unit roundoff
+    ~1.1e-19) for each base b of ``_factor_plan``.  The log b of the
+    bases of n add up to log n, so each term carries an absolute phase
+    error of order t*log(n)*1e-19, as if reduced directly; the
+    amplitude-weighted total plus double-precision rounding of one unit
+    phase and the accumulation gives the floor.  Each product that
+    builds a phase from two adds ``_PRODUCT_ROUNDOFF`` on top.
+    ``_phase_sum`` adds the eps remainder to the floor on the grid path,
+    and the truncation tail and the rounding of the expansion (this
+    floor at tmax = 0, times e^r - 1) on the cluster path; a lone height
+    gets the floor alone.
     """
     return (1.5e-18 * (1.0 + tmax) * lmax + 1.5e-15) * amp_sum
 
 
-def _unit_phases(ts_ld: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """exp(-i t log n) as a (len(ts) x len(logs)) complex matrix."""
-    ph = (ts_ld[:, None] * logs[None, :]) % _TWO_PI_LD
+#: Bound on the extra rounding of one phase built as a product, per unit
+#: amplitude: the product itself, sqrt(5) u with u = 2^-53 (Brent,
+#: Percival and Zimmermann, Math. Comp. 76 (2007) 1469-1481), and the
+#: rounding of the one more base phase it brings in: 2u for the reduced
+#: phase in [-pi, pi] rounded to float64, sqrt(2) u for its cosine and
+#: sine.
+_PRODUCT_ROUNDOFF = (math.sqrt(5.0) + 2.0 + math.sqrt(2.0)) * 2.0 ** -53
+
+#: Integers up to this bound take their least prime factor from the
+#: sieve table (int32, so at most 8 MiB as it grows by doubling); larger
+#: ones are tried against the primes up to _TRIAL_MAX, and one with no
+#: factor there is a base, prime or not.  Neither bound moves with the
+#: largest n.
+_SPF_MAX = 1 << 20
+_TRIAL_MAX = 1 << 10
+
+
+@dataclass(frozen=True)
+class _FactorPlan:
+    """How ``_unit_phases`` builds exp(-i t log n) for a set of integers.
+
+    ``closure`` is the ascending set of the input, 1, and each element's
+    least prime factor p and cofactor n/p.  The phases of ``bases``
+    (indices into it: the primes, and any cofactor left unfactored) are
+    reduced directly from ``base_logs``; ``levels`` lists, level by
+    level, the (elements, least-factor, cofactor) indices of the rest,
+    each the product of two phases of lower levels.  ``take`` maps the
+    input to the closure (None when they coincide) and ``products``
+    counts, per input integer, the complex products behind its phase.
+    """
+
+    closure: np.ndarray
+    bases: np.ndarray
+    base_logs: np.ndarray
+    levels: tuple
+    take: np.ndarray | None
+    products: np.ndarray
+
+
+def _least_factors(u: np.ndarray) -> np.ndarray:
+    """The least prime factor of each element of the ascending u >= 1 (1 for
+    1), or the element itself when it exceeds _SPF_MAX and has no prime
+    factor up to _TRIAL_MAX."""
+    p = u.copy()
+    k = int(np.searchsorted(u, _SPF_MAX, side="right"))
+    if k:
+        p[:k] = sieve.smallest_prime_factors(int(u[k - 1]))[u[:k]]
+    if k < u.size:
+        big = u[k:]
+        top = min(math.isqrt(int(big[-1])), _TRIAL_MAX)
+        for q in sieve.primes_up_to(top)[::-1].tolist():
+            p[k:][big % q == 0] = q
+    return p
+
+
+def _build_plan(ns: np.ndarray) -> _FactorPlan:
+    """The ``_FactorPlan`` of the integers ns, in vectorized passes over
+    the closure: one per round of new factors, one per level."""
+    u = np.sort(np.append(ns, 1))
+    u = u[np.append(True, u[1:] != u[:-1])]
+    if u[0] < 1:
+        raise ValueError("the phase kernel takes integers n >= 1")
+    while True:
+        p = _least_factors(u)
+        if u[-1] == u.size:                     # 1..M: closed already
+            break
+        new = np.setdiff1d(np.concatenate([p, u // p]), u)
+        if new.size == 0:
+            break
+        u = np.union1d(u, new)
+    bases = np.flatnonzero((p == u) & (u > 1))
+    comp = np.flatnonzero(p < u)                # built from two factors
+    pf = np.searchsorted(u, p[comp])
+    cf = np.searchsorted(u, u[comp] // p[comp])
+    level = (p == u).astype(np.int64)           # bases 1, and 1 itself 0
+    level[0] = 0
+    while True:
+        up = level[cf] + 1
+        if np.array_equal(up, level[comp]):
+            break
+        level[comp] = up
+    by_level = np.argsort(level[comp], kind="stable")
+    cuts = np.searchsorted(level[comp][by_level],
+                           np.arange(3, int(level.max(initial=1)) + 1))
+    levels = tuple((comp[i], pf[i], cf[i])
+                   for i in np.split(by_level, cuts) if i.size)
+    same = u.size == ns.size and bool(np.all(u == ns))
+    take = None if same else np.searchsorted(u, ns)
+    products = np.maximum(level - 1, 0)
+    return _FactorPlan(u, bases, np.log(u[bases].astype(np.longdouble)),
+                       levels, take, products if same else products[take])
+
+
+@functools.lru_cache(maxsize=16)
+def _plan_of(key: bytes) -> _FactorPlan:
+    """``_build_plan`` memoized on the int64 bytes of ns."""
+    return _build_plan(np.frombuffer(key, dtype=np.int64))
+
+
+#: The plan of 1..L for the largest L asked for so far (None before the
+#: first), from which every prefix plan is sliced.
+_PREFIX_PLAN = None
+
+
+@functools.lru_cache(maxsize=16)
+def _prefix_plan(M: int) -> _FactorPlan:
+    """The plan of 1..M, cut from ``_PREFIX_PLAN`` (grown to at least
+    twice its size when too short): the same plan as built for 1..M."""
+    global _PREFIX_PLAN
+    if _PREFIX_PLAN is None or _PREFIX_PLAN.closure.size < M:
+        size = 0 if _PREFIX_PLAN is None else _PREFIX_PLAN.closure.size
+        _PREFIX_PLAN = _build_plan(np.arange(1, max(M, 2 * size) + 1))
+    G = _PREFIX_PLAN
+    levels = []
+    for idx, pf, cf in G.levels:
+        k = int(np.searchsorted(idx, M))
+        if k:
+            levels.append((idx[:k], pf[:k], cf[:k]))
+    k = int(np.searchsorted(G.bases, M))
+    return _FactorPlan(G.closure[:M], G.bases[:k], G.base_logs[:k],
+                       tuple(levels), None, G.products[:M])
+
+
+def _factor_plan(ns: np.ndarray) -> _FactorPlan:
+    """The ``_FactorPlan`` of the integers ns (any order), memoized on their
+    values; the plan of 1..M depends only on M."""
+    ns = np.ascontiguousarray(ns, dtype=np.int64)
+    M = ns.size
+    if M and ns[0] == 1 and ns[-1] == M and np.all(np.diff(ns) == 1):
+        return _prefix_plan(M)
+    return _plan_of(ns.tobytes())
+
+
+def _base_phases(ts_ld: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """exp(-i t log b) as a (len(logs) x len(ts)) complex matrix: the one
+    place where t*log(b) is reduced mod 2*pi.
+
+    x = t*log(b) is reduced in longdouble to x - 2*pi*rint(x/(2*pi)) in
+    [-pi, pi], off by a few longdouble ulps of x (the phase part of
+    ``_phase_roundoff``), so that its float64 rounding is at most 2u.
+    """
+    x = logs[:, None] * ts_ld[None, :]
+    ph = x - _TWO_PI_LD * np.rint(x / _TWO_PI_LD)
     return np.exp(-1j * ph.astype(float))
+
+
+def _unit_phases(ts_ld: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """exp(-i t log n) as a (len(ts) x len(ns)) complex matrix.
+
+    Only the bases of ``_factor_plan(ns)`` are reduced
+    (``_base_phases``); every other phase is built level by level as
+    E[n] = E[p] E[n/p], p the least prime factor of n, each product
+    adding ``_PRODUCT_ROUNDOFF`` to its error.
+    """
+    plan = _factor_plan(ns)
+    E = np.empty((plan.closure.size, ts_ld.size), dtype=complex)
+    E[0] = 1.0
+    E[plan.bases] = _base_phases(ts_ld, plan.base_logs)
+    for idx, pf, cf in plan.levels:
+        E[idx] = E[pf] * E[cf]
+    return (E if plan.take is None else E[plan.take]).T
 
 
 def _as_progression(ts: np.ndarray):
@@ -250,27 +417,32 @@ def _taylor_order(r: float, amp_sum: float,
     return J, term * (J + 1) / (J + 1 - r)
 
 
-def _phase_sum(logs: np.ndarray, amps: np.ndarray,
+def _phase_sum(ns: np.ndarray, amps: np.ndarray,
                ts: np.ndarray) -> tuple[np.ndarray, float]:
-    """S(t_k) = sum_n a_n exp(-i t_k l_n) for every height, and a bound.
+    """S(t_k) = sum_n a_n exp(-i t_k l_n), l_n = log n, for every height,
+    and a bound.
 
-    ``logs`` are the l_n >= 0 in longdouble, ``amps`` the real a_n and
-    ``ts`` a 1-d float array, in any order.  The bound is the
-    floating-point floor of ``_phase_roundoff`` plus the remainder of
-    whichever of two paths runs:
+    ``ns`` are integers n >= 1 (int64, any order), ``amps`` the real a_n
+    and ``ts`` a 1-d float array, in any order.  Every unit phase comes
+    from ``_unit_phases``, which reduces only the bases of
+    ``_factor_plan(ns)`` and builds the rest as products.  The bound is
+    the floating-point floor of ``_phase_roundoff``, plus
+    ``_PRODUCT_ROUNDOFF`` * sum |a_n| (products of n) for each built
+    phase in a term, plus the remainder of whichever of two paths runs:
 
     * Uniform grid.  When ts is an arithmetic progression
       t_k = t_0 + k*dt (to within _GRID_ULPS ulps) and B + J < K, the sum
       is one blocked product: with k = b*J + j, J = ceil(sqrt(K)) (capped
-      so M*J <= _EM_CHUNK) and B = ceil(K/J),
+      so P*J <= _EM_CHUNK, P the size of the plan) and B = ceil(K/J),
 
           S(t_k) = sum_n [a_n exp(-i (t_0 + b*J*dt) l_n)] [exp(-i j*dt l_n)],
 
-      a (B x M) @ (M x J) complex matrix product, so the transcendental
-      work is (B + J) * M instead of K * M.  The residual eps_k of each
-      given t_k off the progression is taken to first order, with a
-      second product over the amplitudes a_n l_n; the remainder
-      max eps^2 * sum |a_n| l_n^2 / 2 is added to the bound.
+      a (B x M) @ (M x J) complex matrix product, so the phase work is
+      (B + J) * P instead of K * M.  Each term holds two built phases.
+      The residual eps_k of each given t_k off the progression is taken
+      to first order, with a second product over the amplitudes
+      a_n l_n; the remainder max eps^2 * sum |a_n| l_n^2 / 2 is added to
+      the bound.
     * Clusters, for any other input (Odlyzko and Schoenhage, Trans. AMS
       309 (1988) 797-809).  The sorted heights are cut greedily into
       clusters of span <= 2*rho, rho = _CLUSTER_R / max l_n.  With c the
@@ -279,48 +451,53 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
           S(t) = sum_{j<J} m_j (-i x)^j,
           m_j = sum_n a_n exp(-i c l_n) (rho l_n)^j / j!,
 
-      so c*l_n is reduced mod 2*pi once per cluster, not once per
-      height, and the moments of all clusters are one real product
-      [Re A; Im A] @ V, in chunks of at most _EM_CHUNK elements.  With
-      r = rho * max l_n * max|x| over the call, J is the smallest order
-      whose tail sum|a_n| * r^J/J! * (J+1)/(J+1-r) is below the floor.
-      The tail is added to the bound, and so is the floor's arithmetic
-      part (``_phase_roundoff`` at t = 0) times e^r - 1: the products
-      and sums round relative to sum_j |m_j| |x|^j, which can reach
-      e^r sum|a_n|.  The floor's phase part is not scaled, because the
-      expansion passes an error in a_n exp(-i c l_n) on unamplified.
-      A lone height is a cluster of one: x = 0, r = 0, J = 1, no tail,
-      so its bound is the floor.
+      so the phases are built once per cluster, not once per height,
+      and the moments of all clusters are one real product V^T @ A, A
+      the (M x 2C) real view of the complex a_n exp(-i c l_n), in chunks
+      of at most _EM_CHUNK phases.  With r = rho * max l_n * max|x| over
+      the call, J is the smallest order whose tail
+      sum|a_n| * r^J/J! * (J+1)/(J+1-r) is below the floor.  The tail
+      is added to the bound, and so is the floor's arithmetic part
+      (``_phase_roundoff`` at t = 0) times e^r - 1: the products and sums
+      round relative to sum_j |m_j| |x|^j, which can reach e^r sum|a_n|.
+      The floor's phase part and the product term are not scaled,
+      because the expansion passes an error in a_n exp(-i c l_n) on
+      unamplified.  A lone height is a cluster of one: x = 0, r = 0,
+      J = 1, no tail, so its bound is the floor and the product term.
     """
-    K, M = ts.size, logs.size
+    K, M = ts.size, ns.size
+    plan = _factor_plan(ns)
+    P = plan.closure.size
+    logs = np.log(ns.astype(float))
     amps_abs = np.abs(amps)
     amp_sum = float(amps_abs.sum())
     lmax = float(np.max(logs, initial=0.0))
     tmax = float(np.max(np.abs(ts), initial=0.0))
     bound = _phase_roundoff(tmax, lmax, amp_sum)
+    built = _PRODUCT_ROUNDOFF * float(amps_abs @ plan.products)
     vals = np.empty(K, dtype=complex)
     if K == 0:
-        return vals, bound
-    J = min(math.isqrt(K - 1) + 1, max(1, _EM_CHUNK // max(M, 1)))
+        return vals, bound + built
+    J = min(math.isqrt(K - 1) + 1, max(1, _EM_CHUNK // P))
     B = -(-K // J)
     grid = _as_progression(ts) if B + J < K else None
     if grid is not None:
         t0, dt, eps = grid
-        inner = _unit_phases(dt * np.arange(J, dtype=np.longdouble), logs).T
-        slope_amps = amps * logs.astype(float)
+        inner = _unit_phases(dt * np.arange(J, dtype=np.longdouble), ns).T
+        slope_amps = amps * logs
         slope = np.empty(K, dtype=complex)
-        rows = max(1, _EM_CHUNK // (2 * max(M, J)))
+        rows = max(1, _EM_CHUNK // (2 * max(P, J)))
         for b0 in range(0, B, rows):
             b1 = min(B, b0 + rows)
             outer = _unit_phases(
-                t0 + (J * dt) * np.arange(b0, b1, dtype=np.longdouble), logs)
+                t0 + (J * dt) * np.arange(b0, b1, dtype=np.longdouble), ns)
             prod = np.concatenate([outer * amps, outer * slope_amps]) @ inner
             k0, k1 = b0 * J, min(K, b1 * J)
             vals[k0:k1] = prod[:b1 - b0].ravel()[:k1 - k0]
             slope[k0:k1] = prod[b1 - b0:].ravel()[:k1 - k0]
         vals -= 1j * eps * slope
-        bound += 0.5 * float(np.max(eps * eps)) \
-            * float((amps_abs * logs.astype(float) ** 2).sum())
+        bound += 2.0 * built + 0.5 * float(np.max(eps * eps)) \
+            * float((amps_abs * logs ** 2).sum())
         return vals, bound
 
     order = np.argsort(ts, kind="stable")
@@ -343,21 +520,20 @@ def _phase_sum(logs: np.ndarray, amps: np.ndarray,
     J, tail = _taylor_order(r, amp_sum, bound)
     V = np.ones((M, J))                          # (rho l_n)^j / j!
     for j in range(1, J):
-        V[:, j] = V[:, j - 1] * (rho / j) * logs.astype(float)
+        V[:, j] = V[:, j - 1] * (rho / j) * logs
     mom = np.empty((C, J), dtype=complex)
-    rows = max(1, _EM_CHUNK // (2 * M))
+    rows = max(1, _EM_CHUNK // (2 * P))
     for c0 in range(0, C, rows):
         c1 = min(C, c0 + rows)
-        ph = ((mid[c0:c1, None] * logs[None, :]) % _TWO_PI_LD).astype(float)
-        prod = np.concatenate([amps * np.cos(ph), amps * np.sin(ph)]) @ V
-        mom[c0:c1] = prod[:c1 - c0] - 1j * prod[c1 - c0:]
+        A = _unit_phases(mid[c0:c1], ns).T * amps[:, None]
+        mom[c0:c1] = (V.T @ A.view(float)).view(complex).T
     # Horner in -i x on the moments of each height's cluster
     acc = mom[cl, J - 1]
     for j in range(J - 2, -1, -1):
         acc = acc * (-1j * x) + mom[cl, j]
     vals[order] = acc
     arith = _phase_roundoff(0.0, 0.0, amp_sum)   # the part not from phases
-    return vals, bound + arith * math.expm1(r) + tail
+    return vals, bound + built + arith * math.expm1(r) + tail
 
 
 # ----------------------------------------------------------------------
@@ -462,9 +638,8 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     tmax = float(np.max(ts)) if ts.size else 0.0
     M, K = _em_truncation(sigma, tmax, target)
 
-    n = np.arange(1, M, dtype=float)
-    vals, roundoff = _phase_sum(np.log(n.astype(np.longdouble)),
-                                n ** (-sigma), ts)
+    n = np.arange(1, M)
+    vals, roundoff = _phase_sum(n, n ** -float(sigma), ts)
     vals += _em_tail(sigma + 1j * ts, M, K)
     bound = _em_remainder_bound(sigma, tmax, M, K) + roundoff
     return vals, np.full(ts.shape, bound)
@@ -479,14 +654,16 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
         target = cfg.target_abs_error
     smin = float(np.min(sigmas))
     M, K = _em_truncation(smin, abs(t), target)
-    n = np.arange(1, M, dtype=float)
-    lnn = np.log(n.astype(np.longdouble))
-    phase = _unit_phases(np.array([t], dtype=np.longdouble), lnn)[0]
-    ampm = np.exp(-np.outer(sigmas, lnn.astype(float)))
+    n = np.arange(1, M)
+    phase = _unit_phases(np.array([t], dtype=np.longdouble), n)[0]
+    lnn = np.log(n.astype(float))
+    ampm = np.exp(-np.outer(sigmas, lnn))
     vals = ampm @ phase + _em_tail(sigmas + 1j * t, M, K)
     bound = _em_remainder_bound(smin, abs(t), M, K)
     bound += _phase_roundoff(abs(t), float(lnn[-1]),
                              float(ampm.sum(axis=1).max()))
+    bound += _PRODUCT_ROUNDOFF * float(
+        (ampm @ _factor_plan(n).products).max())
     return vals, np.full(sigmas.shape, bound)
 
 
@@ -536,10 +713,9 @@ def _truncated_sums(ts: np.ndarray,
     order = np.argsort(N, kind="stable")
     Nuniq, starts = np.unique(N[order], return_index=True)
     for Nv, idx in zip(Nuniq.tolist(), np.split(order, starts[1:])):
-        n = np.arange(1, Nv + 1, dtype=float)
-        lnn = np.log(n.astype(np.longdouble))
+        n = np.arange(1, Nv + 1)
         for row, e in enumerate(exponents):
-            sums[row, idx], bounds[row, idx] = _phase_sum(lnn, n ** -e,
+            sums[row, idx], bounds[row, idx] = _phase_sum(n, n ** -float(e),
                                                           ts[idx])
     return sums, bounds
 

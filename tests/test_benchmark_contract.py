@@ -72,9 +72,9 @@ def test_em_choose_m_is_one_more_than_the_terms_em_batch_sums(
     summed = []
     phase_sum = zeta._phase_sum
 
-    def spy(logs, amps, heights):
-        summed.append(logs.size)
-        return phase_sum(logs, amps, heights)
+    def spy(ns, amps, heights):
+        summed.append(ns.size)
+        return phase_sum(ns, amps, heights)
 
     monkeypatch.setattr(zeta, "_phase_sum", spy)
     zeta._em_batch(sigma, ts, DEFAULT, target)

@@ -144,6 +144,17 @@ def test_mv_non_finite_input_exits_2(tmp_path, toy_table, capsys, argv):
     assert doc["error"] == "ValueError"
 
 
+def test_mv_table_entry_below_1_exits_2(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("0 1.0\n2 0.5\n")
+    assert run(["mv", "exact", "--table", str(table), "--T", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err.strip().splitlines()[-1])
+    assert doc["error"] == "ParseError"
+    assert doc["message"].startswith("line 1:")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["nosuch"]) == 1
     assert run(["integral", "--nonsense"]) == 1

@@ -145,6 +145,15 @@ def test_mean_square_in_row_blocks(monkeypatch):
     assert abs(blocked - whole) <= 1e-14 * T * comp_sum(table.rs ** 2)
 
 
+@pytest.mark.parametrize("ns", [[0, 2], [-5, 1, 2]])
+def test_table_entries_below_1_are_rejected(ns):
+    table = (ns, np.ones(len(ns)))
+    with pytest.raises(ValueError, match=">= 1"):
+        eval_R_batch(table, [10.0])
+    with pytest.raises(ValueError, match=">= 1"):
+        mean_square_exact(table, 10.0)
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
 def test_mean_square_rejects_bad_heights(trivial_table, T):
     with pytest.raises(ValueError):

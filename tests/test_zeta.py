@@ -5,15 +5,16 @@ eta-series and Bernoulli identities provide library-free cross-checks.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsylab import errors, zeta
+from bsylab import errors, sieve, zeta
 from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.quadrature import GK15_NODES
 from bsylab.zeta import (
@@ -319,9 +320,9 @@ def test_em_grid_path_in_row_chunks(monkeypatch):
     sizes = []
     unit_phases = zeta._unit_phases
 
-    def spy(ts_ld, logs):
+    def spy(ts_ld, ns):
         sizes.append(ts_ld.size)       # J first, then each chunk's rows
-        return unit_phases(ts_ld, logs)
+        return unit_phases(ts_ld, ns)
 
     monkeypatch.setattr(zeta, "_unit_phases", spy)
     part, pb = zeta._em_batch(0.6, ts)
@@ -362,9 +363,10 @@ def test_afe_grid_path_matches_pointwise():
 # Cluster path of the phase-sum kernel
 # ----------------------------------------------------------------------
 
-def _direct_sum(logs, amps, ts):
-    """sum_n a_n exp(-i t l_n), phases reduced by a longdouble 2 pi."""
+def _direct_sum(ns, amps, ts):
+    """sum_n a_n exp(-i t log n), phases reduced by a longdouble 2 pi."""
     two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    logs = np.log(np.asarray(ns).astype(np.longdouble))
     ph = ((np.asarray(ts, dtype=np.longdouble)[:, None] * logs[None, :])
           % two_pi).astype(float)
     re = (amps[None, :] * np.cos(ph)).sum(axis=1)
@@ -372,8 +374,8 @@ def _direct_sum(logs, amps, ts):
 
 
 def _em_terms(sigma, M):
-    n = np.arange(1, M, dtype=float)
-    return np.log(n.astype(np.longdouble)), n ** (-sigma)
+    n = np.arange(1, M)
+    return n, n ** (-sigma)
 
 
 @pytest.mark.parametrize("t", [150.0, 1200.0, 2e4])
@@ -394,12 +396,12 @@ def test_em_clusters_match_mpmath(sigma, t):
 
 def test_cluster_path_input_order_and_repeats():
     # unsorted, one height repeated, two clusters and a lone height
-    logs, amps = _em_terms(0.6, 400)
+    ns, amps = _em_terms(0.6, 400)
     ts = np.array([1000.4, 1000.1, 1005.0, 1000.4, 1000.25, 1000.9,
                    1000.7])
-    vals, bound = zeta._phase_sum(logs, amps, ts)
-    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
-    rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
+    vals, bound = zeta._phase_sum(ns, amps, ts)
+    assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
+    rev, _ = zeta._phase_sum(ns, amps, ts[::-1])
     assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
     assert vals[0] == vals[3]
 
@@ -407,29 +409,29 @@ def test_cluster_path_input_order_and_repeats():
 @pytest.mark.parametrize("ts", [np.array([]), np.array([1000.4])],
                          ids=["K0", "K1"])
 def test_phase_sum_tiny_inputs(ts):
-    logs, amps = _em_terms(0.6, 400)
-    vals, bound = zeta._phase_sum(logs, amps, ts)
+    ns, amps = _em_terms(0.6, 400)
+    vals, bound = zeta._phase_sum(ns, amps, ts)
     assert vals.shape == ts.shape
-    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
+    assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
 
 
 def test_isolated_heights_sum_directly():
     # more than 2*rho apart, so every height is a cluster of one
-    logs, amps = _em_terms(0.5, 3000)
+    ns, amps = _em_terms(0.5, 3000)
     ts = np.array([2e4, 150.3, 1200.7, 1201.9])
-    vals, bound = zeta._phase_sum(logs, amps, ts)
-    assert np.all(np.abs(vals - _direct_sum(logs, amps, ts)) <= bound)
-    rev, _ = zeta._phase_sum(logs, amps, ts[::-1])
+    vals, bound = zeta._phase_sum(ns, amps, ts)
+    assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
+    rev, _ = zeta._phase_sum(ns, amps, ts[::-1])
     assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
 
 
 def test_low_expansion_order_stays_within_bound(monkeypatch):
     # decide the order against a floor 1e8 times the real one: J drops
     # to about half, and the truncation tail must enter the bound
-    logs, amps = _em_terms(0.5, 1200)
+    ns, amps = _em_terms(0.5, 1200)
     ts = 1000.0 + 0.3 * np.linspace(-1.0, 1.0, 9) ** 3
-    exact = _direct_sum(logs, amps, ts)
-    full, full_bound = zeta._phase_sum(logs, amps, ts)
+    exact = _direct_sum(ns, amps, ts)
+    full, full_bound = zeta._phase_sum(ns, amps, ts)
     orders = []
     taylor_order = zeta._taylor_order
 
@@ -440,9 +442,121 @@ def test_low_expansion_order_stays_within_bound(monkeypatch):
         return J, tail
 
     monkeypatch.setattr(zeta, "_taylor_order", coarse)
-    low, low_bound = zeta._phase_sum(logs, amps, ts)
+    low, low_bound = zeta._phase_sum(ns, amps, ts)
     assert orders[1] < orders[0]
     err = np.abs(low - exact)
     assert np.max(err) > 100 * full_bound       # the low order shows
     assert np.all(err <= low_bound)
     assert np.all(np.abs(full - exact) <= full_bound)
+
+
+# ----------------------------------------------------------------------
+# Unit phases built from the phases of the bases
+# ----------------------------------------------------------------------
+
+def _divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+@st.composite
+def _integer_sets(draw):
+    """Prefixes 1..M, divisor-closed sets, and sets whose least factors
+    and cofactors are absent, so the kernel must add them."""
+    kind = draw(st.sampled_from(["prefix", "divisor-closed", "sparse"]))
+    if kind == "prefix":
+        M = draw(st.one_of(st.sampled_from([1, 2, 3989, 2048]),
+                           st.integers(1, 4000)))
+        return np.arange(1, M + 1)
+    if kind == "divisor-closed":
+        gens = draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
+                             max_size=6))
+        return np.array(sorted({d for g in gens for d in _divisors(g)}))
+    picks = draw(st.lists(st.one_of(st.integers(1, 10 ** 4),
+                                    st.integers(1, 10 ** 12)),
+                          min_size=1, max_size=40, unique=True))
+    return np.array(sorted(picks))
+
+
+@st.composite
+def _heights(draw):
+    """A uniform grid, scattered heights or a lone height in [0, 2e5]."""
+    kind = draw(st.sampled_from(["grid", "scattered", "lone"]))
+    t0 = draw(st.floats(0.0, 2e5))
+    if kind == "lone":
+        return np.array([t0])
+    if kind == "grid":
+        K = draw(st.integers(5, 300))
+        dt = draw(st.floats(1e-4, 1.0))
+        return min(t0, 2e5 - dt * K) + dt * np.arange(K)
+    offs = draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+    return np.clip(t0 + np.array(offs), 0.0, 2e5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_sets(), st.integers(0, 2 ** 32 - 1), _heights())
+@example(np.array([1, 6, 35, 221]), 0, np.array([1000.0, 1000.2, 5e4]))
+def test_phase_sum_on_integer_sets_within_bound(ns, seed, ts):
+    amps = np.random.default_rng(seed).standard_normal(ns.size)
+    vals, bound = zeta._phase_sum(ns, amps, ts)
+    assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
+
+
+@pytest.mark.parametrize("ns,n_bases", [
+    (np.arange(1, 1001), 168),                 # the primes below 1000
+    (np.arange(1, 2), 0),                      # 1 alone: nothing to reduce
+    (np.array([1, 6, 35, 221]), 6),            # 2, 3, 5, 7, 13, 17
+    (np.array([1, 11, 13, 143, 221, 2431]), 3),  # divisor-closed
+    (np.array([1, 10 ** 18 + 9]), 1),          # prime: no factor below 2^10
+], ids=["prefix", "one", "cofactors-absent", "divisor-closed", "far-out"])
+def test_only_bases_are_reduced(monkeypatch, ns, n_bases):
+    reduced = []
+    base_phases = zeta._base_phases
+
+    def spy(ts_ld, logs):
+        reduced.append(logs.size * ts_ld.size)
+        return base_phases(ts_ld, logs)
+
+    monkeypatch.setattr(zeta, "_base_phases", spy)
+    ts = np.array([1000.0, 2000.0, 3000.0])     # three clusters of one
+    vals, bound = zeta._phase_sum(ns, np.ones(ns.size), ts)
+    assert sum(reduced) == 3 * n_bases
+    assert np.all(np.abs(vals - _direct_sum(ns, np.ones(ns.size), ts))
+                  <= bound)
+
+
+@pytest.mark.parametrize("t", [1e3, 1e5])
+def test_built_phases_within_per_term_bound(t):
+    ns = np.arange(1, 10_001)
+    built = zeta._unit_phases(np.array([t], dtype=np.longdouble), ns)[0]
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.expj(-t * mpmath.log(n)))
+                          for n in ns.tolist()])
+    products = zeta._factor_plan(ns).products
+    bound = (zeta._phase_roundoff(t, np.log(ns), 1.0)
+             + products * zeta._PRODUCT_ROUNDOFF)
+    assert products.max() == 12                 # 2^13 <= 10^4
+    assert np.all(np.abs(built - exact) <= bound)
+
+
+def test_far_out_entry_needs_no_sieve_to_it():
+    # 10^18 + 9 is prime: trial division stops at 2^10 and leaves it a
+    # base, so neither the plan nor the sum grows with it
+    ns, amps = np.array([1, 10 ** 18 + 9]), np.array([1.0, -0.5])
+    ts = np.array([1e3, 1e3 + 1e-3, 5e4])
+    sieved = sieve._SPF.size
+    zeta._plan_of.cache_clear()
+    tracemalloc.start()
+    try:
+        vals, bound = zeta._phase_sum(ns, amps, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sieve._SPF.size == sieved
+    assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
+
+
+def test_phase_kernel_rejects_n_below_1():
+    with pytest.raises(ValueError, match=">= 1"):
+        zeta._phase_sum(np.array([0, 1, 2]), np.ones(3), np.array([10.0]))
