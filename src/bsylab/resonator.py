@@ -265,7 +265,7 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read (ns, rs) from a table file; header metadata is ignored.
 
     Raises ParseError, with the line number, on a malformed line or an
-    entry n < 1.
+    entry n outside [1, 2^63), the int64 range.
     """
     ns, rs = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -283,7 +283,7 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:
                 raise errors.ParseError(
                     f"line {ln}: bad number", line_number=ln)
-            if ns[-1] < 1:
+            if not 1 <= ns[-1] < 2 ** 63:
                 raise errors.ParseError(
-                    f"line {ln}: n must be >= 1", line_number=ln)
+                    f"line {ln}: n must be >= 1 and < 2^63", line_number=ln)
     return np.asarray(ns, dtype=np.int64), np.asarray(rs, dtype=float)

@@ -223,10 +223,10 @@ def test_table_parse_error(tmp_path):
     assert exc.value.line_number == 2
 
 
-@pytest.mark.parametrize("n", ["0", "-3"])
-def test_table_entry_below_1_is_a_parse_error(tmp_path, n):
+@pytest.mark.parametrize("n", ["0", "-3", str(2 ** 63)])
+def test_table_entry_out_of_range_is_a_parse_error(tmp_path, n):
     path = tmp_path / "bad.txt"
     path.write_text(f"# N = 10\n1 1.0\n{n} 0.5\n")
-    with pytest.raises(errors.ParseError, match=">= 1") as exc:
+    with pytest.raises(errors.ParseError, match=r">= 1 and < 2\^63") as exc:
         read_table(str(path))
     assert exc.value.line_number == 3
