@@ -10,9 +10,13 @@ test suite:
   meets the call's target (``_em_truncation``).
 * The Riemann-Siegel main sum with up to four correction terms (all
   four by default), O(sqrt(t)) per point and vectorized;
-  ``hardy_z_batch`` takes it wherever ``rs_error_bound`` meets the
-  requested tolerance.  Correction functions C0..C3 are evaluated from
-  Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`.
+  ``hardy_z_batch`` keeps it wherever the bound it returns meets the
+  requested tolerance.  theta is reduced mod 2 pi in longdouble once per
+  anchor (the heights rounded to a multiple of 1/8) and each height adds
+  its offset in float64.  The correction functions C0..C3 come from the
+  Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`, turned at import
+  into polynomials of one parity in 2p - 1 and evaluated by Horner in
+  (2p - 1)^2; what that drops and rounds is in the bound.
 
 Dirichlet-polynomial sums go through one kernel, ``_phase_sum``: the
 Euler-Maclaurin main sum, the Riemann-Siegel main sum, the two sums of
@@ -141,16 +145,22 @@ def rs_theta_array(ts: np.ndarray) -> np.ndarray:
     return np.sign(ts) * val
 
 
+def _theta_series(a: np.ndarray) -> np.ndarray:
+    """sum_n c_n a^(1-2n), n = 1.._THETA_N, the series part of theta at
+    a > 0: (1/a) times a polynomial in 1/a^2 by Horner, in a's dtype."""
+    u = 1 / (a * a)
+    series = np.full(a.shape, a.dtype.type(_THETA_C[_THETA_N - 1]))
+    for c in _THETA_C[_THETA_N - 2::-1]:
+        series *= u
+        series += a.dtype.type(c)
+    return series / a
+
+
 def _rs_theta_ld(ts: np.ndarray) -> np.ndarray:
     """theta(t) in 80-bit floats for t >= THETA_T_MIN (phase use)."""
     a = np.abs(ts).astype(np.longdouble)
     val = 0.5 * a * np.log(a / _TWO_PI_LD) - 0.5 * a - _TWO_PI_LD / 16
-    # sum_n c_n a^(1-2n) = (1/a) * polynomial in 1/a^2, by Horner
-    u = 1 / (a * a)
-    series = np.full(a.shape, np.longdouble(_THETA_C[_THETA_N - 1]))
-    for c in _THETA_C[_THETA_N - 2::-1]:
-        series = series * u + np.longdouble(c)
-    return np.sign(ts).astype(np.longdouble) * (val + series / a)
+    return np.sign(ts).astype(np.longdouble) * (val + _theta_series(a))
 
 
 def rs_theta(t: float) -> float:
@@ -158,9 +168,9 @@ def rs_theta(t: float) -> float:
     return float(rs_theta_array(np.array([t]))[0])
 
 
-def rs_theta_error_bound(t: float) -> float:
-    """First omitted term of the theta expansion."""
-    return float(_THETA_C[_THETA_N] * abs(t) ** (-1 - 2 * _THETA_N))
+def rs_theta_error_bound(t):
+    """First omitted term of the theta expansion, vectorized in t."""
+    return _THETA_C[_THETA_N] * np.abs(t) ** (-1.0 - 2 * _THETA_N)
 
 
 def _theta_smallt(ts: np.ndarray) -> np.ndarray:
@@ -692,6 +702,119 @@ def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
 
 _RS_CHEBS = (C0_CHEB, C1_CHEB, C2_CHEB, C3_CHEB)
 
+_U = 2.0 ** -53     # float64 unit roundoff
+
+
+def _parity_poly(cheb: np.ndarray, odd: bool) -> tuple[np.ndarray, float]:
+    """(a, err): C(x) = sum_i a_i x^(2i), times x when ``odd``, from the
+    Chebyshev series ``cheb`` in x on [-1, 1], and a bound over |x| <= 1
+    on how far its float64 evaluation by ``_rs_correction`` strays from
+    the full series.
+
+    The coefficients of the other parity are dropped; so are those of
+    this parity past the least degree whose dropped tail is at most that
+    off-parity mass (both are the fit's noise).  ``err`` is the sum of
+    the dropped |c_j|, the rounding of the conversion to powers of x
+    (deg * u * sum |c_j| |T_j|_1, |T_j|_1 = ((1 + sqrt 2)^j +
+    (1 - sqrt 2)^j)/2 the sum of the |coefficients| of T_j), and that of
+    the evaluation: Horner in y = x^2 with n coefficients is within
+    gamma_2n sum|a_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1), the rounding of y adds n u sum|a_i|, the factor x
+    and the step of the sum over k in ``_rs_corrections`` a few u more.
+    """
+    j = np.arange(cheb.size)
+    mine = j % 2 == int(odd)
+    off = float(np.abs(cheb[~mine]).sum())
+    # tail[d] = sum of |c_j| over j >= d of this parity
+    tail = np.cumsum(np.abs(np.where(mine, cheb, 0.0))[::-1])[::-1]
+    tail = np.append(tail, 0.0)
+    deg = int(j[mine & (tail[1:] <= off)][0])
+    kept = np.where(mine, cheb, 0.0)[:deg + 1]
+    a = np.polynomial.chebyshev.cheb2poly(kept)[int(odd)::2]
+    norms = ((1 + math.sqrt(2.0)) ** j[:deg + 1]
+             + (1 - math.sqrt(2.0)) ** j[:deg + 1]) / 2
+    amass = float(np.abs(a).sum())
+    err = off + float(tail[deg + 1]) \
+        + _U * (deg * float(np.abs(kept) @ norms) + (3 * a.size + 8) * amass)
+    return a, err
+
+
+#: C0..C3 as (coefficients in x^2, err, odd) from ``_parity_poly``: C0 and
+#: C2 are even in x = 2p - 1, C1 and C3 odd.
+_RS_POLYS = tuple((*_parity_poly(c, k % 2 == 1), k % 2 == 1)
+                  for k, c in enumerate(_RS_CHEBS))
+
+
+def _rs_correction(k: int, x: np.ndarray) -> np.ndarray:
+    """C_k at x = 2p - 1 in [-1, 1], by Horner in x^2 on ``_RS_POLYS``."""
+    a, _, odd = _RS_POLYS[k]
+    x = np.asarray(x, dtype=float)
+    y = x * x
+    c = np.full(x.shape, a[-1])
+    for ai in a[-2::-1]:
+        c *= y
+        c += ai
+    if odd:
+        c *= x
+    return c
+
+
+def _rs_corrections(tau: np.ndarray, n_corr: int):
+    """sum over k < n_corr of C_k(p) tau^(-k), p = tau - floor(tau), and
+    its bound sum_k err_k tau^(-k) (``_parity_poly``), both by Horner in
+    1/tau."""
+    w = 1.0 / tau
+    x = 2.0 * (tau - np.floor(tau)) - 1.0
+    corr, err = np.zeros(tau.shape), np.zeros(tau.shape)
+    for k in range(n_corr - 1, -1, -1):
+        corr *= w
+        corr += _rs_correction(k, x)
+        err *= w
+        err += _RS_POLYS[k][1]
+    return corr, err
+
+
+#: theta is reduced in longdouble only at anchors, the heights rounded
+#: to a multiple of 1/_THETA_ANCHORS.
+_THETA_ANCHORS = 8.0
+
+#: Bound on the float64 rounding in the phase of ``_rs_rotation``: the
+#: anchor's reduced theta rounded to [0, 2 pi], the offset (below 1 at
+#: |d| <= 1/16 and t <= 1e12) and the two sums, each within u * 8, and
+#: the rounding of cos and sin.
+_THETA_ROUNDOFF = 40 * _U
+
+
+def _rs_rotation(ts: np.ndarray):
+    """(cos theta(t), sin theta(t), bound on the phase error) for
+    t >= RS_T_MIN.
+
+    theta is reduced mod 2 pi in longdouble (``_rs_theta_ld``) only at
+    the anchors c, each height rounded to a multiple of 1/8, one
+    reduction per distinct c.  Each height adds its offset d = t - c
+    (exact, |d| <= 1/16) in float64:
+
+        theta(t) - theta(c) = (d (log(c/2pi) - 1) + t log1p(d/c))/2
+                              + s(t) - s(c),
+
+    s the series part of theta (``_theta_series``).  The bound is
+    ``rs_theta_error_bound`` at the anchor, plus 4 eps c log(c/2pi) for
+    the longdouble rounding of theta(c) and of its reduction (eps of
+    longdouble; the roundings of the steps sum to about half of it), plus
+    ``_THETA_ROUNDOFF``.
+    """
+    c = np.rint(ts * _THETA_ANCHORS) / _THETA_ANCHORS
+    anchors, at = np.unique(c, return_inverse=True)
+    logc = np.log(anchors / TWO_PI)
+    base = (_rs_theta_ld(anchors) % _TWO_PI_LD).astype(float) \
+        - _theta_series(anchors)
+    err = rs_theta_error_bound(anchors) + _THETA_ROUNDOFF \
+        + 4.0 * float(np.finfo(np.longdouble).eps) * anchors * logc
+    d = ts - c
+    phase = base[at] + 0.5 * (d * (logc - 1.0)[at] + ts * np.log1p(d / c)) \
+        + _theta_series(ts)
+    return np.cos(phase), np.sin(phase), err[at]
+
 
 def rs_error_bound(t, n_corr: int):
     """Empirical absolute error bound of the RS path, vectorized in t."""
@@ -720,52 +843,65 @@ def _truncated_sums(ts: np.ndarray,
     return sums, bounds
 
 
+def _rs_z_rounded(ts: np.ndarray,
+                  n_corr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Riemann-Siegel Z at t >= RS_T_MIN and the bound of all but its
+    truncation (``rs_error_bound``); see ``_rs_z_batch``."""
+    tau = np.sqrt(ts / TWO_PI)
+    cos_t, sin_t, theta_err = _rs_rotation(ts)
+    (S,), (S_bound,) = _truncated_sums(ts, (0.5,))
+    re, im = S.real, S.imag
+    corr, corr_err = _rs_corrections(tau, n_corr)
+    rt = 1.0 / np.sqrt(tau)
+    sign = np.where(np.floor(tau) % 2 == 1, 1.0, -1.0)     # (-1)^(N-1)
+    vals = 2.0 * (cos_t * re - sin_t * im) + sign * rt * corr
+    bound = 2.0 * (S_bound + (np.abs(re) + np.abs(im)) * theta_err) \
+        + rt * corr_err
+    return vals, bound
+
+
 def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
     """Hardy Z via the Riemann-Siegel formula, vectorized, t >= RS_T_MIN.
 
     The main sum is 2 Re(exp(i theta) S(t)), S(t) the sum over
     n <= N = floor(sqrt(t/2pi)) of n^(-1/2) n^(-it) from
-    ``_truncated_sums``, with theta from ``_rs_theta_ld`` reduced by the
-    longdouble 2*pi.  The bound is ``rs_error_bound`` plus twice the
-    bound of S.
+    ``_truncated_sums``, with exp(i theta) from ``_rs_rotation`` (theta
+    reduced in longdouble once per anchor, the offset in float64).  The
+    correction sum_k C_k(p) tau^(-k), tau = sqrt(t/2pi), p = tau - N, is
+    ``_rs_corrections``: each C_k a polynomial of one parity in 2p - 1.
+    The bound is ``rs_error_bound``, plus twice the bound of S, plus
+    2 |S| times the phase bound of ``_rs_rotation``, plus tau^(-1/2)
+    times the bound of the correction sum.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size and float(np.min(ts)) < RS_T_MIN:
         raise ValueError("RS path requires t >= RS_T_MIN")
-    tau = np.sqrt(ts / TWO_PI)
-    N = np.floor(tau)
-    p = tau - N
-    rot = np.exp(1j * (_rs_theta_ld(ts) % _TWO_PI_LD).astype(float))
-    (S,), (S_bound,) = _truncated_sums(ts, (0.5,))
-    vals = 2.0 * (rot * S).real
-
-    # correction terms
-    corr = np.zeros(ts.shape)
-    taupow = np.ones(ts.shape)
-    x = 2.0 * p - 1.0  # chebyshev domain [0,1] -> [-1,1]
-    for k in range(n_corr):
-        ck = np.polynomial.chebyshev.chebval(x, _RS_CHEBS[k])
-        corr += ck * taupow
-        taupow = taupow / tau
-    sign = np.where(N % 2 == 1, 1.0, -1.0)
-    vals += sign * tau ** (-0.5) * corr
-    return vals, rs_error_bound(ts, n_corr) + 2.0 * S_bound
+    vals, bound = _rs_z_rounded(ts, n_corr)
+    return vals, bound + rs_error_bound(ts, n_corr)
 
 
 def hardy_z_batch(ts: np.ndarray, abs_tol: float,
                   cfg: PrecisionConfig = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Z(t) on an array, choosing RS or Euler-Maclaurin per point.
 
-    The RS path is used wherever its error bound meets ``abs_tol``;
-    everything else falls back to Euler-Maclaurin at the same target.
+    RS is evaluated at t >= RS_T_MIN wherever ``rs_error_bound`` alone
+    meets ``abs_tol``, and kept wherever the full bound it returns (see
+    ``_rs_z_batch``) does; everything else falls back to Euler-Maclaurin
+    at the same target.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.empty(ts.shape)
     errs = np.empty(ts.shape)
     n_corr = min(cfg.rs_correction_terms, len(_RS_CHEBS))
-    use_rs = (ts >= RS_T_MIN) & (rs_error_bound(ts, n_corr) <= abs_tol)
+    trunc = rs_error_bound(ts, n_corr)
+    use_rs = (ts >= RS_T_MIN) & (trunc <= abs_tol)
     if np.any(use_rs):
-        vals[use_rs], errs[use_rs] = _rs_z_batch(ts[use_rs], n_corr)
+        v, e = _rs_z_rounded(ts[use_rs], n_corr)
+        e += trunc[use_rs]
+        ok = e <= abs_tol
+        idx = np.flatnonzero(use_rs)
+        vals[idx[ok]], errs[idx[ok]] = v[ok], e[ok]
+        use_rs[idx[~ok]] = False
     rest = ~use_rs
     if np.any(rest):
         tr = ts[rest]

@@ -163,6 +163,44 @@ def test_theta_array_matches_scalar():
         assert v == rs_theta(float(t))
 
 
+def _mp_rotation(t: float) -> complex:
+    """exp(i theta(t)) from mpmath.siegeltheta, reduced mod 2 pi."""
+    return complex(mpmath.expj(mpmath.siegeltheta(t) % (2 * mpmath.pi)))
+
+
+_HALFWAY = st.integers(240, 1_600_000).map(lambda k: (k + 0.5) / 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(min_value=30.0, max_value=2e5), _HALFWAY))
+@example(30.0625)                       # halfway between 30 and 30.125
+@example(2e5 - 0.0625)
+def test_rs_rotation_from_anchors(t):
+    # t, the heights halfway to both neighbouring anchors, and a far one
+    ts = np.array([t, t + 0.0625, max(30.0, t - 0.0625), t + 0.3, 31.0])
+    cos_t, sin_t, err = zeta._rs_rotation(ts)
+    rot = cos_t + 1j * sin_t
+    per_point = np.exp(1j * (_rs_theta_ld(ts) % zeta._TWO_PI_LD).astype(float))
+    assert np.all(np.abs(rot - per_point) <= err)
+    for k in range(ts.size):
+        assert abs(rot[k] - _mp_rotation(float(ts[k]))) <= err[k]
+        assert err[k] >= rs_theta_error_bound(ts[k])
+
+
+def test_rs_theta_reduced_only_at_anchors(monkeypatch):
+    ts = np.linspace(5000.0, 5010.0, 2001)
+    sizes = []
+    theta_ld = zeta._rs_theta_ld
+
+    def spy(a):
+        sizes.append(a.size)
+        return theta_ld(a)
+
+    monkeypatch.setattr(zeta, "_rs_theta_ld", spy)
+    zeta._rs_z_batch(ts, 4)
+    assert sizes == [81]                # 5000, 5000.125, ..., 5010
+
+
 @pytest.mark.parametrize("t", [35.0, 101.5, 999.9, 12345.6, 150000.0])
 def test_hardy_z_matches_mpmath(t):
     zv = hardy_z(t, DEFAULT)
@@ -202,6 +240,51 @@ def test_rs_tables_match_closed_form(k):
     assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+#: The sum of the |coefficients| of the other parity in each table: noise
+#: of the fit, dropped by the parity evaluation and added to its bound.
+_RS_OFF_PARITY = (2.01e-15, 1.43e-16, 5.28e-17, 2.50e-15)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_rs_correction_matches_closed_form(k):
+    ps = np.union1d(np.linspace(0.0, 1.0, 23), [0.0, 0.5, 1.0])
+    got = zeta._rs_correction(k, 2.0 * ps - 1.0)
+    ref = np.array([_rs_closed_form(k, p) for p in ps.tolist()])
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_rs_correction_within_its_term_of_the_table(k):
+    x = np.linspace(-1.0, 1.0, 4001)
+    cheb = zeta._RS_CHEBS[k]
+    table = np.polynomial.chebyshev.chebval(x, cheb)
+    # the stated term, and chebval's own rounding of a few ulps
+    tol = zeta._RS_POLYS[k][1] + 8 * 2.0 ** -53 * np.abs(cheb).sum()
+    assert np.max(np.abs(zeta._rs_correction(k, x) - table)) <= tol
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_rs_table_off_parity_mass_within_the_bound(k):
+    # C0 and C2 are even in x = 2p - 1, C1 and C3 odd
+    cheb = zeta._RS_CHEBS[k]
+    off = np.abs(cheb[1 - k % 2::2]).sum()
+    assert off <= _RS_OFF_PARITY[k]
+    assert off <= zeta._RS_POLYS[k][1] <= 1e-13
+    assert zeta._RS_POLYS[k][2] == (k % 2 == 1)
+
+
+@pytest.mark.parametrize("n_corr", [1, 2, 3, 4])
+def test_rs_corrections_sum_by_powers_of_tau(n_corr):
+    taus = np.array([2.3, 3.0, 5.6, 12.5, 40.05])     # p not near 1/4, 3/4
+    corr, err = zeta._rs_corrections(taus, n_corr)
+    for tau, c, e in zip(taus.tolist(), corr, err):
+        p = tau - math.floor(tau)
+        ref = sum(_rs_closed_form(k, p) * tau ** -k for k in range(n_corr))
+        assert abs(c - ref) <= 1e-14
+        assert e == pytest.approx(sum(zeta._RS_POLYS[k][1] * tau ** -k
+                                      for k in range(n_corr)))
+
+
 @pytest.mark.parametrize("n_corr", [2, 3, 4])
 def test_rs_error_bound_conservative(n_corr):
     # the fitted correction-term coefficients must over-cover reality
@@ -236,6 +319,27 @@ def test_hardy_z_batch_agrees_with_em():
     for t, v, b in zip(ts[::37], vals[::37], bounds[::37]):
         em = zeta_em(complex(0.5, t), DEFAULT)
         assert abs(abs(v) - abs(complex(em))) <= b + em.abs_error
+
+
+def test_hardy_z_batch_keeps_rs_only_within_the_tolerance(monkeypatch):
+    # rs_error_bound alone meets 1e-11 here, but the rounding of the sum
+    # in the bound RS returns does not (3.4e-11 and 8.0e-11), so both
+    # heights must go to Euler-Maclaurin
+    ts, abs_tol = np.array([1e5, 2e5]), 1e-11
+    assert np.all(rs_error_bound(ts, 4) <= abs_tol)
+    to_em = []
+    em_batch = zeta._em_batch
+
+    def spy(sigma, heights, cfg=DEFAULT, target=None):
+        to_em.extend(np.asarray(heights).tolist())
+        return em_batch(sigma, heights, cfg, target)
+
+    monkeypatch.setattr(zeta, "_em_batch", spy)
+    vals, bounds = hardy_z_batch(ts, abs_tol, DEFAULT)
+    for t, v, b in zip(ts.tolist(), vals, bounds):
+        assert abs(v - float(mpmath.siegelz(t))) <= b
+        assert b <= abs_tol or t in to_em, (t, b)
+    assert to_em == ts.tolist()
 
 
 def test_log_abs_and_branch_consistency():
