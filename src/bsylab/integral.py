@@ -5,9 +5,10 @@ whose decay encodes the horizontal distribution of zeta's nontrivial
 zeros.  The integrand has integrable logarithmic singularities at every
 zero ordinate, so [0, T] is partitioned with exactly one ordinate per
 panel; on a singular panel the integrand is split into
-log|t-gamma|/(1/4+t^2), handled by a dedicated graded-mesh rule, plus
-the smooth remainder log|Z(t)/(t-gamma)|/(1/4+t^2), handled by adaptive
-quadrature.  The same segment-profile engine serves cumulative scans.
+log|t-gamma|/(1/4+t^2), handled by a Gauss-Legendre product rule on
+each side of gamma, plus the smooth remainder
+log|Z(t)/(t-gamma)|/(1/4+t^2), handled by adaptive quadrature.  The
+same segment-profile engine serves cumulative scans.
 
 Also provided: the closed-form per-zero summand log|rho/(1-rho)|, the
 residual of I(T) against a hypothetical off-line zero sum (with its
@@ -146,11 +147,12 @@ def _panel_layout(cuts: np.ndarray, ords: np.ndarray):
     """Panels (lo, hi, gamma, segment) over the non-empty [cuts[i], cuts[i+1]].
 
     Each ordinate strictly inside a segment gets a singular panel capped
-    at _SING_RADIUS around it (wider panels would make the graded log
-    mesh resolve the weight poorly) and at the midpoints to its
-    neighbours in the segment.  Smooth filler panels (gamma NaN) cover
-    the rest of the segment, except pieces no wider than 1e-14.  Panels
-    come ascending, segment by segment; ``ords`` must be ascending.
+    at _SING_RADIUS around it (so the Cauchy weight's poles at +-i/2 stay
+    at least 13 side lengths from every side the product rule integrates,
+    since gamma_1 > 14) and at the midpoints to its neighbours in the
+    segment.  Smooth filler panels (gamma NaN) cover the rest of the
+    segment, except pieces no wider than 1e-14.  Panels come ascending,
+    segment by segment; ``ords`` must be ascending.
     """
     nseg = cuts.size - 1
     # segment of each ordinate: cuts[k - 1] < gamma < cuts[k]
@@ -196,7 +198,8 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     adaptive pass; panels are cut so each contains at most one ordinate.
     A segment's error estimate sums |K15 - G7| and the propagated
     pointwise Z error P over its accepted smooth-remainder panels, plus
-    the graded-mesh and stub bounds of its log-singular parts.
+    the product rules' |v12 - v8| and rounding terms of its log-singular
+    parts.
     """
     cuts = np.asarray(cuts, dtype=float)
     if np.any(np.diff(cuts) < 0):
@@ -209,14 +212,13 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     nsub = np.zeros(nseg, dtype=int)
     nsing = np.zeros(nseg, dtype=int)
 
-    # --- singular parts: one vectorized graded-mesh call over all zeros
+    # --- singular parts: one vectorized product-rule call over all zeros
     sing = ~np.isnan(gs)
     if np.any(sing):
         gsing = gs[sing]
         d_left = np.maximum(gsing - lo[sing], 1e-12)
         d_right = np.maximum(hi[sing] - gsing, 1e-12)
-        sv, se = log_singular_batch(gsing, d_left, d_right, weight_f,
-                                    w_min=cfg.target_abs_error)
+        sv, se = log_singular_batch(gsing, d_left, d_right, weight_f)
         np.add.at(vals, seg[sing], sv)
         np.add.at(errs, seg[sing], se)
         np.add.at(nsing, seg[sing], 1)

@@ -1,4 +1,4 @@
-"""Vectorized adaptive quadrature and graded-mesh log-singular panels.
+"""Vectorized adaptive quadrature and product rules for log singularities.
 
 One adaptive routine, ``adaptive_panels``, serves every smooth integral
 of the package.  It keeps a stack of panels and evaluates the integrand
@@ -10,9 +10,14 @@ A panel is accepted when |K15 - G7| is within its share of the budget
 plus P, the integrand's own pointwise error propagated through the
 Kronrod weights; P is reported as part of the error.  Reduction order
 is fixed for bit-reproducibility.
+
+``log_singular_batch`` integrates log|t - gamma| against a smooth
+weight on each side of many points gamma at once, by product
+integration (Davis & Rabinowitz, *Methods of Numerical Integration*,
+sec. 2.5): Gauss-Legendre nodes with weights taken against the exact
+log moments, 12 points per side checked by 8.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +57,9 @@ class IntegralResult:
     """Value, error estimate and subdivision diagnostics.
 
     ``abs_error_est`` sums, over the accepted panels, |K15 - G7| and the
-    propagated pointwise error of the integrand, plus the stub and
-    rule-difference bounds of any log-singular panels.
+    propagated pointwise error of the integrand, plus, for any
+    log-singular panels, the product rules' |v12 - v8| and rounding
+    terms.
     """
 
     value: float
@@ -144,59 +150,52 @@ def adaptive_quad(f, a: float, b: float, tol: float,
     return IntegralResult(value, comp_sum(p.rule_error), p.value.size)
 
 
-def graded_log_mesh(w_min_rel: float, per_cell: int = 10):
-    """Relative node/weight mesh for x in (0, 1] graded toward 0.
+def _log_product_rule(n: int):
+    """Gauss-Legendre nodes x_k, weights w_k and log moments o_k on [0, 1].
 
-    Geometric cells [2^-(j+1), 2^-j] with ratio 1/2, refined until the
-    innermost cell is below ``w_min_rel``; each cell carries a fixed
-    Gauss-Legendre rule.  Returns (nodes, weights, stub_width).
+    o_k = integral_0^1 log(x) l_k(x) dx for the Lagrange basis l_k of
+    the nodes.  The shifted Legendre expansion of l_k, whose
+    coefficients the Gauss rule gives exactly, yields o_k = w_k
+    sum_{m<n} (2m+1) P_m(2x_k - 1) mu_m with mu_0 = -1 and
+    mu_m = (-1)^(m+1) / (m(m+1)).
     """
-    J = max(1, int(math.ceil(math.log2(1.0 / w_min_rel))))
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(per_cell)
-    nodes, weights = [], []
-    for j in range(J):
-        hi = 2.0 ** (-j)
-        lo = hi / 2.0
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * gl_nodes)
-        weights.append(half * gl_w)
-    return (np.concatenate(nodes), np.concatenate(weights), 2.0 ** (-J))
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w, m = 0.5 * (x + 1.0), 0.5 * w, np.arange(n)
+    mu = np.where(m == 0, -1.0,
+                  (-1.0) ** (m + 1) / np.maximum(m * (m + 1), 1))
+    P = np.polynomial.legendre.legvander(2.0 * x - 1.0, n - 1)
+    return x, w, w * (P @ ((2 * m + 1) * mu))
 
 
-def log_singular_batch(gammas, d_left, d_right, weight_f,
-                       w_min: float) -> tuple[np.ndarray, np.ndarray]:
+#: The 12-point product rule, then the 8-point one that checks it.
+_LOG_N = (12, 8)
+_LOG_NODES, _LOG_W, _LOG_O = map(np.concatenate,
+                                 zip(*map(_log_product_rule, _LOG_N)))
+#: Unit roundoff of float64.
+_U = 0.5 * np.finfo(float).eps
+
+
+def log_singular_batch(gammas, d_left, d_right,
+                       weight_f) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of log|t - gamma| * weight(t) over [gamma-dl, gamma+dr].
 
-    Vectorized over many singular points; the graded mesh (geometric
-    refinement ratio 1/2 down to absolute width ``w_min``) is shared in
-    relative coordinates.  The innermost stub is integrated analytically
-    against weight(gamma).  Returns (values, error_estimates).
+    Each side is one product rule, integral_0^d log(u) W(gamma +- u) du =
+    d sum_k (w_k log d + o_k) W(gamma +- d x_k), exact for polynomial W
+    of degree < n and geometrically convergent for W analytic around the
+    side.  The value is the 12-point rule's; its error estimate is, per
+    side, |v12 - v8| plus a rounding term 8u d (|log d| + 1) max|W| over
+    the side's nodes.  ``weight_f`` is called once, on 40 points per
+    singular point.  Returns (values, error_estimates).
     """
     gammas = np.asarray(gammas, dtype=float)
-    d_left = np.broadcast_to(np.asarray(d_left, dtype=float), gammas.shape)
-    d_right = np.broadcast_to(np.asarray(d_right, dtype=float), gammas.shape)
-    if gammas.size == 0:
-        return np.zeros(0), np.zeros(0)
-    d_min = min(float(np.min(d_left)), float(np.min(d_right)))
-    rel = max(w_min / d_min, 1e-15)
-    nodes, weights, stub = graded_log_mesh(rel, per_cell=10)
-    nodes5, weights5, _ = graded_log_mesh(rel, per_cell=5)
-
-    def one_side(d, sign):
-        ts = gammas[:, None] + sign * d[:, None] * nodes[None, :]
-        integ = (np.log(d[:, None] * nodes[None, :]) * weight_f(ts))
-        v10 = d * (integ * weights[None, :]).sum(axis=1)
-        ts5 = gammas[:, None] + sign * d[:, None] * nodes5[None, :]
-        integ5 = (np.log(d[:, None] * nodes5[None, :]) * weight_f(ts5))
-        v5 = d * (integ5 * weights5[None, :]).sum(axis=1)
-        ws = d * stub
-        v10 += weight_f(gammas) * ws * (np.log(ws) - 1.0)
-        v5 += weight_f(gammas) * ws * (np.log(ws) - 1.0)
-        # stub bound: weight variation across the stub
-        stub_err = np.abs(weight_f(gammas + sign * ws) - weight_f(gammas)) \
-            * ws * (np.abs(np.log(ws)) + 1.0)
-        return v10, np.abs(v10 - v5) + stub_err
-
-    vr, er = one_side(d_right, +1.0)
-    vl, el = one_side(d_left, -1.0)
-    return vr + vl, er + el
+    d = np.stack([np.broadcast_to(np.asarray(side, dtype=float), gammas.shape)
+                  for side in (d_left, d_right)])
+    signed = d * np.array([-1.0, 1.0])[:, None]
+    W = weight_f(gammas[..., None] + signed[..., None] * _LOG_NODES)
+    logd = np.log(d)
+    v = d[..., None] * np.add.reduceat(
+        W * (logd[..., None] * _LOG_W + _LOG_O), [0, _LOG_N[0]], axis=-1)
+    rounding = 8.0 * _U * d * (np.abs(logd) + 1.0) \
+        * np.max(np.abs(W), axis=-1)
+    err = np.abs(v[..., 0] - v[..., 1]) + rounding
+    return v[0, :, 0] + v[1, :, 0], err[0] + err[1]

@@ -90,11 +90,6 @@ class ZeroCandidate:
                 f"beta must lie strictly in (1/2, 1), got {self.beta}")
 
 
-def mean_gap(t: float) -> float:
-    """Mean spacing of ordinates near height t."""
-    return 2.0 * math.pi / math.log(max(t, 20.0) / (2.0 * math.pi))
-
-
 def _refine_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
                      fhi: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
     """Vectorized Illinois (modified regula falsi) on sign-change brackets.

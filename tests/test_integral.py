@@ -267,6 +267,32 @@ def test_z_points_per_panel(zeros_100, monkeypatch, centred):
     assert points[0] == 15 * sum(panels) + 4 * len(stencils)
 
 
+@pytest.mark.parametrize("cfg", [
+    DEFAULT, PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-6)])
+def test_singular_weight_points_per_ordinate(zeros_100, monkeypatch, cfg):
+    # one 12- and one 8-point product rule per side: 2 * (12 + 8) = 40
+    # weight points per ordinate, whatever the tolerance and the side
+    # lengths (the cut just above gamma_1 leaves it a side of ~1e-9)
+    g = zeros_100.ordinates
+    seen = []
+    singular = integral.log_singular_batch
+
+    def counting(gammas, d_left, d_right, weight_f):
+        seen.append([np.asarray(gammas).size, 0,
+                     min(np.min(d_left), np.min(d_right))])
+
+        def spy(ts):
+            seen[-1][1] += np.asarray(ts).size
+            return weight_f(ts)
+        return singular(gammas, d_left, d_right, spy)
+
+    monkeypatch.setattr(integral, "log_singular_batch", counting)
+    integral._segment_profile(np.array([0.0, g[0] + 1e-9, 100.0]), g, cfg)
+    [(n_gammas, points, d_min)] = seen
+    assert n_gammas == g.size and d_min < 1e-8
+    assert points == 40 * n_gammas
+
+
 def test_pointwise_error_reaches_estimate(zeros_550, monkeypatch):
     # a smooth segment near t = 400 with Z good to 1e-6 only (taken from
     # Riemann-Siegel there): the error estimate is sum |K15 - G7| plus

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from bsylab.quadrature import (
     GK15_WEIGHTS,
     adaptive_panels,
     adaptive_quad,
-    graded_log_mesh,
     log_singular_batch,
 )
+
+#: float64 unit roundoff, as in the product rule's rounding term
+U = 2.0 ** -53
 
 
 def test_polynomial_exact():
@@ -47,23 +50,13 @@ def test_subdivision_cap_raises():
                       max_subdivisions=6)
 
 
-def test_graded_mesh_integrates_log():
-    # mesh covers (stub, 1]; stub handled analytically:
-    # integral of log x over (0, s] is s (log s - 1)
-    nodes, weights, stub = graded_log_mesh(1e-12)
-    assert nodes.min() > stub > 0
-    val = float(np.sum(np.log(nodes) * weights)) \
-        + stub * (math.log(stub) - 1.0)
-    assert abs(val - (-1.0)) < 1e-12
-
-
 def test_log_singular_batch_closed_form():
     # weight 1: integral of log|t-g| over [g-dl, g+dr] is exact
     gammas = np.array([10.0, 50.0])
     dl = np.array([0.3, 1.0])
     dr = np.array([0.7, 0.2])
     vals, errs = log_singular_batch(gammas, dl, dr,
-                                    lambda t: np.ones_like(t), 1e-14)
+                                    lambda t: np.ones_like(t))
     for g, a, b, v, e in zip(gammas, dl, dr, vals, errs):
         truth = a * (math.log(a) - 1.0) + b * (math.log(b) - 1.0)
         assert abs(v - truth) <= max(e, 1e-11)
@@ -74,10 +67,56 @@ def test_log_singular_batch_with_cauchy_weight():
     g = 30.0
     w = lambda t: 1.0 / (0.25 + t ** 2)
     vals, errs = log_singular_batch(np.array([g]), np.array([0.8]),
-                                    np.array([0.6]), w, 1e-14)
+                                    np.array([0.6]), w)
     oracle = quad(lambda t: math.log(abs(t - g)) / (0.25 + t * t),
                   g - 0.8, g + 0.6, points=[g], limit=500, epsabs=1e-13)[0]
     assert abs(vals[0] - oracle) <= max(errs[0], 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7),
+       st.floats(min_value=1e-12, max_value=1.0),
+       st.floats(min_value=1e-12, max_value=1.0))
+def test_product_rule_exact_for_polynomials(j, dl, dr):
+    # about gamma = 0 the nodes are t = +-d x_k, so W(t) = t^j is a
+    # degree-j polynomial in u = |t - gamma| with t - gamma unrounded;
+    # the integral of log(u) u^j over [0, d] is
+    # d^(j+1) (log d / (j+1) - 1 / (j+1)^2)
+    vals, _ = log_singular_batch(np.zeros(1), dl, dr, lambda t: t ** j)
+
+    def moment(d):
+        return d ** (j + 1) * (math.log(d) / (j + 1) - 1.0 / (j + 1) ** 2)
+
+    truth = moment(dr) + (-1) ** j * moment(dl)
+    # |W| <= d^j on each side
+    rounding = sum(8.0 * U * d * (abs(math.log(d)) + 1.0) * d ** j
+                   for d in (dl, dr))
+    assert abs(vals[0] - truth) <= rounding
+
+
+@pytest.mark.parametrize("weight", ["cauchy", "unit"])
+@pytest.mark.parametrize("gamma,dl,dr", [
+    (14.134725141734693, 1.0, 1.0),
+    (14.134725141734693, 1e-12, 1e-6),
+    (21.022039638771555, 0.5, 1e-3),
+    (1e5, 1.0, 1.0),
+    (1e5, 1e-12, 1e-12),
+])
+def test_product_rule_estimate_covers_mpmath(weight, gamma, dl, dr):
+    # oracle in u = t - gamma, so that no node rounds onto gamma
+    w = (lambda t: 1.0 / (0.25 + t ** 2)) if weight == "cauchy" \
+        else np.ones_like
+    vals, errs = log_singular_batch(np.array([gamma]), dl, dr, w)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        W = (lambda t: 1 / (mpmath.mpf(0.25) + t * t)) \
+            if weight == "cauchy" else (lambda t: 1)
+        oracle = sum(mpmath.quad(lambda u: mpmath.log(u) * W(g + s * u),
+                                 [0, mpmath.mpf(d)])
+                     for s, d in ((-1, dl), (1, dr)))
+        err = abs(vals[0] - oracle)
+    assert errs[0] > 0
+    assert err <= errs[0]
 
 
 @settings(max_examples=20, deadline=None)

@@ -22,7 +22,6 @@ from bsylab.zeros import (
     export_zeros,
     find_zeros_up_to,
     import_zeros,
-    mean_gap,
     verify_zero_list,
 )
 from bsylab.zeta import gram_points, hardy_z, hardy_z_batch
@@ -87,8 +86,9 @@ def _refined_roots(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def test_illinois_refinement_matches_mpmath():
-    # brackets at the default scan step near t = 100 (zeros 28..31) ...
-    roots = _refined_roots(95.0, 105.0, mean_gap(105.0) / _SCAN_DENSITY)
+    # brackets at the default scan step near t = 100 (zeros 28..31): the
+    # mean gap 2 pi / log(t / 2 pi) at t = 105, over _SCAN_DENSITY ...
+    roots = _refined_roots(95.0, 105.0, 2.231178794831924 / _SCAN_DENSITY)
     assert roots.size == 4
     for k, r in zip(range(28, 32), roots):
         assert abs(r - _zetazero(k)) <= ORDINATE_ACCURACY
@@ -211,10 +211,6 @@ def test_verify_needs_a_sign_change_at_each_ordinate(zeros_100, monkeypatch):
     with pytest.raises(errors.Inconsistent) as exc:
         verify_zero_list(zeros_100, DEFAULT)
     assert exc.value.index == 0
-
-
-def test_mean_gap_positive_and_shrinking():
-    assert mean_gap(100.0) > mean_gap(1000.0) > 0
 
 
 def test_export_import_roundtrip(zeros_100, tmp_path):
