@@ -12,6 +12,7 @@ from .errors import (
     DegenerateFit,
     DomainTooSmall,
     Inconsistent,
+    MissingDependency,
     NearZeroOrdinate,
     NotAscending,
     OnOrdinate,

@@ -8,8 +8,9 @@ threshold, detail)``: ``measured`` is the number of failed checks,
 threshold``) and ``detail`` is the line of measured figures.
 
 Inputs the tests take from fixtures (zero lists, resonator tables) are
-arguments.  scipy.integrate is imported only inside the experiment that
-uses it, so importing bsylab does not load it.
+arguments.  scipy.integrate, which only the test extra installs, is
+imported only inside the experiment that uses it (criterion 10), so
+importing bsylab does not load it.
 """
 
 import dataclasses
@@ -299,7 +300,12 @@ def _table_50():
 def lemma3_mv(toy_table: resonator.ResonatorTable, trivial_table,
               cfg: PrecisionConfig):
     """10: mean squares, Lemma 3 gaps and the alpha = 2 series."""
-    from scipy.integrate import quad
+    try:
+        from scipy.integrate import quad
+    except ImportError as exc:
+        raise errors.MissingDependency(
+            "criterion 10's quadrature oracle needs scipy, which comes "
+            "with the test extra: pip install 'bsylab[test]'") from exc
 
     T = 1e3
     ms = dirichlet.mean_square_exact(toy_table, T)

@@ -76,3 +76,7 @@ class Degenerate(BsyError):
 
 class TableTooLarge(BsyError):
     """Resonator enumeration exceeded the configured entry cap."""
+
+
+class MissingDependency(BsyError):
+    """An optional package that this computation needs is not installed."""

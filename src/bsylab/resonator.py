@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import errors
 from .accum import comp_sum
@@ -40,6 +39,9 @@ _L_MIN = math.exp(0.01)
 
 _REL_TOL = 1e-10
 
+#: ``solve_L`` stops when its bracket is narrower than this times L.
+_ROOT_RTOL = 1e-13
+
 
 def _constraint(L: float, nu: int) -> float:
     """L^2 (3 log L)^(2 nu + 1), strictly increasing for L > 1."""
@@ -59,11 +61,27 @@ def solve_L(N: int, nu: int) -> float:
     if _constraint(_L_MIN, nu) >= target:
         raise errors.Degenerate(
             f"root below threshold for N={N}, nu={nu}; use override mode")
-    hi = _L_MIN
+    lo, hi = _L_MIN, _L_MIN
     while _constraint(hi, nu) < target:
         hi *= 2.0
-    L = float(brentq(lambda L: _constraint(L, nu) - target,
-                     _L_MIN, hi, xtol=1e-300, rtol=1e-13))
+    # Illinois steps on [lo, hi]: regula falsi, with the value at an end
+    # kept twice in a row halved so that both ends close in
+    flo, fhi = _constraint(lo, nu) - target, _constraint(hi, nu) - target
+    kept = 0  # end kept last step: -1 lo, +1 hi
+    while hi - lo > _ROOT_RTOL * hi and fhi != 0.0:
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = _constraint(x, nu) - target
+        if fx >= 0.0:
+            hi, fhi = x, fx
+            flo = 0.5 * flo if kept == -1 else flo
+            kept = -1
+        else:
+            lo, flo = x, fx
+            fhi = 0.5 * fhi if kept == 1 else fhi
+            kept = 1
+    L = hi if fhi == 0.0 else 0.5 * (lo + hi)
     if L * L * math.log(L) ** (2 * nu + 1) <= 1.0:
         raise errors.Degenerate(
             f"window lower end A <= 1 at the root L={L:.6g} "

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +250,47 @@ def test_report_one_failed_check_fails(monkeypatch):
     doc = json.loads(out)
     assert doc["pass"] is False
     assert "signs WRONG" in doc["detail"]
+
+
+def test_report_mean_value_without_scipy(monkeypatch, capsys):
+    # criterion 10's quadrature oracle is the one use of scipy left
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    assert run(["report", "mean-value"], out=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    doc = json.loads(err)
+    assert doc["error"] == "MissingDependency"
+    assert "test extra" in doc["message"]
+    assert "Traceback" not in err
+
+
+_NO_SCIPY_SCRIPT = """
+import io
+import sys
+import numpy as np
+import bsylab
+from bsylab import cli, zeta
+from bsylab.resonator import ResonatorParams
+if cli.run(["zeros", "find", "--max-t", "40", "--out", sys.argv[1]],
+           out=io.StringIO()) != 0:
+    raise SystemExit("zeros find failed")
+ResonatorParams.solved(4103, 0)
+zeta._theta_any(np.array([-3.0, 0.5, 9.5]))
+zeta.zeta_afe_batch(0.6, [3.5e4])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter, so that neither an eager nor a lazy import of
+    # scipy anywhere on these paths can hide behind the test process's own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "z.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,17 @@ def test_solve_L_known_point():
     N = round(math.exp(4.0 * (3.0 * math.log(2.0)) / 1.0))
     L = solve_L(N, 0)
     assert L == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("N, nu", [(4103, 0), (10 ** 6, 1), (10 ** 9, 0),
+                                   (10 ** 12, 1)])
+def test_solve_L_matches_findroot(N, nu):
+    L = solve_L(N, nu)
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda x: x * x * (3 * mpmath.log(x)) ** (2 * nu + 1)
+            - (2 * nu + 1) * mpmath.log(N), L)
+        assert abs(L - root) <= 1e-13 * root
 
 
 def test_solve_L_degenerate():

@@ -156,6 +156,45 @@ def test_theta_longdouble_matches_mpmath(t):
     assert abs(float(got - oracle)) <= tol
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, -0.5, 3.0, 7.5, 9.999])
+def test_theta_below_ten_matches_mpmath(t):
+    # below THETA_T_MIN theta comes from _loggamma, shift and Stirling
+    got = float(zeta._theta_any(np.array([t]))[0])
+    oracle = mpmath.siegeltheta(t)
+    tol = 4 * _EPS * abs(float(oracle)) + zeta._LOGGAMMA_BOUND
+    assert abs(float(mpmath.mpf(got) - oracle)) <= tol
+
+
+@pytest.mark.parametrize("sigma", [0.6, 0.75])
+@pytest.mark.parametrize("t", [30.0, 1e3, 3.5e4])
+def test_log_chi_matches_mpmath(sigma, t):
+    got = complex(zeta._log_chi(np.array([complex(sigma, t)]))[0])
+    s = mpmath.mpc(sigma, t)
+    oracle = ((s - 0.5) * mpmath.log(mpmath.pi)
+              + mpmath.loggamma((1 - s) / 2) - mpmath.loggamma(s / 2))
+    tol = 4 * _EPS * abs(complex(oracle)) + 2 * zeta._LOGGAMMA_BOUND
+    assert abs(complex(mpmath.mpc(got) - oracle)) <= tol
+
+
+@pytest.mark.parametrize("z", [-2.5 + 0.3j, -7.3 - 4j, -0.5 + 20j,
+                               -30.2 + 0.7j])
+def test_loggamma_principal_branch_left_of_zero(z):
+    # the shift crosses Re z = 0: its args must sum to the principal branch
+    got = complex(zeta._loggamma(np.array([z]))[0])
+    oracle = complex(mpmath.loggamma(z))
+    assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_b2k_over_fact_correctly_rounded():
+    with mpmath.workdps(60):
+        exact = [float(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k))
+                 for k in range(33)]
+    assert zeta._B2K_OVER_FACT.tolist() == exact
+
+
 def test_theta_array_matches_scalar():
     ts = np.array([15.0, 100.0, 987.6])
     arr = rs_theta_array(ts)
