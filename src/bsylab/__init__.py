@@ -10,7 +10,6 @@ from .errors import (
     BsyError,
     Degenerate,
     DegenerateFit,
-    DomainTooSmall,
     Inconsistent,
     MissingDependency,
     NearZeroOrdinate,
@@ -58,7 +57,6 @@ from .integral import (
     zero_sum_term,
 )
 from .argument import (
-    ArgSample,
     S1_direct,
     S1_littlewood,
     S_of_t,

@@ -331,7 +331,7 @@ def lemma3_mv(toy_table: resonator.ResonatorTable, trivial_table,
         req = dirichlet.Lemma3Request(alpha=0.6, h=0.1, T=Tk, table=toy_table)
         gaps.append(dirichlet.lemma3_compare(req, loose))
         point = (zeta.AFE_BOUND_COEF * Tk ** (-0.6 / 2.0 - 0.25)
-                 if 2.0 * Tk > 30_000.0 else 1e-8)
+                 if 2.0 * Tk > dirichlet._AFE_CUTOVER else 1e-8)
         budgets.append(point * dirichlet.mean_square_exact(toy_table, Tk)
                        / dirichlet.lemma3_normalization(req))
     bounded_ok = all(g <= 2.0 * gaps[0] + b + 1e-6

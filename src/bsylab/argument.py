@@ -4,44 +4,29 @@ S(t) is (1/pi) times the imaginary part of the branch-tracked log zeta
 at 1/2 + it (continuous variation from sigma = 2).  S jumps by +1 at
 each simple zero ordinate; at an ordinate the half-sum of the one-sided
 limits is returned.  S1(t) is the antiderivative of S, computed two
-ways: directly from the certified zero list (by Riemann-von Mangoldt,
-N(u) = theta(u)/pi + 1 + S(u), and N is constant on each gap between
-consecutive ordinates) and through the horizontal-segment integral of
-log|zeta| from 1/2 to 2, off the line, which matches up to a bounded
-additive term.  Scan statistics probe the growth of the running
-integral of log|zeta(1/2+iu)| and the signed size of short windowed
-integrals around the critical line.
+ways: in closed form from the certified zero list (by Riemann-von
+Mangoldt, N(u) = theta(u)/pi + 1 + S(u), and the integral of N over
+[0, t] is the sum of t - gamma over the ordinates below t) and through
+the horizontal-segment integral of log|zeta| from 1/2 to 2, off the
+line, which matches up to a bounded additive term.  Scan statistics
+probe the growth of the running integral of log|zeta(1/2+iu)| and the
+signed size of short windowed integrals around the critical line.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors, zeta
-from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
 from .integral import ScanReport, _segment_profile
 from .quadrature import adaptive_quad
 from .zeros import ORDINATE_ACCURACY, ZeroList
 
 __all__ = [
-    "ArgSample", "S_of_t", "S1_littlewood", "S1_direct",
+    "S_of_t", "S1_littlewood", "S1_direct",
     "lemma2_scan", "lemma2_normalized", "omega_scan", "omega_normalized",
 ]
-
-
-@dataclass
-class ArgSample:
-    """One height with its argument statistics (NaN until populated)."""
-
-    t: float
-    S: float = math.nan
-    S1_direct: float = math.nan
-    S1_littlewood: float = math.nan
-
-
-_GL20 = np.polynomial.legendre.leggauss(20)
 
 #: offset used to take one-sided limits at an ordinate
 _SIDE_EPS = 1e-6
@@ -89,43 +74,38 @@ def S1_littlewood(t: float, cfg: PrecisionConfig = DEFAULT) -> float:
 
 def S1_direct(t: float, zeros: ZeroList,
               cfg: PrecisionConfig = DEFAULT) -> float:
-    """Integral of S(u) for u in [0, t], gap-wise between ordinates.
+    """Integral of S(u) for u in [0, t], t >= 10, from the zero list.
 
-    By Riemann-von Mangoldt, S(u) = N(u) - 1 - theta(u)/pi, and on the
-    k-th gap of the certified list N(u) = k, so each gap costs only a
-    smooth quadrature of theta.  One witness guards a list that is
-    marked verified but wrong: S(t) by branch-tracked log zeta must lie
-    within 1/4 of the list's count at t, with 1/2 for a listed ordinate
-    at t (else Inconsistent).  It sees a missing or extra ordinate
-    anywhere below t.
+    By Riemann-von Mangoldt, S(u) = N(u) - 1 - theta(u)/pi, and the
+    integral of N over [0, t] is the sum of t - gamma over the listed
+    ordinates gamma < t, so S1(t) = sum (t - gamma) - t - Theta(t)/pi,
+    Theta the integral of theta (``zeta._theta_integral``, longdouble,
+    divided by the longdouble pi).  The result is one ``math.fsum``,
+    with Theta(t)/pi split into two floats.  One witness guards a list
+    that is marked verified but wrong: S(t) by branch-tracked log zeta
+    must lie within 1/4 of the list's count at t, with 1/2 for a listed
+    ordinate at t (else Inconsistent).  It sees a missing or extra
+    ordinate anywhere below t.
     """
     t = float(t)
+    if t < zeta.THETA_T_MIN:
+        raise ValueError(f"S1_direct requires t >= {zeta.THETA_T_MIN}")
     zeros.require_height(t)
     g = zeros.ordinates[zeros.ordinates < t]
-    edges = np.concatenate([[0.0], g, [t]])
-    lo, hi = edges[:-1], edges[1:]
-    keep = hi - lo > 1e-12
-    lo, hi, n = lo[keep], hi[keep], np.arange(lo.size)[keep]
-    if not n.size:
-        return 0.0
     on = np.abs(zeros.ordinates - t) < ORDINATE_ACCURACY
     count = np.count_nonzero((zeros.ordinates < t) & ~on) \
         + 0.5 * np.count_nonzero(on)
     s = S_of_t(t, cfg, zeros)
-    expect = count - 1.0 - float(zeta._theta_any(np.array([t]))[0]) / math.pi
+    expect = count - 1.0 - zeta.rs_theta(t) / math.pi
     if abs(s - expect) > 0.25:
         raise errors.Inconsistent(
             f"S({t}) = {s:.6f} by branch tracking, but {expect:.6f} "
             f"from the zero list's count N = {count} there")
 
-    # integral of theta over each gap by fixed high-order quadrature
-    nodes, wts = _GL20
-    half = 0.5 * (hi - lo)
-    ts = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes[None, :]
-    th = zeta._theta_any(ts.ravel()).reshape(ts.shape)
-    th_int = half * (th * wts[None, :]).sum(axis=1)
-    pieces = (n - 1.0) * (hi - lo) - th_int / math.pi
-    return comp_sum(pieces)
+    q = 2 * zeta._theta_integral(t) / zeta._TWO_PI_LD
+    q_hi = float(q)
+    q_lo = float(q - np.longdouble(q_hi))
+    return math.fsum([t] * g.size + (-g).tolist() + [-t, -q_hi, -q_lo])
 
 
 # ----------------------------------------------------------------------

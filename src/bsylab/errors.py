@@ -13,10 +13,6 @@ class PrecisionUnreachable(BsyError):
     """The configured term budget cannot meet the requested accuracy."""
 
 
-class DomainTooSmall(BsyError):
-    """Argument below the validity threshold of an asymptotic expansion."""
-
-
 class NearZeroOrdinate(BsyError):
     """Evaluation requested too close to a zero ordinate; callers must
     subtract the singularity instead of evaluating through it."""

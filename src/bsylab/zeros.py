@@ -144,8 +144,7 @@ def _newton_polish(g: np.ndarray, cfg: PrecisionConfig,
 
 def _gram_index(t: float) -> int:
     """Largest n with g_n <= t; -2 on [5, g_{-1}), where theta < -pi."""
-    return math.floor(float(zeta._theta_any(np.array([max(t, 5.0)]))[0])
-                      / math.pi)
+    return math.floor(zeta.rs_theta(max(t, 5.0)) / math.pi)
 
 
 def _find_in_window(j: int, k: int, density: int, cfg: PrecisionConfig):

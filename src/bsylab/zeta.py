@@ -98,38 +98,34 @@ class ZetaValue:
 # Bernoulli-derived constants
 # ----------------------------------------------------------------------
 
-def _b2k_over_fact(kmax: int) -> np.ndarray:
-    """B_{2k}/(2k)! for k = 0..kmax, each the correctly rounded float of
-    the exact rational.  a_k = B_{2k}/(2k)! are the coefficients of
-    (x/2) coth(x/2); equating powers of x in (x/2) cosh(x/2) =
-    sinh(x/2) sum_k a_k x^(2k) gives, for b_k = 4^k a_k,
-    b_n = 1/(2n)! - sum over k < n of b_k/(2n - 2k + 1)!.
+def _b2k_over_fact(kmax: int) -> list[Fraction]:
+    """B_{2k}/(2k)! for k = 0..kmax as exact rationals.  a_k =
+    B_{2k}/(2k)! are the coefficients of (x/2) coth(x/2); equating
+    powers of x in (x/2) cosh(x/2) = sinh(x/2) sum_k a_k x^(2k) gives,
+    for b_k = 4^k a_k, b_n = 1/(2n)! - sum over k < n of
+    b_k/(2n - 2k + 1)!.
     """
     b: list[Fraction] = []
     for n in range(kmax + 1):
         b.append(Fraction(1, math.factorial(2 * n))
                  - sum((bk / math.factorial(2 * (n - k) + 1)
                         for k, bk in enumerate(b)), Fraction(0)))
-    return np.array([float(bk / 4 ** k) for k, bk in enumerate(b)])
+    return [bk / 4 ** k for k, bk in enumerate(b)]
 
 
-_B2K_OVER_FACT = _b2k_over_fact(32)
+_B2K_EXACT = _b2k_over_fact(32)
 
-# theta series coefficients: (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)), n>=1
+#: B_{2k}/(2k)!, k = 0..32, each the correctly rounded float.
+_B2K_OVER_FACT = np.array([float(a) for a in _B2K_EXACT])
+
+#: theta series coefficients c_n = (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)),
+#: n = 1.._THETA_N + 1 (the last one only enters the bound), each the
+#: correctly rounded float of the exact rational.
 _THETA_N = 8
-
-
-def _theta_coeffs() -> np.ndarray:
-    fact = 1.0
-    coeffs = []
-    for n in range(1, _THETA_N + 2):
-        fact *= (2 * n) * (2 * n - 1)
-        b2n = abs(_B2K_OVER_FACT[n]) * fact
-        coeffs.append((1.0 - 2.0 ** (1 - 2 * n)) * b2n / (4 * n * (2 * n - 1)))
-    return np.array(coeffs)
-
-
-_THETA_C = _theta_coeffs()
+_THETA_C = np.array([
+    float((1 - Fraction(1, 2 ** (2 * n - 1))) * abs(_B2K_EXACT[n])
+          * math.factorial(2 * n) / (4 * n * (2 * n - 1)))
+    for n in range(1, _THETA_N + 2)])
 
 
 # ----------------------------------------------------------------------
@@ -185,17 +181,11 @@ def _loggamma(z: np.ndarray) -> np.ndarray:
 # Riemann-Siegel theta
 # ----------------------------------------------------------------------
 
-def rs_theta_array(ts: np.ndarray) -> np.ndarray:
-    """theta(t) for |t| >= THETA_T_MIN, odd in t, vectorized."""
-    ts = np.asarray(ts, dtype=float)
-    a = np.abs(ts)
-    if np.any(a < THETA_T_MIN):
-        raise errors.DomainTooSmall(
-            f"rs_theta requires |t| >= {THETA_T_MIN}")
-    val = 0.5 * a * np.log(a / TWO_PI) - 0.5 * a - math.pi / 8
-    for n in range(1, _THETA_N + 1):
-        val += _THETA_C[n - 1] * a ** (1 - 2 * n)
-    return np.sign(ts) * val
+def _theta_lead(a: np.ndarray) -> np.ndarray:
+    """(a/2) log(a/2pi) - a/2 - pi/8, the leading terms of theta at
+    a > 0, in a's dtype (float64 or longdouble)."""
+    two_pi = a.dtype.type(_TWO_PI_LD)
+    return 0.5 * a * np.log(a / two_pi) - 0.5 * a - two_pi / 16
 
 
 def _theta_series(a: np.ndarray) -> np.ndarray:
@@ -210,20 +200,20 @@ def _theta_series(a: np.ndarray) -> np.ndarray:
 
 
 def _rs_theta_ld(ts: np.ndarray) -> np.ndarray:
-    """theta(t) in 80-bit floats for t >= THETA_T_MIN (phase use)."""
+    """theta(t) in 80-bit floats for |t| >= THETA_T_MIN (phase use)."""
     a = np.abs(ts).astype(np.longdouble)
-    val = 0.5 * a * np.log(a / _TWO_PI_LD) - 0.5 * a - _TWO_PI_LD / 16
-    return np.sign(ts).astype(np.longdouble) * (val + _theta_series(a))
-
-
-def rs_theta(t: float) -> float:
-    """Riemann-Siegel theta via its asymptotic expansion (|t| >= 10)."""
-    return float(rs_theta_array(np.array([t]))[0])
+    return np.sign(ts).astype(np.longdouble) \
+        * (_theta_lead(a) + _theta_series(a))
 
 
 def rs_theta_error_bound(t):
-    """First omitted term of the theta expansion, vectorized in t."""
-    return _THETA_C[_THETA_N] * np.abs(t) ** (-1.0 - 2 * _THETA_N)
+    """Bound on the truncation of the theta expansion, vectorized in t:
+    its first omitted term plus e^(-pi |t|), twice the exponentially
+    small part the power series misses (e^(-pi |t|)/2, about 25 ulps of
+    theta at t = 10)."""
+    a = np.abs(t)
+    return _THETA_C[_THETA_N] * a ** (-1.0 - 2 * _THETA_N) \
+        + np.exp(-math.pi * a)
 
 
 def _theta_smallt(ts: np.ndarray) -> np.ndarray:
@@ -238,14 +228,51 @@ def _theta_smallt(ts: np.ndarray) -> np.ndarray:
 
 
 def _theta_any(ts: np.ndarray) -> np.ndarray:
+    """theta(t) in float64 for any real t (0-d or any shape), odd in t:
+    the asymptotic expansion at |t| >= THETA_T_MIN (its truncation is
+    ``rs_theta_error_bound``), ``_theta_smallt`` below."""
     ts = np.asarray(ts, dtype=float)
-    out = np.empty_like(ts)
-    big = np.abs(ts) >= THETA_T_MIN
-    if np.any(big):
-        out[big] = rs_theta_array(ts[big])
-    if np.any(~big):
-        out[~big] = _theta_smallt(ts[~big])
-    return out
+    flat = ts.ravel()
+    a = np.abs(flat)
+    small = a < THETA_T_MIN
+    a = np.maximum(a, THETA_T_MIN)
+    out = np.sign(flat) * (_theta_lead(a) + _theta_series(a))
+    if np.any(small):
+        out[small] = _theta_smallt(flat[small])
+    return out.reshape(ts.shape)
+
+
+def rs_theta(t: float) -> float:
+    """Riemann-Siegel theta(t) in float64 at any real t."""
+    return float(_theta_any(t))
+
+
+#: Theta(10), the integral of theta over [0, 10] (mpmath.quad of
+#: siegeltheta at 40 digits, rounded to 20).
+_THETA_INT_MIN = np.longdouble("-29.567797210636095484")
+
+
+def _theta_antiderivative(a: np.longdouble) -> np.longdouble:
+    """F(a) = (a^2/4) log(a/2pi) - 3a^2/8 - pi a/8 + c_1 log a
+    + sum over 2 <= n <= _THETA_N of c_n a^(2-2n)/(2-2n), the termwise
+    antiderivative of theta's expansion, in longdouble."""
+    tail = np.longdouble(0.0)
+    for n in range(_THETA_N, 1, -1):
+        tail = (tail + _THETA_C[n - 1] / (2 - 2 * n)) / (a * a)
+    return a * a * (np.log(a / _TWO_PI_LD) / 4 - 0.375) \
+        - _TWO_PI_LD / 16 * a + _THETA_C[0] * np.log(a) + tail
+
+
+def _theta_integral(t: float) -> np.longdouble:
+    """Theta(t), the integral of theta over [0, t], in longdouble for
+    t >= THETA_T_MIN: ``_THETA_INT_MIN`` + F(t) - F(10), F the
+    ``_theta_antiderivative``.  The truncation of the expansion costs at
+    most the integral of ``rs_theta_error_bound`` over [10, t], below
+    e^(-10 pi)/pi < 1e-14."""
+    if not t >= THETA_T_MIN:
+        raise ValueError(f"_theta_integral requires t >= {THETA_T_MIN}")
+    return _THETA_INT_MIN + _theta_antiderivative(np.longdouble(t)) \
+        - _theta_antiderivative(np.longdouble(THETA_T_MIN))
 
 
 def _lambert_w(x: np.ndarray) -> np.ndarray:
@@ -1028,23 +1055,16 @@ _BRANCH_MAX_ROUNDS = 36
 _ZERO_ON_PATH_ABS = 1e-12
 
 
-def _log_zeta_anchor(t: float, cfg: PrecisionConfig) -> complex:
-    """log zeta(2 + i t) on the standard branch.
-
-    |log zeta(2+it)| <= sum Lambda(n) / (n^2 log n) = log zeta(2) < pi/2,
-    so the principal logarithm *is* the continuously-varied branch.
-    """
-    z = complex(zeta_em(complex(2.0, t), cfg))
-    return complex(np.log(z))
-
-
 def log_zeta_branch(sigma: float, t: float,
                     cfg: PrecisionConfig = DEFAULT) -> complex:
     """log zeta(sigma + i t), branch by continuous variation.
 
-    The branch is anchored at s = 2 + i t (principal value there) and
-    tracked along the horizontal segment toward sigma + i t with step
-    halving until every step moves log zeta by less than pi/2.
+    The branch is anchored at s = 2 + i t, the first node of the sigma
+    grid: |log zeta(2+it)| <= sum Lambda(n) / (n^2 log n) = log zeta(2)
+    < pi/2, so the principal logarithm there *is* the continuously
+    varied branch.  It is tracked along the horizontal segment toward
+    sigma + i t with step halving until every step moves log zeta by
+    less than pi/2.
     """
     if sigma < 0.5:
         raise ValueError("log_zeta_branch requires sigma >= 1/2")
@@ -1052,12 +1072,10 @@ def log_zeta_branch(sigma: float, t: float,
         raise ValueError("log_zeta_branch requires t >= 0")
     if abs(t) < POLE_THRESHOLD and sigma <= 1.0 + POLE_THRESHOLD:
         raise errors.PoleAt1("horizontal segment passes the pole at s = 1")
-    anchor = _log_zeta_anchor(t, cfg)
-    if abs(sigma - 2.0) < 1e-12:
-        return anchor
-
-    grid = np.linspace(2.0, sigma, 24)
+    grid = np.linspace(2.0, sigma, 24) if abs(sigma - 2.0) >= 1e-12 \
+        else np.array([2.0])
     vals, _ = _em_sigma_grid(grid, t, cfg)
+    anchor = complex(np.log(vals[0]))
     for _round in range(_BRANCH_MAX_ROUNDS):
         small = np.abs(vals) < _ZERO_ON_PATH_ABS
         if np.any(small):

@@ -2,13 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bsylab import errors, zeta
 from bsylab.accum import comp_sum
 from bsylab.argument import (
-    _GL20,
     S1_direct,
     S1_littlewood,
     S_of_t,
@@ -49,21 +49,49 @@ def test_s1_continuous_across_ordinate(zeros_100):
 
 def _s1_branch_tracked(t, zl):
     """S1 gap by gap, with S + theta/pi on each gap taken from S at its
-    midpoint by branch tracking (one log zeta per gap)."""
+    midpoint by branch tracking (one log zeta per gap), and the integral
+    of theta over each gap from mpmath."""
     g = zl.ordinates[zl.ordinates < t]
     lo, hi = np.concatenate([[0.0], g]), np.concatenate([g, [t]])
-    mids, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mids = 0.5 * (lo + hi)
     c = np.array([S_of_t(m, DEFAULT) for m in mids.tolist()]) \
         + zeta._theta_any(mids) / math.pi
-    nodes, wts = _GL20
-    th = zeta._theta_any(mids[:, None] + half[:, None] * nodes[None, :])
-    return comp_sum(c * (hi - lo) - half * (th @ wts) / math.pi)
+    th = np.array([float(mpmath.quad(mpmath.siegeltheta, [a, b]))
+                   for a, b in zip(lo.tolist(), hi.tolist())])
+    return comp_sum(c * (hi - lo) - th / math.pi)
 
 
 @pytest.mark.parametrize("t", [100.0, 300.0])
 def test_s1_direct_matches_branch_tracked_gaps(zeros_550, t):
     assert abs(S1_direct(t, zeros_550, DEFAULT)
                - _s1_branch_tracked(t, zeros_550)) <= 1e-10
+
+
+def _s1_reference(t, zl):
+    """sum over gamma < t of (t - gamma), minus t, minus (1/pi) times
+    mpmath's integral of theta over [0, t], at 30 digits."""
+    with mpmath.workdps(30):
+        g = zl.ordinates[zl.ordinates < t]
+        theta_int = mpmath.quad(mpmath.siegeltheta, [0, 10, t])
+        return (mpmath.fsum(t - mpmath.mpf(x) for x in g.tolist()) - t
+                - theta_int / mpmath.pi)
+
+
+@pytest.mark.parametrize("t", [20.0, 333.3])
+def test_s1_direct_matches_mpmath(zeros_550, t):
+    got = S1_direct(t, zeros_550, DEFAULT)
+    assert abs(float(got - _s1_reference(t, zeros_550))) <= 1e-10
+
+
+def test_s1_direct_matches_mpmath_high(zeros_10k):
+    t = 9999.5
+    got = S1_direct(t, zeros_10k, DEFAULT)
+    assert abs(float(got - _s1_reference(t, zeros_10k))) <= 1e-10
+
+
+def test_s1_direct_requires_t_above_ten(zeros_100):
+    with pytest.raises(ValueError):
+        S1_direct(9.99, zeros_100, DEFAULT)
 
 
 def test_s1_direct_rejects_list_missing_an_ordinate(zeros_100):

@@ -84,6 +84,15 @@ def test_arg_csv_shape(cache_file):
     assert out.splitlines()[0] == "t,stat,normalized"
 
 
+def test_arg_s1_direct_below_ten_is_a_domain_error(cache_file, capsys):
+    code, _ = _run(["arg", "s1", "--method", "direct", "--t", "5",
+                    "--zero-cache", cache_file])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "ValueError"
+    assert "Traceback" not in err
+
+
 def test_resonator_and_mv_roundtrip(tmp_path):
     table = str(tmp_path / "toy.txt")
     common = ["--mu", "2", "--nu", "0", "--N", "100", "--h", "0.1",

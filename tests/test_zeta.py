@@ -25,7 +25,6 @@ from bsylab.zeta import (
     log_zeta_branch,
     rs_error_bound,
     rs_theta,
-    rs_theta_array,
     rs_theta_error_bound,
     zeta_em,
 )
@@ -197,9 +196,67 @@ def test_b2k_over_fact_correctly_rounded():
 
 def test_theta_array_matches_scalar():
     ts = np.array([15.0, 100.0, 987.6])
-    arr = rs_theta_array(ts)
+    arr = zeta._theta_any(ts)
     for t, v in zip(ts, arr):
         assert v == rs_theta(float(t))
+
+
+def test_theta_coefficients_correctly_rounded():
+    with mpmath.workdps(50):
+        exact = [float((1 - mpmath.mpf(2) ** (1 - 2 * n))
+                       * abs(mpmath.bernoulli(2 * n)) / (4 * n * (2 * n - 1)))
+                 for n in range(1, zeta._THETA_N + 2)]
+    assert zeta._THETA_C.tolist() == exact
+
+
+def _theta_tol(t: float, oracle) -> float:
+    """float64 rounding of theta, plus the truncation of whichever path
+    serves t."""
+    trunc = zeta._LOGGAMMA_BOUND if abs(t) < zeta.THETA_T_MIN \
+        else rs_theta_error_bound(t)
+    return 4 * _EPS * abs(float(oracle)) + trunc
+
+
+@pytest.mark.parametrize("t", [9.99, 10.0, 10.01])
+def test_theta_across_the_switch(t):
+    # the log Gamma path below 10, the expansion from 10 on; odd in t
+    got = zeta._theta_any(np.array([t, -t]))
+    assert got[1] == -got[0]
+    oracle = mpmath.siegeltheta(t)
+    assert abs(float(mpmath.mpf(got[0]) - oracle)) <= _theta_tol(t, oracle)
+    # no jump at the switch beyond the two paths' error bounds
+    below = float(zeta._theta_any(np.nextafter(10.0, 0.0)))
+    at = float(zeta._theta_any(10.0))
+    assert abs(at - below) <= (_theta_tol(9.99, at) + _theta_tol(10.0, at)
+                               + 2 * _EPS * 10.0)
+
+
+def test_theta_int_min_matches_mpmath():
+    with mpmath.workdps(30):
+        oracle = mpmath.quad(mpmath.siegeltheta, [0, 5, 10])
+        got = zeta._THETA_INT_MIN
+        head = float(got)
+        got = mpmath.mpf(head) + mpmath.mpf(float(got - np.longdouble(head)))
+        assert abs(got - oracle) <= 1e-18
+
+
+@pytest.mark.parametrize("t", [10.0, 14.13, 500.0, 5e3, 1e5])
+def test_theta_integral_matches_mpmath(t):
+    v = zeta._theta_integral(t)
+    head = float(v)
+    with mpmath.workdps(30):
+        got = mpmath.mpf(head) + mpmath.mpf(float(v - np.longdouble(head)))
+        oracle = mpmath.quad(mpmath.siegeltheta, [0, 10, t])
+        # longdouble rounding, plus the integral of the expansion's
+        # exponentially small error over [10, t]
+        tol = 8 * float(np.finfo(np.longdouble).eps) * abs(float(oracle)) \
+            + math.exp(-10 * math.pi) / math.pi
+        assert abs(float(got - oracle)) <= tol
+
+
+def test_theta_integral_rejects_small_t():
+    with pytest.raises(ValueError):
+        zeta._theta_integral(9.5)
 
 
 def _mp_rotation(t: float) -> complex:
@@ -388,6 +445,33 @@ def test_log_abs_and_branch_consistency():
         assert abs(direct - branch.real) < 1e-10
         oracle = complex(mpmath.log(mpmath.zeta(0.5 + 1j * t)))
         assert abs(direct - oracle.real) < 1e-10
+
+
+def test_log_zeta_branch_anchors_on_its_own_grid(monkeypatch):
+    # sigma = 1/2, t = 100.3 needs no step halving: one sigma grid, whose
+    # node at sigma = 2 is the anchor, and no separate zeta(2 + it)
+    calls = []
+    grid, batch = zeta._em_sigma_grid, zeta._em_batch
+
+    def grid_spy(*args, **kwargs):
+        calls.append("grid")
+        return grid(*args, **kwargs)
+
+    def batch_spy(*args, **kwargs):
+        calls.append("batch")
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "_em_sigma_grid", grid_spy)
+    monkeypatch.setattr(zeta, "_em_batch", batch_spy)
+    log_zeta_branch(0.5, 100.3, DEFAULT)
+    assert calls == ["grid"]
+
+
+@pytest.mark.parametrize("t", [0.0, 100.3, 5000.5])
+def test_log_zeta_branch_at_two_is_principal(t):
+    got = log_zeta_branch(2.0, t, DEFAULT)
+    oracle = complex(mpmath.log(mpmath.zeta(mpmath.mpc(2.0, t))))
+    assert abs(got - oracle) <= 1e-12
 
 
 def test_log_zeta_branch_winding_oracle():
