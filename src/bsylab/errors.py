@@ -71,7 +71,8 @@ class Degenerate(BsyError):
 
 
 class TableTooLarge(BsyError):
-    """Resonator enumeration exceeded the configured entry cap."""
+    """A resonator table is too large: its enumeration passed the entry
+    cap, or its largest entry passes the limit of the c(p^k) sieve."""
 
 
 class MissingDependency(BsyError):

@@ -277,7 +277,8 @@ def _theta_integral(t: float) -> np.longdouble:
 
 def _lambert_w(x: np.ndarray) -> np.ndarray:
     """Principal W(x), w e^w = x, for x > -1/e: four Halley steps from
-    log1p(x) below e and from log x - log log x above."""
+    log1p(x) below e and from log x - log log x above.  Serves
+    ``gram_points`` and ``resonator.solve_L``; both pass x > 0."""
     big = x >= math.e
     lx = np.log(np.where(big, x, math.e))
     w = np.where(big, lx - np.log(lx), np.log1p(np.where(big, 0.0, x)))

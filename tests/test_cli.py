@@ -167,6 +167,28 @@ def test_mv_table_entry_below_1_exits_2(tmp_path, capsys):
     assert doc["message"].startswith("line 1:")
 
 
+def test_mv_lemma3_huge_entry_exits_2(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text(f"1 1.0\n{10 ** 18 + 9} 0.5\n")
+    assert run(["mv", "lemma3", "--table", str(table), "--alpha", "0.6",
+                "--h", "0.1", "--T", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err.strip().splitlines()[-1])
+    assert doc["error"] == "TableTooLarge"
+
+
+def test_resonator_build_N_beyond_int64_exits_2(tmp_path, capsys):
+    assert run(["resonator", "build", "--mu", "2", "--nu", "0",
+                "--N", str(10 ** 19), "--override", "--A", "2100000",
+                "--B", "2100200", "--L", "1",
+                "--out", str(tmp_path / "t.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    doc = json.loads(captured.err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError" and "2^63" in doc["message"]
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["nosuch"]) == 1
     assert run(["integral", "--nonsense"]) == 1

@@ -280,3 +280,12 @@ def test_s1_statistic_brute_force(toy_table):
     assert sin_sq == pytest.approx(2.0 / math.pi * sq / den, rel=1e-12)
     assert sin_lin == pytest.approx(2.0 * lin / den, rel=1e-12)
     assert sin_sq >= 0.0
+
+
+def test_sieve_refuses_huge_entries():
+    # read_table accepts this table; the c(p^k) kernel would sieve to 1e18
+    table = (np.array([1, 10 ** 18 + 9]), np.array([1.0, 0.5]))
+    with pytest.raises(errors.TableTooLarge):
+        s1_resonance_statistic(table, 0.1)
+    with pytest.raises(errors.TableTooLarge):
+        lemma3_rhs(Lemma3Request(alpha=0.6, h=0.1, T=10.0, table=table))

@@ -1,5 +1,6 @@
 """Sieve utilities and resonator construction/evaluation."""
 
+import itertools
 import math
 
 import mpmath
@@ -102,9 +103,23 @@ def test_solve_L_matches_findroot(N, nu):
         assert abs(L - root) <= 1e-13 * root
 
 
+# (4103, 1) is left out: its root has A <= 1, so solve_L is Degenerate
+@pytest.mark.parametrize("N, nu", [
+    (N, nu) for N in (4103, 10 ** 5, 10 ** 6, 10 ** 9, 10 ** 12, 10 ** 18,
+                      2 ** 63 - 1)
+    for nu in (0, 1) if (N, nu) != (4103, 1)])
+def test_solve_L_within_4_ulps_of_findroot(N, nu):
+    L = solve_L(N, nu)
+    k = 2 * nu + 1
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda x: x * x * (3 * mpmath.log(x)) ** k - k * mpmath.log(N), L)
+        assert abs(L - root) <= 4 * np.spacing(float(root))
+
+
 def test_solve_L_degenerate():
     with pytest.raises(errors.Degenerate):
-        solve_L(2, 0)          # constraint unreachable above L_min
+        solve_L(2, 0)          # root too low: the window floor A <= 1
     with pytest.raises(errors.Degenerate):
         # root exists but the window floor A <= 1: no primes can enter
         ResonatorParams.solved(N=1_000_000, nu=2)
@@ -127,6 +142,15 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ResonatorParams(mu=2, nu=0, N=100, h=0.1, L=1.0, A=30.0, B=2.0,
                         override=True)
+
+
+def test_params_reject_N_beyond_int64():
+    # the table's products m*p are formed in int64
+    with pytest.raises(ValueError, match=r"2\^63"):
+        ResonatorParams(mu=2, nu=0, N=2 ** 63, h=0.0, L=1.0, A=2.0,
+                        B=30.0, override=True)
+    ResonatorParams(mu=2, nu=0, N=2 ** 63 - 1, h=0.0, L=1.0, A=2.0,
+                    B=30.0, override=True)
 
 
 # ---------------------------------------------------------------- table
@@ -160,6 +184,55 @@ def test_entry_cap():
                              A=2.0, B=200.0, override=True)
     with pytest.raises(errors.TableTooLarge):
         build_resonator(params, "plus", entry_cap=1000)
+
+
+#: A nu = 1 override family of 2136 entries over 16 window primes.
+_NU1 = ResonatorParams(mu=2, nu=1, N=300_000, h=0.0, L=0.5, A=2.0,
+                       B=60.0, override=True)
+
+
+def _exact_table(params, variant):
+    """Every squarefree product of window primes <= N, by combinations;
+    r is the left-to-right product over ascending primes, negated at
+    each factor for the minus variant."""
+    ps = primes_in(params.A, params.B)
+    rp = params.L * np.log(ps.astype(float)) ** params.nu \
+        / np.sqrt(ps.astype(float))
+    sign = -1.0 if variant == "minus" else 1.0
+    table = {1: 1.0}
+    for k in range(1, ps.size + 1):
+        if math.prod(ps[:k].tolist()) > params.N:
+            break
+        for idx in itertools.combinations(range(ps.size), k):
+            n, r = 1, 1.0
+            for i in idx:
+                n *= int(ps[i])
+                r *= sign * float(rp[i])
+            if n <= params.N:
+                table[n] = r
+    ns = sorted(table)
+    return np.array(ns, dtype=np.int64), np.array([table[n] for n in ns])
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("family", ["toy", "nu1", "solved_1e10"])
+def test_table_matches_exact_enumeration(toy_params, family, variant):
+    params = {"toy": toy_params, "nu1": _NU1,
+              "solved_1e10": ResonatorParams.solved(N=10 ** 10, nu=0,
+                                                    h=0.1)}[family]
+    table = build_resonator(params, variant)
+    ns, rs = _exact_table(params, variant)
+    np.testing.assert_array_equal(table.ns, ns)
+    np.testing.assert_array_equal(table.rs.view(np.int64),
+                                  rs.view(np.int64))   # bit for bit
+
+
+def test_entry_cap_boundary():
+    size = build_resonator(_NU1, "plus").ns.size
+    assert size == 2136
+    assert build_resonator(_NU1, "minus", entry_cap=size).ns.size == size
+    with pytest.raises(errors.TableTooLarge):
+        build_resonator(_NU1, "minus", entry_cap=size - 1)
 
 
 def _pair_loop(table):
