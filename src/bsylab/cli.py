@@ -308,8 +308,9 @@ def _cmd_mv(args, rc: RunConfig, out) -> int:
     req = dirichlet.Lemma3Request(
         alpha=float(args.alpha), h=float(args.h), T=float(args.T),
         table=table, eps_margin=float(args.eps_margin))
-    lhs = dirichlet.lemma3_lhs(req, cfg)
+    # the exact sum first: it refuses a table before the costly integral
     rhs = dirichlet.lemma3_rhs(req)
+    lhs = dirichlet.lemma3_lhs(req, cfg)
     gap = abs(lhs - rhs) / dirichlet.lemma3_normalization(req)
     print(json.dumps({
         "lhs_re": _fmt(lhs.real), "lhs_im": _fmt(lhs.imag),

@@ -10,7 +10,9 @@ blocks that keep the rule above g_n > 168 pi, K >= 0.0061 log^2 g_p +
 0.08 log g_p at their top g_p, give N(g_n) <= n + 1 (R. P. Brent, Math.
 Comp. 33 (1979) 1361-1372, Th. 3.2); n + 1 sign changes below g_n then
 account for every zero up to it.  A block still short after the
-re-scans, or any other total, raises Inconsistent.
+re-scans, or any other total, raises Inconsistent.  The zero in each
+certified bracket is found by Newton's method on Z at the target
+accuracy, with bisection wherever a step would leave the bracket.
 """
 
 import math
@@ -40,7 +42,7 @@ _SCAN_MARGIN = 16
 #: Secant points are kept this fraction of the bracket width inside it.
 _REFINE_MARGIN = 1e-6
 
-#: Safety cap on Illinois rounds (about 15 are needed at 1e-9).
+#: Safety cap on Newton rounds (about 4 are needed).
 _REFINE_MAX_ROUNDS = 64
 
 
@@ -90,56 +92,52 @@ class ZeroCandidate:
                 f"beta must lie strictly in (1/2, 1), got {self.beta}")
 
 
-def _refine_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                     fhi: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
-    """Vectorized Illinois (modified regula falsi) on sign-change brackets.
+def _solve_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+                    fhi: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
+    """Roots of Z by safeguarded Newton inside sign-change brackets.
 
-    ``flo``/``fhi`` are Z at the bracket ends, taken from the scan.  Each
-    round evaluates Z at the secant point of every bracket still wider
-    than 0.05 * ORDINATE_ACCURACY and keeps the half with the sign
-    change; an end kept twice in a row has its value halved (Dowell &
-    Jarratt, BIT 11 (1971)), so both ends close in superlinearly.
+    ``flo``/``fhi`` are Z at the bracket ends, taken from the scan; each
+    root starts at the secant point.  Each round evaluates Z at x, x + h
+    and x - h (h = 1e-5, ``cfg.target_abs_error``) for every active
+    root; where |Z(x)| exceeds its bound, x becomes the bracket end of
+    its sign.  The Newton step uses the central-difference derivative;
+    a step that leaves the bracket is replaced by bisection, so each
+    root stays in its own bracket.  A root is done after a step of at
+    most 0.05 * ORDINATE_ACCURACY, or once |Z(x)| is within its bound
+    (then x takes the Newton step if it stays in the bracket).  A root
+    still active after ``_REFINE_MAX_ROUNDS`` raises Inconsistent.
     """
     lo, hi = lo.astype(float), hi.astype(float)
-    flo, fhi = flo.astype(float), fhi.astype(float)
-    kept = np.zeros(lo.shape, dtype=int)  # end kept last round: -1 lo, +1 hi
+    w = hi - lo
+    x = np.clip(hi - fhi * w / (fhi - flo), lo + _REFINE_MARGIN * w,
+                hi - _REFINE_MARGIN * w)
+    # NaN, or an end reached by rounding: take the midpoint
+    x = np.where((x > lo) & (x < hi), x, lo + 0.5 * w)
+    h = 1e-5
+    act = np.arange(x.size)
     for _ in range(_REFINE_MAX_ROUNDS):
-        act = np.nonzero(hi - lo >= 0.05 * ORDINATE_ACCURACY)[0]
         if act.size == 0:
             break
-        a, b, fa, fb = lo[act], hi[act], flo[act], fhi[act]
-        w = b - a
-        x = np.clip(b - fb * w / (fb - fa), a + _REFINE_MARGIN * w,
-                    b - _REFINE_MARGIN * w)
-        # NaN, or an end reached by rounding: take the midpoint
-        x = np.where((x > a) & (x < b), x, a + 0.5 * w)
-        fx, _ = zeta.hardy_z_batch(x, 1e-9, cfg)
-        keep_lo = (fx != 0.0) & (np.sign(fx) == np.sign(fb))  # root in [a, x]
-        keep_hi = (fx != 0.0) & ~keep_lo                       # root in [x, b]
-        k = kept[act]
-        fa = np.where(keep_lo & (k == -1), 0.5 * fa, fa)
-        fb = np.where(keep_hi & (k == 1), 0.5 * fb, fb)
-        lo[act] = np.where(keep_lo, a, x)
-        hi[act] = np.where(keep_hi, b, x)
-        flo[act] = np.where(keep_lo, fa, fx)
-        fhi[act] = np.where(keep_hi, fb, fx)
-        kept[act] = np.where(keep_lo, -1, np.where(keep_hi, 1, 0))
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(g: np.ndarray, cfg: PrecisionConfig,
-                   rounds: int = 2) -> np.ndarray:
-    """Newton refinement of near-roots of Z using the accurate path."""
-    h = 1e-5
-    for _ in range(rounds):
-        pts = np.concatenate([g, g + h, g - h])
-        vals, _ = zeta.hardy_z_batch(pts, cfg.target_abs_error, cfg)
-        z0 = vals[: g.size]
-        zp = (vals[g.size: 2 * g.size] - vals[2 * g.size:]) / (2 * h)
-        safe = np.abs(zp) > 1e-8
-        step = np.where(safe, z0 / np.where(safe, zp, 1.0), 0.0)
-        g = g - np.clip(step, -1e-3, 1e-3)
-    return g
+        g = x[act]
+        z, e = zeta.hardy_z_batch(np.concatenate([g, g + h, g - h]),
+                                  cfg.target_abs_error, cfg)
+        z0, zp, zm = np.split(z, 3)
+        sure = np.abs(z0) > e[:g.size]
+        up = sure & (np.sign(z0) == np.sign(flo[act]))  # root above g
+        a = lo[act] = np.where(up, g, lo[act])
+        b = hi[act] = np.where(sure & ~up, g, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = g - z0 * (2 * h) / (zp - zm)
+        inside = (xn >= a) & (xn <= b)
+        x[act] = np.where(inside, xn, np.where(sure, a + 0.5 * (b - a), g))
+        done = ~sure | (np.abs(x[act] - g) <= 0.05 * ORDINATE_ACCURACY)
+        act = act[~done]
+    if act.size:
+        i = int(act[0])
+        raise errors.Inconsistent(
+            f"Newton on Z did not converge in {_REFINE_MAX_ROUNDS} rounds "
+            f"at {x[i]} in the bracket [{lo[i]}, {hi[i]}]", index=i)
+    return x
 
 
 def _gram_index(t: float) -> int:
@@ -218,15 +216,14 @@ def count_zeros(t: float, cfg: PrecisionConfig = DEFAULT) -> int:
 
 
 def find_zeros_up_to(T: float, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
-    """All ordinates in (0, T], complete by Turing's method: the certified
-    brackets that start at or below T, refined by Illinois at 1e-9,
-    Newton-polished on the accurate path and cut at T."""
+    """All ordinates in (0, T], complete by Turing's method: the roots of
+    Z in the certified brackets that start at or below T, by Newton
+    safeguarded by each bracket on the accurate path, cut at T."""
     if T < 15.0:
         raise ValueError("find_zeros_up_to requires T >= 15")
     lo, hi, flo, fhi = _certified_scan(T, cfg)
     m = lo <= T
-    roots = _refine_brackets(lo[m], hi[m], flo[m], fhi[m], cfg)
-    ordinates = np.sort(_newton_polish(roots, cfg))
+    ordinates = _solve_brackets(lo[m], hi[m], flo[m], fhi[m], cfg)
     return ZeroList(ordinates[ordinates <= T], covered_height=T,
                     source="computed", verified=True)
 

@@ -178,6 +178,21 @@ def test_mv_lemma3_huge_entry_exits_2(tmp_path, capsys):
     assert doc["error"] == "TableTooLarge"
 
 
+def test_mv_lemma3_refuses_huge_table_before_the_integral(tmp_path, capsys,
+                                                          monkeypatch):
+    table = tmp_path / "t.txt"
+    table.write_text(f"1 1.0\n{10 ** 18 + 9} 0.5\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("lemma3_lhs called")
+
+    monkeypatch.setattr(dirichlet, "lemma3_lhs", never)
+    assert run(["mv", "lemma3", "--table", str(table), "--alpha", "0.6",
+                "--h", "0.1", "--T", "300"]) == 2
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "TableTooLarge"
+
+
 def test_resonator_build_N_beyond_int64_exits_2(tmp_path, capsys):
     assert run(["resonator", "build", "--mu", "2", "--nu", "0",
                 "--N", str(10 ** 19), "--override", "--A", "2100000",

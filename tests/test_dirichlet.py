@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bsylab import errors, zeta
+from bsylab import dirichlet, errors, zeta
 from bsylab.accum import comp_sum
 from bsylab.config import DEFAULT
 from bsylab.dirichlet import (
@@ -289,3 +289,14 @@ def test_sieve_refuses_huge_entries():
         s1_resonance_statistic(table, 0.1)
     with pytest.raises(errors.TableTooLarge):
         lemma3_rhs(Lemma3Request(alpha=0.6, h=0.1, T=10.0, table=table))
+
+
+def test_lemma3_compare_refuses_huge_table_before_the_integral(monkeypatch):
+    table = (np.array([1, 10 ** 18 + 9]), np.array([1.0, 0.5]))
+
+    def never(*args, **kwargs):
+        raise AssertionError("lemma3_lhs called")
+
+    monkeypatch.setattr(dirichlet, "lemma3_lhs", never)
+    with pytest.raises(errors.TableTooLarge):
+        lemma3_compare(Lemma3Request(alpha=0.6, h=0.1, T=300.0, table=table))

@@ -1,5 +1,6 @@
 """Zero finding, counting, verification and the text cache format."""
 
+import dataclasses
 import functools
 import io
 import math
@@ -16,8 +17,8 @@ from bsylab.zeros import (
     ORDINATE_ACCURACY,
     ZeroList,
     _certified_scan,
-    _refine_brackets,
     _SCAN_DENSITY,
+    _solve_brackets,
     count_zeros,
     export_zeros,
     find_zeros_up_to,
@@ -77,15 +78,15 @@ def _zetazero(k: int) -> float:
 
 
 def _refined_roots(lo: float, hi: float, step: float) -> np.ndarray:
-    """Illinois roots of the sign changes of Z on a grid, unpolished."""
+    """Bracketed Newton roots of the sign changes of Z on a grid."""
     grid = np.arange(lo, hi, step)
     vals = hardy_z_batch(grid, 1e-6, DEFAULT)[0]
     idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
-    return _refine_brackets(grid[idx], grid[idx + 1], vals[idx],
-                            vals[idx + 1], DEFAULT)
+    return _solve_brackets(grid[idx], grid[idx + 1], vals[idx],
+                           vals[idx + 1], DEFAULT)
 
 
-def test_illinois_refinement_matches_mpmath():
+def test_bracketed_newton_matches_mpmath():
     # brackets at the default scan step near t = 100 (zeros 28..31): the
     # mean gap 2 pi / log(t / 2 pi) at t = 105, over _SCAN_DENSITY ...
     roots = _refined_roots(95.0, 105.0, 2.231178794831924 / _SCAN_DENSITY)
@@ -97,6 +98,61 @@ def test_illinois_refinement_matches_mpmath():
     assert roots.size == 2
     for k, r in zip(LEHMER_PAIR, roots):
         assert abs(r - _zetazero(k)) <= ORDINATE_ACCURACY
+
+
+def test_bracketed_newton_stays_in_its_bracket():
+    # from the secant point of [13, 20.6], near the maximum of Z at
+    # 17.88, the Newton step lands below 13; the solver must bisect
+    lo, hi = np.array([13.0]), np.array([20.6])
+    flo, fhi = np.split(hardy_z_batch(np.concatenate([lo, hi]), 1e-6,
+                                      DEFAULT)[0], 2)
+    x = hi - fhi * (hi - lo) / (fhi - flo)
+    h = 1e-5
+    z0, zp, zm = hardy_z_batch(np.concatenate([x, x + h, x - h]),
+                               DEFAULT.target_abs_error, DEFAULT)[0]
+    assert x[0] - z0 * (2 * h) / (zp - zm) < lo[0]
+    root = _solve_brackets(lo, hi, flo, fhi, DEFAULT)
+    assert lo[0] < root[0] < hi[0]
+    assert abs(root[0] - _zetazero(1)) <= ORDINATE_ACCURACY
+
+
+def test_unconverged_bracket_raises(monkeypatch):
+    monkeypatch.setattr(zeros, "_REFINE_MAX_ROUNDS", 1)
+    with pytest.raises(errors.Inconsistent, match="did not converge"):
+        find_zeros_up_to(100.0, DEFAULT)
+
+
+def test_find_solves_brackets_in_few_z_batches(monkeypatch):
+    calls = {"all": 0, "scan": 0}
+    batch, scan = zeta.hardy_z_batch, zeros._certified_scan
+
+    def counted_batch(*args):
+        calls["all"] += 1
+        return batch(*args)
+
+    def counted_scan(*args):
+        before = calls["all"]
+        out = scan(*args)
+        calls["scan"] += calls["all"] - before
+        return out
+
+    monkeypatch.setattr(zeta, "hardy_z_batch", counted_batch)
+    monkeypatch.setattr(zeros, "_certified_scan", counted_scan)
+    find_zeros_up_to(1003.7, DEFAULT)
+    # 4 rounds of Newton, where Illinois and the polish took 17
+    assert calls["scan"] > 0
+    assert calls["all"] - calls["scan"] <= 6
+
+
+def test_loose_target_terminates_and_verifies():
+    # |Z| within its bound stops a root before noise drives it to the cap
+    cfg = dataclasses.replace(DEFAULT, target_abs_error=1e-9, quad_tol=1e-9)
+    zl = find_zeros_up_to(1003.7, cfg)
+    assert len(zl) == 652
+    verify_zero_list(zl, DEFAULT)
+    for k in (1, 100, 400, 652):
+        assert abs(float(zl.ordinates[k - 1]) - _zetazero(k)) \
+            <= ORDINATE_ACCURACY
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 100, 1000, 6700, 13000])

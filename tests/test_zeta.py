@@ -610,7 +610,7 @@ def _em_terms(sigma, M):
 def test_em_clusters_match_mpmath(sigma, t):
     h = 1e-5
     calls = {f"gk{w}": t + w * GK15_NODES for w in (0.5, 0.07, 1e-3)}
-    calls["triplet"] = t + np.array([0.0, h, -h])      # as _newton_polish
+    calls["triplet"] = t + np.array([0.0, h, -h])      # as _solve_brackets
     calls["stencil"] = t + np.array([-2.0, -1.0, 1.0, 2.0]) * 1e-4
     calls["lone"] = np.array([t])
     for name, ts in calls.items():
