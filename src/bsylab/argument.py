@@ -154,9 +154,10 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
                cfg: PrecisionConfig = DEFAULT) -> ScanReport:
     """Windowed integrals of log|zeta(1/2+iu)| over [t-h, t+h].
 
-    Scans t on the lattice of spacing h/4 across [T, 2T]; samples hold
+    Scans t on the lattice T + k h/4 within [T, 2T]; samples hold
     (t, window integral); fitted_params holds (max, argmax, min, argmin)
-    of the normalized statistic.
+    of the normalized statistic.  The windows end by 2T + h, the height
+    the zero list must cover.
     """
     T, h = float(T), float(h)
     if not 0.0 < h <= 1.0:
@@ -165,9 +166,9 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
         raise ValueError("need T >= 10")
     zeros.require_height(2 * T + h)
     delta = h / 4.0
-    n = int(math.ceil(T / delta))
+    n = int(math.floor(T / delta))
     centers = T + delta * np.arange(n + 1)
-    cuts = np.concatenate([[T - h], T - h + delta * np.arange(1, n + 10)])
+    cuts = np.concatenate([[T - h], T - h + delta * np.arange(1, n + 9)])
     v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg,
                                   weight_f=lambda t: np.ones_like(t))
     C = np.concatenate([[0.0], np.cumsum(v)])

@@ -276,8 +276,8 @@ def tail_I(T: float, T_max: float, zeros: ZeroList,
            cfg: PrecisionConfig = DEFAULT) -> IntegralResult:
     """-2 * integral over [T, T_max]; a truncated tail of I."""
     T, T_max = float(T), float(T_max)
-    if T > T_max:
-        raise ValueError("need T <= T_max")
+    if not 0.0 <= T <= T_max:
+        raise ValueError("need 0 <= T <= T_max")
     _require_cover(zeros, T_max)
     if T == T_max:
         return IntegralResult(0.0, 0.0, 0, 0)

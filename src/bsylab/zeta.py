@@ -13,10 +13,10 @@ test suite:
   ``hardy_z_batch`` keeps it wherever the bound it returns meets the
   requested tolerance.  theta is reduced mod 2 pi in longdouble once per
   anchor (the heights rounded to a multiple of 1/8) and each height adds
-  its offset in float64.  The correction functions C0..C3 come from the
-  Chebyshev tables frozen in :mod:`bsylab._rs_coeffs`, turned at import
-  into polynomials of one parity in 2p - 1 and evaluated by Horner in
-  (2p - 1)^2; what that drops and rounds is in the bound.
+  its offset in float64.  The correction functions C0..C3 are their
+  closed forms in Psi's derivatives (Edwards, ch. 7), frozen as
+  economized polynomials of one parity in 2p - 1 and evaluated by Horner
+  in (2p - 1)^2; what that drops and rounds is in the bound.
 
 Dirichlet-polynomial sums go through one kernel, ``_phase_sum``: the
 Euler-Maclaurin main sum, the Riemann-Siegel main sum, the two sums of
@@ -58,7 +58,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors, sieve
-from ._rs_coeffs import C0_CHEB, C1_CHEB, C2_CHEB, C3_CHEB
 from .config import DEFAULT, POLE_THRESHOLD, PrecisionConfig
 
 TWO_PI = 2.0 * math.pi
@@ -732,9 +731,9 @@ def _em_tail(s: np.ndarray, M: int, K: int) -> np.ndarray:
 
 def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
               target: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(sigma + i t) for an array of non-negative t, with error bounds.
+    """zeta(sigma + i t) for an array of t, with error bounds.
 
-    All points share one truncation M chosen from max(ts); callers should
+    All points share one truncation M chosen from max|t|; callers should
     chunk wildly different heights separately.  The main sum over n < M
     is one ``_phase_sum``: a blocked matrix product when ts is a uniform
     grid, a Taylor expansion about each cluster of nearby heights
@@ -744,7 +743,7 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     ts = np.asarray(ts, dtype=float)
     if target is None:
         target = cfg.target_abs_error
-    tmax = float(np.max(ts)) if ts.size else 0.0
+    tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
     M, K = _em_truncation(sigma, tmax, target)
 
     n = np.arange(1, M)
@@ -799,49 +798,64 @@ def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
 # Riemann-Siegel Z
 # ----------------------------------------------------------------------
 
-_RS_CHEBS = (C0_CHEB, C1_CHEB, C2_CHEB, C3_CHEB)
-
 _U = 2.0 ** -53     # float64 unit roundoff
 
+#: C0..C3 in powers of y = x^2, x = 2p - 1, lowest first; C1 and C3 are
+#: odd in x and carry a factor x, C0 and C2 are even.  Each C_k is the
+#: sum of Psi^(n)(p) / (d pi^e) of Edwards (Riemann's Zeta Function,
+#: ch. 7), Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p, taken as a
+#: Taylor series in x at 50 digits and economized: cast to Chebyshev form
+#: on [-1, 1], cut past the least degree whose dropped |coefficients| sum
+#: to at most u times all of them, and cast back.  The literals are
+#: rebuilt from Psi by tests/test_zeta.py::
+#: test_rs_coefficients_derive_from_psi.  (The name is the benchmark's:
+#: perfbench/tracing.py reads the tuple's length.)
+_RS_CHEBS = (
+    np.array([0.3826834323650898, 0.4372404680775219, 0.1323765754802617,
+              -0.013605026045884948, -0.013567621990400012,
+              -0.0016237251863957904, 0.00029705294754484956,
+              7.943470664840234e-05, 4.6223553723132004e-07,
+              -1.428295572314764e-06, -1.0746301150783678e-07,
+              1.4507673158935907e-08, 1.1722743145420238e-09]),
+    np.array([-0.026825102628375393, 0.013784773426357495,
+              0.03849125048203454, 0.009871066302372902,
+              -0.0033107597915541503, -0.0014647806810898572,
+              -1.3208609291695445e-05, 5.922920164141936e-05,
+              5.977234038502043e-06, -9.605634757496952e-07,
+              -1.8608090087963153e-07, 5.654967814771435e-09,
+              2.5529813203617477e-09]),
+    np.array([0.005188542830293168, 0.000309465838806352,
+              -0.011335941078229914, 0.0022330457419793195,
+              0.00519663740846433, 0.00034399144504604085,
+              -0.0005910648718690847, -0.00010229959287246272,
+              2.088797312054082e-05, 5.92860265555474e-06,
+              -1.6572938536736193e-07, -1.4993886848812113e-07,
+              -7.1959073592380695e-09, 2.7313564755082012e-09]),
+    np.array([-0.0013397160907194575, 0.0037442151363794927,
+              -0.001330317891936842, -0.002265466076442966,
+              0.0009548499985369465, 0.0006010038563461892,
+              -0.00010128863874555585, -6.865712556956197e-05,
+              5.979775590858746e-07, 3.3327426239481577e-06,
+              2.1767666943539472e-07, -7.739539427596092e-08,
+              -1.0455142507480913e-08, 1.414839024976785e-09,
+              8.040234636192913e-11]),
+)
 
-def _parity_poly(cheb: np.ndarray, odd: bool) -> tuple[np.ndarray, float]:
-    """(a, err): C(x) = sum_i a_i x^(2i), times x when ``odd``, from the
-    Chebyshev series ``cheb`` in x on [-1, 1], and a bound over |x| <= 1
-    on how far its float64 evaluation by ``_rs_correction`` strays from
-    the full series.
+#: The sum of the |Chebyshev coefficients| each economization dropped,
+#: rounded up.
+_RS_TAILS = (4.7e-18, 2.0e-18, 1.2e-19, 2.1e-20)
 
-    The coefficients of the other parity are dropped; so are those of
-    this parity past the least degree whose dropped tail is at most that
-    off-parity mass (both are the fit's noise).  ``err`` is the sum of
-    the dropped |c_j|, the rounding of the conversion to powers of x
-    (deg * u * sum |c_j| |T_j|_1, |T_j|_1 = ((1 + sqrt 2)^j +
-    (1 - sqrt 2)^j)/2 the sum of the |coefficients| of T_j), and that of
-    the evaluation: Horner in y = x^2 with n coefficients is within
-    gamma_2n sum|a_i| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1), the rounding of y adds n u sum|a_i|, the factor x
-    and the step of the sum over k in ``_rs_corrections`` a few u more.
-    """
-    j = np.arange(cheb.size)
-    mine = j % 2 == int(odd)
-    off = float(np.abs(cheb[~mine]).sum())
-    # tail[d] = sum of |c_j| over j >= d of this parity
-    tail = np.cumsum(np.abs(np.where(mine, cheb, 0.0))[::-1])[::-1]
-    tail = np.append(tail, 0.0)
-    deg = int(j[mine & (tail[1:] <= off)][0])
-    kept = np.where(mine, cheb, 0.0)[:deg + 1]
-    a = np.polynomial.chebyshev.cheb2poly(kept)[int(odd)::2]
-    norms = ((1 + math.sqrt(2.0)) ** j[:deg + 1]
-             + (1 - math.sqrt(2.0)) ** j[:deg + 1]) / 2
-    amass = float(np.abs(a).sum())
-    err = off + float(tail[deg + 1]) \
-        + _U * (deg * float(np.abs(kept) @ norms) + (3 * a.size + 8) * amass)
-    return a, err
-
-
-#: C0..C3 as (coefficients in x^2, err, odd) from ``_parity_poly``: C0 and
-#: C2 are even in x = 2p - 1, C1 and C3 odd.
-_RS_POLYS = tuple((*_parity_poly(c, k % 2 == 1), k % 2 == 1)
-                  for k, c in enumerate(_RS_CHEBS))
+#: C0..C3 as (coefficients in x^2, err, odd).  err bounds, over |x| <= 1,
+#: how far the float64 evaluation by ``_rs_correction`` strays from C_k:
+#: the dropped tail, plus the rounding of the literals and of the
+#: evaluation.  Horner in y = x^2 with n coefficients is within
+#: gamma_2n sum|a_i| (Higham, Accuracy and Stability of Numerical
+#: Algorithms, 5.1), the rounding of y adds n u sum|a_i|, and the
+#: literals, the factor x and the step of the sum over k in
+#: ``_rs_corrections`` a few u more.
+_RS_POLYS = tuple(
+    (a, tail + (3 * a.size + 8) * _U * float(np.abs(a).sum()), k % 2 == 1)
+    for k, (a, tail) in enumerate(zip(_RS_CHEBS, _RS_TAILS)))
 
 
 def _rs_correction(k: int, x: np.ndarray) -> np.ndarray:
@@ -860,7 +874,7 @@ def _rs_correction(k: int, x: np.ndarray) -> np.ndarray:
 
 def _rs_corrections(tau: np.ndarray, n_corr: int):
     """sum over k < n_corr of C_k(p) tau^(-k), p = tau - floor(tau), and
-    its bound sum_k err_k tau^(-k) (``_parity_poly``), both by Horner in
+    its bound sum_k err_k tau^(-k) (``_RS_POLYS``), both by Horner in
     1/tau."""
     w = 1.0 / tau
     x = 2.0 * (tau - np.floor(tau)) - 1.0
@@ -986,12 +1000,14 @@ def hardy_z_batch(ts: np.ndarray, abs_tol: float,
     RS is evaluated at t >= RS_T_MIN wherever ``rs_error_bound`` alone
     meets ``abs_tol``, and kept wherever the full bound it returns (see
     ``_rs_z_batch``) does; everything else falls back to Euler-Maclaurin
-    at the same target.
+    at the same target.  Heights must be finite and non-negative.
     """
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError("hardy_z_batch requires finite t >= 0")
     vals = np.empty(ts.shape)
     errs = np.empty(ts.shape)
-    n_corr = min(cfg.rs_correction_terms, len(_RS_CHEBS))
+    n_corr = min(cfg.rs_correction_terms, len(_RS_POLYS))
     trunc = rs_error_bound(ts, n_corr)
     use_rs = (ts >= RS_T_MIN) & (trunc <= abs_tol)
     if np.any(use_rs):

@@ -187,6 +187,17 @@ def test_omega_scan_survives_ordinates_moved_by_ulps(zeros_550, ulps):
     assert (tmx, tmn) == (ref[1], ref[3])
 
 
+def test_omega_scan_reads_no_zero_above_2T_plus_h(zeros_550):
+    # 2T + h = 201.24 lies just below the zero at 201.2648
+    T, h = 100.47, 0.3
+    g = zeros_550.ordinates
+    cut = ZeroList(g[g <= 2 * T + h], 2 * T + h, zeros_550.source, True)
+    rep = omega_scan(T, h, cut, DEFAULT)
+    ref = omega_scan(T, h, zeros_550, DEFAULT)
+    assert np.array_equal(rep.samples, ref.samples)
+    assert T <= rep.samples[0, 0] and rep.samples[-1, 0] <= 2 * T
+
+
 def test_omega_scan_needs_coverage(zeros_100):
     with pytest.raises(errors.ZeroListInsufficient):
         omega_scan(200.0, 0.3, zeros_100, DEFAULT)

@@ -58,6 +58,13 @@ def test_integral_csv_and_json(cache_file):
     assert float(doc["I"]) == float(cells[1])
 
 
+def test_integral_tail_below_zero_exits_2(cache_file, capsys):
+    code, out = _run(["integral", "--T", "-5", "--tmax", "30",
+                      "--zeros", cache_file])
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_integral_determinism(cache_file):
     runs = [_run(["integral", "--T", "77", "--zeros", cache_file])[1]
             for _ in range(2)]

@@ -82,6 +82,12 @@ def test_tail_identity(zeros_100):
     assert abs((i1 - i2) - t) < 1e-11
 
 
+@pytest.mark.parametrize("T", [-5.0, math.nan])
+def test_tail_I_refuses_negative_T(zeros_100, T):
+    with pytest.raises(ValueError):
+        tail_I(T, 30.0, zeros_100, DEFAULT)
+
+
 def test_zero_list_insufficient(zeros_100):
     with pytest.raises(errors.ZeroListInsufficient):
         compute_I(5000.0, zeros_100, DEFAULT)

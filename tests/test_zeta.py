@@ -4,6 +4,7 @@ mpmath is used strictly as an oracle (never inside the package); the
 eta-series and Bernoulli identities provide library-free cross-checks.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -315,30 +316,70 @@ _RS_CLOSED_FORM = (
 )
 
 
+def _psi(p):
+    """Psi(p) at the working precision of mpmath."""
+    pi = mpmath.pi
+    return mpmath.cos(2 * pi * (p * p - p - mpmath.mpf(1) / 16)) \
+        / mpmath.cos(2 * pi * p)
+
+
 def _rs_closed_form(k: int, p: float) -> float:
     """C_k(p) to 40 digits, the derivatives of Psi by mpmath.diff."""
     with mpmath.workdps(40):
-        pi = mpmath.pi
-
-        def psi(x):
-            return mpmath.cos(2 * pi * (x * x - x - mpmath.mpf(1) / 16)) \
-                / mpmath.cos(2 * pi * x)
-
-        return float(sum(mpmath.diff(psi, mpmath.mpf(p), n) / (d * pi ** e)
+        return float(sum(mpmath.diff(_psi, mpmath.mpf(p), n)
+                         / (d * mpmath.pi ** e)
                          for n, d, e in _RS_CLOSED_FORM[k]))
 
 
+@functools.lru_cache(maxsize=None)
+def _psi_taylor():
+    """Psi's Taylor coefficients in p - 1/2 to degree 80, at 50 digits.
+    In x = 2p - 1 the last is 3e-46, and the terms past it would move
+    the economized C3, the most sensitive, by under 1e-20 relative."""
+    with mpmath.workdps(50):
+        return mpmath.taylor(_psi, mpmath.mpf(1) / 2, 80)
+
+
+def _rs_economized(k: int):
+    """(a, tail, off) for C_k, derived as ``zeta._RS_CHEBS`` was: the
+    coefficients in powers of x^2 (x = 2p - 1, times x for odd k) of
+    C_k's Taylor series economized at 2^-53, the sum of the |Chebyshev
+    coefficients| dropped, and the largest Taylor term of the other
+    parity."""
+    t = _psi_taylor()
+    deg = len(t) - 1
+    odd = k % 2
+    with mpmath.workdps(50):
+        # Psi^(n)(p) = sum over j >= n of t_j j!/(j - n)! (x/2)^(j - n)
+        series = np.array([mpmath.mpf(0)] * (deg + 1), dtype=object)
+        for n, d, e in _RS_CLOSED_FORM[k]:
+            for j in range(n, deg + 1):
+                series[j - n] += t[j] * mpmath.ff(j, n) \
+                    / (2 ** (j - n) * d * mpmath.pi ** e)
+        off = max(np.abs(series[1 - odd::2]))
+        cheb = np.polynomial.chebyshev.poly2cheb(series)
+        mass = np.abs(cheb)
+        # dropped[j]: the mass past degree j
+        dropped = np.append(np.cumsum(mass[::-1])[::-1][1:], 0)
+        cut = next(j for j in range(odd, cheb.size, 2)
+                   if dropped[j] <= mass.sum() * mpmath.mpf(2) ** -53)
+        kept = np.where(np.arange(cut + 1) % 2 == odd, cheb[:cut + 1], 0)
+        a = np.polynomial.chebyshev.cheb2poly(kept)[odd::2]
+        tail = dropped[cut] + mass[1 - odd:cut + 1:2].sum()
+    return a, tail, off
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_rs_tables_match_closed_form(k):
-    ps = np.linspace(0.0, 1.0, 23)      # none within 0.02 of 1/4 or 3/4
-    got = np.polynomial.chebyshev.chebval(2.0 * ps - 1.0, zeta._RS_CHEBS[k])
-    ref = np.array([_rs_closed_form(k, p) for p in ps.tolist()])
-    assert np.max(np.abs(got - ref)) <= 1e-14
-
-
-#: The sum of the |coefficients| of the other parity in each table: noise
-#: of the fit, dropped by the parity evaluation and added to its bound.
-_RS_OFF_PARITY = (2.01e-15, 1.43e-16, 5.28e-17, 2.50e-15)
+def test_rs_coefficients_derive_from_psi(k):
+    a, tail, off = _rs_economized(k)
+    got = zeta._RS_CHEBS[k]
+    assert got.size == a.size
+    want = np.array([float(c) for c in a])
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert zeta._RS_TAILS[k] >= tail
+    assert off < 1e-40
+    assert zeta._RS_POLYS[k][0] is got
+    assert zeta._RS_POLYS[k][2] == (k % 2 == 1)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -350,23 +391,12 @@ def test_rs_correction_matches_closed_form(k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_rs_correction_within_its_term_of_the_table(k):
-    x = np.linspace(-1.0, 1.0, 4001)
-    cheb = zeta._RS_CHEBS[k]
-    table = np.polynomial.chebyshev.chebval(x, cheb)
-    # the stated term, and chebval's own rounding of a few ulps
-    tol = zeta._RS_POLYS[k][1] + 8 * 2.0 ** -53 * np.abs(cheb).sum()
-    assert np.max(np.abs(zeta._rs_correction(k, x) - table)) <= tol
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_rs_table_off_parity_mass_within_the_bound(k):
-    # C0 and C2 are even in x = 2p - 1, C1 and C3 odd
-    cheb = zeta._RS_CHEBS[k]
-    off = np.abs(cheb[1 - k % 2::2]).sum()
-    assert off <= _RS_OFF_PARITY[k]
-    assert off <= zeta._RS_POLYS[k][1] <= 1e-13
-    assert zeta._RS_POLYS[k][2] == (k % 2 == 1)
+def test_rs_correction_within_its_bound_of_closed_form(k):
+    # 59 points with both ends, none on p = 1/4 or 3/4, where Psi is 0/0
+    ps = np.linspace(0.0, 1.0, 59)
+    got = zeta._rs_correction(k, 2.0 * ps - 1.0)
+    ref = np.array([_rs_closed_form(k, p) for p in ps.tolist()])
+    assert np.max(np.abs(got - ref)) <= zeta._RS_POLYS[k][1]
 
 
 @pytest.mark.parametrize("n_corr", [1, 2, 3, 4])
@@ -436,6 +466,23 @@ def test_hardy_z_batch_keeps_rs_only_within_the_tolerance(monkeypatch):
         assert abs(v - float(mpmath.siegelz(t))) <= b
         assert b <= abs_tol or t in to_em, (t, b)
     assert to_em == ts.tolist()
+
+
+@pytest.mark.parametrize("ts", [[-5.0, 20.0], [-5.0], [math.nan, 20.0],
+                                [math.inf]],
+                         ids=["negative", "negative-alone", "nan", "inf"])
+def test_hardy_z_batch_refuses_negative_or_nonfinite_heights(ts):
+    # its Euler-Maclaurin chunks run by octave from 0, so such a height
+    # would never be evaluated
+    with pytest.raises(ValueError):
+        hardy_z_batch(np.array(ts), 1e-12, DEFAULT)
+
+
+def test_em_batch_truncates_by_the_largest_abs_height():
+    ts = np.array([-300.0, 20.0])
+    vals, bounds = zeta._em_batch(0.6, ts)
+    for t, v, b in zip(ts.tolist(), vals, bounds):
+        assert abs(v - _mp_zeta(complex(0.6, t))) <= b
 
 
 def test_log_abs_and_branch_consistency():
