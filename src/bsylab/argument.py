@@ -157,7 +157,10 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     Scans t on the lattice T + k h/4 within [T, 2T]; samples hold
     (t, window integral); fitted_params holds (max, argmax, min, argmin)
     of the normalized statistic.  The windows end by 2T + h, the height
-    the zero list must cover.
+    the zero list must cover.  The lattice steps are cuts of one segment
+    profile, read out of panels laid by the ordinates, so the scan pays
+    per panel, not per step: about two Z points per step at Z errors of
+    1e-6.
     """
     T, h = float(T), float(h)
     if not 0.0 < h <= 1.0:

@@ -8,7 +8,9 @@ panel; on a singular panel the integrand is split into
 log|t-gamma|/(1/4+t^2), handled by a Gauss-Legendre product rule on
 each side of gamma, plus the smooth remainder
 log|Z(t)/(t-gamma)|/(1/4+t^2), handled by adaptive quadrature.  The
-same segment-profile engine serves cumulative scans.
+same segment-profile engine serves cumulative scans: its panels are
+laid out by the ordinates alone, and each cut is read out of the panel
+it falls in.
 
 Also provided: the closed-form per-zero summand log|rho/(1-rho)|, the
 residual of I(T) against a hypothetical off-line zero sum (with its
@@ -24,7 +26,8 @@ import numpy as np
 from . import errors, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
-from .quadrature import IntegralResult, adaptive_panels, log_singular_batch
+from .quadrature import (IntegralResult, adaptive_panels, log_singular_batch,
+                         split_at_cuts)
 from .zeros import ZeroCandidate, ZeroList
 
 __all__ = [
@@ -143,50 +146,62 @@ def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     return f
 
 
-def _panel_layout(cuts: np.ndarray, ords: np.ndarray):
-    """Panels (lo, hi, gamma, segment) over the non-empty [cuts[i], cuts[i+1]].
+def _panel_layout(a: float, b: float, ords: np.ndarray):
+    """Panels (lo, hi, gamma) tiling [a, b], ascending.
 
-    Each ordinate strictly inside a segment gets a singular panel capped
-    at _SING_RADIUS around it (so the Cauchy weight's poles at +-i/2 stay
-    at least 13 side lengths from every side the product rule integrates,
-    since gamma_1 > 14) and at the midpoints to its neighbours in the
-    segment.  Smooth filler panels (gamma NaN) cover the rest of the
-    segment, except pieces no wider than 1e-14.  Panels come ascending,
-    segment by segment; ``ords`` must be ascending.
+    Each ordinate in [a, b] gets a singular panel capped at _SING_RADIUS
+    around it (so the Cauchy weight's poles at +-i/2 stay at least 13
+    side lengths from every side the product rule integrates, since
+    gamma_1 > 14), at the midpoints to its neighbours and at a and b (an
+    ordinate on an end has a one-sided panel).  Smooth filler panels
+    (gamma NaN) cover the rest, except pieces no wider than 1e-14.
+    ``ords`` must be ascending.
     """
-    nseg = cuts.size - 1
-    # segment of each ordinate: cuts[k - 1] < gamma < cuts[k]
-    k = np.searchsorted(cuts, ords)
-    inside = (k > 0) & (k <= nseg)
-    inside[inside] = ords[inside] < cuts[k[inside]]
-    g, sg = ords[inside], k[inside] - 1
-    a, b = cuts[sg], cuts[sg + 1]
-    first = np.ones(g.size, dtype=bool)
-    first[1:] = sg[1:] != sg[:-1]
-    last = np.append(first[1:], True)
+    g = ords[(ords >= a) & (ords <= b)] if b > a else ords[:0]
+    if not g.size:
+        span = np.array([a] if b > a else [])
+        return span, np.full(span.shape, b), np.full(span.shape, math.nan)
     mid = 0.5 * (g[1:] + g[:-1])
     left = np.maximum(np.maximum(a, g - _SING_RADIUS),
-                      np.where(first, a, np.concatenate([a[:1], mid])))
-    right = np.minimum(np.minimum(b, g + _SING_RADIUS),
-                       np.where(last, b, np.append(mid, b[-1:])))
-    pos = np.where(first, a, np.concatenate([a[:1], right[:-1]]))
-    fill = left > pos + 1e-14
-    tail = last & (b > right + 1e-14)
-    bare = np.flatnonzero((np.bincount(sg, minlength=nseg) == 0)
-                          & (cuts[1:] > cuts[:-1]))
-    j = np.arange(g.size)
-    lo = np.concatenate([pos[fill], left, right[tail], cuts[bare]])
-    hi = np.concatenate([left[fill], right, b[tail], cuts[bare + 1]])
-    gs = np.concatenate([np.full(np.count_nonzero(fill), math.nan), g,
-                         np.full(np.count_nonzero(tail) + bare.size,
-                                 math.nan)])
-    seg = np.concatenate([sg[fill], sg, sg[tail], bare])
-    # within a segment: filler before ordinate j (2j), its panel (2j+1), tail
-    key = np.concatenate([2 * j[fill], 2 * j + 1,
-                          np.full(np.count_nonzero(tail) + bare.size,
-                                  2 * g.size)])
-    order = np.lexsort((key, seg))
-    return lo[order], hi[order], gs[order], seg[order]
+                      np.concatenate([[a], mid]))
+    right = np.minimum(np.minimum(b, g + _SING_RADIUS), np.append(mid, b))
+    pos = np.concatenate([[a], right[:-1]])
+    # the filler before ordinate j, then its singular panel; then the tail
+    keep = np.stack([left > pos + 1e-14, np.ones(g.size, dtype=bool)],
+                    axis=1).ravel()
+    tail = int(b > right[-1] + 1e-14)
+    lo = np.append(np.stack([pos, left], axis=1).ravel()[keep],
+                   right[-1:][:tail])
+    hi = np.append(np.stack([left, right], axis=1).ravel()[keep], [b][:tail])
+    gs = np.append(np.stack([np.full(g.size, math.nan), g],
+                            axis=1).ravel()[keep], [math.nan][:tail])
+    return lo, hi, gs
+
+
+def _singular_pieces(cuts, gs, lo, hi, weight_f):
+    """log|t - gamma| * weight(t) over the pieces of singular panels.
+
+    ``cuts`` ascending and distinct, each singular panel [lo_i, hi_i]
+    holding gs_i, split at the cuts strictly inside it.  Every piece
+    boundary x other than gamma is one side, of length |x - gamma|, of a
+    one-sided product rule from gamma, and a piece's integral is
+    F(piece_hi) - F(piece_lo) with F(x) the signed integral from gamma
+    to x (an uncut panel: its two sides' sum).  All sides go through one
+    ``log_singular_batch`` call.  Returns (piece_lo, values,
+    error_estimates), each piece's error the sum of its two sides'.
+    """
+    owner, plo, _ = split_at_cuts(cuts, lo, hi)
+    # the boundaries panel by panel: piece k starts at k + owner[k] and
+    # ends at the next one; panel i ends after its pieces
+    at = np.arange(owner.size) + owner
+    ends = np.cumsum(np.bincount(owner)) + np.arange(lo.size)
+    x, g = np.empty(owner.size + lo.size), np.empty(owner.size + lo.size)
+    x[at], x[ends] = plo, hi
+    g[at], g[ends] = gs[owner], gs
+    S, E = log_singular_batch(g, np.maximum(g - x, 0.0),
+                              np.maximum(x - g, 0.0), weight_f)
+    F = np.sign(x - g) * S
+    return plo, F[at + 1] - F[at], E[at + 1] + E[at]
 
 
 def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
@@ -194,45 +209,55 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     """Integrals of log|Z(t)|*weight(t) over each [cuts[i], cuts[i+1]].
 
     Returns (values, error_estimates, subintervals, n_singular) as
-    per-segment arrays.  All segments are processed in one batched
-    adaptive pass; panels are cut so each contains at most one ordinate.
-    A segment's error estimate sums |K15 - G7| and the propagated
-    pointwise Z error P over its accepted smooth-remainder panels, plus
-    the product rules' |v12 - v8| and rounding terms of its log-singular
-    parts.
+    per-segment arrays.  Panels are laid out by the ordinates alone over
+    [cuts[0], cuts[-1]] and all are processed in one batched adaptive
+    pass; a panel that a cut falls strictly inside is read out in pieces
+    (``quadrature.adaptive_panels``), so a scan pays per panel, not per
+    cut.  ``subintervals`` counts pieces and ``n_singular`` the ordinates
+    in [cuts[i], cuts[i+1]) (one on cuts[-1] counts in the last non-empty
+    segment).  A segment's error estimate sums the rule errors (|K15 -
+    G7| for a whole panel) and the propagated pointwise Z error P over
+    its smooth-remainder pieces, plus the product rules' |v12 - v8| and
+    rounding terms of its log-singular parts, read piece by piece from
+    one-sided product rules.
     """
     cuts = np.asarray(cuts, dtype=float)
     if np.any(np.diff(cuts) < 0):
         raise ValueError("cuts must be ascending")
     nseg = cuts.size - 1
-    lo, hi, gs, seg = _panel_layout(cuts, ords)
+    lo, hi, gs = _panel_layout(cuts[0], cuts[-1], ords)
+    inner = np.unique(cuts)
+    last = np.searchsorted(cuts, cuts[-1]) - 1    # the last non-empty one
+
+    def segment(t):
+        return np.minimum(np.searchsorted(cuts, t, "right") - 1, last)
 
     vals = np.zeros(nseg)
     errs = np.zeros(nseg)
     nsub = np.zeros(nseg, dtype=int)
     nsing = np.zeros(nseg, dtype=int)
 
-    # --- singular parts: one vectorized product-rule call over all zeros
+    # --- singular parts: one vectorized product-rule call over all sides
     sing = ~np.isnan(gs)
-    if np.any(sing):
-        gsing = gs[sing]
-        d_left = np.maximum(gsing - lo[sing], 1e-12)
-        d_right = np.maximum(hi[sing] - gsing, 1e-12)
-        sv, se = log_singular_batch(gsing, d_left, d_right, weight_f)
-        np.add.at(vals, seg[sing], sv)
-        np.add.at(errs, seg[sing], se)
-        np.add.at(nsing, seg[sing], 1)
+    g = gs[sing]
+    if g.size:
+        plo, sv, se = _singular_pieces(inner, g, lo[sing], hi[sing],
+                                       weight_f)
+        np.add.at(vals, segment(plo), sv)
+        np.add.at(errs, segment(plo), se)
+        np.add.at(nsing, segment(g), 1)
 
     # --- smooth remainders: one batched adaptive pass over all panels
     gi = np.full(gs.shape, -1)
-    gi[sing] = np.arange(np.count_nonzero(sing))
+    gi[sing] = np.arange(g.size)
     total_w = float(cuts[-1] - cuts[0])
-    p = adaptive_panels(_remainder_rule(gs[sing], cfg, weight_f), lo, hi,
-                        cfg.quad_tol / max(total_w, 1e-300),
-                        {"g": gi, "seg": seg}, cfg.max_subdivisions)
-    np.add.at(vals, p.payload["seg"], p.value)
-    np.add.at(errs, p.payload["seg"], p.rule_error + p.pointwise)
-    np.add.at(nsub, p.payload["seg"], 1)
+    p = adaptive_panels(_remainder_rule(g, cfg, weight_f), lo, hi,
+                        cfg.quad_tol / max(total_w, 1e-300), {"g": gi},
+                        cfg.max_subdivisions, inner)
+    seg = segment(p.lo)
+    np.add.at(vals, seg, p.value)
+    np.add.at(errs, seg, p.rule_error + p.pointwise)
+    np.add.at(nsub, seg, 1)
     return vals, errs, nsub, nsing
 
 

@@ -11,6 +11,15 @@ plus P, the integrand's own pointwise error propagated through the
 Kronrod weights; P is reported as part of the error.  Reduction order
 is fixed for bit-reproducibility.
 
+Cuts read a panel out in pieces instead of bounding it.  A panel that a
+cut falls strictly inside is split there, and each piece is read from
+the panel's own 15 values: its value is the integral over the piece of
+p15, the degree-14 interpolant through them, its rule error is that of
+p15 - p7 (p7 the Gauss-7 interpolant), and its P uses the integrals of
+p15's Lagrange basis over the piece as weights.  Over a whole panel
+these are K15, |K15 - G7| and P.  So a scan with many cuts pays per
+panel, not per cut.
+
 ``log_singular_batch`` integrates log|t - gamma| against a smooth
 weight on each side of many points gamma at once, by product
 integration (Davis & Rabinowitz, *Methods of Numerical Integration*,
@@ -18,6 +27,7 @@ sec. 2.5): Gauss-Legendre nodes with weights taken against the exact
 log moments, 12 points per side checked by 8.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +62,38 @@ GK15_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
 G7_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
 
 
+def _piece_map():
+    """The (30, 16) map from D_0..D_15 to a piece's weights for p15 and
+    for p15 - p7: the integrals of the Lagrange bases on the Kronrod
+    nodes, and those less the Gauss basis integrals at the odd nodes.
+
+    D_m is the divided difference over a piece of the monic Legendre
+    polynomial p_m = P_m / k_m, k_m = binom(2m, m) / 2^m.  Over a piece
+    of width du the Legendre moments are du k_1 D_1 and
+    du (k_{m+1} D_{m+1} - k_{m-1} D_{m-1}) / (2m + 1), and the Lagrange
+    basis has the Legendre coefficients of the inverse Vandermonde
+    matrix.
+    """
+    k = np.array([math.comb(2 * m, m) / 2.0 ** m for m in range(16)])
+    to_moments = np.zeros((16, 15))
+    to_moments[1, 0] = 1.0
+    for m in range(1, 15):
+        to_moments[m + 1, m], to_moments[m - 1, m] = 1.0, -1.0
+        to_moments[:, m] /= 2 * m + 1
+    to_moments *= k[:, None]
+    legvander = np.polynomial.legendre.legvander
+    k15 = to_moments @ np.linalg.inv(legvander(GK15_NODES, 14))
+    diff = k15.copy()
+    diff[:, 1::2] -= to_moments[:, :7] @ np.linalg.inv(
+        legvander(GK15_NODES[1::2], 6))
+    return np.ascontiguousarray(np.concatenate([k15, diff], axis=1).T)
+
+
+_PIECE_MAP = _piece_map()
+#: Recurrence coefficients of the monic Legendre polynomials.
+_MONIC_C = np.arange(16) ** 2 / (4.0 * np.arange(16) ** 2 - 1.0)
+
+
 @dataclass
 class IntegralResult:
     """Value, error estimate and subdivision diagnostics.
@@ -70,18 +112,94 @@ class IntegralResult:
 
 @dataclass
 class Panels:
-    """The accepted panels of one ``adaptive_panels`` run."""
+    """The accepted panels of one ``adaptive_panels`` run, one row per
+    piece (a panel without a cut strictly inside is one piece)."""
 
     lo: np.ndarray
     hi: np.ndarray
-    value: np.ndarray          # K15
-    rule_error: np.ndarray     # |K15 - G7|
+    value: np.ndarray          # K15, or the integral of p15 over the piece
+    rule_error: np.ndarray     # |K15 - G7|, or |integral of p15 - p7|
     pointwise: np.ndarray      # P, the propagated pointwise error
     payload: dict
 
 
+def _cut_inside(cuts: np.ndarray, lo, hi) -> np.ndarray:
+    """Whether some cut lies strictly inside each [lo_i, hi_i]; ``cuts``
+    ascending."""
+    return np.searchsorted(cuts, lo, "right") \
+        < np.searchsorted(cuts, hi, "left")
+
+
+def split_at_cuts(cuts: np.ndarray, lo, hi):
+    """The pieces into which the cuts strictly inside [lo_i, hi_i] split it.
+
+    ``cuts`` ascending and distinct.  Returns (owner, piece_lo, piece_hi):
+    panel i gives one piece more than it has cuts inside, ascending, and
+    the pieces come panel by panel.
+    """
+    i0 = np.searchsorted(cuts, lo, "right")
+    n = np.searchsorted(cuts, hi, "left") - i0 + 1
+    owner = np.repeat(np.arange(n.size), n)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    j = i0[owner] + k
+    piece_lo = np.where(k == 0, lo[owner], cuts.take(j - 1, mode="clip"))
+    piece_hi = np.where(k == n[owner] - 1, hi[owner],
+                        cuts.take(j, mode="clip"))
+    return owner, piece_lo, piece_hi
+
+
+def _piece_weights(a: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """The (30, n) weights of the pieces [a_i, a_i + du_i] of [-1, 1]:
+    rows 0..14 integrate p15 over the piece, rows 15..29 p15 - p7.
+
+    The divided differences D_m of the monic Legendre polynomials over
+    the piece follow their three-term recurrence alongside p_m(a), with
+    no difference of nearby values, so a narrow piece keeps its relative
+    accuracy.
+    """
+    x = np.stack([a + du, a])
+    d = np.empty((16, a.size))
+    d[0], d[1] = 0.0, 1.0
+    # rows D_m, p_m(a) for m - 1, m and m + 1
+    prev = np.stack([d[0], np.ones(a.size)])
+    cur = np.stack([d[1], a])
+    nxt = np.empty((2, a.size))
+    for m in range(1, 15):
+        np.multiply(x, cur, out=nxt)
+        nxt[0] += cur[1]
+        prev *= _MONIC_C[m]
+        nxt -= prev
+        d[m + 1] = nxt[0]
+        prev, cur, nxt = cur, nxt, prev
+    w = _PIECE_MAP @ d
+    w *= du
+    return w
+
+
+def _read_pieces(cuts, lo, hi, vals, pw):
+    """Value, rule error and P of each piece of the panels [lo_i, hi_i].
+
+    ``vals`` and ``pw`` are the panels' 15 Kronrod values and pointwise
+    bounds (pw None: exact values).  A piece's weights are the integrals
+    of the Lagrange basis over it, so its value is the integral of p15,
+    its rule error |integral of p15 - p7| and its P the half-width times
+    sum_k |weight_k| pw_k.  Returns (owner, lo, hi, value, rule error, P)
+    per piece.
+    """
+    owner, plo, phi = split_at_cuts(cuts, lo, hi)
+    mid, half = 0.5 * (lo + hi)[owner], 0.5 * (hi - lo)[owner]
+    ul = np.where(plo == lo[owner], -1.0, (plo - mid) / half)
+    w = _piece_weights(ul, (phi - plo) / half)
+    v = vals.T[:, owner]
+    value = half * np.einsum("ki,ki->i", w[:15], v)
+    rule = np.abs(half * np.einsum("ki,ki->i", w[15:], v))
+    P = np.zeros(owner.size) if pw is None else half * np.einsum(
+        "ki,ki->i", np.abs(w[:15], out=w[:15]), pw.T[:, owner])
+    return owner, plo, phi, value, rule, P
+
+
 def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
-                    max_subdivisions: int = 20_000) -> Panels:
+                    max_subdivisions: int = 20_000, cuts=()) -> Panels:
     """Batched globally adaptive Gauss-Kronrod 7/15 over [lo_i, hi_i].
 
     ``f(ts, payload)`` gets the (n, 15) Kronrod nodes of the n active
@@ -91,14 +209,20 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
     the values are exact.  With P = half-width * sum_k w_k pointwise_k,
     a panel is accepted when |K15 - G7| <= density * width + P; a panel
     with an infinite P (a node whose error has no bound) is bisected
-    instead.  Raises ToleranceNotMet once more than ``max_subdivisions``
-    panels have been made.
+    instead.  A panel that one of ``cuts`` (any order) falls strictly
+    inside is read in pieces (see the module docstring) and accepted
+    when its pieces' rule errors sum to within density * width plus
+    their summed P; its rows in the result are its pieces.  Raises
+    ToleranceNotMet once more than ``max_subdivisions`` panels have
+    been made.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     payload = {k: np.asarray(v) for k, v in (payload or {}).items()}
     keys = list(payload)
     span = (float(np.min(lo, initial=0.0)), float(np.max(hi, initial=0.0)))
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    split = _cut_inside(cuts, lo, hi)
     done = []
     n_panels = lo.size
     while lo.size:
@@ -109,6 +233,12 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
         fine = half * (vals @ GK15_WEIGHTS)
         err = np.abs(fine - half * (vals[:, 1::2] @ G7_WEIGHTS))
         P = np.zeros(lo.size) if pw is None else half * (pw @ GK15_WEIGHTS)
+        s = np.flatnonzero(split)
+        if s.size:
+            owner, *pieces = _read_pieces(cuts, lo[s], hi[s], vals[s],
+                                          None if pw is None else pw[s])
+            err[s] = np.bincount(owner, pieces[3], s.size)   # rule errors
+            P[s] = np.bincount(owner, pieces[4], s.size)
         budget = np.maximum(density * (hi - lo), 1e-300)
         ok = np.isfinite(P) & (err <= budget + P)
         bad = ~ok
@@ -117,14 +247,21 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
             raise ToleranceNotMet(
                 f"subdivision cap {max_subdivisions} reached on "
                 f"[{span[0]}, {span[1]}]")
-        done.append([lo[ok], hi[ok], fine[ok], err[ok], P[ok]]
-                    + [payload[k][ok] for k in keys])
+        whole = ok & ~split
+        done.append([lo[whole], hi[whole], fine[whole], err[whole], P[whole]]
+                    + [payload[k][whole] for k in keys])
+        if s.size:
+            keep = ok[s][owner]
+            done.append([c[keep] for c in pieces]
+                        + [payload[k][s[owner[keep]]] for k in keys])
         if ok.all():
             break
         lo, mid, hi = lo[bad], mid[bad], hi[bad]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         payload = {k: np.concatenate([v[bad]] * 2)
                    for k, v in payload.items()}
+        split = np.concatenate([split[bad]] * 2)
+        split[split] = _cut_inside(cuts, lo[split], hi[split])
     cols = [np.concatenate(c) for c in zip(*done)] if done \
         else [lo, hi, lo, lo, lo] + [payload[k] for k in keys]
     return Panels(*cols[:5], dict(zip(keys, cols[5:])))
@@ -184,18 +321,28 @@ def log_singular_batch(gammas, d_left, d_right,
     of degree < n and geometrically convergent for W analytic around the
     side.  The value is the 12-point rule's; its error estimate is, per
     side, |v12 - v8| plus a rounding term 8u d (|log d| + 1) max|W| over
-    the side's nodes.  ``weight_f`` is called once, on 40 points per
-    singular point.  Returns (values, error_estimates).
+    the side's nodes.  A side of length 0 is left out, so one-sided
+    rules come from d = 0 on the other side.  ``weight_f`` is called
+    once, on 20 points per side.  Returns (values, error_estimates).
     """
     gammas = np.asarray(gammas, dtype=float)
     d = np.stack([np.broadcast_to(np.asarray(side, dtype=float), gammas.shape)
                   for side in (d_left, d_right)])
-    signed = d * np.array([-1.0, 1.0])[:, None]
-    W = weight_f(gammas[..., None] + signed[..., None] * _LOG_NODES)
-    logd = np.log(d)
-    v = d[..., None] * np.add.reduceat(
-        W * (logd[..., None] * _LOG_W + _LOG_O), [0, _LOG_N[0]], axis=-1)
-    rounding = 8.0 * _U * d * (np.abs(logd) + 1.0) \
-        * np.max(np.abs(W), axis=-1)
-    err = np.abs(v[..., 0] - v[..., 1]) + rounding
-    return v[0, :, 0] + v[1, :, 0], err[0] + err[1]
+    live = d > 0
+    dl = d[live]
+    # in place where the arithmetic allows: sides can number in the
+    # thousands, 20 points each
+    ts = (d * np.array([-1.0, 1.0])[:, None])[live][:, None] * _LOG_NODES
+    ts += np.broadcast_to(gammas, d.shape)[live][:, None]
+    W = weight_f(ts)
+    logd = np.log(dl)
+    terms = logd[:, None] * _LOG_W
+    terms += _LOG_O
+    terms *= W
+    v = dl[:, None] * np.add.reduceat(terms, [0, _LOG_N[0]], axis=-1)
+    rounding = 8.0 * _U * dl * (np.abs(logd) + 1.0) \
+        * np.maximum(W.max(axis=-1), -W.min(axis=-1))
+    val, err = np.zeros(d.shape), np.zeros(d.shape)
+    val[live] = v[:, 0]
+    err[live] = np.abs(v[:, 0] - v[:, 1]) + rounding
+    return val[0] + val[1], err[0] + err[1]

@@ -345,10 +345,15 @@ def _parse_zero_lines(stream) -> ZeroList:
 
 
 def export_zeros(zl: ZeroList, stream) -> None:
-    """Write the plain-text format (12 decimal places) to a path or stream."""
+    """Write the plain-text format to a path or stream.
+
+    Each ordinate is written as the shortest decimal that reads back as
+    the same float (``repr``), so ``import_zeros`` returns the list bit
+    for bit.
+    """
     lines = [f"{_HEADER}{zl.covered_height!r}\n",
              f"# source={zl.source} verified={zl.verified}\n"]
-    lines += [f"{g:.12f}\n" for g in zl.ordinates]
+    lines += [f"{g!r}\n" for g in zl.ordinates.tolist()]
     if isinstance(stream, (str, os.PathLike)):
         with open(stream, "w", encoding="utf-8") as f:
             f.writelines(lines)

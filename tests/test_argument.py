@@ -17,7 +17,7 @@ from bsylab.argument import (
     omega_normalized,
     omega_scan,
 )
-from bsylab.config import DEFAULT
+from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.sieve import primes_up_to
 from bsylab.zeros import ZeroList
 from bsylab.zeta import rs_theta
@@ -196,6 +196,27 @@ def test_omega_scan_reads_no_zero_above_2T_plus_h(zeros_550):
     ref = omega_scan(T, h, zeros_550, DEFAULT)
     assert np.array_equal(rep.samples, ref.samples)
     assert T <= rep.samples[0, 0] and rep.samples[-1, 0] <= 2 * T
+
+
+def test_omega_scan_z_points_per_lattice_step(zeros_550, monkeypatch):
+    # the h/4 lattice steps are read out of panels laid by the ordinates:
+    # at Z errors of 1e-6 (Riemann-Siegel above t ~ 370) fewer than 8 Z
+    # points per step, where a 15-point panel per step would make 15+
+    cfg = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-4,
+                          rs_correction_terms=4)
+    points = [0]
+    z_batch = zeta.hardy_z_batch
+
+    def counting(ts, *args, **kwargs):
+        points[0] += np.asarray(ts).size
+        return z_batch(ts, *args, **kwargs)
+
+    monkeypatch.setattr(zeta, "hardy_z_batch", counting)
+    T, h = 200.0, 0.3
+    omega_scan(T, h, zeros_550, cfg)
+    steps = int(math.floor(T / (h / 4))) + 8
+    assert steps == 2674
+    assert points[0] < 8 * steps
 
 
 def test_omega_scan_needs_coverage(zeros_100):

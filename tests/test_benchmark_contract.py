@@ -82,3 +82,28 @@ def test_em_choose_m_is_one_more_than_the_terms_em_batch_sums(
     M = zeta._em_choose_M(sigma, float(np.max(ts)), DEFAULT, target)
     assert isinstance(M, int)
     assert summed == [M - 1]
+
+
+def test_segment_profile_returns_what_the_panel_counter_unpacks(zeros_100):
+    # tracing._panels unpacks (values, errors, subintervals, n_singular)
+    # and sums the last two as counts; the tracer wraps log_singular_batch
+    # and _segment_profile where integral and argument bind them by name
+    from bsylab import argument, integral, quadrature
+    from bsylab.config import DEFAULT
+    assert integral.log_singular_batch is quadrature.log_singular_batch
+    assert argument._segment_profile is integral._segment_profile
+    tracing = _load_tracing()
+    names = {(m, a) for m, a, _, _ in tracing.BOUNDARIES}
+    assert {("integral", "log_singular_batch"),
+            ("integral", "_segment_profile"),
+            ("argument", "_segment_profile")} <= names
+    g = zeros_100.ordinates
+    cuts = np.array([10.0, g[0], 20.0, 20.0, 33.3])
+    out = integral._segment_profile(cuts, g, DEFAULT)
+    assert len(out) == 4
+    for arr in out:
+        assert isinstance(arr, np.ndarray) and arr.shape == (cuts.size - 1,)
+    assert all(np.issubdtype(arr.dtype, np.integer) for arr in out[2:])
+    counts = tracing._panels({}, out)
+    assert counts == {"panels": int(out[2].sum()),
+                      "singular_panels": int(out[3].sum())}

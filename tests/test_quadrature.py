@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bsylab import errors
+from bsylab.accum import comp_sum
 from bsylab.quadrature import (
     G7_WEIGHTS,
     GK15_NODES,
@@ -153,3 +154,32 @@ def test_node_without_error_bound_is_never_accepted():
 
     with pytest.raises(errors.ToleranceNotMet):
         adaptive_panels(f, [0.0], [2.0], 1e-9, max_subdivisions=50)
+
+
+def test_pieces_read_a_degree_14_polynomial_exactly():
+    # p15 of a degree-14 polynomial is the polynomial itself: each piece,
+    # down to 1e-14 wide, reads its integral to rounding, and the pieces'
+    # P (unit pointwise bounds) is at least the piece's width
+    coef = np.random.default_rng(3).standard_normal(15)
+
+    def f(ts, _):
+        return (np.polynomial.polynomial.polyval(ts, coef),
+                np.ones(ts.shape))
+
+    cuts = [-0.3, 0.2, 0.2 + 1e-14, 0.9, 0.9, 2.5]
+    p = adaptive_panels(f, [-1.0, 1.0], [1.0, 2.0], 10.0, cuts=cuts)
+    np.testing.assert_array_equal(p.lo, [1.0, -1.0, -0.3, 0.2, 0.2 + 1e-14,
+                                         0.9])
+    np.testing.assert_array_equal(p.hi, [2.0, -0.3, 0.2, 0.2 + 1e-14, 0.9,
+                                         1.0])
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(x) for x in coef.tolist()]
+        F = lambda x: sum(ck * mpmath.mpf(x) ** (k + 1) / (k + 1)
+                          for k, ck in enumerate(c))
+        exact = [F(h) - F(l) for l, h in zip(p.lo.tolist(), p.hi.tolist())]
+        rel = [abs((v - e) / e) for v, e in zip(p.value.tolist(), exact)]
+    assert max(rel) <= 1e-13
+    assert np.all(p.pointwise >= (p.hi - p.lo) * (1 - 1e-12))
+    # without cuts every panel is one piece, read as K15
+    whole = adaptive_panels(f, [-1.0, 1.0], [1.0, 2.0], 10.0)
+    assert whole.value[0] == pytest.approx(comp_sum(p.value[1:]), rel=1e-13)
