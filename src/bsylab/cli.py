@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -498,6 +499,13 @@ def build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()``, once per process: parsing leaves the tree as it
+    is, and building it costs milliseconds a call."""
+    return build_parser()
+
+
 _HANDLERS = {
     "zeta": _cmd_zeta,
     "zeros": _cmd_zeros,
@@ -513,7 +521,7 @@ _HANDLERS = {
 def run(argv=None, out=None) -> int:
     """Parse argv, execute, and return the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    parser = _parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # "integral scan" spelled as two words maps to the integral-scan parser
     if argv[:2] == ["integral", "scan"]:

@@ -89,38 +89,74 @@ def eval_R(table, t: float) -> complex:
     return complex(eval_R_batch(table, [t])[0])
 
 
+#: Max float64 elements of one row block of the kernel W in
+#: ``mean_square_exact`` (512 KB, so that a block and its low words stay
+#: in cache); a block holds one row at least.
+_PAIR_BLOCK = 1 << 16
+
+
 def mean_square_exact(table, T: float) -> float:
     """Integral of |R(t)|^2 over [T, 2T], in closed form.
 
-    Equals T * sum r^2 plus, over pairs i < j with l = log n_j - log n_i
-    (in longdouble), 2 r_i r_j (sin(2T l) - sin(T l)) / l.  With
-    v(t) = r e^(-i t log n) from ``zeta._unit_phases`` (phases reduced
-    at T and 2T for the bases of the table only, its primes when it is
-    divisor-closed; the others are products),
-    r_i r_j sin(t l) = Im v_i conj(v_j), so the pair sum is a bilinear
-    form with Montgomery and Vaughan's Hilbert kernel 2/l: per block of
-    at most ``zeta._EM_CHUNK`` elements of W (one row at least), one real
+    Equals T * sum r^2 plus, over pairs i < j with l = log n_j - log n_i,
+    2 r_i r_j (sin(2T l) - sin(T l)) / l.  With v(t) = r e^(-i t log n)
+    from ``zeta._unit_phases`` (phases reduced at T and 2T for the bases
+    of the table only, its primes when it is divisor-closed; the others
+    are products), r_i r_j sin(t l) = Im v_i conj(v_j), so the pair sum is
+    a bilinear form with Montgomery and Vaughan's Hilbert kernel
+    W = 2/l.  Each longdouble log is split into float64 words hi + lo and
+    l = (hi_j - hi_i) + (lo_j - lo_i) in float64; per row block of at
+    most ``_PAIR_BLOCK`` elements of W (one row at least), one real
     product W @ [Re v(T), Re v(2T), Im v(T), Im v(2T)] and a row-wise
-    dot product; ``comp_sum`` adds the blocks.  Each pair term
-    is off by a few ulps of 2|r_i r_j|/l plus its phase error, so the pair
-    sum is within ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)``
-    plus ``zeta._PRODUCT_ROUNDOFF`` * sum 2|r_i r_j|/l * (P_i + P_j),
-    P_i the products behind the phase of n_i (``zeta._factor_plan``).
+    dot product; ``comp_sum`` adds the blocks.  So each pair costs one
+    float64 entry of W and the memory does not grow with the pairs.
+
+    This l is within a few float64 ulps of the longdouble difference,
+    which carries the error of the two longdouble logs (a few longdouble
+    ulps of log n, so a relative error that grows as l shrinks).  Each
+    pair term is off by a few ulps of 2|r_i r_j|/l, plus that log error
+    relative to l times 2|r_i r_j|/l, plus its phase error: the pair sum
+    is within
+    ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)`` plus
+    ``zeta._PRODUCT_ROUNDOFF`` * sum 2|r_i r_j|/l * (P_i + P_j), P_i the
+    products behind the phase of n_i (``zeta._factor_plan``).
     """
     T = float(T)
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
     ns, rs = _table_arrays(table)
+    n = ns.size
     lnn = np.log(ns.astype(np.longdouble))
+    hi = lnn.astype(float)
+    lo = (lnn - hi).astype(float)
     v = rs * zeta._unit_phases(np.array([T, 2.0 * T], np.longdouble), ns)
     X = np.concatenate([v.real, v.imag]).T
     Y = X[:, [2, 3, 0, 1]] * [-1.0, 1.0, 1.0, -1.0]  # Im(v_i conj v_j)
-    rows = max(1, zeta._EM_CHUNK // ns.size)
+    # x_j - x_i as the product [1, -x_i] . [x_j, 1]: its terms are exact,
+    # so BLAS rounds it once, bit for bit the subtraction, and it skips
+    # numpy's slower broadcast loop
+    one = np.ones(n)
+    left = np.stack([one, -hi, one, -lo], axis=1)
+    right = np.stack([hi, one, lo, one])
+    # entries whose longdouble logs coincide (n above ~1e17) get l = +0
+    # for j > i, where W is 0 as for j <= i
+    ties = bool(np.any(lnn[1:] == lnn[:-1]))
+    buf = np.empty((2, max(_PAIR_BLOCK, n)))
     off = []
-    for i0 in range(0, ns.size, rows):
-        ell = (lnn[None, i0:] - lnn[i0:i0 + rows, None]).astype(float)
-        W = np.divide(2.0, ell, out=np.zeros_like(ell), where=ell > 0)
+    i0 = 0
+    while i0 < n:
+        m = n - i0
+        rows = min(m, max(1, _PAIR_BLOCK // m))
+        ell, low = (b[:rows * m].reshape(rows, m) for b in buf)
+        np.matmul(left[i0:i0 + rows, :2], right[:2, i0:], out=ell)
+        ell += np.matmul(left[i0:i0 + rows, 2:], right[2:, i0:], out=low)
+        with np.errstate(divide="ignore"):
+            W = np.divide(2.0, ell, out=ell)
+        W[:, :rows][np.tri(rows, dtype=bool)] = 0.0   # j <= i
+        if ties:
+            W[W == np.inf] = 0.0
         off.append(float(np.sum(Y[i0:i0 + rows] * (W @ X[i0:]))))
+        i0 += rows
     return T * comp_sum(rs ** 2) + comp_sum(off)
 
 

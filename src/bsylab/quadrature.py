@@ -220,7 +220,8 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
     hi = np.asarray(hi, dtype=float)
     payload = {k: np.asarray(v) for k, v in (payload or {}).items()}
     keys = list(payload)
-    span = (float(np.min(lo, initial=0.0)), float(np.max(hi, initial=0.0)))
+    span = (float(np.min(lo, initial=np.inf)),
+            float(np.max(hi, initial=-np.inf)))
     cuts = np.unique(np.asarray(cuts, dtype=float))
     split = _cut_inside(cuts, lo, hi)
     done = []

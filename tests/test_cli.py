@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bsylab import dirichlet, resonator
+from bsylab import cli, dirichlet, resonator
 from bsylab.cli import RunConfig, load_run_config, run
 from bsylab.config import DEFAULT
 from bsylab.errors import ParseError
@@ -217,6 +217,39 @@ def test_usage_errors_exit_1(capsys):
     assert run(["integral", "--T", "50"]) == 1
     assert run(["report", "nosuch-suite"]) == 1
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_run(tmp_path, monkeypatch, capsys):
+    # a usage error, then two subcommands in one process: the parser is
+    # built once, and each run prints what a fresh interpreter prints
+    runs = [["zeros", "find", "--max-t"],
+            ["zeros", "find", "--max-t", "40", "--out", "z.txt"],
+            ["zeta", "--t", "20"]]
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda b=cli.build_parser: built.append(1) or b())
+    cli._parser.cache_clear()
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    got = []
+    for argv in runs:
+        code, out = _run(argv)
+        got.append((code, out, capsys.readouterr().err))
+    cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [g[0] for g in got] == [1, 0, 0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, mine in zip(runs, got):
+        proc = subprocess.run([sys.executable, "-c",
+                               "from bsylab.cli import main; main()", *argv],
+                              cwd=fresh, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == mine
+    assert (here / "z.txt").read_text() == (fresh / "z.txt").read_text()
 
 
 def test_computational_errors_exit_2(cache_file, capsys):

@@ -1,6 +1,7 @@
 """Dirichlet polynomial mean values and the vertical log-zeta integral."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -139,10 +140,51 @@ def test_mean_square_in_row_blocks(monkeypatch):
                                             override=True), "plus")
     T = 1e5
     whole = mean_square_exact(table, T)
-    # 270 rows, at most 5000 elements of W per block: 15 blocks of 18 rows
-    monkeypatch.setattr(zeta, "_EM_CHUNK", 5000)
+    # 270 rows, at most 5000 elements of W per block: 9 blocks, the first
+    # of 18 rows, the later ones longer as the band j > i narrows
+    monkeypatch.setattr(dirichlet, "_PAIR_BLOCK", 5000)
     blocked = mean_square_exact(table, T)
     assert abs(blocked - whole) <= 1e-14 * T * comp_sum(table.rs ** 2)
+
+
+@pytest.mark.parametrize("T", [1e2, 1e3])
+def test_mean_square_keeps_the_low_word_of_the_logs(T):
+    # l = log(1 + 1e-6) is ~1e-6 while log n is ~14, so l from the high
+    # float64 words of the logs alone is off by ~1e-9 relative, and the
+    # pair term 2/l ~ 2e6 by more than the phase floor
+    ns = [1, 10 ** 6, 10 ** 6 + 1]
+    ms = mean_square_exact((ns, np.ones(3)), T)
+    with mpmath.workdps(40):
+        logs = [mpmath.log(n) for n in ns]
+        off, amp_sum = mpmath.mpf(0), mpmath.mpf(0)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                ell = logs[b] - logs[a]
+                off += 2 * (mpmath.sin(2 * T * ell)
+                            - mpmath.sin(T * ell)) / ell
+                amp_sum += 2 / ell
+    got = np.longdouble(ms) - np.longdouble(3.0 * T)
+    bound = (zeta._phase_roundoff(2.0 * T, math.log(10 ** 6 + 1),
+                                  float(amp_sum))
+             + 2.0 * np.spacing(3.0 * T) + np.spacing(ms))
+    assert abs(float(got - np.longdouble(float(off)))) <= bound
+
+
+def test_mean_square_memory_does_not_grow_with_the_pairs():
+    # the benchmark's mid table: ~5.5e5 pairs; W as one n x n block would
+    # be 8.8 MB alone
+    table = build_resonator(ResonatorParams(mu=2, nu=0, N=20200, h=0.12,
+                                            L=1, A=2, B=80, override=True),
+                            "plus")
+    assert table.ns.size == 1047
+    mean_square_exact(table, 1e4)              # factor plan cached
+    tracemalloc.start()
+    try:
+        mean_square_exact(table, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("ns", [[0, 2], [-5, 1, 2]])

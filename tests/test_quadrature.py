@@ -51,6 +51,16 @@ def test_subdivision_cap_raises():
                       max_subdivisions=6)
 
 
+def test_subdivision_cap_names_the_span():
+    # panels on [14.13, 15] and [16, 17.5]: the message names their span,
+    # not one that starts at 0
+    with pytest.raises(errors.ToleranceNotMet,
+                       match=r"cap 4 reached on \[14\.13, 17\.5\]"):
+        adaptive_panels(lambda ts, _: (np.cos(5000.0 * ts), None),
+                        [14.13, 16.0], [15.0, 17.5], 1e-14,
+                        max_subdivisions=4)
+
+
 def test_log_singular_batch_closed_form():
     # weight 1: integral of log|t-g| over [g-dl, g+dr] is exact
     gammas = np.array([10.0, 50.0])
