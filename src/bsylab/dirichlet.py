@@ -120,6 +120,11 @@ def mean_square_exact(table, T: float) -> float:
     ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)`` plus
     ``zeta._PRODUCT_ROUNDOFF`` * sum 2|r_i r_j|/l * (P_i + P_j), P_i the
     products behind the phase of n_i (``zeta._factor_plan``).
+
+    Adjacent entries whose longdouble logs coincide (above about 1e17,
+    where log(n + 1) - log n is under a longdouble ulp of log n) have no
+    l to divide by, and their pair term would be lost: such a table
+    raises TableTooLarge.
     """
     T = float(T)
     if not (math.isfinite(T) and T > 0):
@@ -127,6 +132,11 @@ def mean_square_exact(table, T: float) -> float:
     ns, rs = _table_arrays(table)
     n = ns.size
     lnn = np.log(ns.astype(np.longdouble))
+    tied = np.flatnonzero(lnn[1:] == lnn[:-1])
+    if tied.size:
+        raise errors.TableTooLarge(
+            f"entries {ns[tied[0]]} and {ns[tied[0] + 1]} have the same "
+            f"longdouble log; their pair term cannot be formed")
     hi = lnn.astype(float)
     lo = (lnn - hi).astype(float)
     v = rs * zeta._unit_phases(np.array([T, 2.0 * T], np.longdouble), ns)
@@ -138,9 +148,6 @@ def mean_square_exact(table, T: float) -> float:
     one = np.ones(n)
     left = np.stack([one, -hi, one, -lo], axis=1)
     right = np.stack([hi, one, lo, one])
-    # entries whose longdouble logs coincide (n above ~1e17) get l = +0
-    # for j > i, where W is 0 as for j <= i
-    ties = bool(np.any(lnn[1:] == lnn[:-1]))
     buf = np.empty((2, max(_PAIR_BLOCK, n)))
     off = []
     i0 = 0
@@ -153,8 +160,6 @@ def mean_square_exact(table, T: float) -> float:
         with np.errstate(divide="ignore"):
             W = np.divide(2.0, ell, out=ell)
         W[:, :rows][np.tri(rows, dtype=bool)] = 0.0   # j <= i
-        if ties:
-            W[W == np.inf] = 0.0
         off.append(float(np.sum(Y[i0:i0 + rows] * (W @ X[i0:]))))
         i0 += rows
     return T * comp_sum(rs ** 2) + comp_sum(off)

@@ -2,17 +2,24 @@
 and the counting function N(t), certified by Turing's method.
 
 Z is scanned at 1e-6 through the Gram points g_n (theta(g_n) = n pi),
-``_SCAN_DENSITY`` steps per Gram interval.  g_n is good when (-1)^n Z(g_n)
-exceeds its error bound.  A Gram block [g_j, g_k) between consecutive
-good points with fewer than k - j sign changes breaks Rosser's rule and
-is re-scanned at 4x the density, up to ``_ESCALATION_ROUNDS`` times.  K
-blocks that keep the rule above g_n > 168 pi, K >= 0.0061 log^2 g_p +
-0.08 log g_p at their top g_p, give N(g_n) <= n + 1 (R. P. Brent, Math.
-Comp. 33 (1979) 1361-1372, Th. 3.2); n + 1 sign changes below g_n then
-account for every zero up to it.  A block still short after the
-re-scans, or any other total, raises Inconsistent.  The zero in each
+``_SCAN_DENSITY`` = 8 steps per Gram interval.  g_n is good when
+(-1)^n Z(g_n) exceeds its error bound.  A Gram block [g_j, g_k) between
+consecutive good points with fewer than k - j sign changes breaks
+Rosser's rule and is re-scanned at 4x the density, up to
+``_ESCALATION_ROUNDS`` times.  K blocks that keep the rule above
+g_n > 168 pi, K >= 0.0061 log^2 g_p + 0.08 log g_p at their top g_p,
+give N(g_n) <= n + 1 (R. P. Brent, Math. Comp. 33 (1979) 1361-1372,
+Th. 3.2); n + 1 sign changes below g_n then account for every zero up
+to it.  A block still short after the re-scans, or any other total,
+raises Inconsistent.  A coarse scan is therefore safe: a pair of zeros
+missed inside one step leaves the total short of n + 1, which makes
+some block short and re-scanned, or the scan raises.  The zero in each
 certified bracket is found by Newton's method on Z at the target
-accuracy, with bisection wherever a step would leave the bracket.
+accuracy, with bisection wherever a step would leave the bracket, on
+one Taylor expansion of Z per bracket (``zeta.hardy_z_near``): its
+phases are reduced once, and each round costs a Horner sum per point.
+``verify_zero_list`` evaluates Z by ``zeta.hardy_z_batch``,
+independently of that expansion.
 """
 
 import math
@@ -28,10 +35,10 @@ from .config import DEFAULT, PrecisionConfig
 ORDINATE_ACCURACY = 1e-9
 
 #: Scan steps per Gram interval.
-_SCAN_DENSITY = 24
+_SCAN_DENSITY = 8
 
 #: A short Gram block is re-scanned at 4x the density this many times.
-_ESCALATION_ROUNDS = 4
+_ESCALATION_ROUNDS = 5
 
 #: Lehman's bound on the integral of S holds above this height.
 _TURING_T_MIN = 168.0 * math.pi
@@ -42,7 +49,7 @@ _SCAN_MARGIN = 16
 #: Secant points are kept this fraction of the bracket width inside it.
 _REFINE_MARGIN = 1e-6
 
-#: Safety cap on Newton rounds (about 4 are needed).
+#: Safety cap on Newton rounds (about 5 are needed).
 _REFINE_MAX_ROUNDS = 64
 
 
@@ -97,15 +104,20 @@ def _solve_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     """Roots of Z by safeguarded Newton inside sign-change brackets.
 
     ``flo``/``fhi`` are Z at the bracket ends, taken from the scan; each
-    root starts at the secant point.  Each round evaluates Z at x, x + h
-    and x - h (h = 1e-5, ``cfg.target_abs_error``) for every active
-    root; where |Z(x)| exceeds its bound, x becomes the bracket end of
-    its sign.  The Newton step uses the central-difference derivative;
-    a step that leaves the bracket is replaced by bisection, so each
-    root stays in its own bracket.  A root is done after a step of at
-    most 0.05 * ORDINATE_ACCURACY, or once |Z(x)| is within its bound
-    (then x takes the Newton step if it stays in the bracket).  A root
-    still active after ``_REFINE_MAX_ROUNDS`` raises Inconsistent.
+    root starts at the secant point.  Z is evaluated by one
+    ``zeta.hardy_z_near`` built for the call: one centre per bracket, at
+    its midpoint, with a radius that covers the bracket and the stencil.
+    A point outside its centre's disk (a bracket wider than the cluster
+    radius), or where ``hardy_z_batch`` would try Riemann-Siegel, is
+    evaluated by ``zeta.hardy_z_batch`` instead.  Each round evaluates
+    Z at x, x + h and x - h (h = 1e-5, ``cfg.target_abs_error``) for
+    every active root; where |Z(x)| exceeds its bound, x becomes the
+    bracket end of its sign.  The Newton step uses the central-difference
+    derivative; a step that leaves the bracket is replaced by bisection,
+    so each root stays in its own bracket.  A root is done after a step
+    of at most 0.05 * ORDINATE_ACCURACY, or once |Z(x)| is within its
+    bound (then x takes the Newton step if it stays in the bracket).  A
+    root still active after ``_REFINE_MAX_ROUNDS`` raises Inconsistent.
     """
     lo, hi = lo.astype(float), hi.astype(float)
     w = hi - lo
@@ -114,13 +126,20 @@ def _solve_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     # NaN, or an end reached by rounding: take the midpoint
     x = np.where((x > lo) & (x < hi), x, lo + 0.5 * w)
     h = 1e-5
+    tol = cfg.target_abs_error
+    # 2h: the stencil, and room for the rounding of the midpoint
+    near = zeta.hardy_z_near(lo + 0.5 * w, 0.5 * w + 2 * h, tol, cfg)
     act = np.arange(x.size)
     for _ in range(_REFINE_MAX_ROUNDS):
         if act.size == 0:
             break
         g = x[act]
-        z, e = zeta.hardy_z_batch(np.concatenate([g, g + h, g - h]),
-                                  cfg.target_abs_error, cfg)
+        pts, at = np.concatenate([g, g + h, g - h]), np.tile(act, 3)
+        z, e = np.empty(pts.size), np.empty(pts.size)
+        here = near.serves(pts, at)
+        z[here], e[here] = near(pts[here], at[here])
+        if not np.all(here):
+            z[~here], e[~here] = zeta.hardy_z_batch(pts[~here], tol, cfg)
         z0, zp, zm = np.split(z, 3)
         sure = np.abs(z0) > e[:g.size]
         up = sure & (np.sign(z0) == np.sign(flo[act]))  # root above g

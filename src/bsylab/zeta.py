@@ -31,6 +31,11 @@ remainder in the returned bound:
   Odlyzko and Schoenhage: one phase reduction per term and cluster, the
   moments of all clusters as one real matrix product, and an expansion
   order set by the truncation tail.  A lone height is a cluster of one.
+  Its two steps, the moments (``_cluster_moments``) and Horner in the
+  offset (``_cluster_horner``), also serve ``hardy_z_near``: Z by
+  Euler-Maclaurin about fixed centres, the moments built once, so that
+  each further height within a centre's disk costs the Horner sum, the
+  Euler-Maclaurin tail and theta (the Newton rounds of the zero solve).
 
 The Riemann-Siegel and functional-equation sums run to
 N = floor(sqrt(t/2pi)), which varies with t; ``_truncated_sums`` groups
@@ -573,7 +578,7 @@ def _phase_sum(ns: np.ndarray, amps: np.ndarray,
       unamplified.  A lone height is a cluster of one: x = 0, r = 0,
       J = 1, no tail, so its bound is the floor and the product term.
     """
-    K, M = ts.size, ns.size
+    K = ts.size
     plan = _factor_plan(ns)
     P = plan.closure.size
     logs = np.log(ns.astype(float))
@@ -626,22 +631,45 @@ def _phase_sum(ns: np.ndarray, amps: np.ndarray,
     x = ((srt_ld - mid[cl]) / rho).astype(float)
     r = _CLUSTER_R * float(np.max(np.abs(x)))   # rho * max l_n * max|x|
     J, tail = _taylor_order(r, amp_sum, bound)
-    V = np.ones((M, J))                          # (rho l_n)^j / j!
+    mom = _cluster_moments(ns, amps, logs, mid, rho, J,
+                           max(1, _EM_CHUNK // (2 * P)))
+    vals[order] = _cluster_horner(mom, cl, x)
+    arith = _phase_roundoff(0.0, 0.0, amp_sum)   # the part not from phases
+    return vals, bound + built + arith * math.expm1(r) + tail
+
+
+def _cluster_moments(ns: np.ndarray, amps: np.ndarray, logs: np.ndarray,
+                     mid: np.ndarray, rho: float, J: int,
+                     rows: int) -> np.ndarray:
+    """The moments m_j = sum_n a_n exp(-i c l_n) (rho l_n)^j / j!,
+    j < J, of each centre c of ``mid`` (longdouble), as a (len(mid) x J)
+    complex array: the cluster path's phase step (``_phase_sum``).
+
+    ``logs`` are the float64 l_n.  The phases are reduced once per centre
+    by ``_unit_phases``, ``rows`` centres at a time, and the moments of
+    each block are one real product V^T @ A, V the (M x J) powers
+    (rho l_n)^j / j! and A the (M x 2 rows) real view of a_n exp(-i c l_n).
+    """
+    V = np.ones((ns.size, J))                    # (rho l_n)^j / j!
     for j in range(1, J):
         V[:, j] = V[:, j - 1] * (rho / j) * logs
-    mom = np.empty((C, J), dtype=complex)
-    rows = max(1, _EM_CHUNK // (2 * P))
-    for c0 in range(0, C, rows):
-        c1 = min(C, c0 + rows)
+    mom = np.empty((mid.size, J), dtype=complex)
+    for c0 in range(0, mid.size, rows):
+        c1 = min(mid.size, c0 + rows)
         A = _unit_phases(mid[c0:c1], ns).T * amps[:, None]
         mom[c0:c1] = (V.T @ A.view(float)).view(complex).T
-    # Horner in -i x on the moments of each height's cluster
+    return mom
+
+
+def _cluster_horner(mom: np.ndarray, cl: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """sum_{j<J} m_j (-i x)^j by Horner in -i x, each height x on the
+    moments ``mom[cl]`` of its centre: the cluster path's evaluation step."""
+    J = mom.shape[1]
     acc = mom[cl, J - 1]
     for j in range(J - 2, -1, -1):
         acc = acc * (-1j * x) + mom[cl, j]
-    vals[order] = acc
-    arith = _phase_roundoff(0.0, 0.0, amp_sum)   # the part not from phases
-    return vals, bound + built + arith * math.expm1(r) + tail
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -993,6 +1021,30 @@ def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, bound + rs_error_bound(ts, n_corr)
 
 
+def _rs_tried(ts: np.ndarray, abs_tol: float, cfg: PrecisionConfig):
+    """(n_corr, rs_error_bound(ts, n_corr), mask): the correction terms
+    of ``cfg``, the Riemann-Siegel truncation bound at each height, and
+    where ``hardy_z_batch`` tries RS at ``abs_tol``: t >= RS_T_MIN and
+    that bound alone within it."""
+    n_corr = min(cfg.rs_correction_terms, len(_RS_POLYS))
+    trunc = rs_error_bound(ts, n_corr)
+    return n_corr, trunc, (ts >= RS_T_MIN) & (trunc <= abs_tol)
+
+
+def _octave_groups(ts: np.ndarray):
+    """Boolean masks of the nonempty groups of ts >= 0 cut at 64, 128,
+    256, ... below max(ts), the top group open above: the heights that
+    share one Euler-Maclaurin truncation."""
+    top = float(np.max(ts, initial=0.0))
+    edges = [0.0, 64.0]
+    while edges[-1] < top:
+        edges.append(edges[-1] * 2)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = (ts >= lo) & (ts < hi) if hi < top else (ts >= lo)
+        if np.any(m):
+            yield m
+
+
 def hardy_z_batch(ts: np.ndarray, abs_tol: float,
                   cfg: PrecisionConfig = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Z(t) on an array, choosing RS or Euler-Maclaurin per point.
@@ -1007,9 +1059,7 @@ def hardy_z_batch(ts: np.ndarray, abs_tol: float,
         raise ValueError("hardy_z_batch requires finite t >= 0")
     vals = np.empty(ts.shape)
     errs = np.empty(ts.shape)
-    n_corr = min(cfg.rs_correction_terms, len(_RS_POLYS))
-    trunc = rs_error_bound(ts, n_corr)
-    use_rs = (ts >= RS_T_MIN) & (trunc <= abs_tol)
+    n_corr, trunc, use_rs = _rs_tried(ts, abs_tol, cfg)
     if np.any(use_rs):
         v, e = _rs_z_rounded(ts[use_rs], n_corr)
         e += trunc[use_rs]
@@ -1021,17 +1071,9 @@ def hardy_z_batch(ts: np.ndarray, abs_tol: float,
     if np.any(rest):
         tr = ts[rest]
         theta = _theta_any(tr)
-        # chunk by octave so each chunk shares a sensible truncation
         sub_v = np.empty(tr.shape)
         sub_e = np.empty(tr.shape)
-        edges = [0.0, 64.0]
-        while edges[-1] < float(np.max(tr)):
-            edges.append(edges[-1] * 2)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            m = (tr >= lo) & (tr < hi) if hi < float(np.max(tr)) \
-                else (tr >= lo)
-            if not np.any(m):
-                continue
+        for m in _octave_groups(tr):
             zv, zb = _em_batch(0.5, tr[m], cfg, target=abs_tol)
             w = np.exp(1j * theta[m]) * zv
             sub_v[m] = w.real
@@ -1039,6 +1081,126 @@ def hardy_z_batch(ts: np.ndarray, abs_tol: float,
         vals[rest] = sub_v
         errs[rest] = sub_e
     return vals, errs
+
+
+#: At most this many phases are built at once for the moments of
+#: ``hardy_z_near`` (1 MiB of complex), so that its memory does not grow
+#: with the number of centres.
+_NEAR_BLOCK = 1 << 16
+
+
+class NearZ:
+    """Z(t) about fixed centres by one Taylor expansion each
+    (``hardy_z_near``).
+
+    ``centres`` holds the centres, ``radius`` the radius of the disk each
+    expansion covers (-1 where none was built) and ``bound`` its bound
+    over the disk, to which each height adds |Im e^(i theta) zeta|.
+    Called with heights ts and the index of each height's centre, it
+    returns Z and its bound, and raises ValueError unless every height
+    lies in its centre's disk.
+    """
+
+    def __init__(self, centres, radius, bound, group, row, parts, tol, cfg):
+        self.centres, self.radius, self.bound = centres, radius, bound
+        self._group, self._row, self._parts = group, row, parts
+        self._tol, self._cfg = tol, cfg
+
+    def _inside(self, ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.abs(ts - self.centres[idx]) <= self.radius[idx]
+
+    def serves(self, ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Where a height lies in its centre's disk and ``hardy_z_batch``
+        at the same tolerance would not try Riemann-Siegel."""
+        return self._inside(ts, idx) & ~_rs_tried(ts, self._tol, self._cfg)[2]
+
+    def __call__(self, ts: np.ndarray,
+                 idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ts = np.asarray(ts, dtype=float)
+        idx = np.asarray(idx, dtype=np.intp)
+        if not np.all(self._inside(ts, idx)):
+            raise ValueError("hardy_z_near: a height lies outside the disk "
+                             "of its centre")
+        vals = np.empty(ts.shape)
+        errs = np.empty(ts.shape)
+        theta = _theta_any(ts)
+        grp = self._group[idx]
+        for g in np.unique(grp).tolist():
+            m = grp == g
+            M, K, rho, mom = self._parts[g]
+            t, at = ts[m], idx[m]
+            zv = _cluster_horner(mom, self._row[at],
+                                 (t - self.centres[at]) / rho)
+            w = np.exp(1j * theta[m]) * (zv + _em_tail(0.5 + 1j * t, M, K))
+            vals[m] = w.real
+            errs[m] = self.bound[at] + np.abs(w.imag)
+        return vals, errs
+
+
+def hardy_z_near(centres: np.ndarray, radius, tol: float,
+                 cfg: PrecisionConfig = DEFAULT) -> NearZ:
+    """Z by Euler-Maclaurin within ``radius`` (a scalar or one per centre)
+    of each centre, its main sum one Taylor expansion per centre.
+
+    The centres are grouped by octave as in ``hardy_z_batch`` and each
+    group takes the truncation (M, K) of ``_em_truncation`` at the top t
+    of its disks.  The main sum over n < M is the cluster path of
+    ``_phase_sum`` with one cluster per centre c, its phases reduced once
+    (``_cluster_moments``, in blocks of at most ``_NEAR_BLOCK`` phases);
+    a height t costs the Horner sum in x = (t - c)/rho
+    (``_cluster_horner``), the Euler-Maclaurin tail and theta.  rho is the
+    group's largest radius, capped at the cluster radius
+    _CLUSTER_R / log(M - 1), and so is each centre's disk: r =
+    rho log(M - 1) is at most _CLUSTER_R, the most a ``hardy_z_batch``
+    call reaches.  The expansion runs to the least order whose truncation
+    tail is within the arithmetic floor (``_phase_roundoff`` at t = 0),
+    not the whole floor: a few more Horner steps per height keep the tail
+    below rounding.  The bound of a group is its Euler-Maclaurin
+    remainder plus the cluster path's bound at |x| <= 1 (floor, built
+    phases, arithmetic floor times e^r - 1, and the tail); each height
+    adds |Im e^(i theta) zeta|.  No expansion is built for a centre whose
+    disk ``hardy_z_batch`` would try by Riemann-Siegel at both ends, and
+    so throughout (rs_error_bound is convex in t).
+    """
+    c = np.asarray(centres, dtype=float)
+    R = np.broadcast_to(np.asarray(radius, dtype=float), c.shape)
+    if c.ndim != 1 or not np.all(np.isfinite(c) & np.isfinite(R) & (R > 0)
+                                 & (c - R >= 0)):
+        raise ValueError("hardy_z_near requires finite centres and radii "
+                         "> 0 whose disks lie in t >= 0")
+    cover = np.full(c.shape, -1.0)
+    bound = np.full(c.shape, np.inf)
+    group = np.full(c.shape, -1, dtype=np.intp)
+    row = np.zeros(c.shape, dtype=np.intp)
+    parts = []
+    served = np.flatnonzero(~(_rs_tried(c - R, tol, cfg)[2]
+                              & _rs_tried(c + R, tol, cfg)[2]))
+    for m in _octave_groups(c[served]):
+        k = served[m]
+        tmax = float(np.max(c[k] + R[k]))
+        M, K = _em_truncation(0.5, tmax, tol)
+        n = np.arange(1, M)
+        amps = n ** -0.5
+        logs = np.log(n.astype(float))
+        lmax = float(logs[-1])
+        rho = min(float(np.max(R[k])), _CLUSTER_R / lmax)
+        r = rho * lmax
+        plan = _factor_plan(n)
+        amp_sum = float(amps.sum())
+        arith = _phase_roundoff(0.0, 0.0, amp_sum)
+        J, tail = _taylor_order(r, amp_sum, arith)
+        mom = _cluster_moments(n, amps, logs, c[k].astype(np.longdouble),
+                               rho, J,
+                               max(1, _NEAR_BLOCK // plan.closure.size))
+        floor = _phase_roundoff(tmax, lmax, amp_sum)
+        built = _PRODUCT_ROUNDOFF * float(amps @ plan.products)
+        bound[k] = _em_remainder_bound(0.5, tmax, M, K) \
+            + (floor + built + arith * math.expm1(r) + tail)
+        cover[k] = np.minimum(R[k], rho)
+        group[k] = len(parts)
+        row[k] = np.arange(k.size)
+        parts.append((M, K, rho, mom))
+    return NearZ(c, cover, bound, group, row, parts, tol, cfg)
 
 
 def hardy_z(t: float, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:

@@ -170,6 +170,15 @@ def test_mean_square_keeps_the_low_word_of_the_logs(T):
     assert abs(float(got - np.longdouble(float(off)))) <= bound
 
 
+def test_mean_square_refuses_tied_logs():
+    # log(1e18 + 1) - log(1e18) = 1e-18 is under a longdouble ulp of 41.4:
+    # the logs tie, and dropping the pair term would return 20.0 at T = 10
+    # against the true 40.0
+    ns = np.array([10 ** 18, 10 ** 18 + 1])
+    with pytest.raises(errors.TableTooLarge, match=str(10 ** 18)):
+        mean_square_exact((ns, np.ones(2)), 10.0)
+
+
 def test_mean_square_memory_does_not_grow_with_the_pairs():
     # the benchmark's mid table: ~5.5e5 pairs; W as one n x n block would
     # be 8.8 MB alone

@@ -123,25 +123,35 @@ def test_unconverged_bracket_raises(monkeypatch):
 
 
 def test_find_solves_brackets_in_few_z_batches(monkeypatch):
-    calls = {"all": 0, "scan": 0}
-    batch, scan = zeta.hardy_z_batch, zeros._certified_scan
+    # outside the scan, the solve builds one expansion per octave group of
+    # bracket centres and evaluates each Newton round on it, with no
+    # hardy_z_batch call
+    calls = {"batch": 0, "moments": 0, "rounds": 0}
+    batch, moments = zeta.hardy_z_batch, zeta._cluster_moments
+    near, scan = zeta.NearZ.__call__, zeros._certified_scan
 
-    def counted_batch(*args):
-        calls["all"] += 1
-        return batch(*args)
+    def counted(key, f):
+        def call(*args):
+            calls[key] += 1
+            return f(*args)
+        return call
 
-    def counted_scan(*args):
-        before = calls["all"]
+    def outside_scan(*args):
+        before = dict(calls)
         out = scan(*args)
-        calls["scan"] += calls["all"] - before
+        calls.update(before)                    # the scan's calls uncounted
         return out
 
-    monkeypatch.setattr(zeta, "hardy_z_batch", counted_batch)
-    monkeypatch.setattr(zeros, "_certified_scan", counted_scan)
+    monkeypatch.setattr(zeta, "hardy_z_batch", counted("batch", batch))
+    monkeypatch.setattr(zeta, "_cluster_moments",
+                        counted("moments", moments))
+    monkeypatch.setattr(zeta.NearZ, "__call__", counted("rounds", near))
+    monkeypatch.setattr(zeros, "_certified_scan", outside_scan)
     find_zeros_up_to(1003.7, DEFAULT)
-    # 4 rounds of Newton, where Illinois and the polish took 17
-    assert calls["scan"] > 0
-    assert calls["all"] - calls["scan"] <= 6
+    # centres in [0, 64), [64, 128), [128, 256), [256, 512), [512, 1024)
+    assert calls["moments"] == 5
+    assert 2 <= calls["rounds"] <= 6
+    assert calls["batch"] == 0
 
 
 def test_loose_target_terminates_and_verifies():
@@ -187,6 +197,17 @@ def test_coarse_scan_through_lehmer_pair(monkeypatch):
     # ... and the density escalation separates it
     monkeypatch.undo()
     monkeypatch.setattr(zeros, "_SCAN_DENSITY", 1)
+    lo, hi, _, _ = _certified_scan(7005.2, DEFAULT, a, below)
+    for gamma in map(_zetazero, LEHMER_PAIR):
+        assert np.count_nonzero((lo < gamma) & (gamma < hi)) == 1
+    assert np.count_nonzero((lo > 7004.9) & (hi < 7005.3)) == 2
+
+
+def test_default_scan_separates_lehmer_pair():
+    # at the default density a step (0.11) is wider than the pair's gap
+    # (0.038); the short block's re-scan must split it
+    a = LEHMER_BLOCK[0]
+    below = int(mpmath.nzeros(float(gram_points(a))))
     lo, hi, _, _ = _certified_scan(7005.2, DEFAULT, a, below)
     for gamma in map(_zetazero, LEHMER_PAIR):
         assert np.count_nonzero((lo < gamma) & (gamma < hi)) == 1

@@ -478,6 +478,76 @@ def test_hardy_z_batch_refuses_negative_or_nonfinite_heights(ts):
         hardy_z_batch(np.array(ts), 1e-12, DEFAULT)
 
 
+def _near_points(ev, xs):
+    """Heights c + x * radius about every centre of ``ev``, each x in xs,
+    moved in by an ulp where the sum rounds out of the disk, and the index
+    of each height's centre."""
+    idx = np.repeat(np.arange(ev.centres.size), len(xs))
+    c, r = ev.centres[idx], ev.radius[idx]
+    ts = c + r * np.tile(xs, ev.centres.size)
+    return np.where(np.abs(ts - c) > r, np.nextafter(ts, c), ts), idx
+
+
+@pytest.mark.parametrize("T", [100.0, 1000.0, 5000.0])
+def test_hardy_z_near_matches_mpmath_within_batch_bound(T):
+    # eight touching disks, each half a scan step at 8 per Gram interval
+    # plus the stencil, together longer than a cluster of hardy_z_batch:
+    # one Newton round of the zero solve
+    R = math.pi / (8.0 * math.log(T / (2.0 * math.pi))) + 2e-5
+    ev = zeta.hardy_z_near(T + 2.0 * R * np.arange(8), R, 1e-12)
+    assert np.all(ev.radius == R)
+    ts, idx = _near_points(ev, [-1.0, 0.3, 1.0])
+    vals, bounds = ev(ts, idx)
+    with mpmath.workdps(20):
+        ref = np.array([float(mpmath.siegelz(t)) for t in ts])
+    assert np.all(np.abs(vals - ref) <= bounds)
+    assert np.all(bounds <= hardy_z_batch(ts, 1e-12)[1])
+
+
+@pytest.mark.parametrize("T", [100.0, 1000.0, 5000.0])
+def test_hardy_z_near_caps_its_radius(T):
+    # a radius of 5 is cut to the cluster radius 3/log(M - 1): r = 3
+    ev = zeta.hardy_z_near(np.array([T]), 5.0, 1e-12)
+    M, K = zeta._em_truncation(0.5, T + 5.0, 1e-12)
+    lmax = float(np.log(M - 1.0))
+    rho = float(ev.radius[0])
+    assert rho == zeta._CLUSTER_R / lmax
+    # its bound: the EM remainder and the cluster path's bound at
+    # |x| <= 1, whose Taylor tail is at least the exact one
+    n = np.arange(1, M)
+    amps = n ** -0.5
+    amp_sum = float(amps.sum())
+    r, J = rho * lmax, ev._parts[0][3].shape[1]
+    with mpmath.workdps(30):
+        tail = amp_sum * float(mpmath.exp(r) - mpmath.fsum(
+            mpmath.mpf(r) ** j / mpmath.factorial(j) for j in range(J)))
+    expect = (zeta._em_remainder_bound(0.5, T + 5.0, M, K)
+              + zeta._phase_roundoff(T + 5.0, lmax, amp_sum)
+              + zeta._PRODUCT_ROUNDOFF
+              * float(amps @ zeta._factor_plan(n).products)
+              + zeta._phase_roundoff(0.0, 0.0, amp_sum) * math.expm1(r)
+              + tail)
+    assert expect <= ev.bound[0] <= expect + tail
+    ts, idx = _near_points(ev, [-1.0, 1.0])
+    vals, bounds = ev(ts, idx)
+    with mpmath.workdps(20):
+        ref = np.array([float(mpmath.siegelz(t)) for t in ts])
+    assert np.all(np.abs(vals - ref) <= bounds)
+    for t in (T - 1.001 * rho, T + 1.001 * rho, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            ev(np.array([t]), np.array([0]))
+
+
+def test_hardy_z_near_leaves_riemann_siegel_heights_to_the_batch():
+    # at 1e-9 hardy_z_batch tries RS at t = 2e4 but not at 100
+    ev = zeta.hardy_z_near(np.array([100.0, 2e4]), 0.05, 1e-9)
+    assert ev.radius.tolist() == [0.05, -1.0]
+    ts = np.array([100.01, 2e4 + 0.01])
+    assert ev.serves(ts, np.arange(2)).tolist() == [True, False]
+    with pytest.raises(ValueError, match="outside"):
+        ev(ts[1:], np.array([1]))
+
+
 def test_em_batch_truncates_by_the_largest_abs_height():
     ts = np.array([-300.0, 20.0])
     vals, bounds = zeta._em_batch(0.6, ts)
