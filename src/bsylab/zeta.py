@@ -19,10 +19,9 @@ test suite:
   in (2p - 1)^2; what that drops and rounds is in the bound.
 
 Dirichlet-polynomial sums go through one kernel, ``_phase_sum``: the
-Euler-Maclaurin main sum, the Riemann-Siegel main sum, the two sums of
-the approximate functional equation, and R(t) in :mod:`bsylab.dirichlet`
-(batched and at one height).  It takes one of two paths, each with its
-remainder in the returned bound:
+Euler-Maclaurin main sum and R(t) in :mod:`bsylab.dirichlet` (batched
+and at one height).  It takes one of two paths, each with its remainder
+in the returned bound:
 
 * a uniform grid of heights is one blocked matrix product;
 * any other input is cut into clusters of nearby heights (quadrature
@@ -31,16 +30,21 @@ remainder in the returned bound:
   Odlyzko and Schoenhage: one phase reduction per term and cluster, the
   moments of all clusters as one real matrix product, and an expansion
   order set by the truncation tail.  A lone height is a cluster of one.
-  Its two steps, the moments (``_cluster_moments``) and Horner in the
-  offset (``_cluster_horner``), also serve ``hardy_z_near``: Z by
-  Euler-Maclaurin about fixed centres, the moments built once, so that
-  each further height within a centre's disk costs the Horner sum, the
-  Euler-Maclaurin tail and theta (the Newton rounds of the zero solve).
+  Its three steps, the greedy cut (``_clusters``), the moments
+  (``_cluster_moments``) and Horner in the offset (``_cluster_horner``,
+  on contiguous columns of the moments), also serve ``hardy_z_near``: Z
+  by Euler-Maclaurin about fixed centres, the moments built once, so
+  that each further height within a centre's disk costs the Horner sum,
+  the Euler-Maclaurin tail and theta (the Newton rounds of the zero
+  solve).
 
-The Riemann-Siegel and functional-equation sums run to
-N = floor(sqrt(t/2pi)), which varies with t; ``_truncated_sums`` groups
-the heights by N and calls the kernel once per group.  The
-Euler-Maclaurin sum over a sigma grid at one height takes its unit
+The Riemann-Siegel main sum and the two sums of the approximate
+functional equation run to N = floor(sqrt(t/2pi)), which varies with t.
+``_truncated_sums`` makes them one cluster pass per batch, over every
+truncation and exponent: clusters never cross a change of N, the phases
+of 1..max N are reduced once per cluster, each cluster's moments drop
+the terms past its own N, and each height gets the bound of its own N.
+The Euler-Maclaurin sum over a sigma grid at one height takes its unit
 phases from the same ``_unit_phases`` and shares the correction tail
 ``_em_tail`` with the height batch.  The exact mean square of
 :mod:`bsylab.dirichlet` takes its phases from ``_unit_phases`` too: its
@@ -616,19 +620,7 @@ def _phase_sum(ns: np.ndarray, amps: np.ndarray,
     order = np.argsort(ts, kind="stable")
     srt = ts[order]
     rho = _CLUSTER_R / lmax if lmax > 0.0 else math.inf
-    # greedy cut: each cluster takes every height within 2*rho of its first
-    nxt = np.searchsorted(srt, srt + 2.0 * rho, side="right").tolist()
-    starts, i = [], 0
-    while i < K:
-        starts.append(i)
-        i = nxt[i]
-    C = len(starts)
-    starts = np.array(starts)
-    ends = np.append(starts[1:], K)
-    srt_ld = srt.astype(np.longdouble)
-    mid = 0.5 * (srt_ld[starts] + srt_ld[ends - 1])
-    cl = np.repeat(np.arange(C), ends - starts)
-    x = ((srt_ld - mid[cl]) / rho).astype(float)
+    _, _, cl, mid, x = _clusters(srt, rho)
     r = _CLUSTER_R * float(np.max(np.abs(x)))   # rho * max l_n * max|x|
     J, tail = _taylor_order(r, amp_sum, bound)
     mom = _cluster_moments(ns, amps, logs, mid, rho, J,
@@ -638,9 +630,39 @@ def _phase_sum(ns: np.ndarray, amps: np.ndarray,
     return vals, bound + built + arith * math.expm1(r) + tail
 
 
+def _clusters(srt: np.ndarray, rho: float, stop: np.ndarray | None = None):
+    """The greedy cut of the ascending heights srt (at least one) into
+    clusters: each takes every height within 2*rho of its first, i, and,
+    when ``stop`` is given, none from stop[i] on (the end of i's
+    truncation group in ``_truncated_sums``).
+
+    Returns (starts, ends, cl, mid, x): the index range of each cluster,
+    the cluster of each height, the midpoints c (longdouble) and each
+    height's offset x = (t - c)/rho, in [-1, 1].
+    """
+    K = srt.size
+    nxt = np.searchsorted(srt, srt + 2.0 * rho, side="right")
+    if stop is not None:
+        nxt = np.minimum(nxt, stop)
+    nxt = nxt.tolist()
+    starts, i = [], 0
+    while i < K:
+        starts.append(i)
+        i = nxt[i]
+    del nxt                                     # K Python ints
+    starts = np.array(starts)
+    ends = np.append(starts[1:], K)
+    srt_ld = srt.astype(np.longdouble)
+    mid = 0.5 * (srt_ld[starts] + srt_ld[ends - 1])
+    cl = np.repeat(np.arange(starts.size), ends - starts)
+    srt_ld -= mid[cl]
+    srt_ld /= rho
+    return starts, ends, cl, mid, srt_ld.astype(float)
+
+
 def _cluster_moments(ns: np.ndarray, amps: np.ndarray, logs: np.ndarray,
-                     mid: np.ndarray, rho: float, J: int,
-                     rows: int) -> np.ndarray:
+                     mid: np.ndarray, rho: float, J: int, rows: int,
+                     terms: np.ndarray | None = None) -> np.ndarray:
     """The moments m_j = sum_n a_n exp(-i c l_n) (rho l_n)^j / j!,
     j < J, of each centre c of ``mid`` (longdouble), as a (len(mid) x J)
     complex array: the cluster path's phase step (``_phase_sum``).
@@ -648,27 +670,48 @@ def _cluster_moments(ns: np.ndarray, amps: np.ndarray, logs: np.ndarray,
     ``logs`` are the float64 l_n.  The phases are reduced once per centre
     by ``_unit_phases``, ``rows`` centres at a time, and the moments of
     each block are one real product V^T @ A, V the (M x J) powers
-    (rho l_n)^j / j! and A the (M x 2 rows) real view of a_n exp(-i c l_n).
+    (rho l_n)^j / j! and A the real view of a_n exp(-i c l_n), one column
+    per centre.  ``amps`` may also be a stack of R rows of amplitudes on
+    the same n: they share the phases, A holds R columns per centre, and
+    the moments are (R x len(mid) x J).  ``terms``, when given, holds for
+    each centre the count of leading entries of ns its sum takes; the
+    amplitudes of the rest are 0 there.  The moments are stored order by
+    order, so that ``mom.T`` is the contiguous columns ``_cluster_horner``
+    reads.
     """
     V = np.ones((ns.size, J))                    # (rho l_n)^j / j!
     for j in range(1, J):
         V[:, j] = V[:, j - 1] * (rho / j) * logs
-    mom = np.empty((mid.size, J), dtype=complex)
+    stack = np.atleast_2d(amps)
+    R = stack.shape[0]
+    by_order = np.empty((R, J, mid.size), dtype=complex)
     for c0 in range(0, mid.size, rows):
         c1 = min(mid.size, c0 + rows)
-        A = _unit_phases(mid[c0:c1], ns).T * amps[:, None]
-        mom[c0:c1] = (V.T @ A.view(float)).view(complex).T
-    return mom
+        W = stack.T[:, :, None]                  # (M x R x 1) or (M x R x b)
+        if terms is not None:
+            W = W * (np.arange(ns.size)[:, None] < terms[c0:c1])[:, None, :]
+        A = np.multiply(_unit_phases(mid[c0:c1], ns).T[:, None, :], W,
+                        order="C")
+        by_order[:, :, c0:c1] = (V.T @ A.reshape(ns.size, -1).view(float)) \
+            .view(complex).reshape(J, R, c1 - c0).transpose(1, 0, 2)
+    mom = by_order.transpose(0, 2, 1)
+    return mom if amps.ndim > 1 else mom[0]
 
 
 def _cluster_horner(mom: np.ndarray, cl: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
-    """sum_{j<J} m_j (-i x)^j by Horner in -i x, each height x on the
-    moments ``mom[cl]`` of its centre: the cluster path's evaluation step."""
-    J = mom.shape[1]
-    acc = mom[cl, J - 1]
-    for j in range(J - 2, -1, -1):
-        acc = acc * (-1j * x) + mom[cl, j]
+    """sum_{j<J} m_j (-i x)^j by Horner in z = -i x, each height x on the
+    moments ``mom[cl]`` of its centre: the cluster path's evaluation step.
+    The moments are read as contiguous columns, one per order j gathered
+    at cl (``mom.T``, copied only when not contiguous), and z is formed
+    once; the steps acc * z + m_j are those of forming -i x afresh at each
+    order, so the sum is the same to the bit."""
+    cols = np.ascontiguousarray(mom.T)
+    z = -1j * x
+    acc = cols[-1][cl]
+    for col in cols[-2::-1]:
+        acc *= z
+        acc += col[cl]
     return acc
 
 
@@ -963,24 +1006,76 @@ def rs_error_bound(t, n_corr: int):
     return RS_BOUND_COEF[n_corr] * t ** (-(2 * n_corr + 1) / 4.0) + 5e-18 * t
 
 
+def _rs_tau(ts: np.ndarray) -> np.ndarray:
+    """tau = sqrt(t/2pi): floor(tau) is the truncation N of the
+    Riemann-Siegel sum (``_truncated_sums``) and tau - N the p of its
+    corrections (``_rs_corrections``), one expression for both so that
+    they cannot disagree at t = 2 pi N^2."""
+    return np.sqrt(ts / TWO_PI)
+
+
+def _truncation_bounds(srt, N, ends, cl, x, rho, amps, plan):
+    """(J, bounds) of the cluster pass of ``_truncated_sums``: the Taylor
+    order, and the bound of each height (ascending heights srt, their
+    truncations N, their clusters cl and offsets x) per row of ``amps``.
+
+    Each height gets the cluster path's bound at its own truncation N_k,
+    with A_k = sum over n <= N_k of |a_n| and r_k = rho log(N_k) |x_k|:
+    ``_phase_roundoff`` at the top of its cluster, the built phases
+    (prefix sums of |a_n| times ``plan.products``), the arithmetic floor
+    times e^(r_k) - 1, and the Taylor tail A_k r_k^J/J! (J+1)/(J+1-r_k),
+    J sized at the largest r_k against the smallest floor per unit
+    amplitude.
+    """
+    r = rho * np.log(N) * np.abs(x)
+    unit = _phase_roundoff(srt[ends - 1][cl], np.log(N), 1.0)
+    J, _ = _taylor_order(float(r.max()), 1.0, float(unit.min()))
+    unit += _phase_roundoff(0.0, 0.0, 1.0) * np.expm1(r)
+    unit += r ** J / float(math.factorial(J)) * (J + 1) / (J + 1 - r)
+    amps_abs = np.abs(amps)
+    return J, np.cumsum(amps_abs, axis=1)[:, N - 1] * unit \
+        + _PRODUCT_ROUNDOFF \
+        * np.cumsum(amps_abs * plan.products, axis=1)[:, N - 1]
+
+
 def _truncated_sums(ts: np.ndarray,
                     exponents) -> tuple[np.ndarray, np.ndarray]:
-    """sum over n <= floor(sqrt(t/2pi)) of n^(-e) n^(-it), per exponent e.
+    """sum over n <= N = floor(``_rs_tau``(t)) of n^(-e) n^(-it), per
+    exponent e, for heights t >= RS_T_MIN (so N >= 2).
 
-    Heights are grouped by their truncation, and each group is one
-    ``_phase_sum`` per exponent.  Returns the sums and their bounds,
-    each of shape (len(exponents), len(ts)).
+    One cluster pass serves every truncation and exponent.  The sorted
+    heights are cut into clusters as on the cluster path of
+    ``_phase_sum`` (``_clusters``), rho = _CLUSTER_R / log N_max, but
+    never across a change of N.  The phases of n = 1..N_max are reduced
+    once per cluster midpoint, and a cluster of truncation N_c takes
+    a_n = 0 for n > N_c (``_cluster_moments``).  Each exponent is a row
+    of amplitudes on the same phases, summed by one Horner pass.  Each
+    height gets the bound of its own truncation
+    (``_truncation_bounds``).  Returns the sums and their bounds, each
+    of shape (len(exponents), len(ts)).
     """
-    N = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
-    sums = np.empty((len(exponents), ts.size), dtype=complex)
-    bounds = np.empty((len(exponents), ts.size))
-    order = np.argsort(N, kind="stable")
-    Nuniq, starts = np.unique(N[order], return_index=True)
-    for Nv, idx in zip(Nuniq.tolist(), np.split(order, starts[1:])):
-        n = np.arange(1, Nv + 1)
-        for row, e in enumerate(exponents):
-            sums[row, idx], bounds[row, idx] = _phase_sum(n, n ** -float(e),
-                                                          ts[idx])
+    R, K = len(exponents), ts.size
+    sums = np.empty((R, K), dtype=complex)
+    bounds = np.empty((R, K))
+    if K == 0:
+        return sums, bounds
+    order = np.argsort(ts, kind="stable")
+    srt = ts[order]
+    N = np.floor(_rs_tau(srt)).astype(np.intp)
+    n = np.arange(1, int(N[-1]) + 1)
+    logs = np.log(n.astype(float))
+    amps = n ** -np.array(exponents, dtype=float)[:, None]
+    rho = _CLUSTER_R / float(logs[-1])
+    starts, ends, cl, mid, x = _clusters(srt, rho,
+                                         np.searchsorted(N, N, side="right"))
+    plan = _factor_plan(n)
+    J, bounds[:, order] = _truncation_bounds(srt, N, ends, cl, x, rho, amps,
+                                             plan)
+    mom = _cluster_moments(n, amps, logs, mid, rho, J,
+                           max(1, _EM_CHUNK // (2 * R * plan.closure.size)),
+                           N[starts])
+    for row in range(R):
+        sums[row, order] = _cluster_horner(mom[row], cl, x)
     return sums, bounds
 
 
@@ -988,7 +1083,7 @@ def _rs_z_rounded(ts: np.ndarray,
                   n_corr: int) -> tuple[np.ndarray, np.ndarray]:
     """Riemann-Siegel Z at t >= RS_T_MIN and the bound of all but its
     truncation (``rs_error_bound``); see ``_rs_z_batch``."""
-    tau = np.sqrt(ts / TWO_PI)
+    tau = _rs_tau(ts)
     cos_t, sin_t, theta_err = _rs_rotation(ts)
     (S,), (S_bound,) = _truncated_sums(ts, (0.5,))
     re, im = S.real, S.imag

@@ -439,6 +439,99 @@ def test_rs_on_phase_kernel_matches_mpmath(ts):
         assert err <= bounds[k], (k, err, bounds[k])
 
 
+def _truncation_edges(Ns):
+    """2 pi N^2 and its float neighbours on either side, for each N."""
+    t = 2.0 * math.pi * np.asarray(Ns, dtype=float) ** 2
+    return np.concatenate([np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)])
+
+
+@pytest.mark.parametrize("exponents", [(0.5,), (0.6, 0.4)],
+                         ids=["rs", "afe"])
+@pytest.mark.parametrize("kind", ["edges", "spread", "empty", "one"])
+def test_truncated_sums_take_each_heights_own_truncation(kind, exponents):
+    # at and either side of each 2 pi N^2 a height summed to the wrong N
+    # is off by about N^(-e), far beyond both bounds
+    rng = np.random.default_rng(24)
+    ts = {"edges": np.concatenate([_truncation_edges(range(7, 15)),
+                                   rng.uniform(300.0, 1300.0, 200)]),
+          "spread": rng.uniform(300.0, 1300.0, 300),
+          "empty": np.array([]),
+          "one": np.array([2.0 * math.pi * 100.0])}[kind]
+    sums, bounds = zeta._truncated_sums(ts, exponents)
+    assert sums.shape == bounds.shape == (len(exponents), ts.size)
+    for k, t in enumerate(ts.tolist()):
+        N = math.floor(math.sqrt(t / (2.0 * math.pi)))
+        n = np.arange(1, N + 1)
+        for row, e in enumerate(exponents):
+            ref, ref_bound = zeta._phase_sum(n, n ** -float(e), np.array([t]))
+            assert abs(sums[row, k] - ref[0]) <= bounds[row, k] + ref_bound, \
+                (t, N, e)
+            if k % 7 == 0:      # the bound alone, against 30 digits
+                exact = complex(mpmath.fsum(
+                    mpmath.mpf(m) ** -e * mpmath.expj(-t * mpmath.log(m))
+                    for m in range(1, N + 1)))
+                assert abs(sums[row, k] - exact) <= bounds[row, k], (t, N, e)
+
+
+def test_rs_sum_is_one_cluster_pass_over_all_truncations(monkeypatch):
+    # heights over N = 7..14 make one moment build, not one per N
+    ts = np.linspace(2.0 * math.pi * 49.0 + 1.0,
+                     2.0 * math.pi * 225.0 - 1.0, 3000)
+    assert np.unique(np.floor(np.sqrt(ts / (2.0 * math.pi)))).tolist() \
+        == list(range(7, 15))
+    calls = []
+    moments = zeta._cluster_moments
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "_cluster_moments", spy)
+    zeta._rs_z_rounded(ts, 4)
+    assert len(calls) == 1
+
+
+def test_afe_builds_its_phases_once_per_moment_block(monkeypatch):
+    # both exponents and every truncation share one phase build per
+    # block of centres; the chunk is cut so that there are several blocks
+    ts = np.geomspace(300.0, 1300.0, 500)
+    monkeypatch.setattr(zeta, "_EM_CHUNK", 2000)
+    blocks, built = [], []
+    moments, unit_phases = zeta._cluster_moments, zeta._unit_phases
+
+    def moments_spy(ns, amps, logs, mid, rho, J, rows, terms=None):
+        blocks.append(-(-mid.size // rows))
+        return moments(ns, amps, logs, mid, rho, J, rows, terms)
+
+    def phases_spy(ts_ld, ns):
+        built.append(ts_ld.size)
+        return unit_phases(ts_ld, ns)
+
+    monkeypatch.setattr(zeta, "_cluster_moments", moments_spy)
+    monkeypatch.setattr(zeta, "_unit_phases", phases_spy)
+    zeta.zeta_afe_batch(0.6, ts)
+    assert len(blocks) == 1 and blocks[0] > 1
+    assert len(built) == blocks[0]
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_rs_bound_covers_mpmath_across_a_truncation_change(N, monkeypatch):
+    cfg = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-3,
+                          rs_correction_terms=4)
+    t0 = 2.0 * math.pi * N * N
+    ts = np.sort(np.concatenate([
+        _truncation_edges([N]),
+        t0 + np.array([-0.5, -1e-3, -1e-9, 1e-9, 1e-3, 0.5])]))
+
+    def no_em(*args, **kwargs):
+        raise AssertionError("left Riemann-Siegel")
+
+    monkeypatch.setattr(zeta, "_em_batch", no_em)
+    vals, bounds = hardy_z_batch(ts, 1e-6, cfg)
+    for t, v, b in zip(ts.tolist(), vals, bounds):
+        assert abs(v - float(mpmath.siegelz(t))) <= b <= 1e-6, t
+
+
 def test_hardy_z_batch_agrees_with_em():
     ts = np.linspace(31.0, 4000.0, 400)
     vals, bounds = hardy_z_batch(ts, 1e-8, DEFAULT)
@@ -792,6 +885,26 @@ def test_low_expansion_order_stays_within_bound(monkeypatch):
     assert np.max(err) > 100 * full_bound       # the low order shows
     assert np.all(err <= low_bound)
     assert np.all(np.abs(full - exact) <= full_bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=st.integers(1, 8), J=st.integers(1, 32), K=st.integers(0, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(C=1, J=1, K=5, seed=0)
+@example(C=3, J=27, K=0, seed=1)
+@example(C=2, J=27, K=40, seed=2)
+def test_cluster_horner_is_the_plain_horner_to_the_bit(C, J, K, seed):
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, J)])    # 1/j!
+    mom = (rng.normal(size=(C, J)) + 1j * rng.normal(size=(C, J))) * scale
+    cl = rng.integers(0, C, size=K)              # repeats once K > C
+    x = rng.uniform(-1.0, 1.0, size=K)
+    plain = mom[cl, J - 1]
+    for j in range(J - 2, -1, -1):
+        plain = plain * (-1j * x) + mom[cl, j]
+    fast = zeta._cluster_horner(mom, cl, x)
+    assert fast.shape == (K,)
+    assert np.array_equal(fast.view(np.uint64), plain.view(np.uint64))
 
 
 # ----------------------------------------------------------------------
