@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import errors, zeta
+from . import errors, phases, zeta
 from .config import DEFAULT, PrecisionConfig
 from .integral import ScanReport, _segment_profile
 from .quadrature import adaptive_quad
@@ -102,7 +102,7 @@ def S1_direct(t: float, zeros: ZeroList,
             f"S({t}) = {s:.6f} by branch tracking, but {expect:.6f} "
             f"from the zero list's count N = {count} there")
 
-    q = 2 * zeta._theta_integral(t) / zeta._TWO_PI_LD
+    q = 2 * zeta._theta_integral(t) / phases.TWO_PI_LD
     q_hi = float(q)
     q_lo = float(q - np.longdouble(q_hi))
     return math.fsum([t] * g.size + (-g).tolist() + [-t, -q_hi, -q_lo])

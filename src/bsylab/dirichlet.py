@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, resonator, zeta
+from . import errors, phases, resonator, zeta
 from .accum import comp_sum, comp_sum_complex
 from .config import DEFAULT, PrecisionConfig
 from .resonator import ResonatorTable
@@ -74,14 +74,14 @@ class Lemma3Request:
 def eval_R_batch(table, ts) -> np.ndarray:
     """R(t) = sum of r(n) n^(-it) on an array of heights.
 
-    One ``zeta._phase_sum`` on the integers of the table: a blocked
+    One ``phases.phase_sum`` on the integers of the table: a blocked
     matrix product when ts is a uniform grid (linspace or T + dx*arange),
     an expansion about each cluster of nearby heights otherwise (a lone
     height is a cluster of one).
     """
     ns, rs = _table_arrays(table)
     ts = np.asarray(ts, dtype=float)
-    return zeta._phase_sum(ns, rs, ts)[0]
+    return phases.phase_sum(ns, rs, ts)[0]
 
 
 def eval_R(table, t: float) -> complex:
@@ -100,7 +100,7 @@ def mean_square_exact(table, T: float) -> float:
 
     Equals T * sum r^2 plus, over pairs i < j with l = log n_j - log n_i,
     2 r_i r_j (sin(2T l) - sin(T l)) / l.  With v(t) = r e^(-i t log n)
-    from ``zeta._unit_phases`` (phases reduced at T and 2T for the bases
+    from ``phases.unit_phases`` (phases reduced at T and 2T for the bases
     of the table only, its primes when it is divisor-closed; the others
     are products), r_i r_j sin(t l) = Im v_i conj(v_j), so the pair sum is
     a bilinear form with Montgomery and Vaughan's Hilbert kernel
@@ -117,9 +117,9 @@ def mean_square_exact(table, T: float) -> float:
     pair term is off by a few ulps of 2|r_i r_j|/l, plus that log error
     relative to l times 2|r_i r_j|/l, plus its phase error: the pair sum
     is within
-    ``zeta._phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)`` plus
-    ``zeta._PRODUCT_ROUNDOFF`` * sum 2|r_i r_j|/l * (P_i + P_j), P_i the
-    products behind the phase of n_i (``zeta._factor_plan``).
+    ``phases.phase_roundoff(2T, max log n, sum 2|r_i r_j|/l)`` plus
+    ``phases.PRODUCT_ROUNDOFF`` * sum 2|r_i r_j|/l * (P_i + P_j), P_i the
+    products behind the phase of n_i (``phases.factor_plan``).
 
     Adjacent entries whose longdouble logs coincide (above about 1e17,
     where log(n + 1) - log n is under a longdouble ulp of log n) have no
@@ -139,7 +139,7 @@ def mean_square_exact(table, T: float) -> float:
             f"longdouble log; their pair term cannot be formed")
     hi = lnn.astype(float)
     lo = (lnn - hi).astype(float)
-    v = rs * zeta._unit_phases(np.array([T, 2.0 * T], np.longdouble), ns)
+    v = rs * phases.unit_phases(np.array([T, 2.0 * T], np.longdouble), ns)
     X = np.concatenate([v.real, v.imag]).T
     Y = X[:, [2, 3, 0, 1]] * [-1.0, 1.0, 1.0, -1.0]  # Im(v_i conj v_j)
     # x_j - x_i as the product [1, -x_i] . [x_j, 1]: its terms are exact,
@@ -172,10 +172,13 @@ def mean_square_exact(table, T: float) -> float:
 #: Above this height the zeta evaluations inside the moment integral
 #: switch from Euler-Maclaurin to the symmetric truncated functional
 #: equation (accuracy ~ t^(-alpha/2 - 1/4), O(sqrt t) terms instead of
-#: O(t)).  Both engines sum the uniform moment grid as one blocked
-#: matrix product (``zeta._phase_sum``), which costs O(sqrt(K) * pi(M))
-#: phase reductions and O(sqrt(K) * M) complex products for K points and
-#: M terms; the cut-over is not re-tuned to that cost.
+#: O(t)).  Euler-Maclaurin sums the uniform moment grid as one blocked
+#: matrix product (``phases.phase_sum``): O(sqrt(K) * pi(M)) phase
+#: reductions and O(sqrt(K) * M) complex products for K points and M
+#: terms.  The functional equation sums it in one cluster pass
+#: (``phases.truncated_sums``): one phase reduction per term and cluster
+#: of nearby heights, and a Horner sum per height.  The cut-over is not
+#: re-tuned to these costs.
 _AFE_CUTOVER = 30_000.0
 
 

@@ -66,17 +66,17 @@ def test_module_attributes_read_by_the_tracer_exist():
 ])
 def test_em_choose_m_is_one_more_than_the_terms_em_batch_sums(
         monkeypatch, sigma, ts, target):
-    from bsylab import zeta
+    from bsylab import phases, zeta
     from bsylab.config import DEFAULT
     ts = np.asarray(ts, dtype=float)
     summed = []
-    phase_sum = zeta._phase_sum
+    phase_sum = phases.phase_sum
 
     def spy(ns, amps, heights):
         summed.append(ns.size)
         return phase_sum(ns, amps, heights)
 
-    monkeypatch.setattr(zeta, "_phase_sum", spy)
+    monkeypatch.setattr(phases, "phase_sum", spy)
     zeta._em_batch(sigma, ts, DEFAULT, target)
     # positionally, as the tracer's EM counter calls it
     M = zeta._em_choose_M(sigma, float(np.max(ts)), DEFAULT, target)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bsylab import dirichlet, errors, zeta
+from bsylab import dirichlet, errors, phases, zeta
 from bsylab.accum import comp_sum
 from bsylab.config import DEFAULT
 from bsylab.dirichlet import (
@@ -129,7 +129,7 @@ def test_mean_square_off_diagonal_small_T(table_270, pair_sums_270):
     for T in (1.0, 10.0, 100.0):
         ms = mean_square_exact(table_270, T)
         got = np.longdouble(ms) - np.longdouble(T) * sum_r2
-        bound = (zeta._phase_roundoff(2.0 * T, lmax, float(amp_sum))
+        bound = (phases.phase_roundoff(2.0 * T, lmax, float(amp_sum))
                  + 2.0 * np.spacing(T * float(sum_r2)) + np.spacing(ms))
         assert abs(float(got - np.longdouble(float(off[T])))) <= bound
 
@@ -164,7 +164,7 @@ def test_mean_square_keeps_the_low_word_of_the_logs(T):
                             - mpmath.sin(T * ell)) / ell
                 amp_sum += 2 / ell
     got = np.longdouble(ms) - np.longdouble(3.0 * T)
-    bound = (zeta._phase_roundoff(2.0 * T, math.log(10 ** 6 + 1),
+    bound = (phases.phase_roundoff(2.0 * T, math.log(10 ** 6 + 1),
                                   float(amp_sum))
              + 2.0 * np.spacing(3.0 * T) + np.spacing(ms))
     assert abs(float(got - np.longdouble(float(off)))) <= bound

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsylab import errors, zeros, zeta
+from bsylab import errors, phases, zeros, zeta
 from bsylab.config import DEFAULT
 from bsylab.zeros import (
     ORDINATE_ACCURACY,
@@ -127,7 +127,7 @@ def test_find_solves_brackets_in_few_z_batches(monkeypatch):
     # bracket centres and evaluates each Newton round on it, with no
     # hardy_z_batch call
     calls = {"batch": 0, "moments": 0, "rounds": 0}
-    batch, moments = zeta.hardy_z_batch, zeta._cluster_moments
+    batch, moments = zeta.hardy_z_batch, phases._cluster_moments
     near, scan = zeta.NearZ.__call__, zeros._certified_scan
 
     def counted(key, f):
@@ -143,7 +143,7 @@ def test_find_solves_brackets_in_few_z_batches(monkeypatch):
         return out
 
     monkeypatch.setattr(zeta, "hardy_z_batch", counted("batch", batch))
-    monkeypatch.setattr(zeta, "_cluster_moments",
+    monkeypatch.setattr(phases, "_cluster_moments",
                         counted("moments", moments))
     monkeypatch.setattr(zeta.NearZ, "__call__", counted("rounds", near))
     monkeypatch.setattr(zeros, "_certified_scan", outside_scan)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsylab import errors, sieve, zeta
+from bsylab import errors, phases, sieve, zeta
 from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.quadrature import GK15_NODES
 from bsylab.zeta import (
@@ -277,7 +277,8 @@ def test_rs_rotation_from_anchors(t):
     ts = np.array([t, t + 0.0625, max(30.0, t - 0.0625), t + 0.3, 31.0])
     cos_t, sin_t, err = zeta._rs_rotation(ts)
     rot = cos_t + 1j * sin_t
-    per_point = np.exp(1j * (_rs_theta_ld(ts) % zeta._TWO_PI_LD).astype(float))
+    per_point = np.exp(
+        1j * (_rs_theta_ld(ts) % phases.TWO_PI_LD).astype(float))
     assert np.all(np.abs(rot - per_point) <= err)
     for k in range(ts.size):
         assert abs(rot[k] - _mp_rotation(float(ts[k]))) <= err[k]
@@ -457,13 +458,14 @@ def test_truncated_sums_take_each_heights_own_truncation(kind, exponents):
           "spread": rng.uniform(300.0, 1300.0, 300),
           "empty": np.array([]),
           "one": np.array([2.0 * math.pi * 100.0])}[kind]
-    sums, bounds = zeta._truncated_sums(ts, exponents)
+    sums, bounds = phases.truncated_sums(
+        ts, np.floor(zeta._rs_tau(ts)), exponents)
     assert sums.shape == bounds.shape == (len(exponents), ts.size)
     for k, t in enumerate(ts.tolist()):
         N = math.floor(math.sqrt(t / (2.0 * math.pi)))
         n = np.arange(1, N + 1)
         for row, e in enumerate(exponents):
-            ref, ref_bound = zeta._phase_sum(n, n ** -float(e), np.array([t]))
+            ref, ref_bound = phases.phase_sum(n, n ** -float(e), np.array([t]))
             assert abs(sums[row, k] - ref[0]) <= bounds[row, k] + ref_bound, \
                 (t, N, e)
             if k % 7 == 0:      # the bound alone, against 30 digits
@@ -480,13 +482,13 @@ def test_rs_sum_is_one_cluster_pass_over_all_truncations(monkeypatch):
     assert np.unique(np.floor(np.sqrt(ts / (2.0 * math.pi)))).tolist() \
         == list(range(7, 15))
     calls = []
-    moments = zeta._cluster_moments
+    moments = phases._cluster_moments
 
     def spy(*args, **kwargs):
         calls.append(None)
         return moments(*args, **kwargs)
 
-    monkeypatch.setattr(zeta, "_cluster_moments", spy)
+    monkeypatch.setattr(phases, "_cluster_moments", spy)
     zeta._rs_z_rounded(ts, 4)
     assert len(calls) == 1
 
@@ -495,9 +497,9 @@ def test_afe_builds_its_phases_once_per_moment_block(monkeypatch):
     # both exponents and every truncation share one phase build per
     # block of centres; the chunk is cut so that there are several blocks
     ts = np.geomspace(300.0, 1300.0, 500)
-    monkeypatch.setattr(zeta, "_EM_CHUNK", 2000)
+    monkeypatch.setattr(phases, "_CHUNK", 2000)
     blocks, built = [], []
-    moments, unit_phases = zeta._cluster_moments, zeta._unit_phases
+    moments, unit_phases = phases._cluster_moments, phases.unit_phases
 
     def moments_spy(ns, amps, logs, mid, rho, J, rows, terms=None):
         blocks.append(-(-mid.size // rows))
@@ -507,8 +509,8 @@ def test_afe_builds_its_phases_once_per_moment_block(monkeypatch):
         built.append(ts_ld.size)
         return unit_phases(ts_ld, ns)
 
-    monkeypatch.setattr(zeta, "_cluster_moments", moments_spy)
-    monkeypatch.setattr(zeta, "_unit_phases", phases_spy)
+    monkeypatch.setattr(phases, "_cluster_moments", moments_spy)
+    monkeypatch.setattr(phases, "unit_phases", phases_spy)
     zeta.zeta_afe_batch(0.6, ts)
     assert len(blocks) == 1 and blocks[0] > 1
     assert len(built) == blocks[0]
@@ -604,7 +606,7 @@ def test_hardy_z_near_caps_its_radius(T):
     M, K = zeta._em_truncation(0.5, T + 5.0, 1e-12)
     lmax = float(np.log(M - 1.0))
     rho = float(ev.radius[0])
-    assert rho == zeta._CLUSTER_R / lmax
+    assert rho == phases._CLUSTER_R / lmax
     # its bound: the EM remainder and the cluster path's bound at
     # |x| <= 1, whose Taylor tail is at least the exact one
     n = np.arange(1, M)
@@ -615,10 +617,10 @@ def test_hardy_z_near_caps_its_radius(T):
         tail = amp_sum * float(mpmath.exp(r) - mpmath.fsum(
             mpmath.mpf(r) ** j / mpmath.factorial(j) for j in range(J)))
     expect = (zeta._em_remainder_bound(0.5, T + 5.0, M, K)
-              + zeta._phase_roundoff(T + 5.0, lmax, amp_sum)
-              + zeta._PRODUCT_ROUNDOFF
-              * float(amps @ zeta._factor_plan(n).products)
-              + zeta._phase_roundoff(0.0, 0.0, amp_sum) * math.expm1(r)
+              + phases.phase_roundoff(T + 5.0, lmax, amp_sum)
+              + phases.PRODUCT_ROUNDOFF
+              * float(amps @ phases.factor_plan(n).products)
+              + phases.phase_roundoff(0.0, 0.0, amp_sum) * math.expm1(r)
               + tail)
     assert expect <= ev.bound[0] <= expect + tail
     ts, idx = _near_points(ev, [-1.0, 1.0])
@@ -728,7 +730,7 @@ def _grid(kind, t0, dx, K):
 @pytest.mark.parametrize("kind", ["linspace", "arange"])
 def test_em_grid_path_matches_mpmath(sigma, t0, dx, K, kind):
     ts = _grid(kind, t0, dx, K)
-    assert zeta._as_progression(ts) is not None    # takes the blocked path
+    assert phases._as_progression(ts) is not None    # takes the blocked path
     vals, bounds = zeta._em_batch(sigma, ts)
     for k in (0, 1, K // 3, K - 2, K - 1):
         err = abs(vals[k] - _mp_zeta(complex(sigma, ts[k])))
@@ -741,7 +743,7 @@ def test_em_grid_path_matches_direct_path(sigma):
     ts = np.linspace(1000.0, 1100.0, 1201)
     off = ts.copy()
     off[600] += 1e-7                  # one point off the progression
-    assert zeta._as_progression(off) is None
+    assert phases._as_progression(off) is None
     grid, gb = zeta._em_batch(sigma, ts)
     direct, db = zeta._em_batch(sigma, off)
     keep = np.arange(ts.size) != 600
@@ -753,15 +755,15 @@ def test_em_grid_path_in_row_chunks(monkeypatch):
     whole, wb = zeta._em_batch(0.6, ts)
     # 268 terms: J is capped at 29 (35 uncapped) and the 42 block rows
     # come in 3 chunks
-    monkeypatch.setattr(zeta, "_EM_CHUNK", 8000)
+    monkeypatch.setattr(phases, "_CHUNK", 8000)
     sizes = []
-    unit_phases = zeta._unit_phases
+    unit_phases = phases.unit_phases
 
     def spy(ts_ld, ns):
         sizes.append(ts_ld.size)       # J first, then each chunk's rows
         return unit_phases(ts_ld, ns)
 
-    monkeypatch.setattr(zeta, "_unit_phases", spy)
+    monkeypatch.setattr(phases, "unit_phases", spy)
     part, pb = zeta._em_batch(0.6, ts)
     assert sizes[0] < math.isqrt(ts.size - 1) + 1
     assert len(sizes) - 1 > 1
@@ -786,7 +788,7 @@ def test_em_batch_grid_edge_cases_match_mpmath(ts):
 
 def test_afe_grid_path_matches_pointwise():
     ts = np.linspace(31_000.0, 31_050.0, 2001)
-    assert zeta._as_progression(ts) is not None
+    assert phases._as_progression(ts) is not None
     vals, _ = zeta.zeta_afe_batch(0.6, ts)
     for k in (0, 777, 2000):
         one, _ = zeta.zeta_afe_batch(0.6, ts[k:k + 1])
@@ -836,9 +838,9 @@ def test_cluster_path_input_order_and_repeats():
     ns, amps = _em_terms(0.6, 400)
     ts = np.array([1000.4, 1000.1, 1005.0, 1000.4, 1000.25, 1000.9,
                    1000.7])
-    vals, bound = zeta._phase_sum(ns, amps, ts)
+    vals, bound = phases.phase_sum(ns, amps, ts)
     assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
-    rev, _ = zeta._phase_sum(ns, amps, ts[::-1])
+    rev, _ = phases.phase_sum(ns, amps, ts[::-1])
     assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
     assert vals[0] == vals[3]
 
@@ -847,7 +849,7 @@ def test_cluster_path_input_order_and_repeats():
                          ids=["K0", "K1"])
 def test_phase_sum_tiny_inputs(ts):
     ns, amps = _em_terms(0.6, 400)
-    vals, bound = zeta._phase_sum(ns, amps, ts)
+    vals, bound = phases.phase_sum(ns, amps, ts)
     assert vals.shape == ts.shape
     assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
 
@@ -856,9 +858,9 @@ def test_isolated_heights_sum_directly():
     # more than 2*rho apart, so every height is a cluster of one
     ns, amps = _em_terms(0.5, 3000)
     ts = np.array([2e4, 150.3, 1200.7, 1201.9])
-    vals, bound = zeta._phase_sum(ns, amps, ts)
+    vals, bound = phases.phase_sum(ns, amps, ts)
     assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
-    rev, _ = zeta._phase_sum(ns, amps, ts[::-1])
+    rev, _ = phases.phase_sum(ns, amps, ts[::-1])
     assert np.all(np.abs(rev[::-1] - vals) <= 2 * bound)
 
 
@@ -868,9 +870,9 @@ def test_low_expansion_order_stays_within_bound(monkeypatch):
     ns, amps = _em_terms(0.5, 1200)
     ts = 1000.0 + 0.3 * np.linspace(-1.0, 1.0, 9) ** 3
     exact = _direct_sum(ns, amps, ts)
-    full, full_bound = zeta._phase_sum(ns, amps, ts)
+    full, full_bound = phases.phase_sum(ns, amps, ts)
     orders = []
-    taylor_order = zeta._taylor_order
+    taylor_order = phases._taylor_order
 
     def coarse(r, amp_sum, floor):
         orders.append(taylor_order(r, amp_sum, floor)[0])
@@ -878,8 +880,8 @@ def test_low_expansion_order_stays_within_bound(monkeypatch):
         orders.append(J)
         return J, tail
 
-    monkeypatch.setattr(zeta, "_taylor_order", coarse)
-    low, low_bound = zeta._phase_sum(ns, amps, ts)
+    monkeypatch.setattr(phases, "_taylor_order", coarse)
+    low, low_bound = phases.phase_sum(ns, amps, ts)
     assert orders[1] < orders[0]
     err = np.abs(low - exact)
     assert np.max(err) > 100 * full_bound       # the low order shows
@@ -902,7 +904,7 @@ def test_cluster_horner_is_the_plain_horner_to_the_bit(C, J, K, seed):
     plain = mom[cl, J - 1]
     for j in range(J - 2, -1, -1):
         plain = plain * (-1j * x) + mom[cl, j]
-    fast = zeta._cluster_horner(mom, cl, x)
+    fast = phases.cluster_horner(mom, cl, x)
     assert fast.shape == (K,)
     assert np.array_equal(fast.view(np.uint64), plain.view(np.uint64))
 
@@ -955,7 +957,7 @@ def _heights(draw):
 @example(np.array([1, 6, 35, 221]), 0, np.array([1000.0, 1000.2, 5e4]))
 def test_phase_sum_on_integer_sets_within_bound(ns, seed, ts):
     amps = np.random.default_rng(seed).standard_normal(ns.size)
-    vals, bound = zeta._phase_sum(ns, amps, ts)
+    vals, bound = phases.phase_sum(ns, amps, ts)
     assert np.all(np.abs(vals - _direct_sum(ns, amps, ts)) <= bound)
 
 
@@ -968,15 +970,15 @@ def test_phase_sum_on_integer_sets_within_bound(ns, seed, ts):
 ], ids=["prefix", "one", "cofactors-absent", "divisor-closed", "far-out"])
 def test_only_bases_are_reduced(monkeypatch, ns, n_bases):
     reduced = []
-    base_phases = zeta._base_phases
+    base_phases = phases._base_phases
 
     def spy(ts_ld, logs):
         reduced.append(logs.size * ts_ld.size)
         return base_phases(ts_ld, logs)
 
-    monkeypatch.setattr(zeta, "_base_phases", spy)
+    monkeypatch.setattr(phases, "_base_phases", spy)
     ts = np.array([1000.0, 2000.0, 3000.0])     # three clusters of one
-    vals, bound = zeta._phase_sum(ns, np.ones(ns.size), ts)
+    vals, bound = phases.phase_sum(ns, np.ones(ns.size), ts)
     assert sum(reduced) == 3 * n_bases
     assert np.all(np.abs(vals - _direct_sum(ns, np.ones(ns.size), ts))
                   <= bound)
@@ -985,13 +987,13 @@ def test_only_bases_are_reduced(monkeypatch, ns, n_bases):
 @pytest.mark.parametrize("t", [1e3, 1e5])
 def test_built_phases_within_per_term_bound(t):
     ns = np.arange(1, 10_001)
-    built = zeta._unit_phases(np.array([t], dtype=np.longdouble), ns)[0]
+    built = phases.unit_phases(np.array([t], dtype=np.longdouble), ns)[0]
     with mpmath.workdps(40):
         exact = np.array([complex(mpmath.expj(-t * mpmath.log(n)))
                           for n in ns.tolist()])
-    products = zeta._factor_plan(ns).products
-    bound = (zeta._phase_roundoff(t, np.log(ns), 1.0)
-             + products * zeta._PRODUCT_ROUNDOFF)
+    products = phases.factor_plan(ns).products
+    bound = (phases.phase_roundoff(t, np.log(ns), 1.0)
+             + products * phases.PRODUCT_ROUNDOFF)
     assert products.max() == 12                 # 2^13 <= 10^4
     assert np.all(np.abs(built - exact) <= bound)
 
@@ -1002,10 +1004,10 @@ def test_far_out_entry_needs_no_sieve_to_it():
     ns, amps = np.array([1, 10 ** 18 + 9]), np.array([1.0, -0.5])
     ts = np.array([1e3, 1e3 + 1e-3, 5e4])
     sieved = sieve._SPF.size
-    zeta._plan_of.cache_clear()
+    phases._plan_of.cache_clear()
     tracemalloc.start()
     try:
-        vals, bound = zeta._phase_sum(ns, amps, ts)
+        vals, bound = phases.phase_sum(ns, amps, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1016,4 +1018,4 @@ def test_far_out_entry_needs_no_sieve_to_it():
 
 def test_phase_kernel_rejects_n_below_1():
     with pytest.raises(ValueError, match=">= 1"):
-        zeta._phase_sum(np.array([0, 1, 2]), np.ones(3), np.array([10.0]))
+        phases.phase_sum(np.array([0, 1, 2]), np.ones(3), np.array([10.0]))
