@@ -26,13 +26,6 @@ from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
 from .errors import BsyError, ParseError
 
-_PRECISION_KEYS = {
-    "target_abs_error": float,
-    "rs_correction_terms": int,
-    "quad_tol": float,
-    "max_subdivisions": int,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -62,6 +55,17 @@ def _read_config_file(path: str) -> dict:
     return opts
 
 
+def _merged(rc: RunConfig, values: dict) -> RunConfig:
+    """rc with the precision fields and ``zero_cache_path`` that values
+    gives (None meaning unset) in place of its own."""
+    precision = {f.name: values[f.name]
+                 for f in dataclasses.fields(PrecisionConfig)
+                 if values.get(f.name) is not None}
+    cache = values.get("zero_cache_path")
+    return RunConfig(dataclasses.replace(rc.precision, **precision),
+                     rc.zero_cache_path if cache is None else cache)
+
+
 def load_run_config(path: str | None) -> RunConfig:
     """RunConfig from a config file; missing path means defaults."""
     if path is None:
@@ -69,35 +73,14 @@ def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     opts = _read_config_file(path)
-    prec_kwargs = {}
-    run_kwargs = {}
+    field_types = {f.name: type(f.default)
+                   for f in dataclasses.fields(PrecisionConfig)}
     for key, val in opts.items():
-        if key in _PRECISION_KEYS:
-            prec_kwargs[key] = _PRECISION_KEYS[key](val)
-        elif key == "zero_cache_path":
-            run_kwargs["zero_cache_path"] = val
-        else:
+        if key in field_types:
+            opts[key] = field_types[key](val)
+        elif key != "zero_cache_path":
             raise ParseError(f"unknown config key {key!r}")
-    if prec_kwargs:
-        run_kwargs["precision"] = dataclasses.replace(DEFAULT, **prec_kwargs)
-    return RunConfig(**run_kwargs)
-
-
-def _apply_flag_overrides(rc: RunConfig, args) -> RunConfig:
-    prec_kwargs = {}
-    for key in _PRECISION_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            prec_kwargs[key] = val
-    run_kwargs = {}
-    if prec_kwargs:
-        run_kwargs["precision"] = dataclasses.replace(rc.precision,
-                                                      **prec_kwargs)
-    if getattr(args, "zero_cache", None) is not None:
-        run_kwargs["zero_cache_path"] = args.zero_cache
-    if run_kwargs:
-        rc = dataclasses.replace(rc, **run_kwargs)
-    return rc
+    return _merged(RunConfig(), opts)
 
 
 def _load_zeros(path: str, need_height: float,
@@ -388,46 +371,47 @@ def _cmd_report(args, rc: RunConfig, out) -> int:
 # Parser assembly
 # ----------------------------------------------------------------------
 
-def _add_precision_flags(p):
+def _session_flags() -> argparse.ArgumentParser:
+    """The flags of every subcommand: --config, --zero-cache and one flag
+    per PrecisionConfig field, of the type of the field's default."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="path to a 'key = value' config file")
     p.add_argument("--zero-cache", help="zero-list cache file")
-    p.add_argument("--target-abs-error", dest="target_abs_error", type=float)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float)
-    p.add_argument("--rs-correction-terms", dest="rs_correction_terms",
-                   type=int)
-    p.add_argument("--max-subdivisions", dest="max_subdivisions", type=int)
+    for f in dataclasses.fields(PrecisionConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=type(f.default))
+    return p
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="bsy",
                   description="Critical-line zeta laboratory")
     sub = top.add_subparsers(dest="command", required=True)
+    common = [_session_flags()]
 
-    p = sub.add_parser("zeta", help="evaluate zeta(sigma + it)")
+    p = sub.add_parser("zeta", parents=common,
+                       help="evaluate zeta(sigma + it)")
     p.add_argument("--t", required=True, type=float)
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_precision_flags(p)
 
     p = sub.add_parser("zeros", help="find or verify zero lists")
     zsub = p.add_subparsers(dest="zeros_cmd", required=True)
-    pf = zsub.add_parser("find")
+    pf = zsub.add_parser("find", parents=common)
     pf.add_argument("--max-t", required=True, type=float)
     pf.add_argument("--out", required=True)
-    _add_precision_flags(pf)
-    pv = zsub.add_parser("verify")
+    pv = zsub.add_parser("verify", parents=common)
     pv.add_argument("--in", dest="infile", required=True)
-    _add_precision_flags(pv)
 
-    p = sub.add_parser("integral", help="critical-line weighted integral")
+    p = sub.add_parser("integral", parents=common,
+                       help="critical-line weighted integral")
     p.add_argument("--T", required=True, type=float)
     p.add_argument("--zeros", required=True, help="verified zero-list file")
     p.add_argument("--tmax", type=float,
                    help="compute the truncated tail over [T, tmax]")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_precision_flags(p)
 
-    p = sub.add_parser("integral-scan",
+    p = sub.add_parser("integral-scan", parents=common,
                        help="scan I(T) over a grid and fit a decay model")
     p.add_argument("--tmin", required=True, type=float)
     p.add_argument("--tmax", required=True, type=float)
@@ -435,33 +419,28 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=integral.MODELS, default="pure_power")
     p.add_argument("--zeros", required=True)
     p.add_argument("--out", required=True)
-    _add_precision_flags(p)
 
     p = sub.add_parser("arg", help="argument statistics S, S1 and scans")
     asub = p.add_subparsers(dest="arg_cmd", required=True)
-    ps = asub.add_parser("s")
+    ps = asub.add_parser("s", parents=common)
     ps.add_argument("--t", required=True, type=float)
     ps.add_argument("--zeros")
-    _add_precision_flags(ps)
-    p1 = asub.add_parser("s1")
+    p1 = asub.add_parser("s1", parents=common)
     p1.add_argument("--t", required=True, type=float)
     p1.add_argument("--method", choices=("direct", "littlewood"),
                     default="littlewood")
-    _add_precision_flags(p1)
-    pl = asub.add_parser("lemma2")
+    pl = asub.add_parser("lemma2", parents=common)
     pl.add_argument("--T", required=True, type=float)
     pl.add_argument("--tmax", required=True, type=float)
     pl.add_argument("--points", required=True, type=int)
-    _add_precision_flags(pl)
-    po = asub.add_parser("omega")
+    po = asub.add_parser("omega", parents=common)
     po.add_argument("--T", required=True, type=float)
     po.add_argument("--h", required=True, type=float)
-    _add_precision_flags(po)
 
     p = sub.add_parser("resonator", help="build or check resonator tables")
     rsub = p.add_subparsers(dest="resonator_cmd", required=True)
     for name in ("build", "check"):
-        pr = rsub.add_parser(name)
+        pr = rsub.add_parser(name, parents=common)
         pr.add_argument("--mu", required=True, type=int)
         pr.add_argument("--nu", required=True, type=int)
         pr.add_argument("--N", required=True, type=int)
@@ -474,27 +453,23 @@ def build_parser() -> _Parser:
             pr.add_argument("--sign", choices=("plus", "minus"),
                             default="plus")
             pr.add_argument("--out", required=True)
-        _add_precision_flags(pr)
 
     p = sub.add_parser("mv", help="Dirichlet-polynomial mean values")
     msub = p.add_subparsers(dest="mv_cmd", required=True)
-    pe = msub.add_parser("exact")
+    pe = msub.add_parser("exact", parents=common)
     pe.add_argument("--table", required=True)
     pe.add_argument("--T", required=True, type=float)
-    _add_precision_flags(pe)
-    pm = msub.add_parser("lemma3")
+    pm = msub.add_parser("lemma3", parents=common)
     pm.add_argument("--table", required=True)
     pm.add_argument("--alpha", required=True, type=float)
     pm.add_argument("--h", required=True, type=float)
     pm.add_argument("--T", required=True, type=float)
     pm.add_argument("--eps-margin", dest="eps_margin", type=float,
                     default=0.05)
-    _add_precision_flags(pm)
 
-    p = sub.add_parser("report",
+    p = sub.add_parser("report", parents=common,
                        help="run one acceptance experiment")
     p.add_argument("suite")
-    _add_precision_flags(p)
 
     return top
 
@@ -531,8 +506,9 @@ def run(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rc = load_run_config(getattr(args, "config", None))
-        rc = _apply_flag_overrides(rc, args)
+        rc = _merged(load_run_config(getattr(args, "config", None)),
+                     dict(vars(args),
+                          zero_cache_path=getattr(args, "zero_cache", None)))
         return _HANDLERS[args.command](args, rc, out)
     except (BsyError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__,

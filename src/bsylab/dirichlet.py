@@ -66,8 +66,8 @@ class Lemma3Request:
             raise ValueError("T must be finite and >= 3")
         if not math.isfinite(self.h):
             raise ValueError("h must be finite")
-        if self.eps_margin <= 0:
-            raise ValueError("eps_margin must be positive")
+        if not (math.isfinite(self.eps_margin) and self.eps_margin > 0):
+            raise ValueError("eps_margin must be finite and positive")
         _table_arrays(self.table)
 
 

@@ -80,6 +80,8 @@ class ResonatorParams:
             raise ValueError("need mu, nu >= 0 and N > 1")
         if self.N >= 2 ** 63:
             raise ValueError("need N < 2^63, the int64 range of entries")
+        if not all(map(math.isfinite, (self.h, self.L, self.A, self.B))):
+            raise ValueError("need finite h, L, A and B")
         if self.h < 0 or self.h > 1:
             raise ValueError("need 0 <= h <= 1")
         if self.L <= 0 or self.A <= 0 or self.B <= 0 or self.A >= self.B:

@@ -1,5 +1,6 @@
 """CLI plumbing: subcommands, config handling, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from bsylab import cli, dirichlet, resonator
 from bsylab.cli import RunConfig, load_run_config, run
-from bsylab.config import DEFAULT
+from bsylab.config import DEFAULT, PrecisionConfig
 from bsylab.errors import ParseError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,6 +24,13 @@ def _run(argv, cwd=None):
     buf = io.StringIO()
     code = run(argv, out=buf)
     return code, buf.getvalue()
+
+
+def _error(capsys):
+    """The JSON error that a failed run printed: all of stderr, no stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +70,7 @@ def test_integral_tail_below_zero_exits_2(cache_file, capsys):
     code, out = _run(["integral", "--T", "-5", "--tmax", "30",
                       "--zeros", cache_file])
     assert code == 2 and out == ""
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert _error(capsys)["error"] == "ValueError"
 
 
 def test_integral_determinism(cache_file):
@@ -95,9 +103,7 @@ def test_arg_s1_direct_below_ten_is_a_domain_error(cache_file, capsys):
     code, _ = _run(["arg", "s1", "--method", "direct", "--t", "5",
                     "--zero-cache", cache_file])
     assert code == 2
-    err = capsys.readouterr().err
-    assert json.loads(err)["error"] == "ValueError"
-    assert "Traceback" not in err
+    assert _error(capsys)["error"] == "ValueError"
 
 
 def test_resonator_and_mv_roundtrip(tmp_path):
@@ -152,37 +158,35 @@ def test_mv_lemma3_evaluates_each_side_once(tmp_path, toy_table,
     ["exact", "--T", "inf"],
     ["lemma3", "--alpha", "0.6", "--h", "0.1", "--T", "nan"],
     ["lemma3", "--alpha", "0.6", "--h", "inf", "--T", "100"],
+    ["lemma3", "--alpha", "0.6", "--h", "0.1", "--T", "100",
+     "--eps-margin", "nan"],
 ])
 def test_mv_non_finite_input_exits_2(tmp_path, toy_table, capsys, argv):
     table = str(tmp_path / "toy.txt")
     resonator.write_table(toy_table, table)
     assert run(["mv", argv[0], "--table", table, *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    doc = json.loads(captured.err.strip().splitlines()[-1])
-    assert doc["error"] == "ValueError"
+    assert _error(capsys)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("params", [
+    ["--h", "nan"],
+    ["--h", "0.1", "--override", "--A", "nan", "--B", "30", "--L", "1"],
+    ["--h", "0.1", "--override", "--A", "2", "--B", "inf", "--L", "1"],
+])
+def test_resonator_non_finite_input_exits_2(capsys, params):
+    assert run(["resonator", "check", "--mu", "2", "--nu", "0",
+                "--N", "1000", *params]) == 2
+    doc = _error(capsys)
+    assert doc["error"] == "ValueError" and "finite" in doc["message"]
 
 
 def test_mv_table_entry_below_1_exits_2(tmp_path, capsys):
     table = tmp_path / "t.txt"
     table.write_text("0 1.0\n2 0.5\n")
     assert run(["mv", "exact", "--table", str(table), "--T", "1000"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    doc = json.loads(captured.err.strip().splitlines()[-1])
+    doc = _error(capsys)
     assert doc["error"] == "ParseError"
     assert doc["message"].startswith("line 1:")
-
-
-def test_mv_lemma3_huge_entry_exits_2(tmp_path, capsys):
-    table = tmp_path / "t.txt"
-    table.write_text(f"1 1.0\n{10 ** 18 + 9} 0.5\n")
-    assert run(["mv", "lemma3", "--table", str(table), "--alpha", "0.6",
-                "--h", "0.1", "--T", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    doc = json.loads(captured.err.strip().splitlines()[-1])
-    assert doc["error"] == "TableTooLarge"
 
 
 def test_mv_lemma3_refuses_huge_table_before_the_integral(tmp_path, capsys,
@@ -196,8 +200,7 @@ def test_mv_lemma3_refuses_huge_table_before_the_integral(tmp_path, capsys,
     monkeypatch.setattr(dirichlet, "lemma3_lhs", never)
     assert run(["mv", "lemma3", "--table", str(table), "--alpha", "0.6",
                 "--h", "0.1", "--T", "300"]) == 2
-    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert doc["error"] == "TableTooLarge"
+    assert _error(capsys)["error"] == "TableTooLarge"
 
 
 def test_resonator_build_N_beyond_int64_exits_2(tmp_path, capsys):
@@ -205,9 +208,7 @@ def test_resonator_build_N_beyond_int64_exits_2(tmp_path, capsys):
                 "--N", str(10 ** 19), "--override", "--A", "2100000",
                 "--B", "2100200", "--L", "1",
                 "--out", str(tmp_path / "t.txt")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    doc = json.loads(captured.err.strip().splitlines()[-1])
+    doc = _error(capsys)
     assert doc["error"] == "ValueError" and "2^63" in doc["message"]
 
 
@@ -252,12 +253,21 @@ def test_one_parser_serves_every_run(tmp_path, monkeypatch, capsys):
     assert (here / "z.txt").read_text() == (fresh / "z.txt").read_text()
 
 
+def test_module_entry_point_prints_no_warning():
+    # runpy warns if the package has imported cli before it runs as __main__
+    argv = ["zeta", "--t", "100", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bsylab.cli",
+         *argv], cwd=README.parent / "src", capture_output=True, text=True,
+        timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _run(argv)[1]
+
+
 def test_computational_errors_exit_2(cache_file, capsys):
     code = run(["integral", "--T", "5000", "--zeros", cache_file])
     assert code == 2
-    err = capsys.readouterr().err
-    doc = json.loads(err.strip().splitlines()[-1])
-    assert doc["error"] == "ZeroListInsufficient"
+    assert _error(capsys)["error"] == "ZeroListInsufficient"
 
 
 def test_zeros_verify_missing_last_ordinate_exits_2(tmp_path, zeros_100,
@@ -267,10 +277,7 @@ def test_zeros_verify_missing_last_ordinate_exits_2(tmp_path, zeros_100,
     export_zeros(ZeroList(zeros_100.ordinates[:-1],
                           zeros_100.covered_height), path)
     assert run(["zeros", "verify", "--in", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    doc = json.loads(captured.err.strip().splitlines()[-1])
-    assert doc["error"] == "Inconsistent"
+    assert _error(capsys)["error"] == "Inconsistent"
 
 
 def test_config_file_and_env(tmp_path, monkeypatch):
@@ -301,6 +308,23 @@ def test_flag_overrides_config(tmp_path, cache_file):
     err_loose = float(loose.splitlines()[1].split(",")[2])
     err_tight = float(tight.splitlines()[1].split(",")[2])
     assert err_tight < err_loose
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(PrecisionConfig),
+                         ids=lambda f: f.name)
+def test_precision_field_is_a_flag_and_a_file_key(tmp_path, monkeypatch,
+                                                  field):
+    value = type(field.default)(field.default / 2)
+    (tmp_path / "bsy.conf").write_text(f"{field.name} = {value}\n")
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "zeta",
+                        lambda args, rc, out: seen.append(rc.precision) or 0)
+    for given in (["--" + field.name.replace("_", "-"), str(value)],
+                  ["--config", str(tmp_path / "bsy.conf")]):
+        assert run(["zeta", "--t", "1", *given]) == 0
+    want = dataclasses.replace(DEFAULT, **{field.name: value})
+    assert seen == [want, want]
+    assert {type(getattr(p, field.name)) for p in seen} == {type(value)}
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -342,11 +366,9 @@ def test_report_mean_value_without_scipy(monkeypatch, capsys):
     # criterion 10's quadrature oracle is the one use of scipy left
     monkeypatch.setitem(sys.modules, "scipy.integrate", None)
     assert run(["report", "mean-value"], out=io.StringIO()) == 2
-    err = capsys.readouterr().err
-    doc = json.loads(err)
+    doc = _error(capsys)
     assert doc["error"] == "MissingDependency"
     assert "test extra" in doc["message"]
-    assert "Traceback" not in err
 
 
 _NO_SCIPY_SCRIPT = """

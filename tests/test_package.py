@@ -1,0 +1,59 @@
+"""The package's lazy exports and the import boundary of each module."""
+
+import ast
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+import bsylab
+
+_SRC = Path(bsylab.__file__).parent
+_MODULES = sorted(p.stem for p in _SRC.glob("*.py") if p.stem != "__init__")
+_LOADED = ("import sys, bsylab.{}; print(*sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('bsylab', 'scipy', 'mpmath')))")
+
+
+def _reach(module, seen):
+    """seen, with module and the package modules that its top-level import
+    statements reach, read from the source."""
+    seen.add(f"bsylab.{module}")
+    for node in ast.parse((_SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for name in ([node.module] if node.module
+                         else [alias.name for alias in node.names]):
+                if f"bsylab.{name}" not in seen:
+                    _reach(name, seen)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    # one fresh interpreter per module, two at a time (in a row: about 4 s)
+    def fresh(module):
+        return subprocess.run(
+            [sys.executable, "-c", _LOADED.format(module)], text=True,
+            capture_output=True, check=True, cwd=_SRC.parent,
+            timeout=120).stdout.split()
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(_MODULES, pool.map(fresh, _MODULES)))
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_module_imports_alone(loaded, module):
+    # the package, the module and what its imports reach; no scipy, mpmath
+    assert loaded[module] == sorted(_reach(module, {"bsylab"}))
+
+
+def test_exports_are_their_home_objects():
+    star = {}
+    exec("from bsylab import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == bsylab.__all__
+    assert set(_MODULES) <= set(bsylab.__all__) <= set(dir(bsylab))
+    for name, home in bsylab._HOME.items():
+        module = sys.modules[f"bsylab.{home}"]
+        assert star[name] is (module if name == home
+                              else getattr(module, name))
+    assert not hasattr(bsylab, "no_such_name")

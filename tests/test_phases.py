@@ -1,16 +1,13 @@
-"""The phase-kernel module: its import boundary and its greedy cut."""
+"""The phase-kernel module: one home for its names, and its greedy cut."""
 
 import ast
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import bsylab
 from bsylab import phases, zeta
 
 _SRC = Path(phases.__file__).parent
@@ -26,23 +23,6 @@ def _phases_names():
             names.update(t.id for t in node.targets
                          if isinstance(t, ast.Name))
     return names
-
-
-def test_phases_loads_no_engine():
-    # the package's __init__ imports every module, so a bare package
-    # object stands in for it: what loads is phases and what it imports
-    code = "\n".join([
-        "import sys, types",
-        "pkg = types.ModuleType('bsylab')",
-        f"pkg.__path__ = {list(bsylab.__path__)!r}",
-        "sys.modules['bsylab'] = pkg",
-        "import bsylab.phases",
-        "print(*sorted(m for m in sys.modules",
-        "              if m.split('.')[0] in ('bsylab', 'scipy', 'mpmath')))",
-    ])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["bsylab", "bsylab.phases", "bsylab.sieve"]
 
 
 def _uses(tree):

@@ -967,7 +967,9 @@ def test_phase_sum_on_integer_sets_within_bound(ns, seed, ts):
     (np.array([1, 6, 35, 221]), 6),            # 2, 3, 5, 7, 13, 17
     (np.array([1, 11, 13, 143, 221, 2431]), 3),  # divisor-closed
     (np.array([1, 10 ** 18 + 9]), 1),          # prime: no factor below 2^10
-], ids=["prefix", "one", "cofactors-absent", "divisor-closed", "far-out"])
+    (np.array([1, 1031 * 1033]), 1),           # 1031*1033: a composite base
+], ids=["prefix", "one", "cofactors-absent", "divisor-closed", "far-out",
+        "composite-base"])
 def test_only_bases_are_reduced(monkeypatch, ns, n_bases):
     reduced = []
     base_phases = phases._base_phases
