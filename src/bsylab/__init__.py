@@ -12,7 +12,7 @@ _TABLE = """acceptance: accum: phases: sieve: config: DEFAULT PrecisionConfig
 errors: BetaOutOfRange BranchAmbiguous BsyError Degenerate DegenerateFit
     Inconsistent MissingDependency NearZeroOrdinate NotAscending OnOrdinate
     ParseError PoleAt1 PrecisionUnreachable TableTooLarge ToleranceNotMet
-    ZeroListInsufficient ZeroOnPath
+    UnsupportedPlatform ZeroListInsufficient ZeroOnPath
 zeta: ZetaValue hardy_z hardy_z_batch log_abs_zeta_half log_zeta_branch
     rs_error_bound rs_theta zeta_em
 zeros: ORDINATE_ACCURACY ZeroCandidate ZeroList count_zeros export_zeros

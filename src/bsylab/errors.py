@@ -77,3 +77,8 @@ class TableTooLarge(BsyError):
 
 class MissingDependency(BsyError):
     """An optional package that this computation needs is not installed."""
+
+
+class UnsupportedPlatform(BsyError):
+    """The platform's floating point lacks what the error bounds assume
+    (an 80-bit longdouble)."""

@@ -39,10 +39,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sieve
+from . import errors, sieve
+
+#: The least longdouble significand (bits after the leading one) the
+#: phase bounds hold for: x87 extended precision.
+LD_NMANT_MIN = 63
+
+
+def _require_extended_longdouble(nmant: int) -> None:
+    """Raise UnsupportedPlatform unless longdouble carries at least
+    ``LD_NMANT_MIN`` significand bits: ``LD_PHASE_ROUNDOFF`` assumes
+    them, and a float64 longdouble would leave every phase bound about
+    2000 times too small.  Run once, at import."""
+    if nmant < LD_NMANT_MIN:
+        raise errors.UnsupportedPlatform(
+            f"numpy longdouble has {nmant} significand bits; the phase "
+            f"bounds of bsylab need at least {LD_NMANT_MIN} (x87 extended "
+            f"precision)")
+
+
+_require_extended_longdouble(np.finfo(np.longdouble).nmant)
 
 #: 2*pi to longdouble precision.
 TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
+
+#: Bound on the error of a phase t*log(b) reduced mod 2*pi in longdouble
+#: (``reduced_phases``), per unit of t*log(b): about 14 longdouble
+#: epsilons (2^-63), for the rounding of log b, of the product, and of
+#: the multiple of 2*pi taken off.
+LD_PHASE_ROUNDOFF = 1.5e-18
 
 _CHUNK = 4_000_000  # max elements of any (points x terms) intermediate
 
@@ -50,6 +75,10 @@ _CHUNK = 4_000_000  # max elements of any (points x terms) intermediate
 #: ``expansion_about`` (1 MiB of complex), so that its memory does not
 #: grow with the number of centres.
 _CENTRE_BLOCK = 1 << 16
+
+#: ``cluster_horner`` sums at most this many heights at once (three
+#: complex temporaries of 128 KiB each).
+_HORNER_BLOCK = 1 << 13
 
 #: A height may sit this many float64 ulps of max|t| off the arithmetic
 #: progression and still count as on it (linspace and T + dx*arange
@@ -81,7 +110,7 @@ def phase_roundoff(tmax: float, lmax: float, amp_sum: float) -> float:
     floor at tmax = 0, times e^r - 1) on the cluster path; a lone height
     gets the floor alone.
     """
-    return (1.5e-18 * (1.0 + tmax) * lmax + 1.5e-15) * amp_sum
+    return (LD_PHASE_ROUNDOFF * (1.0 + tmax) * lmax + 1.5e-15) * amp_sum
 
 
 #: Bound on the extra rounding of one phase built as a product, per unit
@@ -217,17 +246,28 @@ def factor_plan(ns: np.ndarray) -> _FactorPlan:
     return _plan_of(ns.tobytes())
 
 
-def _base_phases(ts_ld: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """exp(-i t log b) as a (len(logs) x len(ts)) complex matrix: the one
-    place where t*log(b) is reduced mod 2*pi.
+def reduced_phases(x: np.ndarray) -> np.ndarray:
+    """exp(-i x) for longdouble phases x = t*log(b): the one place where a
+    phase is reduced mod 2*pi.
 
-    x = t*log(b) is reduced in longdouble to x - 2*pi*rint(x/(2*pi)) in
-    [-pi, pi], off by a few longdouble ulps of x (the phase part of
-    ``phase_roundoff``), so that its float64 rounding is at most 2u.
+    x is reduced in place, in longdouble, to x - 2*pi*rint(x/(2*pi)) in
+    [-pi, pi], off by a few longdouble ulps of x (at most
+    ``LD_PHASE_ROUNDOFF`` * x, the phase part of ``phase_roundoff``), so
+    that its float64 rounding is at most 2u.
     """
-    x = logs[:, None] * ts_ld[None, :]
-    ph = x - TWO_PI_LD * np.rint(x / TWO_PI_LD)
-    return np.exp(-1j * ph.astype(float))
+    k = x / TWO_PI_LD
+    np.rint(k, out=k)
+    k *= TWO_PI_LD
+    x -= k
+    del k
+    e = -1j * x.astype(float)
+    return np.exp(e, out=e)
+
+
+def _base_phases(ts_ld: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """exp(-i t log b) as a (len(logs) x len(ts)) complex matrix, each
+    phase reduced by ``reduced_phases``."""
+    return reduced_phases(logs[:, None] * ts_ld[None, :])
 
 
 def unit_phases(ts_ld: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -451,15 +491,21 @@ def cluster_horner(mom: np.ndarray, cl: np.ndarray,
     moments ``mom[cl]`` of its centre: the cluster path's evaluation step.
     The moments are read as contiguous columns, one per order j gathered
     at cl (``mom.T``, copied only when not contiguous), and z is formed
-    once; the steps acc * z + m_j are those of forming -i x afresh at each
-    order, so the sum is the same to the bit."""
+    once per block of ``_HORNER_BLOCK`` heights, so that the temporaries
+    do not grow with the batch; the steps acc * z + m_j are those of
+    forming -i x afresh at each order, so the sum is the same to the
+    bit."""
     cols = np.ascontiguousarray(mom.T)
-    z = -1j * x
-    acc = cols[-1][cl]
-    for col in cols[-2::-1]:
-        acc *= z
-        acc += col[cl]
-    return acc
+    out = np.empty(x.shape, dtype=complex)
+    for b0 in range(0, x.size, _HORNER_BLOCK):
+        at = cl[b0:b0 + _HORNER_BLOCK]
+        z = -1j * x[b0:b0 + _HORNER_BLOCK]
+        acc = out[b0:b0 + _HORNER_BLOCK]
+        np.take(cols[-1], at, out=acc)
+        for col in cols[-2::-1]:
+            acc *= z
+            acc += col[at]
+    return out
 
 
 def expansion_about(ns: np.ndarray, amps: np.ndarray, centres: np.ndarray,

@@ -7,7 +7,13 @@ test suite:
   computable remainder bound; the accuracy workhorse.  No setting
   fixes its truncation M or correction order K: each call takes the
   pair of least M + K, its work per height, whose remainder bound
-  meets the call's target (``_em_truncation``).
+  meets the call's target (``_em_plan``).  The correction tail is one
+  Horner pass from the top in q_k/M^2 = (s + 2k - 3)(s + 2k - 2)/M^2,
+  with M and K scalars or one per height, and the phase t log M of
+  M^(-s) reduced in longdouble; the bound carries the rounding of that
+  pass and the error of that phase (``_em_tail_roundoff``).  A
+  ``NearZ`` call takes one tail pass and one Horner pass over all its
+  heights, whatever their octave groups.
 * The Riemann-Siegel main sum with up to four correction terms (all
   four by default), O(sqrt(t)) per point and vectorized;
   ``hardy_z_batch`` keeps it wherever the bound it returns meets the
@@ -36,6 +42,8 @@ from . import errors, phases
 from .config import DEFAULT, POLE_THRESHOLD, PrecisionConfig
 
 TWO_PI = 2.0 * math.pi
+
+_U = 2.0 ** -53     # float64 unit roundoff
 
 #: Validity threshold of the theta asymptotic expansion.
 THETA_T_MIN = 10.0
@@ -285,7 +293,10 @@ _EM_M_MIN = 24
 _EM_KS = np.arange(1, _EM_K_MAX + 1)
 _EM_2K1 = 2.0 * _EM_KS + 1.0
 _EM_JS = np.arange(2.0 * _EM_K_MAX + 1.0)
-_EM_LOG_B = np.log(np.abs(_B2K_OVER_FACT[2:_EM_K_MAX + 2]))
+
+#: log|B_2k/(2k)!|, k = 1.._EM_K_MAX + 1: the tail's coefficients and,
+#: shifted by one, the remainder's.
+_EM_LOG_B = np.log(np.abs(_B2K_OVER_FACT[1:_EM_K_MAX + 2]))
 
 
 def _em_log_remainder(sigma: float, tmax: float) -> tuple[np.ndarray,
@@ -300,7 +311,7 @@ def _em_log_remainder(sigma: float, tmax: float) -> tuple[np.ndarray,
     with np.errstate(divide="ignore"):
         logpoch = np.cumsum(np.log(np.hypot(sigma + _EM_JS, tmax)))[2::2]
     a = sigma + _EM_2K1
-    return (_EM_LOG_B + logpoch
+    return (_EM_LOG_B[1:] + logpoch
             + np.log((math.hypot(sigma, tmax) + _EM_2K1) / a)), a
 
 
@@ -310,11 +321,13 @@ def _em_remainder_bound(sigma: float, tmax: float, M: int, K: int) -> float:
     return float(np.exp(log_a[K - 1] - a[K - 1] * math.log(M)))
 
 
-def _em_truncation(sigma: float, tmax: float,
-                   target: float) -> tuple[int, int]:
-    """The truncation M >= _EM_M_MIN and correction order K <= _EM_K_MAX
-    of least M + K, the work per height (M - 1 phase terms and K tail
-    terms), whose remainder bound at sigma + i tmax meets ``target``.
+def _em_plan(sigma: float, tmax: float,
+             target: float) -> tuple[int, int, float]:
+    """(M, K, bound): the truncation M >= _EM_M_MIN and correction order
+    K <= _EM_K_MAX of least M + K, the work per height (M - 1 phase terms
+    and K tail terms), whose remainder bound at sigma + i tmax meets
+    ``target``, and that bound (``_em_remainder_bound``), all from one
+    ``_em_log_remainder``.
 
     Each K gives its least M directly from A_K M^(-a_K) <= target, aimed
     1e-9 (relative) under the target so that rounding in the logs cannot
@@ -330,9 +343,16 @@ def _em_truncation(sigma: float, tmax: float,
         raise errors.PrecisionUnreachable(
             f"Euler-Maclaurin cannot reach {target} at sigma={sigma}, "
             f"t={tmax} with M <= {m_max:.0f} and K <= {_EM_K_MAX}")
-    M = np.maximum(_EM_M_MIN, np.ceil(np.exp(np.where(ok, log_m, 0.0))))
-    k = int(np.argmin(np.where(ok, M + _EM_KS, np.inf)))
-    return int(M[k]), k + 1
+    Ms = np.maximum(_EM_M_MIN, np.ceil(np.exp(np.where(ok, log_m, 0.0))))
+    k = int(np.argmin(np.where(ok, Ms + _EM_KS, np.inf)))
+    M = int(Ms[k])
+    return M, k + 1, float(np.exp(log_a[k] - a[k] * math.log(M)))
+
+
+def _em_truncation(sigma: float, tmax: float,
+                   target: float) -> tuple[int, int]:
+    """The (M, K) of ``_em_plan``."""
+    return _em_plan(sigma, tmax, target)[:2]
 
 
 def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
@@ -341,19 +361,113 @@ def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
     return _em_truncation(sigma, tmax, target)[0]
 
 
-def _em_tail(s: np.ndarray, M: int, K: int) -> np.ndarray:
-    """The Euler-Maclaurin terms added to the sum over n < M:
-    M^(-s) (M/(s-1) + 1/2 + sum over k <= K of B_2k/(2k)! c_k), where
-    c_k = s(s+1)...(s+2k-2) M^(1-2k) is one running product, each
-    Pochhammer factor taken with its power of M so that none overflows.
+#: ``_em_tail_factors`` forms every q_k at once while they hold at most
+#: this many values (256 KiB); past it, one q_k at a time in place.  Each
+#: way is faster on its side: on 15 to 90 heights (the sigma grids of
+#: ``log_zeta_branch`` and ``S1_littlewood``) at once took 0.35 to 0.8
+#: of the time of one at a time, on 1122 and 2000 (the Newton rounds of
+#: the zero solve) 1.25 and 1.5 times it (2-vCPU x86).
+_EM_TAIL_CELLS = 1 << 14
+
+
+def _em_tail_factors(s: np.ndarray, Mf: np.ndarray, top: int):
+    """q_k = (s + 2k - 3)(s + 2k - 2)/M^2 for k = top, ..., 2, each a row
+    over the points of s (M one per point, in Mf), all formed at once
+    when (top - 1) len(s) <= ``_EM_TAIL_CELLS`` and one at a time
+    otherwise.  Either way each q_k comes from the same operations on the
+    same operands, so it has the same bits."""
+    inv_m2 = (1.0 / (Mf * Mf)).astype(complex)
+    if (top - 1) * s.size <= _EM_TAIL_CELLS:
+        ks = np.arange(top, 1, -1.0)[:, None]
+        q = s + (2.0 * ks - 3.0)
+        q *= s + (2.0 * ks - 2.0)
+        q *= inv_m2
+        yield from q
+        return
+    q, f = np.empty_like(s), np.empty_like(s)
+    for k in range(top, 1, -1):
+        np.add(s, 2 * k - 3, out=q)
+        np.add(s, 2 * k - 2, out=f)
+        q *= f
+        q *= inv_m2
+        yield q
+
+
+def _em_tail(s: np.ndarray, M, K) -> np.ndarray:
+    """The Euler-Maclaurin terms added to the sum over n < M, at each
+    point of the 1-d array s:
+
+        M^(-s) (M/(s-1) + 1/2 + (s/M) h),
+        h = b_1 + q_2 (b_2 + q_3 (b_3 + ... + q_K b_K)),
+
+    b_k = B_2k/(2k)! and q_k = (s + 2k - 3)(s + 2k - 2)/M^2, so that
+    (s/M) q_2 ... q_k = s(s+1)...(s+2k-2) M^(1-2k): one Horner pass from
+    the top, in place, no factor overflowing.  M and K are scalars or one
+    per point; a point of order K below the largest takes b_k = 0 above
+    its own K, and those leading steps are exact, so that it gets the
+    same value to the bit as a call at its own (M, K).  M^(-s) takes the
+    phase t log M reduced mod 2 pi in longdouble
+    (``phases.reduced_phases``).  ``_em_tail_roundoff`` bounds the
+    rounding.
     """
-    Mf = float(M)
-    c = s / Mf
-    acc = _B2K_OVER_FACT[1] * c
-    for k in range(2, K + 1):
-        c = c * ((s + (2 * k - 3)) * (s + (2 * k - 2)) / (Mf * Mf))
-        acc += _B2K_OVER_FACT[k] * c
-    return Mf ** (-s) * (Mf / (s - 1.0) + 0.5 + acc)
+    out = np.empty(s.shape, dtype=complex)
+    if s.size == 0:
+        return out
+    # one M per point either way, so that every complex operation and
+    # power runs the same loop on the same operands
+    Mf = np.empty(s.shape)
+    Mf[...] = M
+    K = np.asarray(K)
+    low, top = int(K.min()), int(K.max())
+    b = _B2K_OVER_FACT
+    out[...] = np.where(K == top, b[top], 0.0)
+    for k, q in zip(range(top, 1, -1), _em_tail_factors(s, Mf, top)):
+        out *= q
+        # b_(k-1) only where k - 1 <= K: the rest stay exactly 0
+        np.add(out, b[k - 1], out=out, where=True if k - 1 <= low
+               else K >= k - 1)
+    out *= s / Mf
+    out += Mf / (s - 1.0)
+    out += 0.5
+    # log M in longdouble, once per distinct M
+    Ms, at = np.unique(M, return_inverse=True) if np.ndim(M) else ([M], 0)
+    log_m = np.log(np.array(Ms, dtype=np.longdouble))[at]
+    out *= Mf ** -s.real * phases.reduced_phases(s.imag * log_m)
+    return out
+
+
+def _em_tail_roundoff(sigmas: tuple[float, float], ts: tuple[float, float],
+                      M: int, K: int) -> float:
+    """Bound on the error ``_em_tail`` at (M, K) adds over the points
+    sigma + i t with sigma in the range ``sigmas`` = (sigma_lo, sigma_hi)
+    and |t| in ``ts`` = (t_lo, t_hi): the phase of M^(-s) and the Horner
+    sum,
+
+        M^(-sigma_lo) (LD_PHASE_ROUNDOFF t_hi log M A
+                       + 10 u sum over k <= K of k |b_k| |c_k|),
+
+    c_k = s(s+1)...(s+2k-2) M^(1-2k) and A = M/|s - 1| + 1/2 +
+    sum |b_k| |c_k| the tail's largest size.  t log M is reduced in
+    longdouble (``phases.LD_PHASE_ROUNDOFF``).  In the Horner sum each
+    q_k is within (4 + sqrt 5) u of its value, a step adds sqrt 5 u (the
+    product; Brent, Percival and Zimmermann, Math. Comp. 76 (2007)
+    1469-1481) and u (the sum), and the factor s/M with its product
+    about 5 u, so term k strays by less than 10 k u.  Each |s + j| is
+    taken at its largest over the ranges, |s - 1| at its least.  The few
+    roundings after the sum (M/(s - 1), two sums, M^(-sigma), e^(-i phase)
+    and the last product: about 20 u of |tail|) are not in it.
+    """
+    (s_lo, s_hi), (t_lo, t_hi) = sigmas, ts
+    js = _EM_JS[:2 * K - 1]
+    with np.errstate(divide="ignore"):
+        logpoch = np.log(np.hypot(np.maximum(np.abs(s_lo + js), s_hi + js),
+                                  t_hi)).cumsum()[::2]
+    log_m = math.log(M)
+    terms = np.exp(_EM_LOG_B[:K] + logpoch - (_EM_2K1[:K] - 2.0) * log_m)
+    gap = math.hypot(max(s_lo - 1.0, 1.0 - s_hi, 0.0), t_lo)   # least |s-1|
+    size = (M / gap if gap else math.inf) + 0.5 + float(terms.sum())
+    return M ** -s_lo * (phases.LD_PHASE_ROUNDOFF * t_hi * log_m * size
+                         + 10.0 * _U * float(_EM_KS[:K] @ terms))
 
 
 def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
@@ -365,18 +479,22 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
     is one ``phases.phase_sum``: a blocked matrix product when ts is a uniform
     grid, a Taylor expansion about each cluster of nearby heights
     otherwise (a single point is a cluster of one).  The bound is the
-    remainder bound plus that sum's bound.
+    remainder bound plus that sum's bound plus the tail's
+    (``_em_tail_roundoff``).
     """
     ts = np.asarray(ts, dtype=float)
     if target is None:
         target = cfg.target_abs_error
     tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
-    M, K = _em_truncation(sigma, tmax, target)
+    M, K, bound = _em_plan(sigma, tmax, target)
 
     n = np.arange(1, M)
     vals, roundoff = phases.phase_sum(n, n ** -float(sigma), ts)
-    vals += _em_tail(sigma + 1j * ts, M, K)
-    bound = _em_remainder_bound(sigma, tmax, M, K) + roundoff
+    if ts.size:
+        vals += _em_tail(sigma + 1j * ts, M, K)
+        tmin = float(np.min(np.abs(ts)))
+        bound += roundoff + _em_tail_roundoff((sigma, sigma), (tmin, tmax),
+                                              M, K)
     return vals, np.full(ts.shape, bound)
 
 
@@ -385,15 +503,17 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
                    target: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """zeta(sigma_j + i t) over a sigma grid at one height t: the main
     sums by ``phases.sums_at_height``, the bound the remainder bound at
-    the least sigma plus their floor."""
+    the least sigma plus their floor plus the tail's over the grid
+    (``_em_tail_roundoff``)."""
     sigmas = np.asarray(sigmas, dtype=float)
     if target is None:
         target = cfg.target_abs_error
     smin = float(np.min(sigmas))
-    M, K = _em_truncation(smin, abs(t), target)
+    M, K, bound = _em_plan(smin, abs(t), target)
     sums, floor, built = phases.sums_at_height(np.arange(1, M), sigmas, t)
     vals = sums + _em_tail(sigmas + 1j * t, M, K)
-    bound = _em_remainder_bound(smin, abs(t), M, K) + floor + built
+    bound += floor + built + _em_tail_roundoff(
+        (smin, float(np.max(sigmas))), (abs(t), abs(t)), M, K)
     return vals, np.full(sigmas.shape, bound)
 
 
@@ -419,8 +539,6 @@ def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
 # ----------------------------------------------------------------------
 # Riemann-Siegel Z
 # ----------------------------------------------------------------------
-
-_U = 2.0 ** -53     # float64 unit roundoff
 
 #: C0..C3 in powers of y = x^2, x = 2p - 1, lowest first; C1 and C3 are
 #: odd in x and carry a factor x, C0 and C2 are even.  Each C_k is the
@@ -672,14 +790,16 @@ class NearZ:
     ``centres`` holds the centres, ``radius`` the radius of the disk each
     expansion covers (-1 where none was built) and ``bound`` its bound
     over the disk, to which each height adds |Im e^(i theta) zeta|.
-    Called with heights ts and the index of each height's centre, it
-    returns Z and its bound, and raises ValueError unless every height
-    lies in its centre's disk.
+    ``M``, ``K`` and ``rho`` hold each centre's truncation, order and
+    expansion radius, and ``mom`` its moments, one row per centre, padded
+    with zero moments above its own order.  Called with heights ts and
+    the index of each height's centre, it returns Z and its bound, and
+    raises ValueError unless every height lies in its centre's disk.
     """
 
-    def __init__(self, centres, radius, bound, group, row, parts, tol, cfg):
+    def __init__(self, centres, radius, bound, M, K, rho, mom, tol, cfg):
         self.centres, self.radius, self.bound = centres, radius, bound
-        self._group, self._row, self._parts = group, row, parts
+        self._M, self._K, self._rho, self._mom = M, K, rho, mom
         self._tol, self._cfg = tol, cfg
 
     def _inside(self, ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -697,20 +817,13 @@ class NearZ:
         if not np.all(self._inside(ts, idx)):
             raise ValueError("hardy_z_near: a height lies outside the disk "
                              "of its centre")
-        vals = np.empty(ts.shape)
-        errs = np.empty(ts.shape)
-        theta = _theta_any(ts)
-        grp = self._group[idx]
-        for g in np.unique(grp).tolist():
-            m = grp == g
-            M, K, rho, mom = self._parts[g]
-            t, at = ts[m], idx[m]
-            zv = phases.cluster_horner(mom, self._row[at],
-                                       (t - self.centres[at]) / rho)
-            w = np.exp(1j * theta[m]) * (zv + _em_tail(0.5 + 1j * t, M, K))
-            vals[m] = w.real
-            errs[m] = self.bound[at] + np.abs(w.imag)
-        return vals, errs
+        # one tail pass and one Horner pass over every octave group: the
+        # zero leading steps of a lower order are exact
+        zv = _em_tail(0.5 + 1j * ts, self._M[idx], self._K[idx])
+        zv += phases.cluster_horner(self._mom, idx, (ts - self.centres[idx])
+                                    / self._rho[idx])
+        w = np.exp(1j * _theta_any(ts)) * zv
+        return w.real, self.bound[idx] + np.abs(w.imag)
 
 
 def hardy_z_near(centres: np.ndarray, radius, tol: float,
@@ -719,18 +832,20 @@ def hardy_z_near(centres: np.ndarray, radius, tol: float,
     of each centre, its main sum one Taylor expansion per centre.
 
     The centres are grouped by octave as in ``hardy_z_batch`` and each
-    group takes the truncation (M, K) of ``_em_truncation`` at the top t
-    of its disks.  The main sum over n < M is one expansion about every
+    group takes the truncation (M, K) of ``_em_plan`` at the top t of
+    its disks.  The main sum over n < M is one expansion about every
     centre c of the group, its phases reduced once
     (``phases.expansion_about``); a height t costs the Horner sum in
     x = (t - c)/rho (``phases.cluster_horner``), the Euler-Maclaurin tail
-    and theta.  rho is the group's largest radius, capped at the cluster
-    radius of ``phases.phase_sum``, and so is each centre's disk.  The
-    bound of a group is its Euler-Maclaurin remainder plus the
-    expansion's bound at |x| <= 1; each height adds
-    |Im e^(i theta) zeta|.  No expansion is built for a centre whose
-    disk ``hardy_z_batch`` would try by Riemann-Siegel at both ends, and
-    so throughout (rs_error_bound is convex in t).
+    and theta.  A call takes one tail pass and one Horner pass over all
+    its heights, each at its group's (M, K), rho and moments.  rho is the
+    group's largest radius, capped at the cluster radius of
+    ``phases.phase_sum``, and so is each centre's disk.  The bound of a
+    group is its Euler-Maclaurin remainder plus the expansion's bound at
+    |x| <= 1 plus the tail's over its disks (``_em_tail_roundoff``); each
+    height adds |Im e^(i theta) zeta|.  No expansion is built for a
+    centre whose disk ``hardy_z_batch`` would try by Riemann-Siegel at
+    both ends, and so throughout (rs_error_bound is convex in t).
     """
     c = np.asarray(centres, dtype=float)
     R = np.broadcast_to(np.asarray(radius, dtype=float), c.shape)
@@ -740,25 +855,30 @@ def hardy_z_near(centres: np.ndarray, radius, tol: float,
                          "> 0 whose disks lie in t >= 0")
     cover = np.full(c.shape, -1.0)
     bound = np.full(c.shape, np.inf)
-    group = np.full(c.shape, -1, dtype=np.intp)
-    row = np.zeros(c.shape, dtype=np.intp)
-    parts = []
+    Ms = np.zeros(c.shape, dtype=np.intp)
+    Ks = np.zeros(c.shape, dtype=np.intp)
+    rhos = np.ones(c.shape)
+    moms = []
     served = np.flatnonzero(~(_rs_tried(c - R, tol, cfg)[2]
                               & _rs_tried(c + R, tol, cfg)[2]))
     for m in _octave_groups(c[served]):
         k = served[m]
         tmax = float(np.max(c[k] + R[k]))
-        M, K = _em_truncation(0.5, tmax, tol)
+        M, K, em_bound = _em_plan(0.5, tmax, tol)
         n = np.arange(1, M)
         rho, mom, sum_bound = phases.expansion_about(
             n, n ** -0.5, c[k].astype(np.longdouble), float(np.max(R[k])),
             tmax)
-        bound[k] = _em_remainder_bound(0.5, tmax, M, K) + sum_bound
+        bound[k] = em_bound + sum_bound + _em_tail_roundoff(
+            (0.5, 0.5), (float(np.min(c[k] - R[k])), tmax), M, K)
         cover[k] = np.minimum(R[k], rho)
-        group[k] = len(parts)
-        row[k] = np.arange(k.size)
-        parts.append((M, K, rho, mom))
-    return NearZ(c, cover, bound, group, row, parts, tol, cfg)
+        Ms[k], Ks[k], rhos[k] = M, K, rho
+        moms.append((k, mom))
+    J = max((part.shape[1] for _, part in moms), default=1)
+    mom = np.zeros((c.size, J), dtype=complex)
+    for k, part in moms:
+        mom[k, :part.shape[1]] = part
+    return NearZ(c, cover, bound, Ms, Ks, rhos, mom, tol, cfg)
 
 
 def hardy_z(t: float, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:

@@ -84,6 +84,32 @@ def test_em_choose_m_is_one_more_than_the_terms_em_batch_sums(
     assert summed == [M - 1]
 
 
+def test_hardy_z_batch_makes_one_em_batch_call_per_octave_group(
+        monkeypatch):
+    # the tracer counts zeta.terms_summed on these calls, one per group
+    # with that group's heights, so hoisting them would zero the counter
+    from bsylab import zeta
+    from bsylab.config import DEFAULT
+    tracing = _load_tracing()
+    ts = np.array([20.0, 50.0, 100.0, 130.0, 300.0, 900.0, 1000.0])
+    calls = []
+    em_batch = zeta._em_batch
+
+    def spy(sigma, ts, cfg=DEFAULT, target=None):
+        calls.append({"sigma": sigma, "ts": np.array(ts), "cfg": cfg,
+                      "target": target})
+        return em_batch(sigma, ts, cfg, target)
+
+    monkeypatch.setattr(zeta, "_em_batch", spy)
+    zeta.hardy_z_batch(ts, 1e-12)              # no Riemann-Siegel at 1e-12
+    groups = [ts[m] for m in zeta._octave_groups(ts)]
+    assert len(calls) == len(groups) == 5
+    for a, heights in zip(calls, groups):
+        assert np.array_equal(a["ts"], heights)
+        assert (a["sigma"], a["target"]) == (0.5, 1e-12)
+        assert tracing._em_counts(a, None)["terms"] > 0
+
+
 def test_segment_profile_returns_what_the_panel_counter_unpacks(zeros_100):
     # tracing._panels unpacks (values, errors, subintervals, n_singular)
     # and sums the last two as counts; the tracer wraps log_singular_batch

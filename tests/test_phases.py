@@ -1,14 +1,16 @@
 """The phase-kernel module: one home for its names, and its greedy cut."""
 
 import ast
+import importlib.util
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsylab import phases, zeta
+from bsylab import errors, phases, zeta
 
 _SRC = Path(phases.__file__).parent
 
@@ -108,3 +110,30 @@ def test_clusters_match_the_plain_greedy_cut(inputs):
     assert cl.tolist() == p_cl
     assert np.array_equal(mid, np.array(p_mid, dtype=np.longdouble))
     assert np.array_equal(x, np.array(p_x))
+
+
+def _fresh_phases():
+    """phases.py run again as a new module (not put in sys.modules), its
+    relative imports resolved in the package."""
+    spec = importlib.util.spec_from_file_location("bsylab._phases_probe",
+                                                  _SRC / "phases.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_import_refuses_a_longdouble_narrower_than_x87(monkeypatch):
+    # the check reads np.finfo(np.longdouble); patch that, not the platform
+    finfo = np.finfo
+
+    class Float64LongDouble:
+        nmant = 52
+
+    monkeypatch.setattr(np, "finfo", lambda dtype: Float64LongDouble()
+                        if dtype is np.longdouble else finfo(dtype))
+    with pytest.raises(errors.UnsupportedPlatform, match="52 significand"):
+        _fresh_phases()
+    assert issubclass(errors.UnsupportedPlatform, errors.BsyError)
+    monkeypatch.undo()
+    assert np.finfo(np.longdouble).nmant >= phases.LD_NMANT_MIN == 63
+    assert _fresh_phases().LD_PHASE_ROUNDOFF == phases.LD_PHASE_ROUNDOFF

@@ -121,6 +121,112 @@ def test_em_remainder_bound_matches_direct_product(sigma, t, M, K):
     assert abs(got - float(direct)) <= 1e-12 * float(direct)
 
 
+def _mp_em_tail(sigma, t, M, K):
+    """The finite tail of ``zeta._em_tail`` at 40 digits."""
+    with mpmath.workdps(40):
+        s, m = mpmath.mpc(sigma, t), mpmath.mpf(M)
+        c, acc = s / m, m / (s - 1) + mpmath.mpf(1) / 2
+        for k in range(1, K + 1):
+            if k > 1:
+                c *= (s + 2 * k - 3) * (s + 2 * k - 2) / m ** 2
+            acc += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * c
+        return complex(m ** -s * acc)
+
+
+@pytest.mark.parametrize("sigma,t", [(0.5, 1e3), (0.5, 1e5), (0.5, 1e6),
+                                     (-0.5, 2e5)])
+def test_em_tail_within_its_roundoff_of_mpmath(sigma, t):
+    # with the phase t log M taken in float64 the tail errs 2.4e-14,
+    # 4.1e-13, 1.3e-12 and 2.9e-8 here, past this bound at every point
+    M, K = zeta._em_truncation(sigma, t, 1e-12)
+    got = zeta._em_tail(np.array([complex(sigma, t)]), M, K)[0]
+    assert abs(got - _mp_em_tail(sigma, t, M, K)) \
+        <= zeta._em_tail_roundoff((sigma, sigma), (t, t), M, K)
+
+
+def test_em_bounds_carry_the_tail_roundoff():
+    # each EM bound is its remainder, its main sum's bound and the tail's
+    sigma, t, target = -0.5, 2e5, 1e-12
+    M, K, rem = zeta._em_plan(sigma, t, target)
+    n = np.arange(1, M)
+    tail = zeta._em_tail_roundoff((sigma, sigma), (t, t), M, K)
+    floor = phases.phase_sum(n, n ** -sigma, np.array([t]))[1]
+    got = zeta._em_batch(sigma, np.array([t]), target=target)[1][0]
+    assert got == pytest.approx(rem + floor + tail, rel=1e-13)
+    sigmas = np.array([2.0, 1.0, 0.5])
+    M, K, rem = zeta._em_plan(0.5, 3e4, target)
+    _, floor, built = phases.sums_at_height(np.arange(1, M), sigmas, 3e4)
+    tail = zeta._em_tail_roundoff((0.5, 2.0), (3e4, 3e4), M, K)
+    got = zeta._em_sigma_grid(sigmas, 3e4, target=target)[1][0]
+    assert got == pytest.approx(rem + floor + built + tail, rel=1e-13)
+    c, R = 5000.0, 0.05
+    M, K, rem = zeta._em_plan(0.5, c + R, target)
+    n = np.arange(1, M)
+    _, _, near = phases.expansion_about(n, n ** -0.5,
+                                        np.array([c], dtype=np.longdouble),
+                                        R, c + R)
+    tail = zeta._em_tail_roundoff((0.5, 0.5), (c - R, c + R), M, K)
+    got = zeta.hardy_z_near(np.array([c]), R, target).bound[0]
+    assert got == pytest.approx(rem + near + tail, rel=1e-13)
+    assert tail > 1e-12 * got
+
+
+@pytest.mark.parametrize("cells", [0, zeta._EM_TAIL_CELLS])
+def test_em_tail_per_point_orders_match_scalar_calls_to_the_bit(
+        monkeypatch, cells):
+    # three (M, K), shuffled into one call: each point takes b_k = 0
+    # above its own K, and gets the bits of a call at its own (M, K),
+    # whether the factors q_k are formed one at a time or all at once
+    whole = zeta._em_tail(0.5 + 1j * np.linspace(20.0, 60.0, 5), 24, 6)
+    monkeypatch.setattr(zeta, "_EM_TAIL_CELLS", cells)
+    assert np.array_equal(
+        zeta._em_tail(0.5 + 1j * np.linspace(20.0, 60.0, 5), 24, 6)
+        .view(np.uint64), whole.view(np.uint64))
+    parts = [(0.5 + 1j * np.linspace(20.0, 60.0, 5), 24, 6),
+             (0.5 + 1j * np.linspace(500.0, 900.0, 7), 180, 30),
+             (-0.5 + 1j * np.linspace(100.0, 200.0, 4), 60, 17)]
+    s = np.concatenate([p[0] for p in parts])
+    M = np.repeat([p[1] for p in parts], [p[0].size for p in parts])
+    K = np.repeat([p[2] for p in parts], [p[0].size for p in parts])
+    apart = np.concatenate([zeta._em_tail(*p) for p in parts])
+    order = np.random.default_rng(5).permutation(s.size)
+    together = zeta._em_tail(s[order], M[order], K[order])
+    assert np.array_equal(together.view(np.uint64),
+                          apart[order].view(np.uint64))
+
+
+def test_em_plan_reads_the_remainder_logs_once(monkeypatch):
+    calls = []
+    log_remainder = zeta._em_log_remainder
+
+    def spy(sigma, tmax):
+        calls.append((sigma, tmax))
+        return log_remainder(sigma, tmax)
+
+    monkeypatch.setattr(zeta, "_em_log_remainder", spy)
+    M, K, bound = zeta._em_plan(0.5, 1e3, 1e-12)
+    assert len(calls) == 1
+    assert (M, K) == zeta._em_truncation(0.5, 1e3, 1e-12)
+    assert bound == zeta._em_remainder_bound(0.5, 1e3, M, K)
+    calls.clear()
+    zeta._em_batch(0.6, np.array([100.0, 120.0]))
+    zeta._em_sigma_grid(np.array([2.0, 1.0, 0.5]), 300.0)
+    zeta.hardy_z_near(np.array([100.0, 300.0]), 0.05, 1e-12)
+    assert len(calls) == 4                   # 1 + 1 + one per group
+
+
+def test_em_empty_batches():
+    none = np.empty(0)
+    assert zeta._em_tail(none + 0j, 24, 3).shape == (0,)
+    assert zeta._em_tail(none + 0j, none.astype(np.intp),
+                         none.astype(np.intp)).shape == (0,)
+    vals, bounds = zeta._em_batch(0.5, none)
+    assert vals.shape == bounds.shape == (0,)
+    vals, errs = zeta.hardy_z_near(np.array([100.0]), 0.05, 1e-12)(
+        none, none.astype(np.intp))
+    assert vals.shape == errs.shape == (0,)
+
+
 @pytest.mark.parametrize("t", [0.0, 1e3, 2e5])
 def test_em_unreachable_target_raises(t):
     with pytest.raises(errors.PrecisionUnreachable):
@@ -612,7 +718,7 @@ def test_hardy_z_near_caps_its_radius(T):
     n = np.arange(1, M)
     amps = n ** -0.5
     amp_sum = float(amps.sum())
-    r, J = rho * lmax, ev._parts[0][3].shape[1]
+    r, J = rho * lmax, ev._mom.shape[1]
     with mpmath.workdps(30):
         tail = amp_sum * float(mpmath.exp(r) - mpmath.fsum(
             mpmath.mpf(r) ** j / mpmath.factorial(j) for j in range(J)))
@@ -631,6 +737,31 @@ def test_hardy_z_near_caps_its_radius(T):
     for t in (T - 1.001 * rho, T + 1.001 * rho, math.nan):
         with pytest.raises(ValueError, match="outside"):
             ev(np.array([t]), np.array([0]))
+
+
+def test_near_z_takes_one_tail_pass_per_call(monkeypatch):
+    # centres in three octave groups, one (M, K) each; one tail pass and
+    # one Horner pass serve them all
+    ev = zeta.hardy_z_near(np.array([100.0, 300.0, 1000.0]), 0.05, 1e-12)
+    assert len(set(zip(ev._M.tolist(), ev._K.tolist()))) == 3
+    ts, idx = _near_points(ev, [-1.0, 0.5, 1.0])
+    calls = []
+    tail, horner = zeta._em_tail, phases.cluster_horner
+
+    def spy(fn):
+        def call(*args):
+            calls.append((fn.__name__, args[-1].size))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(zeta, "_em_tail", spy(tail))
+    monkeypatch.setattr(phases, "cluster_horner", spy(horner))
+    vals, errs = ev(ts, idx)
+    assert sorted(calls) == [("_em_tail", ts.size),
+                             ("cluster_horner", ts.size)]
+    with mpmath.workdps(20):
+        ref = np.array([float(mpmath.siegelz(t)) for t in ts])
+    assert np.all(np.abs(vals - ref) <= errs)
 
 
 def test_hardy_z_near_leaves_riemann_siegel_heights_to_the_batch():
@@ -907,6 +1038,23 @@ def test_cluster_horner_is_the_plain_horner_to_the_bit(C, J, K, seed):
     fast = phases.cluster_horner(mom, cl, x)
     assert fast.shape == (K,)
     assert np.array_equal(fast.view(np.uint64), plain.view(np.uint64))
+
+
+def test_cluster_horner_blocks_hold_its_memory(monkeypatch):
+    rng = np.random.default_rng(3)
+    C, J, K = 4, 20, 50_000
+    mom = rng.normal(size=(C, J)) + 1j * rng.normal(size=(C, J))
+    cl = rng.integers(0, C, size=K)
+    x = rng.uniform(-1.0, 1.0, size=K)
+    tracemalloc.start()
+    blocked = phases.cluster_horner(mom, cl, x)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the result, and z and one gathered column per block
+    assert peak <= blocked.nbytes + 3 * 16 * phases._HORNER_BLOCK + 4096
+    monkeypatch.setattr(phases, "_HORNER_BLOCK", 7)
+    small = phases.cluster_horner(mom, cl, x)
+    assert np.array_equal(small.view(np.uint64), blocked.view(np.uint64))
 
 
 # ----------------------------------------------------------------------
