@@ -42,23 +42,16 @@ import numpy as np
 from . import errors, sieve
 
 #: The least longdouble significand (bits after the leading one) the
-#: phase bounds hold for: x87 extended precision.
+#: phase bounds hold for: x87 extended precision.  ``LD_PHASE_ROUNDOFF``
+#: assumes it, and a float64 longdouble would leave every phase bound
+#: about 2000 times too small, so the import refuses a narrower one.
 LD_NMANT_MIN = 63
 
-
-def _require_extended_longdouble(nmant: int) -> None:
-    """Raise UnsupportedPlatform unless longdouble carries at least
-    ``LD_NMANT_MIN`` significand bits: ``LD_PHASE_ROUNDOFF`` assumes
-    them, and a float64 longdouble would leave every phase bound about
-    2000 times too small.  Run once, at import."""
-    if nmant < LD_NMANT_MIN:
-        raise errors.UnsupportedPlatform(
-            f"numpy longdouble has {nmant} significand bits; the phase "
-            f"bounds of bsylab need at least {LD_NMANT_MIN} (x87 extended "
-            f"precision)")
-
-
-_require_extended_longdouble(np.finfo(np.longdouble).nmant)
+if np.finfo(np.longdouble).nmant < LD_NMANT_MIN:
+    raise errors.UnsupportedPlatform(
+        f"numpy longdouble has {np.finfo(np.longdouble).nmant} significand "
+        f"bits; the phase bounds of bsylab need at least {LD_NMANT_MIN} "
+        f"(x87 extended precision)")
 
 #: 2*pi to longdouble precision.
 TWO_PI_LD = 2 * np.arccos(np.longdouble(-1.0))
