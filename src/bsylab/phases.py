@@ -494,8 +494,7 @@ def cluster_horner(mom: np.ndarray, cl: np.ndarray,
         at = cl[b0:b0 + _HORNER_BLOCK]
         z = -1j * x[b0:b0 + _HORNER_BLOCK]
         acc = out[b0:b0 + _HORNER_BLOCK]
-        # mode="clip" writes out without a buffered copy; cl is in range
-        np.take(cols[-1], at, out=acc, mode="clip")
+        acc[...] = cols[-1][at]
         for col in cols[-2::-1]:
             acc *= z
             acc += col[at]

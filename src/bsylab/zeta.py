@@ -11,9 +11,9 @@ test suite:
   Horner pass from the top in q_k/M^2 = (s + 2k - 3)(s + 2k - 2)/M^2,
   with M and K scalars or one per height, and the phase t log M of
   M^(-s) reduced in longdouble; the bound carries the rounding of that
-  pass and the error of that phase (``_em_tail_roundoff``).  A
-  ``NearZ`` call takes one tail pass and one Horner pass over all its
-  heights, whatever their octave groups.
+  pass and of the steps after it and the error of that phase
+  (``_em_tail_roundoff``).  A ``NearZ`` call takes one tail pass and one
+  Horner pass over all its heights, whatever their octave groups.
 * The Riemann-Siegel main sum with up to four correction terms (all
   four by default), O(sqrt(t)) per point and vectorized;
   ``hardy_z_batch`` keeps it wherever the bound it returns meets the
@@ -358,38 +358,6 @@ def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
     return _em_truncation(sigma, tmax, target)[0]
 
 
-#: ``_em_tail_factors`` forms every q_k at once while they hold at most
-#: this many values (256 KiB); past it, one q_k at a time in place.  Each
-#: way is faster on its side: on 15 to 90 heights (the sigma grids of
-#: ``log_zeta_branch`` and ``S1_littlewood``) at once took 0.35 to 0.8
-#: of the time of one at a time, on 1122 and 2000 (the Newton rounds of
-#: the zero solve) 1.25 and 1.5 times it (2-vCPU x86).
-_EM_TAIL_CELLS = 1 << 14
-
-
-def _em_tail_factors(s: np.ndarray, Mf: np.ndarray, top: int):
-    """q_k = (s + 2k - 3)(s + 2k - 2)/M^2 for k = top, ..., 2, each a row
-    over the points of s (M one per point, in Mf), all formed at once
-    when (top - 1) len(s) <= ``_EM_TAIL_CELLS`` and one at a time
-    otherwise.  Either way each q_k comes from the same operations on the
-    same operands, so it has the same bits."""
-    inv_m2 = (1.0 / (Mf * Mf)).astype(complex)
-    if (top - 1) * s.size <= _EM_TAIL_CELLS:
-        ks = np.arange(top, 1, -1.0)[:, None]
-        q = s + (2.0 * ks - 3.0)
-        q *= s + (2.0 * ks - 2.0)
-        q *= inv_m2
-        yield from q
-        return
-    q, f = np.empty_like(s), np.empty_like(s)
-    for k in range(top, 1, -1):
-        np.add(s, 2 * k - 3, out=q)
-        np.add(s, 2 * k - 2, out=f)
-        q *= f
-        q *= inv_m2
-        yield q
-
-
 def _em_tail(s: np.ndarray, M, K) -> np.ndarray:
     """The Euler-Maclaurin terms added to the sum over n < M, at each
     point of the 1-d array s:
@@ -418,7 +386,13 @@ def _em_tail(s: np.ndarray, M, K) -> np.ndarray:
     low, top = int(K.min()), int(K.max())
     b = _B2K_OVER_FACT
     out[...] = np.where(K == top, b[top], 0.0)
-    for k, q in zip(range(top, 1, -1), _em_tail_factors(s, Mf, top)):
+    inv_m2 = (1.0 / (Mf * Mf)).astype(complex)
+    q, f = np.empty_like(s), np.empty_like(s)
+    for k in range(top, 1, -1):
+        np.add(s, 2 * k - 3, out=q)              # q_k, in place
+        np.add(s, 2 * k - 2, out=f)
+        q *= f
+        q *= inv_m2
         out *= q
         # b_(k-1) only where k - 1 <= K: the rest stay exactly 0
         np.add(out, b[k - 1], out=out, where=True if k - 1 <= low
@@ -426,10 +400,12 @@ def _em_tail(s: np.ndarray, M, K) -> np.ndarray:
     out *= s / Mf
     out += Mf / (s - 1.0)
     out += 0.5
-    # log M in longdouble, once per distinct M
+    # log M in longdouble, once per distinct M; t is cast too, so that
+    # t log M is a longdouble product under any numpy promotion rules
     Ms, at = np.unique(M, return_inverse=True) if np.ndim(M) else ([M], 0)
     log_m = np.log(np.array(Ms, dtype=np.longdouble))[at]
-    out *= Mf ** -s.real * phases.reduced_phases(s.imag * log_m)
+    out *= Mf ** -s.real * phases.reduced_phases(
+        s.imag.astype(np.longdouble) * log_m)
     return out
 
 
@@ -437,11 +413,12 @@ def _em_tail_roundoff(sigmas: tuple[float, float], ts: tuple[float, float],
                       M: int, K: int) -> float:
     """Bound on the error ``_em_tail`` at (M, K) adds over the points
     sigma + i t with sigma in the range ``sigmas`` = (sigma_lo, sigma_hi)
-    and |t| in ``ts`` = (t_lo, t_hi): the phase of M^(-s) and the Horner
-    sum,
+    and |t| in ``ts`` = (t_lo, t_hi): the phase of M^(-s), the Horner sum
+    and the roundings after it,
 
         M^(-sigma_lo) (LD_PHASE_ROUNDOFF t_hi log M A
-                       + 10 u sum over k <= K of k |b_k| |c_k|),
+                       + 10 u sum over k <= K of k |b_k| |c_k|
+                       + u (c_q M/|s - 1| + c_A A)),
 
     c_k = s(s+1)...(s+2k-2) M^(1-2k) and A = M/|s - 1| + 1/2 +
     sum |b_k| |c_k| the tail's largest size.  t log M is reduced in
@@ -449,10 +426,17 @@ def _em_tail_roundoff(sigmas: tuple[float, float], ts: tuple[float, float],
     q_k is within (4 + sqrt 5) u of its value, a step adds sqrt 5 u (the
     product; Brent, Percival and Zimmermann, Math. Comp. 76 (2007)
     1469-1481) and u (the sum), and the factor s/M with its product
-    about 5 u, so term k strays by less than 10 k u.  Each |s + j| is
-    taken at its largest over the ranges, |s - 1| at its least.  The few
-    roundings after the sum (M/(s - 1), two sums, M^(-sigma), e^(-i phase)
-    and the last product: about 20 u of |tail|) are not in it.
+    about 5 u, so term k strays by less than 10 k u.  After the sum,
+    M/(s - 1) takes u for s - 1 and 7 u for numpy's complex (Smith)
+    division (c_q = 8); the two sums take u of A each, M^(-sigma) 2 u
+    (one ulp), its product with the phase u and the last product
+    sqrt 5 u, and the phase rounded to float64 2 u and its cosine and
+    sine sqrt 2 u (``phases.PRODUCT_ROUNDOFF``'s count), so c_A =
+    7 + sqrt 5 + sqrt 2.  On the real axis (t_hi = 0) every imaginary
+    part is 0 and the phase is exactly 1: the division rounds twice, the
+    product with the phase is exact and the last product rounds once, so
+    c_q = 3 and c_A = 5.  Each |s + j| is taken
+    at its largest over the ranges, |s - 1| at its least.
     """
     (s_lo, s_hi), (t_lo, t_hi) = sigmas, ts
     js = _EM_JS[:2 * K - 1]
@@ -462,9 +446,13 @@ def _em_tail_roundoff(sigmas: tuple[float, float], ts: tuple[float, float],
     ratios = np.hypot(np.maximum(np.abs(s_lo + js), s_hi + js), t_hi) / M
     terms = np.abs(_B2K_OVER_FACT[1:K + 1]) * ratios.cumprod()[::2]
     gap = math.hypot(max(s_lo - 1.0, 1.0 - s_hi, 0.0), t_lo)   # least |s-1|
-    size = (M / gap if gap else math.inf) + 0.5 + float(terms.sum())
+    pole = M / gap if gap else math.inf
+    size = pole + 0.5 + float(terms.sum())
+    c_q, c_a = (8.0, 7.0 + math.sqrt(5.0) + math.sqrt(2.0)) if t_hi \
+        else (3.0, 5.0)
     return M ** -s_lo * (phases.LD_PHASE_ROUNDOFF * t_hi * math.log(M) * size
-                         + 10.0 * _U * float(_EM_KS[:K] @ terms))
+                         + 10.0 * _U * float(_EM_KS[:K] @ terms)
+                         + _U * (c_q * pole + c_a * size))
 
 
 def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
