@@ -133,8 +133,7 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
         raise ValueError("need 3 <= T <= min(t_grid)")
     zeros.require_height(grid[-1])
     cuts = grid.copy() if grid[0] == T else np.concatenate([[T], grid])
-    v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg,
-                                  weight_f=lambda t: np.ones_like(t))
+    v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg, None)
     run = np.cumsum(v)
     if grid[0] == T:
         run = np.concatenate([[0.0], run])
@@ -159,8 +158,8 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     of the normalized statistic.  The windows end by 2T + h, the height
     the zero list must cover.  The lattice steps are cuts of one segment
     profile, read out of panels laid by the ordinates, so the scan pays
-    per panel, not per step: about two Z points per step at Z errors of
-    1e-6.
+    per panel, not per step: about 1.3 Z points per step at T = 600, h =
+    0.3, Z errors of 1e-6 and quad_tol 1e-4.
     """
     T, h = float(T), float(h)
     if not 0.0 < h <= 1.0:
@@ -172,8 +171,7 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     n = int(math.floor(T / delta))
     centers = T + delta * np.arange(n + 1)
     cuts = np.concatenate([[T - h], T - h + delta * np.arange(1, n + 9)])
-    v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg,
-                                  weight_f=lambda t: np.ones_like(t))
+    v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg, None)
     C = np.concatenate([[0.0], np.cumsum(v)])
     # window [t_i - h, t_i + h] spans 8 lattice steps starting at index i
     W = C[8:8 + centers.size] - C[:centers.size]

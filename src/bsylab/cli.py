@@ -371,23 +371,29 @@ def _cmd_report(args, rc: RunConfig, out) -> int:
 # Parser assembly
 # ----------------------------------------------------------------------
 
-def _session_flags() -> argparse.ArgumentParser:
-    """The flags of every subcommand: --config, --zero-cache and one flag
-    per PrecisionConfig field, of the type of the field's default."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="path to a 'key = value' config file")
-    p.add_argument("--zero-cache", help="zero-list cache file")
+def _session_flags():
+    """The session flags as parent parsers, one per set a subcommand may
+    read: --config (every subcommand); one flag per PrecisionConfig
+    field, of the type of the field's default (the subcommands that read
+    ``rc.precision``); and --zero-cache (the ones that read their zeros
+    from the cache file).  A flag a subcommand would ignore is a usage
+    error there."""
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="path to a 'key = value' config file")
+    precision = argparse.ArgumentParser(add_help=False)
     for f in dataclasses.fields(PrecisionConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type=type(f.default))
-    return p
+        precision.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type=type(f.default))
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--zero-cache", help="zero-list cache file")
+    return [config], [config, precision], [config, precision, cache]
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="bsy",
                   description="Critical-line zeta laboratory")
     sub = top.add_subparsers(dest="command", required=True)
-    common = [_session_flags()]
+    plain, common, cached = _session_flags()
 
     p = sub.add_parser("zeta", parents=common,
                        help="evaluate zeta(sigma + it)")
@@ -425,22 +431,22 @@ def build_parser() -> _Parser:
     ps = asub.add_parser("s", parents=common)
     ps.add_argument("--t", required=True, type=float)
     ps.add_argument("--zeros")
-    p1 = asub.add_parser("s1", parents=common)
+    p1 = asub.add_parser("s1", parents=cached)
     p1.add_argument("--t", required=True, type=float)
     p1.add_argument("--method", choices=("direct", "littlewood"),
                     default="littlewood")
-    pl = asub.add_parser("lemma2", parents=common)
+    pl = asub.add_parser("lemma2", parents=cached)
     pl.add_argument("--T", required=True, type=float)
     pl.add_argument("--tmax", required=True, type=float)
     pl.add_argument("--points", required=True, type=int)
-    po = asub.add_parser("omega", parents=common)
+    po = asub.add_parser("omega", parents=cached)
     po.add_argument("--T", required=True, type=float)
     po.add_argument("--h", required=True, type=float)
 
     p = sub.add_parser("resonator", help="build or check resonator tables")
     rsub = p.add_subparsers(dest="resonator_cmd", required=True)
     for name in ("build", "check"):
-        pr = rsub.add_parser(name, parents=common)
+        pr = rsub.add_parser(name, parents=plain)
         pr.add_argument("--mu", required=True, type=int)
         pr.add_argument("--nu", required=True, type=int)
         pr.add_argument("--N", required=True, type=int)
@@ -456,7 +462,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mv", help="Dirichlet-polynomial mean values")
     msub = p.add_subparsers(dest="mv_cmd", required=True)
-    pe = msub.add_parser("exact", parents=common)
+    pe = msub.add_parser("exact", parents=plain)
     pe.add_argument("--table", required=True)
     pe.add_argument("--T", required=True, type=float)
     pm = msub.add_parser("lemma3", parents=common)
@@ -467,7 +473,7 @@ def build_parser() -> _Parser:
     pm.add_argument("--eps-margin", dest="eps_margin", type=float,
                     default=0.05)
 
-    p = sub.add_parser("report", parents=common,
+    p = sub.add_parser("report", parents=cached,
                        help="run one acceptance experiment")
     p.add_argument("suite")
 

@@ -4,13 +4,17 @@ Computes I(T) = integral over [-T, T] of log|zeta(1/2+it)| / (1/4+t^2),
 whose decay encodes the horizontal distribution of zeta's nontrivial
 zeros.  The integrand has integrable logarithmic singularities at every
 zero ordinate, so [0, T] is partitioned with exactly one ordinate per
-panel; on a singular panel the integrand is split into
-log|t-gamma|/(1/4+t^2), handled by a Gauss-Legendre product rule on
-each side of gamma, plus the smooth remainder
-log|Z(t)/(t-gamma)|/(1/4+t^2), handled by adaptive quadrature.  The
-same segment-profile engine serves cumulative scans: its panels are
-laid out by the ordinates alone, and each cut is read out of the panel
-it falls in.
+panel.  On the singular panel of gamma the integrand is split into
+log|t-gamma'|/(1/4+t^2) for gamma' = gamma and every ordinate of the
+span within two panel radii of it, each handled by Gauss-Legendre
+product rules from gamma' to the panel's ends, plus the smooth
+remainder log|Z(t)/prod(t-gamma')|/(1/4+t^2), handled by adaptive
+quadrature.  Taking out the neighbours' logs as well leaves the
+remainder's nearest singularity more than two panel radii from gamma,
+instead of at the next ordinate, half a gap beyond the panel's end.  The
+same segment-profile engine serves cumulative scans (with the unit
+weight, taken in closed form): its panels are laid out by the ordinates
+alone, and each cut is read out of the panel it falls in.
 
 Also provided: the closed-form per-zero summand log|rho/(1-rho)|, the
 residual of I(T) against a hypothetical off-line zero sum (with its
@@ -26,8 +30,8 @@ import numpy as np
 from . import errors, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
-from .quadrature import (IntegralResult, adaptive_panels, log_singular_batch,
-                         split_at_cuts)
+from .quadrature import (_U, IntegralResult, adaptive_panels,
+                         log_singular_batch, split_at_cuts)
 from .zeros import ZeroCandidate, ZeroList
 
 __all__ = [
@@ -103,44 +107,70 @@ def _z_log_derivative(gammas: np.ndarray,
     return np.log(azp), (e @ np.abs(stencil)) / azp
 
 
+def _neighbours(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges [first_i, stop_i) of the ordinates of ``g`` (ascending)
+    within 2 * _SING_RADIUS of g_i, g_i's own index included: beyond
+    that reach an ordinate lies at least _SING_RADIUS outside g_i's
+    singular panel."""
+    reach = 2.0 * _SING_RADIUS
+    return (np.searchsorted(g, g - reach, "left"),
+            np.searchsorted(g, g + reach, "right"))
+
+
 def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     """The smooth-remainder integrand of ``adaptive_panels``.
 
     Panel payload "g" indexes ``ords`` (-1: no ordinate in the panel).
-    At each node the value is log|Z(t)/(t-gamma)| * weight(t), and its
-    pointwise bound is weight(t) * (-log(1 - e/|Z(t)|)) with e the error
-    bound of Z(t); it is infinite where e >= |Z(t)|/2.  Within
-    _NEAR_GUARD of gamma the quotient is replaced by the stencil
-    derivative |Z'(gamma)| (removable singularity) and e/|Z| by the
-    stencil's relative error; the stencil is evaluated once per ordinate,
-    the first time a node lands that close.
+    At each node of a singular panel of gamma the value is
+    log|Z(t) / prod (t - gamma')| * weight(t), the product over gamma
+    and its ``_neighbours`` in ``ords``: a neighbour's log would
+    otherwise sit half a gap beyond the panel's end and cap the
+    convergence of every rule on it.  A filler panel's value is
+    log|Z(t)| * weight(t).  The pointwise bound is
+    weight(t) * (-log(1 - e/|Z(t)|)) with e the error bound of Z(t); it
+    is infinite where e >= |Z(t)|/2.  Within
+    _NEAR_GUARD of gamma the quotient Z(t)/(t - gamma) is replaced by
+    the stencil derivative |Z'(gamma)| (removable singularity) and e/|Z|
+    by the stencil's relative error; the stencil is evaluated once per
+    ordinate, the first time a node lands that close.  ``weight_f`` None
+    is the unit weight.
     """
     zp_log = np.full(ords.shape, np.nan)
     zp_rel = np.full(ords.shape, np.nan)
+    first, stop = _neighbours(ords)
+    width = int(np.max(stop - first, initial=0))
 
     def f(ts, payload):
         z, e = zeta.hardy_z_batch(ts.ravel(), cfg.target_abs_error, cfg)
         az = np.maximum(np.abs(z), 1e-300).reshape(ts.shape)
         out = np.log(az)
         rel = e.reshape(ts.shape) / az
-        gi = np.broadcast_to(payload["g"][:, None], ts.shape)
-        has = gi >= 0
-        d = np.abs(ts[has] - ords[gi[has]])
-        out[has] -= np.log(np.maximum(d, 1e-300))
-        near = np.zeros(ts.shape, dtype=bool)
-        near[has] = d < _NEAR_GUARD
-        if np.any(near):
-            need = np.unique(gi[near])
+        rows = np.flatnonzero(payload["g"] >= 0)
+        k = payload["g"][rows]
+        tr = ts[rows]
+        d = np.abs(tr - ords[k, None])
+        # prod |t - gamma'| over the neighbours, one offset at a time
+        nb = np.ones(tr.shape)
+        for off in range(width):
+            j = first[k] + off
+            r = np.flatnonzero((j < stop[k]) & (j != k))
+            nb[r] *= np.abs(tr[r] - ords[j[r], None])
+        out[rows] -= np.log(np.maximum(d * nb, 1e-300))
+        ri, ci = np.nonzero(d < _NEAR_GUARD)
+        if ri.size:
+            need = np.unique(k[ri])
             need = need[np.isnan(zp_log[need])]
             if need.size:
                 zp_log[need], zp_rel[need] = _z_log_derivative(ords[need],
                                                                cfg)
-            out[near] = zp_log[gi[near]]
-            rel[near] = zp_rel[gi[near]]
-        w = weight_f(ts)
+            out[rows[ri], ci] = zp_log[k[ri]] - np.log(nb[ri, ci])
+            rel[rows[ri], ci] = zp_rel[k[ri]]
         pw = np.full(ts.shape, np.inf)
         bounded = rel < 0.5
         pw[bounded] = -np.log1p(-rel[bounded])
+        if weight_f is None:
+            return out, pw
+        w = weight_f(ts)
         return out * w, pw * np.abs(w)
 
     return f
@@ -179,28 +209,40 @@ def _panel_layout(a: float, b: float, ords: np.ndarray):
 
 
 def _singular_pieces(cuts, gs, lo, hi, weight_f):
-    """log|t - gamma| * weight(t) over the pieces of singular panels.
+    """log|t - gamma'| * weight(t) over the pieces of singular panels,
+    summed over gamma' = the panel's own ordinate and its neighbours.
 
     ``cuts`` ascending and distinct, each singular panel [lo_i, hi_i]
-    holding gs_i, split at the cuts strictly inside it.  Every piece
-    boundary x other than gamma is one side, of length |x - gamma|, of a
-    one-sided product rule from gamma, and a piece's integral is
-    F(piece_hi) - F(piece_lo) with F(x) the signed integral from gamma
-    to x (an uncut panel: its two sides' sum).  All sides go through one
+    holding gs_i (ascending), split at the cuts strictly inside it; the
+    gamma' of panel i are gs_i and its ``_neighbours`` in ``gs``, the
+    set ``_remainder_rule`` subtracts.  Every piece boundary x is, for
+    each gamma' of its panel, one side of length |x - gamma'| of a
+    one-sided product rule from gamma' (none on gamma' itself), and a
+    piece's integral is F(piece_hi) - F(piece_lo) with F(x) the sum over
+    gamma' of the signed integrals from gamma' to x (for the own gamma
+    of an uncut panel: its two sides' sum).  All sides go through one
     ``log_singular_batch`` call.  Returns (piece_lo, values,
-    error_estimates), each piece's error the sum of its two sides'.
+    error_estimates), each piece's error the sum of its two boundaries'
+    side errors plus the rounding of their sums, n u |side| for n sides.
     """
     owner, plo, _ = split_at_cuts(cuts, lo, hi)
     # the boundaries panel by panel: piece k starts at k + owner[k] and
     # ends at the next one; panel i ends after its pieces
     at = np.arange(owner.size) + owner
     ends = np.cumsum(np.bincount(owner)) + np.arange(lo.size)
-    x, g = np.empty(owner.size + lo.size), np.empty(owner.size + lo.size)
+    x, panel = np.empty(at.size + lo.size), np.empty(at.size + lo.size, int)
     x[at], x[ends] = plo, hi
-    g[at], g[ends] = gs[owner], gs
-    S, E = log_singular_batch(g, np.maximum(g - x, 0.0),
-                              np.maximum(x - g, 0.0), weight_f)
-    F = np.sign(x - g) * S
+    panel[at], panel[ends] = owner, np.arange(lo.size)
+    # the sides: boundary b has n_b of them, from gs[first .. stop)
+    first, stop = _neighbours(gs)
+    n = (stop - first)[panel]
+    side = np.repeat(np.arange(x.size), n)
+    c = np.repeat(first[panel] - np.cumsum(n) + n, n) + np.arange(side.size)
+    g, xs = gs[c], x[side]
+    S, E = log_singular_batch(g, np.maximum(g - xs, 0.0),
+                              np.maximum(xs - g, 0.0), weight_f)
+    F = np.bincount(side, np.sign(xs - g) * S, x.size)
+    E = np.bincount(side, E + _U * n[side] * np.abs(S), x.size)
     return plo, F[at + 1] - F[at], E[at + 1] + E[at]
 
 
@@ -213,13 +255,18 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     [cuts[0], cuts[-1]] and all are processed in one batched adaptive
     pass; a panel that a cut falls strictly inside is read out in pieces
     (``quadrature.adaptive_panels``), so a scan pays per panel, not per
-    cut.  ``subintervals`` counts pieces and ``n_singular`` the ordinates
-    in [cuts[i], cuts[i+1]) (one on cuts[-1] counts in the last non-empty
-    segment).  A segment's error estimate sums the rule errors (|K15 -
-    G7| for a whole panel) and the propagated pointwise Z error P over
-    its smooth-remainder pieces, plus the product rules' |v12 - v8| and
-    rounding terms of its log-singular parts, read piece by piece from
-    one-sided product rules.
+    cut.  A singular panel's remainder has the logs of its own ordinate
+    and of the span's ordinates within 2 * _SING_RADIUS of it taken out
+    (``_remainder_rule``), and its log-singular parts add them back
+    exactly (``_singular_pieces``), so the neighbours cost no
+    bisections.  ``subintervals`` counts pieces and ``n_singular`` the
+    ordinates in [cuts[i], cuts[i+1]) (one on cuts[-1] counts in the
+    last non-empty segment).  A segment's error estimate sums the rule
+    errors (|K15 - G7| for a whole panel) and the propagated pointwise Z
+    error P over its smooth-remainder pieces, plus the product rules'
+    |v12 - v8| and rounding terms of its log-singular parts, read piece
+    by piece from one-sided product rules.  ``weight_f`` None is the
+    unit weight, with the log-singular parts in closed form.
     """
     cuts = np.asarray(cuts, dtype=float)
     if np.any(np.diff(cuts) < 0):

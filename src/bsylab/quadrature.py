@@ -24,7 +24,8 @@ panel, not per cut.
 weight on each side of many points gamma at once, by product
 integration (Davis & Rabinowitz, *Methods of Numerical Integration*,
 sec. 2.5): Gauss-Legendre nodes with weights taken against the exact
-log moments, 12 points per side checked by 8.
+log moments, 12 points per side checked by 8; the unit weight
+(``weight_f=None``) is taken in closed form.
 """
 
 import math
@@ -311,6 +312,9 @@ _LOG_NODES, _LOG_W, _LOG_O = map(np.concatenate,
                                  zip(*map(_log_product_rule, _LOG_N)))
 #: Unit roundoff of float64.
 _U = 0.5 * np.finfo(float).eps
+#: ``log_singular_batch`` weighs at most this many sides at once (its
+#: temporaries: 20 points a side, 160 KiB each).
+_LOG_BLOCK = 1 << 10
 
 
 def log_singular_batch(gammas, d_left, d_right,
@@ -322,28 +326,43 @@ def log_singular_batch(gammas, d_left, d_right,
     of degree < n and geometrically convergent for W analytic around the
     side.  The value is the 12-point rule's; its error estimate is, per
     side, |v12 - v8| plus a rounding term 8u d (|log d| + 1) max|W| over
-    the side's nodes.  A side of length 0 is left out, so one-sided
-    rules come from d = 0 on the other side.  ``weight_f`` is called
-    once, on 20 points per side.  Returns (values, error_estimates).
+    the side's nodes.  ``weight_f`` is called on 20 points per side,
+    _LOG_BLOCK sides at a time, so that the temporaries do not grow with
+    the batch.  ``weight_f=None`` is the unit weight, taken exactly: a side is
+    d (log d - 1), and its error estimate the rounding term
+    4u d (|log d| + 1) alone.  A side of length 0 is left out, so
+    one-sided rules come from d = 0 on the other side.  Returns (values,
+    error_estimates).
     """
     gammas = np.asarray(gammas, dtype=float)
     d = np.stack([np.broadcast_to(np.asarray(side, dtype=float), gammas.shape)
                   for side in (d_left, d_right)])
     live = d > 0
     dl = d[live]
-    # in place where the arithmetic allows: sides can number in the
-    # thousands, 20 points each
-    ts = (d * np.array([-1.0, 1.0])[:, None])[live][:, None] * _LOG_NODES
-    ts += np.broadcast_to(gammas, d.shape)[live][:, None]
-    W = weight_f(ts)
     logd = np.log(dl)
-    terms = logd[:, None] * _LOG_W
-    terms += _LOG_O
-    terms *= W
-    v = dl[:, None] * np.add.reduceat(terms, [0, _LOG_N[0]], axis=-1)
-    rounding = 8.0 * _U * dl * (np.abs(logd) + 1.0) \
-        * np.maximum(W.max(axis=-1), -W.min(axis=-1))
     val, err = np.zeros(d.shape), np.zeros(d.shape)
+    if weight_f is None:
+        # log d to an ulp, then a rounding each in log d - 1 and the
+        # product
+        val[live] = dl * (logd - 1.0)
+        err[live] = 4.0 * _U * dl * (np.abs(logd) + 1.0)
+        return val[0] + val[1], err[0] + err[1]
+    # sides can number in the millions, 20 points each: the weight is
+    # taken _LOG_BLOCK sides at a time, in place where the arithmetic
+    # allows
+    sd = (d * np.array([-1.0, 1.0])[:, None])[live]
+    g = np.broadcast_to(gammas, d.shape)[live]
+    v, rounding = np.empty((dl.size, 2)), np.empty(dl.size)
+    for b0 in range(0, dl.size, _LOG_BLOCK):
+        blk = slice(b0, b0 + _LOG_BLOCK)
+        W = sd[blk, None] * _LOG_NODES
+        W += g[blk, None]
+        W = weight_f(W)
+        rounding[blk] = np.maximum(W.max(axis=-1), -W.min(axis=-1))
+        W *= logd[blk, None] * _LOG_W + _LOG_O
+        v[blk] = np.add.reduceat(W, [0, _LOG_N[0]], axis=-1)
+    v *= dl[:, None]
+    rounding *= 8.0 * _U * dl * (np.abs(logd) + 1.0)
     val[live] = v[:, 0]
     err[live] = np.abs(v[:, 0] - v[:, 1]) + rounding
     return val[0] + val[1], err[0] + err[1]

@@ -212,6 +212,38 @@ def test_resonator_build_N_beyond_int64_exits_2(tmp_path, capsys):
     assert doc["error"] == "ValueError" and "2^63" in doc["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--t", "20", "--zero-cache", "x"],
+    ["integral", "--T", "50", "--zeros", "z.txt", "--zero-cache", "x"],
+    ["arg", "s", "--t", "50", "--zero-cache", "x"],
+    ["resonator", "check", "--mu", "2", "--nu", "0", "--N", "1000",
+     "--h", "0.1", "--quad-tol", "1"],
+    ["resonator", "build", "--mu", "2", "--nu", "0", "--N", "100",
+     "--out", "t.txt", "--max-subdivisions", "1"],
+    ["mv", "exact", "--table", "t.txt", "--T", "1000",
+     "--target-abs-error", "1e-9"],
+])
+def test_flag_the_subcommand_never_reads_exits_1(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    # --zero-cache belongs to arg s1/lemma2/omega and report, and the
+    # precision flags to the subcommands that read the precision
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["arg", "s1", "--t", "50"],
+    ["arg", "lemma2", "--T", "20", "--tmax", "40", "--points", "3"],
+    ["arg", "omega", "--T", "20", "--h", "0.3"],
+    ["report", "zero-sum-term"],
+])
+def test_zero_cache_and_precision_flags_where_read(argv):
+    args = cli.build_parser().parse_args(
+        [*argv, "--zero-cache", "z.txt", "--quad-tol", "1e-6"])
+    assert (args.zero_cache, args.quad_tol) == ("z.txt", 1e-6)
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["nosuch"]) == 1
     assert run(["integral", "--nonsense"]) == 1

@@ -229,7 +229,8 @@ _SCAN_CFG = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-4,
 
 
 @pytest.mark.parametrize("cfg,weight_f", [
-    (DEFAULT, integral._weight), (_SCAN_CFG, np.ones_like)])
+    (DEFAULT, integral._weight), (_SCAN_CFG, np.ones_like),
+    (_SCAN_CFG, None)])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_cut_readout_within_estimates_of_separate_segments(
@@ -318,11 +319,13 @@ def test_z_points_per_panel(zeros_100, monkeypatch, centred):
 @pytest.mark.parametrize("cfg", [
     DEFAULT, PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-6)])
 def test_singular_weight_points_per_ordinate(zeros_100, monkeypatch, cfg):
-    # one 12- and one 8-point product rule per side: 2 * (12 + 8) = 40
-    # weight points per ordinate, whatever the tolerance and the side
-    # lengths, and 20 more per cut inside its singular panel (the cut
-    # just above gamma_1 gives it a third side, of ~1e-9)
+    # one 12- and one 8-point product rule per side, whatever the
+    # tolerance and the side lengths: 20 weight points for each boundary
+    # of a singular panel times each ordinate within 2 _SING_RADIUS of
+    # its own, its own included.  An uncut panel has two boundaries; the
+    # cut just above gamma_1 gives its panel a third, ~1e-9 from gamma_1
     g = zeros_100.ordinates
+    cuts = np.array([0.0, g[0] + 1e-9, 100.0])
     seen = []
     singular = integral.log_singular_batch
 
@@ -336,10 +339,44 @@ def test_singular_weight_points_per_ordinate(zeros_100, monkeypatch, cfg):
         return singular(gammas, d_left, d_right, spy)
 
     monkeypatch.setattr(integral, "log_singular_batch", counting)
-    integral._segment_profile(np.array([0.0, g[0] + 1e-9, 100.0]), g, cfg)
+    integral._segment_profile(cuts, g, cfg)
     [(points, d_min)] = seen
     assert d_min < 1e-8
-    assert points == 40 * g.size + 20
+    lo, hi, gs = integral._panel_layout(0.0, 100.0, g)
+    own = neighbour = 0
+    for a, b, gamma in zip(lo, hi, gs):
+        if np.isnan(gamma):
+            continue
+        boundaries = 2 + np.count_nonzero((cuts > a) & (cuts < b))
+        near = np.abs(g - gamma) <= 2 * integral._SING_RADIUS
+        own += boundaries
+        neighbour += boundaries * (np.count_nonzero(near) - 1)
+    assert own == 2 * g.size + 1 and neighbour > 0
+    assert points == 20 * (own + neighbour)
+
+
+@pytest.mark.parametrize("cfg,weight_f", [
+    (DEFAULT, integral._weight), (_SCAN_CFG, None)])
+def test_neighbours_taken_out_and_added_back_within_estimates(
+        zeros_550, monkeypatch, cfg, weight_f):
+    # the neighbours' logs leave the remainder and join the singular
+    # parts: against a refined run that takes out each panel's own
+    # ordinate alone, every segment is within the summed estimates.
+    # Dropping the neighbours from either side alone moves a segment by
+    # the integral of their logs, far beyond its estimate
+    g = zeros_550.ordinates
+    a = 400.0
+    cuts = a + 0.075 * np.arange(161)          # lattice steps of h/4
+    first, stop = integral._neighbours(g[(g >= a) & (g <= cuts[-1])])
+    assert np.max(stop - first) > 2           # panels with neighbours
+    v, e, ns, nsing = integral._segment_profile(cuts, g, cfg, weight_f)
+    monkeypatch.setattr(integral, "_neighbours",
+                        lambda g: (np.arange(g.size), np.arange(g.size) + 1))
+    vr, er, _, nsing_r = integral._segment_profile(cuts, g,
+                                                   cfg.refined(100.0),
+                                                   weight_f)
+    np.testing.assert_array_equal(nsing, nsing_r)
+    assert np.all(np.abs(v - vr) <= e + er)
 
 
 def test_pointwise_error_reaches_estimate(zeros_550, monkeypatch):

@@ -1,6 +1,7 @@
 """Adaptive and log-singular quadrature against closed forms and scipy."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bsylab import errors
+from bsylab import errors, quadrature
 from bsylab.accum import comp_sum
 from bsylab.quadrature import (
     G7_WEIGHTS,
@@ -82,6 +83,46 @@ def test_log_singular_batch_with_cauchy_weight():
     oracle = quad(lambda t: math.log(abs(t - g)) / (0.25 + t * t),
                   g - 0.8, g + 0.6, points=[g], limit=500, epsabs=1e-13)[0]
     assert abs(vals[0] - oracle) <= max(errs[0], 1e-10)
+
+
+def test_product_rules_in_blocks_hold_their_memory(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 25_000
+    g = rng.uniform(14.0, 1e4, n)
+    dl, dr = rng.uniform(0.0, 1.0, (2, n))
+    dr[::7] = 0.0
+
+    def cauchy(t):
+        return 1.0 / (0.25 + t ** 2)
+
+    tracemalloc.start()
+    v, e = log_singular_batch(g, dl, dr, cauchy)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # a dozen floats per side, and four (sides, 20) temporaries per block
+    sides = 2 * n
+    assert peak <= 12 * 8 * sides + 4 * 20 * 8 * quadrature._LOG_BLOCK
+    monkeypatch.setattr(quadrature, "_LOG_BLOCK", 7)
+    small = log_singular_batch(g, dl, dr, cauchy)
+    for a, b in zip((v, e), small):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=14.0, max_value=1e5),
+       st.floats(min_value=1e-12, max_value=10.0),
+       st.floats(min_value=1e-12, max_value=10.0) | st.just(0.0))
+def test_unit_weight_closed_form(gamma, dl, dr):
+    # weight_f None takes each side as d (log d - 1): within its rounding
+    # term of a 40-digit closed form, and within the two estimates of
+    # the 12-point rule under a unit weight
+    v, e = log_singular_batch(np.array([gamma]), dl, dr, None)
+    vr, er = log_singular_batch(np.array([gamma]), dl, dr, np.ones_like)
+    assert abs(v[0] - vr[0]) <= e[0] + er[0]
+    with mpmath.workdps(40):
+        exact = sum(mpmath.mpf(d) * (mpmath.log(d) - 1)
+                    for d in (dl, dr) if d > 0)
+        assert abs(v[0] - exact) <= e[0]
 
 
 @settings(max_examples=60, deadline=None)
