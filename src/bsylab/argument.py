@@ -122,8 +122,9 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
                 cfg: PrecisionConfig = DEFAULT) -> ScanReport:
     """Running integral of log|zeta(1/2+iu)| from T to each grid point.
 
-    samples hold (t, running integral); fitted_params holds the single
-    value sup over the grid of |integral| * (log log t)^2 / log t.
+    samples hold (t, running integral) and budgets the running sum of
+    the segment integrals' error estimates; fitted_params holds the
+    single value sup over the grid of |integral| * (log log t)^2 / log t.
     """
     T = float(T)
     grid = np.asarray(t_grid, dtype=float)
@@ -134,13 +135,14 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
     zeros.require_height(grid[-1])
     cuts = grid.copy() if grid[0] == T else np.concatenate([[T], grid])
     v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg, None)
-    run = np.cumsum(v)
+    run, budget = np.cumsum(v), np.cumsum(e)
     if grid[0] == T:
         run = np.concatenate([[0.0], run])
+        budget = np.concatenate([[0.0], budget])
     norm = lemma2_normalized(grid, run)
     sup = float(np.max(np.abs(norm)))
     return ScanReport(np.column_stack([grid, run]), "none",
-                      np.array([sup]), 0.0)
+                      np.array([sup]), 0.0, budgets=budget)
 
 
 def omega_normalized(ts, vals, h: float):
@@ -154,8 +156,9 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     """Windowed integrals of log|zeta(1/2+iu)| over [t-h, t+h].
 
     Scans t on the lattice T + k h/4 within [T, 2T]; samples hold
-    (t, window integral); fitted_params holds (max, argmax, min, argmin)
-    of the normalized statistic.  The windows end by 2T + h, the height
+    (t, window integral) and budgets the sum of the window's 8 segment
+    error estimates; fitted_params holds (max, argmax, min, argmin) of
+    the normalized statistic.  The windows end by 2T + h, the height
     the zero list must cover.  The lattice steps are cuts of one segment
     profile, read out of panels laid by the ordinates, so the scan pays
     per panel, not per step: about 1.3 Z points per step at T = 600, h =
@@ -175,9 +178,10 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     C = np.concatenate([[0.0], np.cumsum(v)])
     # window [t_i - h, t_i + h] spans 8 lattice steps starting at index i
     W = C[8:8 + centers.size] - C[:centers.size]
+    budget = np.lib.stride_tricks.sliding_window_view(e, 8).sum(axis=1)
     norm = omega_normalized(centers, W, h)
     imax, imin = int(np.argmax(norm)), int(np.argmin(norm))
     return ScanReport(
         np.column_stack([centers, W]), "none",
         np.array([norm[imax], centers[imax], norm[imin], centers[imin]]),
-        0.0)
+        0.0, budgets=budget)

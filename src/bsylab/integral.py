@@ -12,7 +12,13 @@ remainder log|Z(t)/prod(t-gamma')|/(1/4+t^2), handled by adaptive
 quadrature.  Taking out the neighbours' logs as well leaves the
 remainder's nearest singularity more than two panel radii from gamma,
 instead of at the next ordinate, half a gap beyond the panel's end.  The
-same segment-profile engine serves cumulative scans (with the unit
+panels between (fillers) are graded toward t = +-i/2, where zeta and the
+weight have their poles (s = 1), and split where the tolerance needs it
+near an ordinate, since Gauss-Kronrod converges at a rate set by the
+nearest complex singularity; and no Kronrod node of the layout sits
+within _NEAR_GUARD of its ordinate.  So the layout converges in the
+first adaptive rounds, without Z'(gamma) from a difference stencil.
+The same segment-profile engine serves cumulative scans (with the unit
 weight, taken in closed form): its panels are laid out by the ordinates
 alone, and each cut is read out of the panel it falls in.
 
@@ -30,7 +36,7 @@ import numpy as np
 from . import errors, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
-from .quadrature import (_U, IntegralResult, adaptive_panels,
+from .quadrature import (_U, GK15_NODES, IntegralResult, adaptive_panels,
                          log_singular_batch, split_at_cuts)
 from .zeros import ZeroCandidate, ZeroList
 
@@ -43,22 +49,38 @@ __all__ = [
 MODELS = ("pure_power", "logT_over_T2", "sqrtlog_T2")
 
 #: Inside this distance of an ordinate the smooth remainder is evaluated
-#: from the stencil derivative of Z instead of the raw quotient.
+#: from the stencil derivative of Z instead of the raw quotient; the
+#: panel layout puts no Kronrod node there.
 _NEAR_GUARD = 1e-6
 
 #: Maximum half-width of a log-singular panel around an ordinate.
 _SING_RADIUS = 1.0
 
+#: Widest step of a filler panel in asinh(2t): log 1.5 keeps every
+#: filler within half its distance from t = +-i/2 (``_graded``).
+_GRADE = math.log(1.5)
+
+#: K15 - G7 on a filler is about this times max|weight| * width *
+#: rho^-14, rho the Bernstein-ellipse parameter of the nearest ordinate
+#: (0.2 to 0.36 on the fillers between t = 20 and 120).
+_KRONROD_C = 0.4
+
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Samples of a decay statistic over a T-grid plus an optional fit."""
+    """Samples of a decay statistic over a T-grid plus an optional fit.
+
+    ``budgets`` (None: not known) bounds the error of each sample's
+    statistic: the summed error estimates of the segment integrals it
+    is made of.
+    """
 
     samples: np.ndarray            # shape (n, 2): columns (T, stat)
     model: str
     fitted_params: np.ndarray
     residual_rms: float
     flags: tuple = ()
+    budgets: np.ndarray | None = None      # shape (n,)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -67,6 +89,11 @@ class ScanReport:
         if np.any(np.diff(s[:, 0]) <= 0):
             raise ValueError("samples must be ascending in T")
         object.__setattr__(self, "samples", s)
+        if self.budgets is not None:
+            b = np.asarray(self.budgets, dtype=float)
+            if b.shape != s.shape[:1] or not np.all(b >= 0):
+                raise ValueError("budgets must be n non-negative numbers")
+            object.__setattr__(self, "budgets", b)
         if self.model not in MODELS and self.model != "none":
             raise ValueError(f"unknown model {self.model!r}")
 
@@ -132,8 +159,10 @@ def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     _NEAR_GUARD of gamma the quotient Z(t)/(t - gamma) is replaced by
     the stencil derivative |Z'(gamma)| (removable singularity) and e/|Z|
     by the stencil's relative error; the stencil is evaluated once per
-    ordinate, the first time a node lands that close.  ``weight_f`` None
-    is the unit weight.
+    ordinate, the first time a node lands that close.  ``_panel_layout``
+    puts no node there, so only a bisection or a cut brings one (the
+    stencil's 1/(12h) factor makes its bound ~1e4 times Z's).
+    ``weight_f`` None is the unit weight.
     """
     zp_log = np.full(ords.shape, np.nan)
     zp_rel = np.full(ords.shape, np.nan)
@@ -176,36 +205,100 @@ def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     return f
 
 
-def _panel_layout(a: float, b: float, ords: np.ndarray):
-    """Panels (lo, hi, gamma) tiling [a, b], ascending.
+def _split(p, q, n, to_u=None, from_u=None):
+    """Each [p_i, q_i] in n_i pieces of equal length in u = to_u(t)
+    (t itself by default), ascending; the ends stay p_i and q_i."""
+    owner = np.repeat(np.arange(p.size), n)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    u0, u1 = (p, q) if to_u is None else (to_u(p), to_u(q))
+    step = ((u1 - u0) / n)[owner]
+    inner = u0[owner] + k * step
+    inner = inner if from_u is None else from_u(inner)
+    lo = np.where(k == 0, p[owner], inner)
+    hi = np.append(lo[1:], 0.0)
+    last = k == n[owner] - 1
+    hi[last] = q[owner[last]]
+    return lo, hi
+
+
+def _graded(p, q, ords, density, weight_f):
+    """Pieces (lo, hi) of the fillers [p_i, q_i], 0 <= p_i, ascending.
+
+    First graded toward t = +-i/2: equal steps of at most _GRADE in
+    asinh(2t), so that no piece is wider than half its distance
+    |lo + i/2| from the Cauchy weight's poles (and zeta's, at s = 1).
+    Then, with ``density`` given, each piece in equal parts, so narrow
+    that K15 - G7 meets the piece's share of the tolerance although the
+    nearest of ``ords`` lies only d beyond an end:
+    _KRONROD_C * max|weight| * rho^-14 <= density, with
+    rho = x + sqrt(x^2 - 1) and x = 1 + d / half-width.  Low fillers at a
+    tight tolerance split; fillers high on the line or at a loose
+    tolerance stay whole.  ``ords`` are the span's own, so that a scan
+    reads no zero beyond its end.
+    """
+    n = np.ceil((np.arcsinh(2.0 * q) - np.arcsinh(2.0 * p)) / _GRADE)
+    lo, hi = _split(p, q, np.maximum(n, 1).astype(int),
+                    lambda t: np.arcsinh(2.0 * t),
+                    lambda u: 0.5 * np.sinh(u))
+    if density is None or not ords.size:
+        return lo, hi
+    j = np.searchsorted(ords, lo, "right")
+    below = np.where(j > 0, ords[np.maximum(j - 1, 0)], -np.inf)
+    above = np.where(j < ords.size, ords[np.minimum(j, ords.size - 1)],
+                     np.inf)
+    d = np.minimum(lo - below, above - hi)
+    scale = 1.0 if weight_f is None else np.maximum(
+        np.abs(weight_f(lo)), np.abs(weight_f(hi)))
+    rho = np.maximum(_KRONROD_C * scale / density, 1.0) ** (1.0 / 14.0)
+    x = 0.5 * (rho + 1.0 / rho)
+    n = np.ceil((hi - lo) * (x - 1.0) / (2.0 * d))
+    return _split(lo, hi, np.maximum(n, 1).astype(int))
+
+
+def _panel_layout(a: float, b: float, ords: np.ndarray, density=None,
+                  weight_f=None):
+    """Panels (lo, hi, gamma) tiling [a, b], 0 <= a, ascending.
 
     Each ordinate in [a, b] gets a singular panel capped at _SING_RADIUS
     around it (so the Cauchy weight's poles at +-i/2 stay at least 13
     side lengths from every side the product rule integrates, since
     gamma_1 > 14), at the midpoints to its neighbours and at a and b (an
-    ordinate on an end has a one-sided panel).  Smooth filler panels
-    (gamma NaN) cover the rest, except pieces no wider than 1e-14.
-    ``ords`` must be ascending.
+    ordinate on an end has a one-sided panel).  A singular panel with a
+    Kronrod node within _NEAR_GUARD of its ordinate (the middle node of
+    a panel centred on it, as an isolated zero's is) keeps 0.9 of its
+    right side instead, so no node needs the stencil derivative of Z
+    (should the moved nodes land on it again, the stencil serves).
+    Smooth filler panels (gamma NaN) cover the rest, graded toward
+    +-i/2 and, at the tolerance ``density`` per unit length of
+    weight_f(t) times log|Z(t)| (None: not), toward the nearest
+    ordinates (``_graded``): the K15 error falls at a rate set by the
+    nearest complex singularity.  Pieces no wider than 1e-14 are left
+    out.  ``ords`` must be ascending.
     """
-    g = ords[(ords >= a) & (ords <= b)] if b > a else ords[:0]
-    if not g.size:
-        span = np.array([a] if b > a else [])
-        return span, np.full(span.shape, b), np.full(span.shape, math.nan)
-    mid = 0.5 * (g[1:] + g[:-1])
-    left = np.maximum(np.maximum(a, g - _SING_RADIUS),
-                      np.concatenate([[a], mid]))
-    right = np.minimum(np.minimum(b, g + _SING_RADIUS), np.append(mid, b))
-    pos = np.concatenate([[a], right[:-1]])
-    # the filler before ordinate j, then its singular panel; then the tail
-    keep = np.stack([left > pos + 1e-14, np.ones(g.size, dtype=bool)],
-                    axis=1).ravel()
-    tail = int(b > right[-1] + 1e-14)
-    lo = np.append(np.stack([pos, left], axis=1).ravel()[keep],
-                   right[-1:][:tail])
-    hi = np.append(np.stack([left, right], axis=1).ravel()[keep], [b][:tail])
-    gs = np.append(np.stack([np.full(g.size, math.nan), g],
-                            axis=1).ravel()[keep], [math.nan][:tail])
-    return lo, hi, gs
+    if not b > a:
+        return np.empty(0), np.empty(0), np.empty(0)
+    g = ords[(ords >= a) & (ords <= b)]
+    left = right = g
+    if g.size:
+        mid = 0.5 * (g[1:] + g[:-1])
+        left = np.maximum(np.maximum(a, g - _SING_RADIUS),
+                          np.concatenate([[a], mid]))
+        right = np.minimum(np.minimum(b, g + _SING_RADIUS),
+                           np.append(mid, b))
+        c, h = 0.5 * (left + right), 0.5 * (right - left)
+        near = np.min(np.abs(c[:, None] + h[:, None] * GK15_NODES
+                             - g[:, None]), axis=1) < _NEAR_GUARD
+        near &= (left < g) & (g < right)
+        right[near] = g[near] + 0.9 * (right[near] - g[near])
+    # the fillers: before each ordinate's panel, then the tail
+    p, q = np.append(a, right), np.append(left, b)
+    keep = (q > p + 1e-14) | (g.size == 0)
+    flo, fhi = _graded(p[keep], q[keep], g, density, weight_f)
+    lo = np.concatenate([left, flo])
+    order = np.argsort(lo, kind="stable")
+    hi = np.concatenate([right, fhi])[order]
+    gs = np.concatenate([g, np.full(flo.shape, math.nan)])[order]
+    return lo[order], hi, gs
 
 
 def _singular_pieces(cuts, gs, lo, hi, weight_f):
@@ -272,7 +365,9 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     if np.any(np.diff(cuts) < 0):
         raise ValueError("cuts must be ascending")
     nseg = cuts.size - 1
-    lo, hi, gs = _panel_layout(cuts[0], cuts[-1], ords)
+    total_w = float(cuts[-1] - cuts[0])
+    density = cfg.quad_tol / max(total_w, 1e-300)
+    lo, hi, gs = _panel_layout(cuts[0], cuts[-1], ords, density, weight_f)
     inner = np.unique(cuts)
     last = np.searchsorted(cuts, cuts[-1]) - 1    # the last non-empty one
 
@@ -297,9 +392,8 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     # --- smooth remainders: one batched adaptive pass over all panels
     gi = np.full(gs.shape, -1)
     gi[sing] = np.arange(g.size)
-    total_w = float(cuts[-1] - cuts[0])
     p = adaptive_panels(_remainder_rule(g, cfg, weight_f), lo, hi,
-                        cfg.quad_tol / max(total_w, 1e-300), {"g": gi},
+                        density, {"g": gi},
                         cfg.max_subdivisions, inner)
     seg = segment(p.lo)
     np.add.at(vals, seg, p.value)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bsylab import errors, zeta
+from bsylab import errors, integral, zeta
 from bsylab.accum import comp_sum
 from bsylab.argument import (
     S1_direct,
@@ -18,6 +18,7 @@ from bsylab.argument import (
     omega_scan,
 )
 from bsylab.config import DEFAULT, PrecisionConfig
+from bsylab.integral import ScanReport
 from bsylab.sieve import primes_up_to
 from bsylab.zeros import ZeroList
 from bsylab.zeta import rs_theta
@@ -219,6 +220,44 @@ def test_omega_scan_z_points_per_lattice_step(zeros_550, monkeypatch):
     steps = int(math.floor(T / (h / 4))) + 8
     assert steps == 2674
     assert points[0] < 3000
+
+
+#: The Z errors and quadrature tolerance of the benchmark's scans.
+_SCAN_CFG = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-4,
+                            rs_correction_terms=4)
+
+
+def test_scan_budgets_cover_a_tight_run(zeros_100):
+    # each sample's budget sums the error estimates of its segments:
+    # against a quad_tol 1e-9 / Z 1e-12 run on the same cuts, every
+    # sample is within the two budgets
+    grid = np.geomspace(30.0, 90.0, 12)
+    for scan in (lambda cfg: lemma2_scan(20.0, grid, zeros_100, cfg),
+                 lambda cfg: omega_scan(40.0, 0.3, zeros_100, cfg)):
+        rep, ref = scan(_SCAN_CFG), scan(DEFAULT)
+        np.testing.assert_array_equal(rep.samples[:, 0], ref.samples[:, 0])
+        assert rep.budgets.shape == (rep.samples.shape[0],)
+        assert np.all(rep.budgets > 0) and np.all(ref.budgets < 1e-8)
+        err = np.abs(rep.samples[:, 1] - ref.samples[:, 1])
+        assert np.all(err <= rep.budgets + ref.budgets)
+    # a running integral's budget grows; from T itself it starts at 0
+    rep = lemma2_scan(30.0, grid, zeros_100, _SCAN_CFG)
+    assert rep.budgets[0] == 0.0 and np.all(np.diff(rep.budgets) > 0)
+    with pytest.raises(ValueError):
+        ScanReport(rep.samples, "none", rep.fitted_params, 0.0,
+                   budgets=rep.budgets[1:])
+
+
+def test_lemma2_scan_needs_no_stencil(zeros_10k, monkeypatch):
+    # the scan's panels put no Kronrod node on an ordinate, so Z'(gamma)
+    # is never taken from the 4-point stencil
+    stencils = []
+    stencil = integral._z_log_derivative
+    monkeypatch.setattr(integral, "_z_log_derivative",
+                        lambda gs, cfg: stencils.append(gs.size)
+                        or stencil(gs, cfg))
+    lemma2_scan(20.0, np.geomspace(30.0, 1250.0, 40), zeros_10k, _SCAN_CFG)
+    assert stencils == []
 
 
 def test_omega_scan_needs_coverage(zeros_100):

@@ -8,6 +8,7 @@ pieces for each log|t-gamma| factor against the Cauchy weight.
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -196,13 +197,18 @@ def _span_and_ordinates(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_span_and_ordinates())
+@given(_span_and_ordinates(), st.sampled_from([None, 1e-8, 1e-13]),
+       st.sampled_from([None, integral._weight]))
 # pieces of 1e-12 before and after a singular panel are kept, of 5e-15 not
-@example((9 - 1e-12, 11 + 1e-12, np.array([10.0, 14.0])))
-@example((13 - 5e-15, 15 + 5e-15, np.array([10.0, 14.0])))
-def test_panel_layout_tiles_segments(case):
+@example((9 - 1e-12, 11 + 1e-12, np.array([10.0, 14.0])), None, None)
+@example((13 - 5e-15, 15 + 5e-15, np.array([10.0, 14.0])), None, None)
+# a panel centred on its ordinate keeps 0.9 of its right side; the
+# freed piece joins the next filler, or is one
+@example((9.0, 11.0, np.array([10.0])), 1e-13, integral._weight)
+@example((9.0, 10.5, np.array([9.5, 10.0])), None, None)
+def test_panel_layout_tiles_segments(case, density, weight_f):
     a, b, ords = case
-    lo, hi, g = integral._panel_layout(a, b, ords)
+    lo, hi, g = integral._panel_layout(a, b, ords, density, weight_f)
     sing = ~np.isnan(g)
     if b <= a:
         assert not lo.size
@@ -211,6 +217,23 @@ def test_panel_layout_tiles_segments(case):
     assert lo.size and np.all(lo < hi)
     assert 0.0 <= lo[0] - a <= 1e-14 and 0.0 <= b - hi[-1] <= 1e-14
     assert np.all((lo[1:] >= hi[:-1]) & (lo[1:] - hi[:-1] <= 1e-14))
+    width = hi - lo
+    assert np.all(width[~sing] > 1e-14) or (lo.size == 1 and b - a <= 1e-14)
+    # fillers graded toward +-i/2: none wider than half its distance
+    # from them
+    assert np.all(width[~sing] <= 0.5 * np.hypot(lo[~sing], 0.5)
+                  * (1 + 1e-12))
+    # no Kronrod node within _NEAR_GUARD of its own ordinate, where
+    # moving the panel's right end can help
+    c, h = 0.5 * (lo + hi)[sing], 0.5 * width[sing]
+    gap = np.min(np.abs(c[:, None] + h[:, None] * GK15_NODES
+                        - g[sing, None]), axis=1)
+    inner = np.minimum(g[sing] - lo[sing], hi[sing] - g[sing]) >= 1e-3
+    assert np.all(gap[inner] >= integral._NEAR_GUARD)
+    # grading toward the ordinates only splits fillers further
+    blo, bhi, bg = integral._panel_layout(a, b, ords)
+    assert np.isin(blo, lo).all() and np.isin(bhi, hi).all()
+    np.testing.assert_array_equal(lo[sing], blo[~np.isnan(bg)])
     # one singular panel per ordinate in the span, one-sided on an end
     np.testing.assert_array_equal(g[sing], ords[(ords >= a) & (ords <= b)])
     assert np.all((lo[sing] <= g[sing]) & (g[sing] <= hi[sing]))
@@ -277,23 +300,26 @@ def test_refinement_stays_within_bound(zeros_100):
 
 @pytest.mark.parametrize("centred", [False, True])
 def test_z_points_per_panel(zeros_100, monkeypatch, centred):
-    # 15 Z points per evaluated panel, plus the 4-point stencil once per
-    # ordinate that a node came within _NEAR_GUARD of
+    # 15 Z points per evaluated panel and no stencil: the initial layout
+    # puts no Kronrod node within _NEAR_GUARD of its own ordinate, not
+    # even where a panel would be centred on it (the +-_SING_RADIUS
+    # panel of an isolated zero, or here a span centred on one)
     a, b = (float(zeros_100.ordinates[5]) + np.array([-0.5, 0.5])
             if centred else (0.0, 100.0))
-    ords = zeros_100.ordinates[(zeros_100.ordinates > a)
-                               & (zeros_100.ordinates < b)]
-    panels, near, stencils = [], set(), []
+    ords = zeros_100.ordinates[(zeros_100.ordinates >= a)
+                               & (zeros_100.ordinates <= b)]
+    panels, near, stencils = [], [], []
     points = [0]
     panels_of, z_batch = integral.adaptive_panels, zeta.hardy_z_batch
     stencil = integral._z_log_derivative
 
     def counting_panels(f, *args, **kwargs):
         def rule(ts, payload):
-            panels.append(ts.shape[0])
             gi = np.broadcast_to(payload["g"][:, None], ts.shape)
             close = (gi >= 0) & (np.abs(ts - ords[gi]) < integral._NEAR_GUARD)
-            near.update(ords[gi[close]].tolist())
+            if not panels:
+                near.extend(ords[gi[close]].tolist())
+            panels.append(ts.shape[0])
             return f(ts, payload)
         return panels_of(rule, *args, **kwargs)
 
@@ -309,11 +335,83 @@ def test_z_points_per_panel(zeros_100, monkeypatch, centred):
     monkeypatch.setattr(zeta, "hardy_z_batch", counting_z)
     monkeypatch.setattr(integral, "_z_log_derivative", counting_stencil)
     integral._segment_profile(np.array([a, b]), zeros_100.ordinates, DEFAULT)
-    # a panel centred on an ordinate (as the +-_SING_RADIUS panels of
-    # isolated zeros are) has its middle node on it
-    assert len(near) == 1 if centred else len(near) > 1
-    assert sorted(stencils) == sorted(near)
-    assert points[0] == 15 * sum(panels) + 4 * len(stencils)
+    assert near == [] and stencils == []
+    assert points[0] == 15 * sum(panels)
+    if centred:
+        # the singular panel keeps 0.9 of its right side
+        lo, hi, gs = integral._panel_layout(a, b, zeros_100.ordinates)
+        [k] = np.flatnonzero(~np.isnan(gs))
+        assert (lo[k], hi[k]) == (a, ords[0] + 0.9 * (b - ords[0]))
+
+
+def test_stencil_fallback_near_an_ordinate(zeros_100, monkeypatch):
+    # nodes that bisection or a cut brings within _NEAR_GUARD of an
+    # ordinate take |Z'(gamma)| from the 4-point stencil, once per
+    # ordinate however often they come; the value is within its
+    # pointwise bound of log|Z'(gamma)| (30 digits) less the
+    # neighbours' logs
+    g = zeros_100.ordinates
+    k = 5
+    calls = []
+    stencil = integral._z_log_derivative
+    monkeypatch.setattr(integral, "_z_log_derivative",
+                        lambda gs, cfg: calls.append(gs.tolist())
+                        or stencil(gs, cfg))
+    f = integral._remainder_rule(g, DEFAULT, integral._weight)
+    ts = g[k] + np.array([[-1e-3, -1e-7, 0.0, 1e-7, 1e-3]])
+    v, pw = f(ts, {"g": np.array([k])})
+    again, _ = f(ts, {"g": np.array([k])})
+    assert calls == [[g[k]]]
+    np.testing.assert_array_equal(v, again)
+    first, stop = integral._neighbours(g)
+    others = [j for j in range(first[k], stop[k]) if j != k]
+    with mpmath.workdps(30):
+        gk = mpmath.mpf(float(g[k]))
+        expect = float(mpmath.log(abs(mpmath.siegelz(gk, derivative=1)))
+                       - mpmath.fsum(mpmath.log(abs(gk - float(g[j])))
+                                     for j in others))
+    w = float(integral._weight(g[k]))
+    assert abs(v[0, 2] / w - expect) <= pw[0, 2] / w + 1e-12
+    assert 0 < pw[0, 2] / w < 1e-6
+    # off the ordinate, within the guard, the same stencil value less
+    # the neighbours' logs at t; just outside, the raw quotient agrees
+    assert np.allclose(v[0, 1:4] / integral._weight(ts[0, 1:4]), expect,
+                       rtol=0, atol=1e-6)
+    assert abs(v[0, 0] / integral._weight(ts[0, 0]) - expect) < 1e-2
+
+
+def test_compute_I_accuracy_guard(zeros_100):
+    # I(10) against 30-digit quadrature (the filler is graded toward
+    # +-i/2; as one panel it errs 3.5e-14), and a ladder against a run
+    # 1000x tighter (with a Kronrod node on each isolated ordinate, the
+    # stencil's 1/(12h) error reaches 3e-14)
+    with mpmath.workdps(30):
+        ref = 2 * mpmath.quad(
+            lambda t: mpmath.log(abs(mpmath.zeta(mpmath.mpf(0.5) + 1j * t)))
+            / (mpmath.mpf(0.25) + t * t), [0, 1, 3, 10])
+    assert abs(compute_I(10.0, zeros_100, DEFAULT).value - float(ref)) \
+        <= 5e-15
+    Ts = 10.0 * 2.0 ** np.arange(4)
+    ladder = compute_I_many(Ts, zeros_100, DEFAULT)
+    fine = compute_I_many(Ts, zeros_100, DEFAULT.refined(1000.0))
+    for r, f in zip(ladder, fine):
+        assert abs(r.value - f.value) <= 1e-14
+        assert abs(r.value - f.value) <= r.abs_error_est
+
+
+def test_ladder_work_contract(zeros_10k, monkeypatch):
+    # the layout converges in the first adaptive rounds: on the 10 * 2^k
+    # ladder at most 3 Z batches (one per round) and no stencil
+    calls, stencils = [], []
+    z_batch, stencil = zeta.hardy_z_batch, integral._z_log_derivative
+    monkeypatch.setattr(zeta, "hardy_z_batch",
+                        lambda ts, *a, **kw: calls.append(np.size(ts))
+                        or z_batch(ts, *a, **kw))
+    monkeypatch.setattr(integral, "_z_log_derivative",
+                        lambda gs, cfg: stencils.append(gs.size)
+                        or stencil(gs, cfg))
+    compute_I_many(10.0 * 2.0 ** np.arange(8), zeros_10k, DEFAULT)
+    assert 1 <= len(calls) <= 3 and stencils == []
 
 
 @pytest.mark.parametrize("cfg", [
