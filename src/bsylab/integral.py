@@ -5,11 +5,11 @@ whose decay encodes the horizontal distribution of zeta's nontrivial
 zeros.  The integrand has integrable logarithmic singularities at every
 zero ordinate, so [0, T] is partitioned with exactly one ordinate per
 panel.  On the singular panel of gamma the integrand is split into
-log|t-gamma'|/(1/4+t^2) for gamma' = gamma and every ordinate of the
-span within two panel radii of it, each handled by Gauss-Legendre
-product rules from gamma' to the panel's ends, plus the smooth
-remainder log|Z(t)/prod(t-gamma')|/(1/4+t^2), handled by adaptive
-quadrature.  Taking out the neighbours' logs as well leaves the
+log|t-gamma'|/(1/4+t^2) for gamma' = gamma and every ordinate within
+two panel radii of it (beyond the span's ends too), each handled by
+Gauss-Legendre product rules from gamma' to the panel's ends, plus the
+smooth remainder log|Z(t)/prod(t-gamma')|/(1/4+t^2), handled by
+adaptive quadrature.  Taking out the neighbours' logs as well leaves the
 remainder's nearest singularity more than two panel radii from gamma,
 instead of at the next ordinate, half a gap beyond the panel's end.  The
 panels between (fillers) are graded toward t = +-i/2, where zeta and the
@@ -55,6 +55,10 @@ _NEAR_GUARD = 1e-6
 
 #: Maximum half-width of a log-singular panel around an ordinate.
 _SING_RADIUS = 1.0
+
+#: A singular panel takes out the logs of the ordinates this near its own
+#: (``_neighbours``): beyond, one lies _SING_RADIUS outside the panel.
+_REACH = 2.0 * _SING_RADIUS
 
 #: Widest step of a filler panel in asinh(2t): log 1.5 keeps every
 #: filler within half its distance from t = +-i/2 (``_graded``).
@@ -119,7 +123,8 @@ def bsy_integrand(t: float, cfg: PrecisionConfig = DEFAULT) -> float:
 
 def _z_log_derivative(gammas: np.ndarray,
                       cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """log|Z'(gamma)| for each ordinate via a 5-point stencil.
+    """log|Z'(gamma)| for each ordinate via a 4-point stencil at +-h and
+    +-2h (the fourth-order central difference, whose centre weight is 0).
 
     Also returns the relative error of |Z'| that the Z errors at the four
     stencil points carry, (e_1 + 8 e_2 + 8 e_3 + e_4) / (12 h |Z'|).
@@ -136,12 +141,9 @@ def _z_log_derivative(gammas: np.ndarray,
 
 def _neighbours(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index ranges [first_i, stop_i) of the ordinates of ``g`` (ascending)
-    within 2 * _SING_RADIUS of g_i, g_i's own index included: beyond
-    that reach an ordinate lies at least _SING_RADIUS outside g_i's
-    singular panel."""
-    reach = 2.0 * _SING_RADIUS
-    return (np.searchsorted(g, g - reach, "left"),
-            np.searchsorted(g, g + reach, "right"))
+    within _REACH of g_i, g_i's own index included."""
+    return (np.searchsorted(g, g - _REACH, "left"),
+            np.searchsorted(g, g + _REACH, "right"))
 
 
 def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
@@ -301,19 +303,20 @@ def _panel_layout(a: float, b: float, ords: np.ndarray, density=None,
     return lo[order], hi, gs
 
 
-def _singular_pieces(cuts, gs, lo, hi, weight_f):
+def _singular_pieces(cuts, ords, own, lo, hi, weight_f):
     """log|t - gamma'| * weight(t) over the pieces of singular panels,
     summed over gamma' = the panel's own ordinate and its neighbours.
 
     ``cuts`` ascending and distinct, each singular panel [lo_i, hi_i]
-    holding gs_i (ascending), split at the cuts strictly inside it; the
-    gamma' of panel i are gs_i and its ``_neighbours`` in ``gs``, the
-    set ``_remainder_rule`` subtracts.  Every piece boundary x is, for
-    each gamma' of its panel, one side of length |x - gamma'| of a
-    one-sided product rule from gamma' (none on gamma' itself), and a
-    piece's integral is F(piece_hi) - F(piece_lo) with F(x) the sum over
-    gamma' of the signed integrals from gamma' to x (for the own gamma
-    of an uncut panel: its two sides' sum).  All sides go through one
+    holding ords[own_i] (``ords`` and the panels ascending), split at
+    the cuts strictly inside it; the gamma' of panel i are ords[own_i]
+    and its ``_neighbours`` in ``ords``, the set ``_remainder_rule``
+    subtracts.  Every piece boundary x is, for each gamma' of its panel,
+    one side of length |x - gamma'| of a one-sided product rule from
+    gamma' (none on gamma' itself), and a piece's integral is
+    F(piece_hi) - F(piece_lo) with F(x) the sum over gamma' of the signed
+    integrals from gamma' to x (for the own gamma of an uncut panel: its
+    two sides' sum).  All sides go through one
     ``log_singular_batch`` call.  Returns (piece_lo, values,
     error_estimates), each piece's error the sum of its two boundaries'
     side errors plus the rounding of their sums, n u |side| for n sides.
@@ -326,12 +329,12 @@ def _singular_pieces(cuts, gs, lo, hi, weight_f):
     x, panel = np.empty(at.size + lo.size), np.empty(at.size + lo.size, int)
     x[at], x[ends] = plo, hi
     panel[at], panel[ends] = owner, np.arange(lo.size)
-    # the sides: boundary b has n_b of them, from gs[first .. stop)
-    first, stop = _neighbours(gs)
-    n = (stop - first)[panel]
+    # the sides: boundary b has n_b of them, from ords[first .. stop)
+    first, stop = (r[own[panel]] for r in _neighbours(ords))
+    n = stop - first
     side = np.repeat(np.arange(x.size), n)
-    c = np.repeat(first[panel] - np.cumsum(n) + n, n) + np.arange(side.size)
-    g, xs = gs[c], x[side]
+    c = np.repeat(first - np.cumsum(n) + n, n) + np.arange(side.size)
+    g, xs = ords[c], x[side]
     S, E = log_singular_batch(g, np.maximum(g - xs, 0.0),
                               np.maximum(xs - g, 0.0), weight_f)
     F = np.bincount(side, np.sign(xs - g) * S, x.size)
@@ -349,10 +352,11 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     pass; a panel that a cut falls strictly inside is read out in pieces
     (``quadrature.adaptive_panels``), so a scan pays per panel, not per
     cut.  A singular panel's remainder has the logs of its own ordinate
-    and of the span's ordinates within 2 * _SING_RADIUS of it taken out
-    (``_remainder_rule``), and its log-singular parts add them back
-    exactly (``_singular_pieces``), so the neighbours cost no
-    bisections.  ``subintervals`` counts pieces and ``n_singular`` the
+    and of the ordinates of ``ords`` within _REACH of it taken out,
+    beyond [cuts[0], cuts[-1]] too (``_remainder_rule``), and its
+    log-singular parts add them back exactly (``_singular_pieces``), so
+    the neighbours cost no bisections, not even an ordinate just beyond
+    a span's end.  ``subintervals`` counts pieces and ``n_singular`` the
     ordinates in [cuts[i], cuts[i+1]) (one on cuts[-1] counts in the
     last non-empty segment).  A segment's error estimate sums the rule
     errors (|K15 - G7| for a whole panel) and the propagated pointwise Z
@@ -382,8 +386,12 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     # --- singular parts: one vectorized product-rule call over all sides
     sing = ~np.isnan(gs)
     g = gs[sing]
+    # the neighbours come from the span's ordinates and those within
+    # their reach beyond its ends; own indexes each panel's ordinate
+    near = ords[(ords >= cuts[0] - _REACH) & (ords <= cuts[-1] + _REACH)]
+    own = np.searchsorted(near, g)
     if g.size:
-        plo, sv, se = _singular_pieces(inner, g, lo[sing], hi[sing],
+        plo, sv, se = _singular_pieces(inner, near, own, lo[sing], hi[sing],
                                        weight_f)
         np.add.at(vals, segment(plo), sv)
         np.add.at(errs, segment(plo), se)
@@ -391,8 +399,8 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
 
     # --- smooth remainders: one batched adaptive pass over all panels
     gi = np.full(gs.shape, -1)
-    gi[sing] = np.arange(g.size)
-    p = adaptive_panels(_remainder_rule(g, cfg, weight_f), lo, hi,
+    gi[sing] = own
+    p = adaptive_panels(_remainder_rule(near, cfg, weight_f), lo, hi,
                         density, {"g": gi},
                         cfg.max_subdivisions, inner)
     seg = segment(p.lo)

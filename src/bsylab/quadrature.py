@@ -14,11 +14,14 @@ is fixed for bit-reproducibility.
 Cuts read a panel out in pieces instead of bounding it.  A panel that a
 cut falls strictly inside is split there, and each piece is read from
 the panel's own 15 values: its value is the integral over the piece of
-p15, the degree-14 interpolant through them, its rule error is that of
-p15 - p7 (p7 the Gauss-7 interpolant), and its P uses the integrals of
-p15's Lagrange basis over the piece as weights.  Over a whole panel
-these are K15, |K15 - G7| and P.  So a scan with many cuts pays per
-panel, not per cut.
+p15, the degree-14 interpolant through them, its rule error is
+(|c_13| + |c_14|) times its width, c_m the Legendre coefficients of
+p15 (a bound on p15's two top modes over the piece, which shrinks at
+p15's own rate; P. Gonnet, ACM TOMS 37, 2010, takes error estimates
+from the interpolant in use), and its P uses the integrals of p15's
+Lagrange basis over the piece as weights.  Over a whole panel the
+values sum to K15, the rule errors to at least 4.4 |K15 - G7| and the
+P to at least P.  So a scan with many cuts pays per panel, not per cut.
 
 ``log_singular_batch`` integrates log|t - gamma| against a smooth
 weight on each side of many points gamma at once, by product
@@ -63,17 +66,20 @@ GK15_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
 G7_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
 
 
+#: The Legendre coefficients c_0..c_14 of p15, the degree-14 interpolant
+#: through the 15 Kronrod values, are this matrix times those values.
+_TO_LEGENDRE = np.linalg.inv(np.polynomial.legendre.legvander(GK15_NODES, 14))
+
+
 def _piece_map():
-    """The (30, 16) map from D_0..D_15 to a piece's weights for p15 and
-    for p15 - p7: the integrals of the Lagrange bases on the Kronrod
-    nodes, and those less the Gauss basis integrals at the odd nodes.
+    """The (15, 16) map from D_0..D_15 to a piece's weights for p15: the
+    integrals of the Lagrange bases on the Kronrod nodes.
 
     D_m is the divided difference over a piece of the monic Legendre
     polynomial p_m = P_m / k_m, k_m = binom(2m, m) / 2^m.  Over a piece
     of width du the Legendre moments are du k_1 D_1 and
     du (k_{m+1} D_{m+1} - k_{m-1} D_{m-1}) / (2m + 1), and the Lagrange
-    basis has the Legendre coefficients of the inverse Vandermonde
-    matrix.
+    basis has the Legendre coefficients ``_TO_LEGENDRE``.
     """
     k = np.array([math.comb(2 * m, m) / 2.0 ** m for m in range(16)])
     to_moments = np.zeros((16, 15))
@@ -82,15 +88,12 @@ def _piece_map():
         to_moments[m + 1, m], to_moments[m - 1, m] = 1.0, -1.0
         to_moments[:, m] /= 2 * m + 1
     to_moments *= k[:, None]
-    legvander = np.polynomial.legendre.legvander
-    k15 = to_moments @ np.linalg.inv(legvander(GK15_NODES, 14))
-    diff = k15.copy()
-    diff[:, 1::2] -= to_moments[:, :7] @ np.linalg.inv(
-        legvander(GK15_NODES[1::2], 6))
-    return np.ascontiguousarray(np.concatenate([k15, diff], axis=1).T)
+    return np.ascontiguousarray((to_moments @ _TO_LEGENDRE).T)
 
 
 _PIECE_MAP = _piece_map()
+#: c_13 and c_14 of p15 from its 15 values, as a (15, 2) right factor.
+_TOP_MODES = np.ascontiguousarray(_TO_LEGENDRE[13:].T)
 #: Recurrence coefficients of the monic Legendre polynomials.
 _MONIC_C = np.arange(16) ** 2 / (4.0 * np.arange(16) ** 2 - 1.0)
 
@@ -119,7 +122,7 @@ class Panels:
     lo: np.ndarray
     hi: np.ndarray
     value: np.ndarray          # K15, or the integral of p15 over the piece
-    rule_error: np.ndarray     # |K15 - G7|, or |integral of p15 - p7|
+    rule_error: np.ndarray     # |K15 - G7|, or (|c_13| + |c_14|) * width
     pointwise: np.ndarray      # P, the propagated pointwise error
     payload: dict
 
@@ -150,8 +153,8 @@ def split_at_cuts(cuts: np.ndarray, lo, hi):
 
 
 def _piece_weights(a: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """The (30, n) weights of the pieces [a_i, a_i + du_i] of [-1, 1]:
-    rows 0..14 integrate p15 over the piece, rows 15..29 p15 - p7.
+    """The (15, n) weights of the pieces [a_i, a_i + du_i] of [-1, 1],
+    which integrate p15 over the piece.
 
     The divided differences D_m of the monic Legendre polynomials over
     the piece follow their three-term recurrence alongside p_m(a), with
@@ -182,20 +185,23 @@ def _read_pieces(cuts, lo, hi, vals, pw):
 
     ``vals`` and ``pw`` are the panels' 15 Kronrod values and pointwise
     bounds (pw None: exact values).  A piece's weights are the integrals
-    of the Lagrange basis over it, so its value is the integral of p15,
-    its rule error |integral of p15 - p7| and its P the half-width times
-    sum_k |weight_k| pw_k.  Returns (owner, lo, hi, value, rule error, P)
-    per piece.
+    of the Lagrange basis over it, so its value is the integral of p15
+    and its P the half-width times sum_k |weight_k| pw_k.  Its rule error
+    is (|c_13| + |c_14|) times its width, c_m the Legendre coefficients
+    of its panel's p15: a bound on p15's two top modes over the piece, so
+    it shrinks at p15's own rate.  Over a panel these sum to
+    (|c_13| + |c_14|) * width, at least 4.4 times |K15 - G7| =
+    width * |c_14| * |G7(P_14)| / 2, |G7(P_14)| = 0.454.  Returns (owner,
+    lo, hi, value, rule error, P) per piece.
     """
     owner, plo, phi = split_at_cuts(cuts, lo, hi)
     mid, half = 0.5 * (lo + hi)[owner], 0.5 * (hi - lo)[owner]
     ul = np.where(plo == lo[owner], -1.0, (plo - mid) / half)
     w = _piece_weights(ul, (phi - plo) / half)
-    v = vals.T[:, owner]
-    value = half * np.einsum("ki,ki->i", w[:15], v)
-    rule = np.abs(half * np.einsum("ki,ki->i", w[15:], v))
+    value = half * np.einsum("ki,ki->i", w, vals.T[:, owner])
+    rule = np.abs(vals @ _TOP_MODES).sum(axis=1)[owner] * (phi - plo)
     P = np.zeros(owner.size) if pw is None else half * np.einsum(
-        "ki,ki->i", np.abs(w[:15], out=w[:15]), pw.T[:, owner])
+        "ki,ki->i", np.abs(w, out=w), pw.T[:, owner])
     return owner, plo, phi, value, rule, P
 
 
@@ -211,11 +217,13 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
     a panel is accepted when |K15 - G7| <= density * width + P; a panel
     with an infinite P (a node whose error has no bound) is bisected
     instead.  A panel that one of ``cuts`` (any order) falls strictly
-    inside is read in pieces (see the module docstring) and accepted
-    when its pieces' rule errors sum to within density * width plus
-    their summed P; its rows in the result are its pieces.  Raises
-    ToleranceNotMet once more than ``max_subdivisions`` panels have
-    been made.
+    inside is read in pieces (``_read_pieces``) and accepted when its
+    pieces' rule errors, which sum to (|c_13| + |c_14|) * width, are
+    within density * width plus their summed P; that sum is at least
+    4.4 |K15 - G7|, so a cut never loosens the rule-error side of the
+    test.  Its rows in the result are its pieces.  Raises
+    ToleranceNotMet once more than ``max_subdivisions`` panels have been
+    made.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

@@ -202,9 +202,11 @@ def test_omega_scan_reads_no_zero_above_2T_plus_h(zeros_550):
 def test_omega_scan_z_points_per_lattice_step(zeros_550, monkeypatch):
     # the h/4 lattice steps are read out of panels laid by the ordinates,
     # whose remainders have the neighbouring ordinates' logs taken out:
-    # at Z errors of 1e-6 (Riemann-Siegel above t ~ 370) about one Z
-    # point per step.  A 15-point panel per step would make 15+, and
-    # the neighbours' logs left in force bisections (5974 points)
+    # at Z errors of 1e-6 (Riemann-Siegel above t ~ 370) 2340 Z points,
+    # all in the first adaptive round; the bound leaves room for two
+    # panels bisected once (60 points).  A 15-point panel per step would
+    # make 15+ per step, and the neighbours' logs left in force
+    # bisections (5974 points)
     cfg = PrecisionConfig(target_abs_error=1e-6, quad_tol=1e-4,
                           rs_correction_terms=4)
     points = [0]
@@ -219,7 +221,7 @@ def test_omega_scan_z_points_per_lattice_step(zeros_550, monkeypatch):
     omega_scan(T, h, zeros_550, cfg)
     steps = int(math.floor(T / (h / 4))) + 8
     assert steps == 2674
-    assert points[0] < 3000
+    assert points[0] <= 2400
 
 
 #: The Z errors and quadrature tolerance of the benchmark's scans.
@@ -248,15 +250,35 @@ def test_scan_budgets_cover_a_tight_run(zeros_100):
                    budgets=rep.budgets[1:])
 
 
-def test_lemma2_scan_needs_no_stencil(zeros_10k, monkeypatch):
-    # the scan's panels put no Kronrod node on an ordinate, so Z'(gamma)
-    # is never taken from the 4-point stencil
-    stencils = []
-    stencil = integral._z_log_derivative
+@pytest.mark.parametrize("scan", ["lemma2", "omega"])
+def test_scan_work_contract(zeros_10k, monkeypatch, scan):
+    # the benchmark's scan shapes at its Z errors and tolerance: every
+    # cut panel passes in the first adaptive round, and no Kronrod node
+    # needs Z'(gamma) from the 4-point stencil.  lemma2_scan makes one Z
+    # batch.  omega_scan(600, 0.3) makes a second for its two end panels
+    # alone, each 0.15-0.23 from an ordinate outside the span whose log
+    # stays in its remainder: the filler at T - h (a filler takes no log
+    # out) above 599.55, and the singular panel at 2T + h below 1200.53
+    # (the scan reads no ordinate above 2T + h)
+    batches, stencils = [], []
+    z_batch, stencil = zeta.hardy_z_batch, integral._z_log_derivative
+    monkeypatch.setattr(zeta, "hardy_z_batch",
+                        lambda ts, *a, **kw: batches.append(np.asarray(ts))
+                        or z_batch(ts, *a, **kw))
     monkeypatch.setattr(integral, "_z_log_derivative",
                         lambda gs, cfg: stencils.append(gs.size)
                         or stencil(gs, cfg))
-    lemma2_scan(20.0, np.geomspace(30.0, 1250.0, 40), zeros_10k, _SCAN_CFG)
+    if scan == "lemma2":
+        lemma2_scan(20.0, np.geomspace(30.0, 1250.0, 40), zeros_10k,
+                    _SCAN_CFG)
+        assert len(batches) == 1
+    else:
+        T, h = 600.0, 0.3
+        omega_scan(T, h, zeros_10k, _SCAN_CFG)
+        assert 1 <= len(batches) <= 2
+        for ts in batches[1:]:
+            to_end = np.minimum(ts - (T - h), 2 * T + h - ts)
+            assert np.all(to_end < 2 * integral._SING_RADIUS)
     assert stencils == []
 
 

@@ -477,6 +477,29 @@ def test_neighbours_taken_out_and_added_back_within_estimates(
     assert np.all(np.abs(v - vr) <= e + er)
 
 
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_ordinates_beyond_the_span_taken_out(zeros_550, monkeypatch, end):
+    # gamma_135 and gamma_136 lie 0.61 apart: a span that stops 0.05
+    # short of one of them ends inside the other's singular panel, and
+    # the ordinate beyond its end is one of that panel's neighbours.  Its
+    # log leaves the remainder, so one adaptive round suffices, and the
+    # integral is within the estimates of a refined run
+    g = zeros_550.ordinates
+    lo_g, hi_g = g[134], g[135]
+    cuts = np.array([lo_g - 0.5, hi_g - 0.05] if end == "high"
+                    else [lo_g + 0.05, hi_g + 0.5])
+    batches = []
+    z_batch = zeta.hardy_z_batch
+    monkeypatch.setattr(zeta, "hardy_z_batch",
+                        lambda ts, *a, **kw: batches.append(np.size(ts))
+                        or z_batch(ts, *a, **kw))
+    v, e, _, nsing = integral._segment_profile(cuts, g, DEFAULT)
+    assert nsing[0] == 1 and len(batches) == 1
+    monkeypatch.setattr(zeta, "hardy_z_batch", z_batch)
+    vr, er, _, _ = integral._segment_profile(cuts, g, DEFAULT.refined(100.0))
+    assert abs(v[0] - vr[0]) <= e[0] + er[0]
+
+
 def test_pointwise_error_reaches_estimate(zeros_550, monkeypatch):
     # a smooth segment near t = 400 with Z good to 1e-6 only (taken from
     # Riemann-Siegel there): the error estimate is sum |K15 - G7| plus

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -234,3 +234,72 @@ def test_pieces_read_a_degree_14_polynomial_exactly():
     # without cuts every panel is one piece, read as K15
     whole = adaptive_panels(f, [-1.0, 1.0], [1.0, 2.0], 10.0)
     assert whole.value[0] == pytest.approx(comp_sum(p.value[1:]), rel=1e-13)
+
+
+def _singular_integrand(kind, z0):
+    """An integrand analytic on [-1, 1] with a pole or a log singularity
+    at z0 (mpmath)."""
+    if kind == "pole":
+        return lambda x: mpmath.re(1 / (x - z0))
+    return lambda x: mpmath.log(abs(x - z0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["pole", "log"]),
+       st.floats(min_value=2.5, max_value=8.0),
+       st.floats(min_value=0.0, max_value=math.pi),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0,
+                          exclude_min=True, exclude_max=True),
+                min_size=1, max_size=6))
+# odd and even about the middle: c_14 = 0, then c_13 = 0
+@example("pole", 2.5, math.pi / 2, [0.5])
+@example("log", 2.5, math.pi / 2, [0.5])
+# a pole on the axis, 0.45 beyond the end, and a piece next to it
+@example("pole", 2.5, 0.0, [0.9])
+def test_piece_estimates_cover_their_errors(kind, rho, theta, cuts):
+    # a piece's rule error (|c_13| + |c_14|) * width, plus the P of
+    # correctly rounded values, covers its 40-digit error when the
+    # singularity lies on the Bernstein ellipse of parameter rho >= 2.5
+    # (below rho = 2 the error can exceed the estimate); over the
+    # panel the pieces sum to at least |K15 - G7|
+    with mpmath.workdps(40):
+        z0 = mpmath.mpc(0.5 * (rho + 1 / rho) * math.cos(theta),
+                        0.5 * (rho - 1 / rho) * math.sin(theta))
+        f = _singular_integrand(kind, z0)
+        vals = np.array([[float(f(mpmath.mpf(x)))
+                          for x in GK15_NODES.tolist()]])
+        owner, lo, hi, value, rule, P = quadrature._read_pieces(
+            np.unique(cuts), np.array([-1.0]), np.array([1.0]), vals,
+            U * np.abs(vals))
+        exact = [mpmath.quad(f, [a, b])
+                 for a, b in zip(lo.tolist(), hi.tolist())]
+        err = np.array([float(abs(v - e))
+                        for v, e in zip(value.tolist(), exact)])
+    assert np.all(err <= rule + P), (err, rule, P)
+    k15_g7 = abs(vals[0] @ GK15_WEIGHTS - vals[0, 1::2] @ G7_WEIGHTS)
+    assert rule.sum() >= k15_g7
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-1e3, max_value=1e3),
+       st.floats(min_value=1e-6, max_value=1e3),
+       st.lists(st.floats(min_value=0.0, max_value=1.0,
+                          exclude_min=True, exclude_max=True),
+                min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_piece_estimates_of_a_degree_12_polynomial_are_rounding(
+        lo, width, at, seed):
+    # p15 of a degree-12 polynomial has c_13 = c_14 = 0: from values
+    # correctly rounded at the nodes, its pieces' rule errors are
+    # rounding, at most (1 + 15) u times the two coefficient rows'
+    # 1-norms (4.24 + 4.41) times max|f| and the piece width
+    coef = np.random.default_rng(seed).standard_normal(13)
+    with mpmath.workdps(40):
+        vals = np.array([[float(mpmath.polyval(coef[::-1].tolist(),
+                                               mpmath.mpf(x)))
+                          for x in GK15_NODES.tolist()]])
+    hi = lo + width
+    _, plo, phi, _, rule, _ = quadrature._read_pieces(
+        np.unique(lo + width * np.array(at)), np.array([lo]), np.array([hi]),
+        vals, None)
+    assert np.all(rule <= 140.0 * U * np.max(np.abs(vals)) * (phi - plo))
