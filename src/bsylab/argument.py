@@ -128,9 +128,9 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
     """
     T = float(T)
     grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise ValueError("t_grid must be strictly ascending")
-    if T < 3.0 or grid[0] < T:
+    if not 3.0 <= T <= grid[0]:
         raise ValueError("need 3 <= T <= min(t_grid)")
     zeros.require_height(grid[-1])
     cuts = grid.copy() if grid[0] == T else np.concatenate([[T], grid])
@@ -168,7 +168,7 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     T, h = float(T), float(h)
     if not 0.0 < h <= 1.0:
         raise ValueError("need 0 < h <= 1")
-    if T < 10.0:
+    if not T >= 10.0:
         raise ValueError("need T >= 10")
     zeros.require_height(2 * T + h)
     delta = h / 4.0

@@ -291,7 +291,7 @@ def _cmd_mv(args, rc: RunConfig, out) -> int:
     # lemma3
     req = dirichlet.Lemma3Request(
         alpha=float(args.alpha), h=float(args.h), T=float(args.T),
-        table=table, eps_margin=float(args.eps_margin))
+        table=table)
     # the exact sum first: it refuses a table before the costly integral
     rhs = dirichlet.lemma3_rhs(req)
     lhs = dirichlet.lemma3_lhs(req, cfg)
@@ -470,8 +470,6 @@ def build_parser() -> _Parser:
     pm.add_argument("--alpha", required=True, type=float)
     pm.add_argument("--h", required=True, type=float)
     pm.add_argument("--T", required=True, type=float)
-    pm.add_argument("--eps-margin", dest="eps_margin", type=float,
-                    default=0.05)
 
     p = sub.add_parser("report", parents=cached,
                        help="run one acceptance experiment")

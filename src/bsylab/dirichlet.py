@@ -57,7 +57,6 @@ class Lemma3Request:
     h: float
     T: float
     table: object
-    eps_margin: float = 0.05
 
     def __post_init__(self):
         if not 0.5 <= self.alpha <= 2.0:
@@ -66,8 +65,6 @@ class Lemma3Request:
             raise ValueError("T must be finite and >= 3")
         if not math.isfinite(self.h):
             raise ValueError("h must be finite")
-        if not (math.isfinite(self.eps_margin) and self.eps_margin > 0):
-            raise ValueError("eps_margin must be finite and positive")
         _table_arrays(self.table)
 
 
@@ -217,17 +214,17 @@ def _log_zeta_vertical(alpha: float, ts: np.ndarray,
     if np.any(np.diff(ts) <= 0):
         raise ValueError("grid must be ascending")
     if float(ts[-1]) > _AFE_CUTOVER:
-        vals, bnd = zeta.zeta_afe_batch(alpha, ts)
-        point_err = float(np.max(bnd))
-
-        def eval_one(t: float) -> complex:
-            return complex(zeta.zeta_afe_batch(alpha, np.array([t]))[0][0])
+        def batch(u):
+            return zeta.zeta_afe_batch(alpha, u)
     else:
-        vals, bnds = zeta._em_batch(alpha, ts, cfg)
-        point_err = float(np.max(bnds))
+        def batch(u):
+            return zeta._em_batch(alpha, u, cfg)
 
-        def eval_one(t: float) -> complex:
-            return complex(zeta._em_batch(alpha, np.array([t]), cfg)[0][0])
+    def eval_one(t: float) -> complex:
+        return complex(batch(np.array([t]))[0][0])
+
+    vals, bnds = batch(ts)
+    point_err = float(np.max(bnds))
     mod = np.abs(vals)
     if np.any(mod < 1e-9):
         raise errors.ZeroOnPath(
@@ -253,24 +250,25 @@ def _log_zeta_vertical(alpha: float, ts: np.ndarray,
     return la + 1j * ph, point_err + drift / max(ts.size, 1)
 
 
-def lemma3_lhs(req: Lemma3Request, cfg: PrecisionConfig = DEFAULT,
-               spacing: float = 0.05) -> complex:
+#: The numerical moment needs alpha >= 1/2 + _EPS_MARGIN, which keeps
+#: its path off the critical line and the log singularities of its zeros.
+_EPS_MARGIN = 0.05
+
+
+def lemma3_lhs(req: Lemma3Request,
+               cfg: PrecisionConfig = DEFAULT) -> complex:
     """Integral of log zeta(alpha + i(t+h)) |R(t)|^2 over [T, 2T].
 
     Composite-Simpson on a uniform grid (halved once for an error
     check); the vertical branch of log zeta is unwrapped along the grid
     and anchored to the horizontal-tracking branch at both ends.  The
-    spacing is quartered to 1e-3 at most, then ToleranceNotMet is raised.
+    grid spacing starts at 0.05 and is quartered while the check fails,
+    three times at most; then ToleranceNotMet is raised.
     """
     alpha, h, T = req.alpha, req.h, req.T
-    if alpha < 0.5 + req.eps_margin:
+    if alpha < 0.5 + _EPS_MARGIN:
         raise ValueError(
-            f"numerical moment requires alpha >= 1/2 + {req.eps_margin}")
-    n_half = 2 * max(8, int(math.ceil(T / spacing / 2)))  # fine steps
-    ts = T + (T / n_half) * np.arange(n_half + 1)
-    lz, point_err = _log_zeta_vertical(alpha, ts + h, cfg)
-    R = eval_R_batch(req.table, ts)
-    f = lz * np.abs(R) ** 2
+            f"numerical moment requires alpha >= 1/2 + {_EPS_MARGIN}")
 
     def simpson(y, dx):
         w = np.ones(y.size)
@@ -279,17 +277,21 @@ def lemma3_lhs(req: Lemma3Request, cfg: PrecisionConfig = DEFAULT,
         return (dx / 3.0) * complex(comp_sum(w * y.real),
                                     comp_sum(w * y.imag))
 
-    dx = T / n_half
-    fine = simpson(f, dx)
-    coarse = simpson(f[::2], 2.0 * dx)
-    # only the discretization part responds to refinement; the pointwise
-    # evaluation-error term is a property of the zeta engine, not the grid
-    est_quad = abs(fine - coarse) / 15.0
-    tol = max(cfg.quad_tol * T, 1e-6 * abs(fine) + 1e-12)
-    if est_quad <= tol:
-        return fine
-    if spacing > 1e-3:
-        return lemma3_lhs(req, cfg, spacing=spacing / 4.0)
+    for spacing in (0.05, 0.0125, 0.003125, 0.00078125):
+        n_half = 2 * max(8, int(math.ceil(T / spacing / 2)))  # fine steps
+        ts = T + (T / n_half) * np.arange(n_half + 1)
+        lz, point_err = _log_zeta_vertical(alpha, ts + h, cfg)
+        R = eval_R_batch(req.table, ts)
+        f = lz * np.abs(R) ** 2
+        dx = T / n_half
+        fine = simpson(f, dx)
+        coarse = simpson(f[::2], 2.0 * dx)
+        # only the discretization part responds to refinement; the pointwise
+        # evaluation-error term is a property of the zeta engine, not the grid
+        est_quad = abs(fine - coarse) / 15.0
+        tol = max(cfg.quad_tol * T, 1e-6 * abs(fine) + 1e-12)
+        if est_quad <= tol:
+            return fine
     raise errors.ToleranceNotMet(
         f"lemma3_lhs: estimate {est_quad:.3e} exceeds the tolerance {tol:.3e}")
 
@@ -315,12 +317,11 @@ def lemma3_normalization(req: Lemma3Request) -> float:
 
 
 def lemma3_compare(req: Lemma3Request,
-                   cfg: PrecisionConfig = DEFAULT,
-                   spacing: float = 0.05) -> float:
+                   cfg: PrecisionConfig = DEFAULT) -> float:
     """|LHS - RHS| / ``lemma3_normalization``; the RHS comes first, so a
     table it refuses never reaches the costly LHS integral."""
     rhs = lemma3_rhs(req)
-    gap = abs(lemma3_lhs(req, cfg, spacing=spacing) - rhs)
+    gap = abs(lemma3_lhs(req, cfg) - rhs)
     return gap / lemma3_normalization(req)
 
 

@@ -419,13 +419,7 @@ def _require_cover(zl: ZeroList, height: float) -> None:
 def compute_I(T: float, zeros: ZeroList,
               cfg: PrecisionConfig = DEFAULT) -> IntegralResult:
     """I(T) = 2 * integral over [0, T] (the integrand is even)."""
-    T = float(T)
-    if T <= 0:
-        raise ValueError("T must be positive")
-    _require_cover(zeros, T)
-    v, e, ns, sg = _segment_profile(np.array([0.0, T]), zeros.ordinates, cfg)
-    return IntegralResult(2.0 * float(v[0]), 2.0 * float(e[0]),
-                          int(ns[0]), int(sg[0]))
+    return compute_I_many([T], zeros, cfg)[0]
 
 
 def compute_I_many(Ts, zeros: ZeroList,
@@ -433,7 +427,7 @@ def compute_I_many(Ts, zeros: ZeroList,
     """I(T) for an ascending T-grid in one cumulative pass over [0, max]."""
     Ts = np.asarray(Ts, dtype=float)
     if Ts.ndim != 1 or Ts.size == 0 or np.any(np.diff(Ts) <= 0) \
-            or Ts[0] <= 0:
+            or not np.all(Ts > 0):
         raise ValueError("Ts must be positive and strictly ascending")
     _require_cover(zeros, float(Ts[-1]))
     cuts = np.concatenate([[0.0], Ts])
@@ -572,8 +566,8 @@ def weight_identity_check(X: float, cfg: PrecisionConfig = DEFAULT) -> float:
     |value| <= 4*(1+log X)/X.
     """
     X = float(X)
-    if X < 10.0:
-        raise ValueError("X must be >= 10")
+    if not (math.isfinite(X) and X >= 10.0):
+        raise ValueError("X must be finite and >= 10")
     from .quadrature import adaptive_quad
 
     def f(t):

@@ -81,7 +81,7 @@ class ZeroList:
         """Raise ZeroListInsufficient unless verified and covering t."""
         if not self.verified:
             raise errors.ZeroListInsufficient("zero list must be verified")
-        if self.covered_height < t:
+        if not self.covered_height >= t:
             raise errors.ZeroListInsufficient(
                 f"zero list covers {self.covered_height}, need {t}")
 
@@ -238,8 +238,8 @@ def find_zeros_up_to(T: float, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
     """All ordinates in (0, T], complete by Turing's method: the roots of
     Z in the certified brackets that start at or below T, by Newton
     safeguarded by each bracket on the accurate path, cut at T."""
-    if T < 15.0:
-        raise ValueError("find_zeros_up_to requires T >= 15")
+    if not (math.isfinite(T) and T >= 15.0):
+        raise ValueError("find_zeros_up_to requires finite T >= 15")
     lo, hi, flo, fhi = _certified_scan(T, cfg)
     m = lo <= T
     ordinates = _solve_brackets(lo[m], hi[m], flo[m], fhi[m], cfg)

@@ -312,18 +312,12 @@ def _em_log_remainder(sigma: float, tmax: float) -> tuple[np.ndarray,
             + np.log((math.hypot(sigma, tmax) + _EM_2K1) / a)), a
 
 
-def _em_remainder_bound(sigma: float, tmax: float, M: int, K: int) -> float:
-    """Standard remainder bound: |(s+2K+1)/(sigma+2K+1)| * |next term|."""
-    log_a, a = _em_log_remainder(sigma, tmax)
-    return float(np.exp(log_a[K - 1] - a[K - 1] * math.log(M)))
-
-
 def _em_plan(sigma: float, tmax: float,
              target: float) -> tuple[int, int, float]:
     """(M, K, bound): the truncation M >= _EM_M_MIN and correction order
     K <= _EM_K_MAX of least M + K, the work per height (M - 1 phase terms
     and K tail terms), whose remainder bound at sigma + i tmax meets
-    ``target``, and that bound (``_em_remainder_bound``), all from one
+    ``target``, and that bound A_K M^(-a_K), all from one
     ``_em_log_remainder``.
 
     Each K gives its least M directly from A_K M^(-a_K) <= target, aimed
@@ -346,16 +340,10 @@ def _em_plan(sigma: float, tmax: float,
     return M, k + 1, float(np.exp(log_a[k] - a[k] * math.log(M)))
 
 
-def _em_truncation(sigma: float, tmax: float,
-                   target: float) -> tuple[int, int]:
-    """The (M, K) of ``_em_plan``."""
-    return _em_plan(sigma, tmax, target)[:2]
-
-
 def _em_choose_M(sigma: float, tmax: float, cfg: PrecisionConfig,
                  target: float) -> int:
-    """The truncation M of ``_em_truncation`` (``cfg`` is not read)."""
-    return _em_truncation(sigma, tmax, target)[0]
+    """The truncation M of ``_em_plan`` (``cfg`` is not read)."""
+    return _em_plan(sigma, tmax, target)[0]
 
 
 def _em_tail(s: np.ndarray, M, K) -> np.ndarray:
@@ -484,17 +472,14 @@ def _em_batch(sigma: float, ts: np.ndarray, cfg: PrecisionConfig = DEFAULT,
 
 
 def _em_sigma_grid(sigmas: np.ndarray, t: float,
-                   cfg: PrecisionConfig = DEFAULT,
-                   target: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(sigma_j + i t) over a sigma grid at one height t: the main
-    sums by ``phases.sums_at_height``, the bound the remainder bound at
-    the least sigma plus their floor plus the tail's over the grid
-    (``_em_tail_roundoff``)."""
+                   cfg: PrecisionConfig = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(sigma_j + i t) over a sigma grid at one height t, to
+    ``cfg.target_abs_error``: the main sums by ``phases.sums_at_height``,
+    the bound the remainder bound at the least sigma plus their floor
+    plus the tail's over the grid (``_em_tail_roundoff``)."""
     sigmas = np.asarray(sigmas, dtype=float)
-    if target is None:
-        target = cfg.target_abs_error
     smin = float(np.min(sigmas))
-    M, K, bound = _em_plan(smin, abs(t), target)
+    M, K, bound = _em_plan(smin, abs(t), cfg.target_abs_error)
     sums, floor, built = phases.sums_at_height(np.arange(1, M), sigmas, t)
     vals = sums + _em_tail(sigmas + 1j * t, M, K)
     bound += floor + built + _em_tail_roundoff(
@@ -508,6 +493,8 @@ def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
     Requires sigma >= -1 and |s - 1| >= the pole threshold.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError("zeta_em requires finite s")
     if s.real < -1.0:
         raise ValueError("zeta_em requires sigma >= -1")
     if abs(s - 1.0) < POLE_THRESHOLD:
@@ -670,8 +657,19 @@ def _rs_tau(ts: np.ndarray) -> np.ndarray:
 
 def _rs_z_rounded(ts: np.ndarray,
                   n_corr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z at t >= RS_T_MIN and the bound of all but its
-    truncation (``rs_error_bound``); see ``_rs_z_batch``."""
+    """Riemann-Siegel Z at t >= RS_T_MIN, vectorized, and the bound of
+    all but its truncation (``rs_error_bound``).
+
+    The main sum is 2 Re(exp(i theta) S(t)), S(t) the sum over
+    n <= N = floor(sqrt(t/2pi)) of n^(-1/2) n^(-it) from
+    ``phases.truncated_sums``, with exp(i theta) from ``_rs_rotation``
+    (theta reduced in longdouble once per anchor, the offset in float64).
+    The correction sum_k C_k(p) tau^(-k), tau = sqrt(t/2pi), p = tau - N,
+    is ``_rs_corrections``: each C_k a polynomial of one parity in 2p - 1.
+    The bound is twice the bound of S, plus 2 |S| times the phase bound
+    of ``_rs_rotation``, plus tau^(-1/2) times the bound of the
+    correction sum.
+    """
     tau = _rs_tau(ts)
     N = np.floor(tau)
     cos_t, sin_t, theta_err = _rs_rotation(ts)
@@ -684,26 +682,6 @@ def _rs_z_rounded(ts: np.ndarray,
     bound = 2.0 * (S_bound + (np.abs(re) + np.abs(im)) * theta_err) \
         + rt * corr_err
     return vals, bound
-
-
-def _rs_z_batch(ts: np.ndarray, n_corr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hardy Z via the Riemann-Siegel formula, vectorized, t >= RS_T_MIN.
-
-    The main sum is 2 Re(exp(i theta) S(t)), S(t) the sum over
-    n <= N = floor(sqrt(t/2pi)) of n^(-1/2) n^(-it) from
-    ``phases.truncated_sums``, with exp(i theta) from ``_rs_rotation`` (theta
-    reduced in longdouble once per anchor, the offset in float64).  The
-    correction sum_k C_k(p) tau^(-k), tau = sqrt(t/2pi), p = tau - N, is
-    ``_rs_corrections``: each C_k a polynomial of one parity in 2p - 1.
-    The bound is ``rs_error_bound``, plus twice the bound of S, plus
-    2 |S| times the phase bound of ``_rs_rotation``, plus tau^(-1/2)
-    times the bound of the correction sum.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and float(np.min(ts)) < RS_T_MIN:
-        raise ValueError("RS path requires t >= RS_T_MIN")
-    vals, bound = _rs_z_rounded(ts, n_corr)
-    return vals, bound + rs_error_bound(ts, n_corr)
 
 
 def _rs_tried(ts: np.ndarray, abs_tol: float, cfg: PrecisionConfig):
@@ -735,9 +713,10 @@ def hardy_z_batch(ts: np.ndarray, abs_tol: float,
     """Z(t) on an array, choosing RS or Euler-Maclaurin per point.
 
     RS is evaluated at t >= RS_T_MIN wherever ``rs_error_bound`` alone
-    meets ``abs_tol``, and kept wherever the full bound it returns (see
-    ``_rs_z_batch``) does; everything else falls back to Euler-Maclaurin
-    at the same target.  Heights must be finite and non-negative.
+    meets ``abs_tol`` (``_rs_tried``), and kept wherever its full bound,
+    ``rs_error_bound`` plus that of ``_rs_z_rounded``, does; everything
+    else falls back to Euler-Maclaurin at the same target.  Heights must
+    be finite and non-negative.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0)):
@@ -908,6 +887,8 @@ def log_zeta_branch(sigma: float, t: float,
     sigma + i t with step halving until every step moves log zeta by
     less than pi/2.
     """
+    if not (math.isfinite(sigma) and math.isfinite(t)):
+        raise ValueError("log_zeta_branch requires finite sigma and t")
     if sigma < 0.5:
         raise ValueError("log_zeta_branch requires sigma >= 1/2")
     if t < 0:

@@ -174,11 +174,14 @@ def test_omega_scan_both_signs_and_grid(zeros_550):
     np.testing.assert_allclose(norm, expect, rtol=1e-12)
 
 
-@pytest.mark.parametrize("ulps", [1, 64])
-def test_omega_scan_survives_ordinates_moved_by_ulps(zeros_550, ulps):
-    # the listed ordinates and the zeros of the Z engine differ by ulps;
-    # the quadrature must not chase that mismatch into the subdivision cap
-    moved = zeros_550.ordinates
+@pytest.mark.parametrize("ulps, offset", [(1, 0.0), (64, 0.0), (0, 1e-10)],
+                         ids=["1", "64", "1e-10"])
+def test_omega_scan_survives_ordinates_moved_by_ulps(zeros_550, ulps,
+                                                     offset):
+    # the listed ordinates and the zeros of the Z engine differ by ulps,
+    # or by 1e-10 in a table imported at that precision; the quadrature
+    # must not chase that mismatch into the subdivision cap
+    moved = zeros_550.ordinates + offset
     for _ in range(ulps):
         moved = np.nextafter(moved, np.inf)
     zl = ZeroList(moved, zeros_550.covered_height, zeros_550.source, True)
@@ -186,6 +189,17 @@ def test_omega_scan_survives_ordinates_moved_by_ulps(zeros_550, ulps):
     ref = omega_scan(200.0, 0.3, zeros_550, DEFAULT).fitted_params
     assert mx > 0 > mn
     assert (tmx, tmn) == (ref[1], ref[3])
+
+
+def test_scans_refuse_nan_heights(zeros_100):
+    # past the checks a nan would fail deep in the scan, or
+    # give a scan of nan heights
+    with pytest.raises(ValueError, match="need T >= 10"):
+        omega_scan(math.nan, 0.3, zeros_100, DEFAULT)
+    with pytest.raises(ValueError, match="need 3 <= T"):
+        lemma2_scan(math.nan, [30.0, 40.0], zeros_100, DEFAULT)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        lemma2_scan(20.0, [30.0, math.nan, 40.0], zeros_100, DEFAULT)
 
 
 def test_omega_scan_reads_no_zero_above_2T_plus_h(zeros_550):

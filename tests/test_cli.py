@@ -135,12 +135,12 @@ def test_mv_lemma3_evaluates_each_side_once(tmp_path, toy_table,
     calls = []
     lhs, rhs = dirichlet.lemma3_lhs, dirichlet.lemma3_rhs
 
-    def counted_lhs(req, cfg=DEFAULT, spacing=0.05):
-        calls.append(("lhs", spacing))
-        return lhs(req, cfg, spacing=spacing)
+    def counted_lhs(req, cfg=DEFAULT):
+        calls.append("lhs")
+        return lhs(req, cfg)
 
     def counted_rhs(req):
-        calls.append(("rhs", None))
+        calls.append("rhs")
         return rhs(req)
 
     monkeypatch.setattr(dirichlet, "lemma3_lhs", counted_lhs)
@@ -148,9 +148,7 @@ def test_mv_lemma3_evaluates_each_side_once(tmp_path, toy_table,
     code, _ = _run(["mv", "lemma3", "--table", table, "--alpha", "0.6",
                     "--h", "0.1", "--T", "100"])
     assert code == 0
-    # refinement may call lemma3_lhs again at a finer spacing
-    assert calls.count(("lhs", 0.05)) == 1
-    assert calls.count(("rhs", None)) == 1
+    assert calls == ["rhs", "lhs"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -158,8 +156,6 @@ def test_mv_lemma3_evaluates_each_side_once(tmp_path, toy_table,
     ["exact", "--T", "inf"],
     ["lemma3", "--alpha", "0.6", "--h", "0.1", "--T", "nan"],
     ["lemma3", "--alpha", "0.6", "--h", "inf", "--T", "100"],
-    ["lemma3", "--alpha", "0.6", "--h", "0.1", "--T", "100",
-     "--eps-margin", "nan"],
 ])
 def test_mv_non_finite_input_exits_2(tmp_path, toy_table, capsys, argv):
     table = str(tmp_path / "toy.txt")
@@ -178,6 +174,40 @@ def test_resonator_non_finite_input_exits_2(capsys, params):
                 "--N", "1000", *params]) == 2
     doc = _error(capsys)
     assert doc["error"] == "ValueError" and "finite" in doc["message"]
+
+
+_FINITE_T = "find_zeros_up_to requires finite T >= 15"
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["zeta", "--t", "inf"], "ValueError", "zeta_em requires finite s"),
+    (["zeta", "--t", "nan"], "ValueError", "zeta_em requires finite s"),
+    (["arg", "s", "--t", "inf"], "ValueError", "requires finite sigma and t"),
+    (["arg", "s", "--t", "nan"], "ValueError", "requires finite sigma and t"),
+    (["integral", "--T", "nan"], "ValueError", "Ts must be positive"),
+    (["integral", "--T", "20", "--tmax", "inf"], "ZeroListInsufficient",
+     "need inf"),
+    (["zeros", "find", "--max-t", "nan", "--out", "z.txt"], "ValueError",
+     _FINITE_T),
+    (["zeros", "find", "--max-t", "inf", "--out", "z.txt"], "ValueError",
+     _FINITE_T),
+    (["arg", "lemma2", "--T", "nan", "--tmax", "40", "--points", "3"],
+     "ValueError", "t_grid must be strictly ascending"),
+    (["arg", "lemma2", "--T", "20", "--tmax", "nan", "--points", "3"],
+     "ValueError", _FINITE_T),
+    (["arg", "omega", "--T", "nan", "--h", "0.3"], "ValueError", _FINITE_T),
+    (["arg", "omega", "--T", "inf", "--h", "0.3"], "ValueError", _FINITE_T),
+], ids=["zeta-inf", "zeta-nan", "s-inf", "s-nan", "integral-nan", "tail-inf",
+        "zeros-nan", "zeros-inf", "lemma2-T-nan", "lemma2-tmax-nan",
+        "omega-nan", "omega-inf"])
+def test_non_finite_height_exits_2(tmp_path, monkeypatch, capsys,
+                                   cache_file, argv, error, message):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "integral":
+        argv = [*argv, "--zeros", cache_file]
+    assert run(argv) == 2
+    doc = _error(capsys)
+    assert doc["error"] == error and message in doc["message"]
 
 
 def test_mv_table_entry_below_1_exits_2(tmp_path, capsys):

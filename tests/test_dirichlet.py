@@ -274,8 +274,10 @@ def test_lemma3_lhs_series_oracle_alpha2(trivial_table):
 def test_lemma3_lhs_unconverged_raises(trivial_table, monkeypatch):
     from bsylab import dirichlet
     vertical = dirichlet._log_zeta_vertical
+    sizes = []
 
     def noisy(alpha, ts, cfg):
+        sizes.append(ts.size)
         lz, err = vertical(alpha, ts, cfg)
         return lz + 0.5 * (np.arange(ts.size) % 2), err  # odd nodes only
 
@@ -284,6 +286,8 @@ def test_lemma3_lhs_unconverged_raises(trivial_table, monkeypatch):
     with pytest.raises(errors.ToleranceNotMet,
                        match="estimate .* exceeds the tolerance"):
         lemma3_lhs(req, DEFAULT)
+    # spacings 0.05, 0.0125, 0.003125 and 0.00078125 over [20, 40]
+    assert sizes == [401, 1601, 6401, 25601]
 
 
 @pytest.mark.parametrize("T, h", [(math.nan, 0.1), (math.inf, 0.1),
@@ -296,8 +300,7 @@ def test_lemma3_request_rejects_non_finite(toy_table, T, h):
 def test_lemma3_alpha_guard(toy_table):
     with pytest.raises(ValueError):
         Lemma3Request(alpha=3.0, h=0.0, T=100.0, table=toy_table)
-    req = Lemma3Request(alpha=0.52, h=0.0, T=100.0, table=toy_table,
-                        eps_margin=0.05)
+    req = Lemma3Request(alpha=0.52, h=0.0, T=100.0, table=toy_table)
     with pytest.raises(ValueError):
         lemma3_lhs(req, DEFAULT)
 

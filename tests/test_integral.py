@@ -90,6 +90,23 @@ def test_tail_I_refuses_negative_T(zeros_100, T):
         tail_I(T, 30.0, zeros_100, DEFAULT)
 
 
+def test_compute_I_refuses_nan_heights(zeros_100):
+    # nan fails no comparison written as "T <= 0"; past the checks it
+    # would give I = 0 with a zero error bound
+    for Ts in ([math.nan], [10.0, math.nan], [math.nan, 10.0]):
+        with pytest.raises(ValueError, match="positive"):
+            compute_I_many(Ts, zeros_100, DEFAULT)
+    with pytest.raises(ValueError, match="positive"):
+        compute_I(math.nan, zeros_100, DEFAULT)
+
+
+@pytest.mark.parametrize("X", [math.nan, math.inf])
+def test_weight_identity_refuses_non_finite_X(X):
+    # past the check the quadrature would run to its subdivision cap
+    with pytest.raises(ValueError, match="finite"):
+        weight_identity_check(X, DEFAULT)
+
+
 def test_zero_list_insufficient(zeros_100):
     with pytest.raises(errors.ZeroListInsufficient):
         compute_I(5000.0, zeros_100, DEFAULT)

@@ -1,4 +1,5 @@
-"""The package's lazy exports and the import boundary of each module."""
+"""The package's lazy exports, the import boundary of each module, and
+no private definition that only the tests use."""
 
 import ast
 import subprocess
@@ -12,6 +13,7 @@ import bsylab
 
 _SRC = Path(bsylab.__file__).parent
 _MODULES = sorted(p.stem for p in _SRC.glob("*.py") if p.stem != "__init__")
+_TRACER = _SRC.parents[1] / "perfbench" / "tracing.py"
 _LOADED = ("import sys, bsylab.{}; print(*sorted(m for m in sys.modules "
            "if m.split('.')[0] in ('bsylab', 'scipy', 'mpmath')))")
 
@@ -57,3 +59,34 @@ def test_exports_are_their_home_objects():
         assert star[name] is (module if name == home
                               else getattr(module, name))
     assert not hasattr(bsylab, "no_such_name")
+
+
+def _names(tree):
+    """The identifiers a syntax tree reads: names, attributes and string
+    constants (the tracer names its boundaries by strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_private_definition_has_a_caller_in_src():
+    # a private top-level function or class that nothing else in src/
+    # reads, and that the benchmark's tracer does not read, serves only
+    # the tests: point them at the production path instead
+    tracer = _names(ast.parse(_TRACER.read_text()))
+    tops = [(module, node, _names(node))
+            for module in [*_MODULES, "__init__"]
+            for node in ast.parse((_SRC / f"{module}.py").read_text()).body]
+    unused = [f"{module}.{node.name}" for module, node, _ in tops
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.endswith("__")
+              and node.name not in tracer
+              and not any(node.name in names
+                          for _, other, names in tops if other is not node)]
+    assert unused == []

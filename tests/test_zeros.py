@@ -340,6 +340,14 @@ def test_import_accepts_comments_and_reports_bad_lines():
         import_zeros(io.StringIO("21.02\n14.13\n"))
 
 
+def test_nan_and_infinite_heights_are_refused(zeros_100):
+    with pytest.raises(errors.ZeroListInsufficient):
+        zeros_100.require_height(math.nan)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite T >= 15"):
+            find_zeros_up_to(T, DEFAULT)
+
+
 def test_zerolist_validation():
     with pytest.raises(errors.NotAscending):
         ZeroList(np.array([14.1, 14.1]), 30.0)

@@ -87,6 +87,12 @@ def test_pole_guard():
         zeta_em(complex(1.0, 1e-6), DEFAULT)
 
 
+def _em_remainder(sigma, t, M, K):
+    """The Euler-Maclaurin remainder bound A_K M^(-a_K) at any (M, K)."""
+    log_a, a = zeta._em_log_remainder(sigma, t)
+    return float(np.exp(log_a[K - 1] - a[K - 1] * math.log(M)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(sigma=st.floats(min_value=-0.5, max_value=2.5),
        t=st.one_of(st.floats(min_value=0.0, max_value=2e5),   # and log-uniform
@@ -95,15 +101,15 @@ def test_pole_guard():
        target=st.floats(min_value=-14.0, max_value=-3.0).map(
            lambda e: 10.0 ** e))
 def test_em_truncation_is_least_work_meeting_target(sigma, t, target):
-    M, K = zeta._em_truncation(sigma, t, target)
+    M, K = zeta._em_plan(sigma, t, target)[:2]
     assert M >= zeta._EM_M_MIN and 1 <= K <= zeta._EM_K_MAX
-    assert zeta._em_remainder_bound(sigma, t, M, K) <= target
+    assert _em_remainder(sigma, t, M, K) <= target
     for k in range(1, zeta._EM_K_MAX + 1):
         m = M + K - k - 1       # the largest M of a pair cheaper than (M, K)
         if m >= zeta._EM_M_MIN:
-            assert zeta._em_remainder_bound(sigma, t, m, k) > target, k
+            assert _em_remainder(sigma, t, m, k) > target, k
     # the Pochhammer product alone overflows here; the running one not
-    M30 = zeta._em_truncation(sigma, 2e5, target)[0]
+    M30 = zeta._em_plan(sigma, 2e5, target)[0]
     assert np.all(np.isfinite(zeta._em_tail(np.array([complex(sigma, 2e5)]),
                                             M30, 30)))
 
@@ -117,7 +123,7 @@ def test_em_remainder_bound_matches_direct_product(sigma, t, M, K):
     direct = abs(b) * abs(mpmath.rf(s, 2 * K + 1)) \
         * mpmath.mpf(M) ** (-(sigma + 2 * K + 1)) \
         * (abs(s) + 2 * K + 1) / (sigma + 2 * K + 1)
-    got = zeta._em_remainder_bound(sigma, t, M, K)
+    got = _em_remainder(sigma, t, M, K)
     assert abs(got - float(direct)) <= 1e-12 * float(direct)
 
 
@@ -142,7 +148,7 @@ def test_em_tail_within_its_roundoff_of_mpmath(sigma, t):
     # bound; at (2, 5) it errs 1.9e-18, past the bound without the
     # roundings after the Horner sum (2.5e-19); the last two are on the
     # real axis, where those roundings are counted as real ones
-    M, K = zeta._em_truncation(sigma, t, 1e-12)
+    M, K = zeta._em_plan(sigma, t, 1e-12)[:2]
     got = zeta._em_tail(np.array([complex(sigma, t)]), M, K)[0]
     assert abs(got - _mp_em_tail(sigma, t, M, K)) \
         <= zeta._em_tail_roundoff((sigma, sigma), (t, t), M, K)
@@ -161,7 +167,8 @@ def test_em_bounds_carry_the_tail_roundoff():
     M, K, rem = zeta._em_plan(0.5, 3e4, target)
     _, floor, built = phases.sums_at_height(np.arange(1, M), sigmas, 3e4)
     tail = zeta._em_tail_roundoff((0.5, 2.0), (3e4, 3e4), M, K)
-    got = zeta._em_sigma_grid(sigmas, 3e4, target=target)[1][0]
+    got = zeta._em_sigma_grid(sigmas, 3e4,
+                              PrecisionConfig(target_abs_error=target))[1][0]
     assert got == pytest.approx(rem + floor + built + tail, rel=1e-13)
     c, R = 5000.0, 0.05
     M, K, rem = zeta._em_plan(0.5, c + R, target)
@@ -202,8 +209,7 @@ def test_em_plan_reads_the_remainder_logs_once(monkeypatch):
     monkeypatch.setattr(zeta, "_em_log_remainder", spy)
     M, K, bound = zeta._em_plan(0.5, 1e3, 1e-12)
     assert len(calls) == 1
-    assert (M, K) == zeta._em_truncation(0.5, 1e3, 1e-12)
-    assert bound == zeta._em_remainder_bound(0.5, 1e3, M, K)
+    assert bound == _em_remainder(0.5, 1e3, M, K)
     calls.clear()
     zeta._em_batch(0.6, np.array([100.0, 120.0]))
     zeta._em_sigma_grid(np.array([2.0, 1.0, 0.5]), 300.0)
@@ -397,7 +403,8 @@ def test_rs_theta_reduced_only_at_anchors(monkeypatch):
         return theta_ld(a)
 
     monkeypatch.setattr(zeta, "_rs_theta_ld", spy)
-    zeta._rs_z_batch(ts, 4)
+    assert zeta._rs_tried(ts, 1e-6, DEFAULT)[2].all()
+    hardy_z_batch(ts, 1e-6)
     assert sizes == [81]                # 5000, 5000.125, ..., 5010
 
 
@@ -533,8 +540,9 @@ def test_rs_error_bound_conservative(n_corr):
 ], ids=["linspace", "arange", "gk", "lone"])
 def test_rs_on_phase_kernel_matches_mpmath(ts):
     # one truncation group on a grid (twice), one cluster, and heights
-    # each in a group of its own
-    vals, bounds = zeta._rs_z_batch(ts, 4)
+    # each in a group of its own, all by Riemann-Siegel
+    assert zeta._rs_tried(ts, 1e-3, DEFAULT)[2].all()
+    vals, bounds = hardy_z_batch(ts, 1e-3)
     K = ts.size
     for k in np.unique(np.r_[1, K - 2, np.linspace(0, K - 1, 15)]
                        .astype(int)).tolist():
@@ -675,6 +683,17 @@ def test_hardy_z_batch_refuses_negative_or_nonfinite_heights(ts):
         hardy_z_batch(np.array(ts), 1e-12, DEFAULT)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_zeta_em_and_log_zeta_branch_refuse_nonfinite_input(x):
+    # past the checks _em_plan would meet int(inf), or a bound M <= nan
+    for f in (lambda: zeta_em(complex(0.5, x)),
+              lambda: zeta_em(complex(x, 10.0)),
+              lambda: log_zeta_branch(0.5, x),
+              lambda: log_zeta_branch(x, 10.0)):
+        with pytest.raises(ValueError, match="finite"):
+            f()
+
+
 def _near_points(ev, xs):
     """Heights c + x * radius about every centre of ``ev``, each x in xs,
     moved in by an ulp where the sum rounds out of the disk, and the index
@@ -705,7 +724,7 @@ def test_hardy_z_near_matches_mpmath_within_batch_bound(T):
 def test_hardy_z_near_caps_its_radius(T):
     # a radius of 5 is cut to the cluster radius 3/log(M - 1): r = 3
     ev = zeta.hardy_z_near(np.array([T]), 5.0, 1e-12)
-    M, K = zeta._em_truncation(0.5, T + 5.0, 1e-12)
+    M, K = zeta._em_plan(0.5, T + 5.0, 1e-12)[:2]
     lmax = float(np.log(M - 1.0))
     rho = float(ev.radius[0])
     assert rho == phases._CLUSTER_R / lmax
@@ -718,7 +737,7 @@ def test_hardy_z_near_caps_its_radius(T):
     with mpmath.workdps(30):
         tail = amp_sum * float(mpmath.exp(r) - mpmath.fsum(
             mpmath.mpf(r) ** j / mpmath.factorial(j) for j in range(J)))
-    expect = (zeta._em_remainder_bound(0.5, T + 5.0, M, K)
+    expect = (_em_remainder(0.5, T + 5.0, M, K)
               + phases.phase_roundoff(T + 5.0, lmax, amp_sum)
               + phases.PRODUCT_ROUNDOFF
               * float(amps @ phases.factor_plan(n).products)
