@@ -10,20 +10,21 @@ __version__ = "0.1.0"
 # "module:" and its public names, each imported on first use (PEP 562).
 _TABLE = """acceptance: accum: phases: sieve: config: DEFAULT PrecisionConfig
 errors: BetaOutOfRange BranchAmbiguous BsyError Degenerate DegenerateFit
-    Inconsistent MissingDependency NearZeroOrdinate NotAscending OnOrdinate
-    ParseError PoleAt1 PrecisionUnreachable TableTooLarge ToleranceNotMet
-    UnsupportedPlatform ZeroListInsufficient ZeroOnPath
-zeta: ZetaValue hardy_z hardy_z_batch log_abs_zeta_half log_zeta_branch
-    rs_error_bound rs_theta zeta_em
+    Inconsistent MissingDependency NotAscending OnOrdinate ParseError PoleAt1
+    PrecisionUnreachable TableTooLarge ToleranceNotMet UnsupportedPlatform
+    ZeroListInsufficient ZeroOnPath
+zeta: ZetaValue hardy_z hardy_z_batch log_zeta_branch rs_error_bound rs_theta
+    zeta_em
 zeros: ORDINATE_ACCURACY ZeroCandidate ZeroList count_zeros export_zeros
     find_zeros_up_to import_zeros verify_zero_list
 quadrature: IntegralResult adaptive_quad cli: RunConfig load_run_config
-integral: MODELS ScanReport bsy_integrand compute_I compute_I_many fit_decay
-    tail_I theorem2_residual weight_identity_check zero_sum_term
+integral: MODELS ScanReport compute_I compute_I_many fit_decay tail_I
+    theorem2_residual weight_identity_check zero_sum_term
 argument: S1_direct S1_littlewood S_of_t lemma2_normalized lemma2_scan
     omega_normalized omega_scan
 resonator: ResonatorParams ResonatorTable build_resonator lemma4_check
-    read_table resonator_denominator resonator_numerator solve_L write_table
+    read_header read_table resonator_denominator resonator_numerator solve_L
+    write_table
 dirichlet: Lemma3Request eval_R eval_R_batch lemma3_compare lemma3_lhs
     lemma3_normalization lemma3_rhs mean_square_exact s1_resonance_statistic"""
 _HOME = {}      # each public name -> its module; a submodule is its own home

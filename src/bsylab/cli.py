@@ -277,11 +277,16 @@ def _cmd_resonator(args, rc: RunConfig, out) -> int:
 
 def _cmd_mv(args, rc: RunConfig, out) -> int:
     cfg = rc.precision
-    table = resonator.read_table(args.table)
+    # N comes from write_table's header where there is one, else from the
+    # largest entry
+    ns, rs = resonator.read_table(args.table)
+    head = resonator.read_header(args.table)
+    table = (ns, rs) if head is None \
+        else resonator.ResonatorTable(ns, rs, *head)
     if args.mv_cmd == "exact":
         T = float(args.T)
         ms = dirichlet.mean_square_exact(table, T)
-        base = T * comp_sum(np.asarray(table[1], dtype=float) ** 2)
+        base = T * comp_sum(rs ** 2)
         print(json.dumps({
             "mean_square": _fmt(ms),
             "t_times_sum_r2": _fmt(base),

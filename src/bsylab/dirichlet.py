@@ -29,7 +29,7 @@ __all__ = [
 
 
 def _table_arrays(table) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a ResonatorTable or a plain (ns, rs) pair."""
+    """Accept a ResonatorTable or a plain (ns, rs) pair of finite r(n)."""
     if isinstance(table, ResonatorTable):
         return table.ns, table.rs
     ns, rs = table
@@ -39,14 +39,9 @@ def _table_arrays(table) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("table must be nonempty with ascending n")
     if ns[0] < 1:
         raise ValueError("table entries n must be >= 1")
+    if not np.all(np.isfinite(rs)):
+        raise ValueError("table coefficients r(n) must be finite")
     return ns, rs
-
-
-def _table_capacity(table) -> int:
-    if isinstance(table, ResonatorTable):
-        return int(table.params.N)
-    ns, _ = _table_arrays(table)
-    return int(ns[-1])
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,13 @@ def eval_R_batch(table, ts) -> np.ndarray:
     One ``phases.phase_sum`` on the integers of the table: a blocked
     matrix product when ts is a uniform grid (linspace or T + dx*arange),
     an expansion about each cluster of nearby heights otherwise (a lone
-    height is a cluster of one).
+    height is a cluster of one).  Heights must be a 1-d array of finite
+    numbers.
     """
     ns, rs = _table_arrays(table)
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValueError("eval_R_batch requires a 1-d array of finite t")
     return phases.phase_sum(ns, rs, ts)[0]
 
 
@@ -310,9 +308,11 @@ def lemma3_rhs(req: Lemma3Request) -> complex:
 
 
 def lemma3_normalization(req: Lemma3Request) -> float:
-    """N (log TN)^(3/2) sum r^2, the scale of the moment gap."""
-    _, rs = _table_arrays(req.table)
-    N = _table_capacity(req.table)
+    """N (log TN)^(3/2) sum r^2, the scale of the moment gap; N is a
+    ResonatorTable's own, else the largest entry."""
+    ns, rs = _table_arrays(req.table)
+    N = req.table.params.N if isinstance(req.table, ResonatorTable) \
+        else int(ns[-1])
     return N * math.log(req.T * N) ** 1.5 * comp_sum(rs ** 2)
 
 

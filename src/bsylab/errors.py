@@ -13,11 +13,6 @@ class PrecisionUnreachable(BsyError):
     """The configured term budget cannot meet the requested accuracy."""
 
 
-class NearZeroOrdinate(BsyError):
-    """Evaluation requested too close to a zero ordinate; callers must
-    subtract the singularity instead of evaluating through it."""
-
-
 class ZeroOnPath(BsyError):
     """Branch tracking detected |zeta| below threshold on the path."""
 

@@ -41,9 +41,8 @@ from .quadrature import (_U, GK15_NODES, IntegralResult, adaptive_panels,
 from .zeros import ZeroCandidate, ZeroList
 
 __all__ = [
-    "ScanReport", "bsy_integrand", "compute_I", "compute_I_many", "tail_I",
-    "zero_sum_term", "theorem2_residual", "fit_decay",
-    "weight_identity_check", "MODELS",
+    "ScanReport", "compute_I", "compute_I_many", "tail_I", "zero_sum_term",
+    "theorem2_residual", "fit_decay", "weight_identity_check", "MODELS",
 ]
 
 MODELS = ("pure_power", "logT_over_T2", "sqrtlog_T2")
@@ -106,17 +105,6 @@ def _weight(t):
     return 1.0 / (0.25 + np.asarray(t, dtype=float) ** 2)
 
 
-def bsy_integrand(t: float, cfg: PrecisionConfig = DEFAULT) -> float:
-    """log|zeta(1/2+it)| / (1/4+t^2); even in t.
-
-    Raises NearZeroOrdinate when t is too close to a zero ordinate for
-    the log to be evaluated pointwise (the integral routines handle
-    those neighbourhoods by singularity subtraction instead).
-    """
-    t = float(t)
-    return zeta.log_abs_zeta_half(abs(t), cfg) / (0.25 + t * t)
-
-
 # ----------------------------------------------------------------------
 # Segment profile engine
 # ----------------------------------------------------------------------
@@ -149,7 +137,7 @@ def _neighbours(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     """The smooth-remainder integrand of ``adaptive_panels``.
 
-    Panel payload "g" indexes ``ords`` (-1: no ordinate in the panel).
+    Each panel's label indexes ``ords`` (-1: no ordinate in the panel).
     At each node of a singular panel of gamma the value is
     log|Z(t) / prod (t - gamma')| * weight(t), the product over gamma
     and its ``_neighbours`` in ``ords``: a neighbour's log would
@@ -171,13 +159,13 @@ def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
     first, stop = _neighbours(ords)
     width = int(np.max(stop - first, initial=0))
 
-    def f(ts, payload):
+    def f(ts, labels):
         z, e = zeta.hardy_z_batch(ts.ravel(), cfg.target_abs_error, cfg)
         az = np.maximum(np.abs(z), 1e-300).reshape(ts.shape)
         out = np.log(az)
         rel = e.reshape(ts.shape) / az
-        rows = np.flatnonzero(payload["g"] >= 0)
-        k = payload["g"][rows]
+        rows = np.flatnonzero(labels >= 0)
+        k = labels[rows]
         tr = ts[rows]
         d = np.abs(tr - ords[k, None])
         # prod |t - gamma'| over the neighbours, one offset at a time
@@ -401,8 +389,7 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     gi = np.full(gs.shape, -1)
     gi[sing] = own
     p = adaptive_panels(_remainder_rule(near, cfg, weight_f), lo, hi,
-                        density, {"g": gi},
-                        cfg.max_subdivisions, inner)
+                        density, gi, cfg.max_subdivisions, inner)
     seg = segment(p.lo)
     np.add.at(vals, seg, p.value)
     np.add.at(errs, seg, p.rule_error + p.pointwise)
@@ -465,8 +452,6 @@ def zero_sum_term(rho: ZeroCandidate) -> float:
     Equals 0.5*log((beta^2+gamma^2)/((1-beta)^2+gamma^2)); strictly
     positive, vanishing as beta -> 1/2.
     """
-    if isinstance(rho, tuple):
-        rho = ZeroCandidate(*rho)
     b, g = rho.beta, rho.gamma
     if not 0.5 < b < 1.0:
         raise errors.BetaOutOfRange(f"beta = {b} outside (1/2, 1)")
@@ -491,8 +476,6 @@ def theorem2_residual(T: float, hypotheticals, zeros: ZeroList,
     val = compute_I(T, zeros, cfg).value
     shift = 0.0
     for cand in hypotheticals:
-        if isinstance(cand, tuple):
-            cand = ZeroCandidate(*cand)
         if -T <= cand.gamma <= T:
             shift += zero_sum_term(cand)
     residual = val - 2.0 * math.pi * shift
@@ -517,13 +500,11 @@ def fit_decay(samples, model: str) -> ScanReport:
 
     ``pure_power`` fits log|stat| = c - alpha*log T (params [c, alpha]);
     the other models fit only the constant in front of a fixed shape
-    (params [c]).  Windows where the statistic changes sign are flagged
-    (log fits are distorted there) but all points are used.
+    (params [c]).  ``samples`` holds (T, stat) rows.  Windows where the
+    statistic changes sign are flagged (log fits are distorted there)
+    but all points are used.
     """
-    if isinstance(samples, ScanReport):
-        s = samples.samples
-    else:
-        s = np.asarray(samples, dtype=float)
+    s = np.asarray(samples, dtype=float)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     Ts, stat = s[:, 0], s[:, 1]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import comp_sum, comp_sum_complex
+from .accum import comp_sum
 from .errors import ToleranceNotMet
 
 # Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15),
@@ -124,7 +124,6 @@ class Panels:
     value: np.ndarray          # K15, or the integral of p15 over the piece
     rule_error: np.ndarray     # |K15 - G7|, or (|c_13| + |c_14|) * width
     pointwise: np.ndarray      # P, the propagated pointwise error
-    payload: dict
 
 
 def _cut_inside(cuts: np.ndarray, lo, hi) -> np.ndarray:
@@ -205,41 +204,40 @@ def _read_pieces(cuts, lo, hi, vals, pw):
     return owner, plo, phi, value, rule, P
 
 
-def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
+def adaptive_panels(f, lo, hi, density: float, labels=None,
                     max_subdivisions: int = 20_000, cuts=()) -> Panels:
     """Batched globally adaptive Gauss-Kronrod 7/15 over [lo_i, hi_i].
 
-    ``f(ts, payload)`` gets the (n, 15) Kronrod nodes of the n active
-    panels and their payload rows (a dict of per-panel arrays, copied to
-    both halves on bisection) and returns (values, pointwise): the
-    integrand at ts and a per-node bound on its own error, or None when
-    the values are exact.  With P = half-width * sum_k w_k pointwise_k,
-    a panel is accepted when |K15 - G7| <= density * width + P; a panel
-    with an infinite P (a node whose error has no bound) is bisected
-    instead.  A panel that one of ``cuts`` (any order) falls strictly
-    inside is read in pieces (``_read_pieces``) and accepted when its
-    pieces' rule errors, which sum to (|c_13| + |c_14|) * width, are
-    within density * width plus their summed P; that sum is at least
-    4.4 |K15 - G7|, so a cut never loosens the rule-error side of the
-    test.  Its rows in the result are its pieces.  Raises
-    ToleranceNotMet once more than ``max_subdivisions`` panels have been
-    made.
+    ``f(ts, labels)`` gets the (n, 15) Kronrod nodes of the n active
+    panels and their ``labels`` (one integer per panel, copied to both
+    halves on bisection; None if none were given) and returns (values,
+    pointwise): the integrand at ts and a per-node bound on its own
+    error, or None when the values are exact.  With P = half-width *
+    sum_k w_k pointwise_k, a panel is accepted when |K15 - G7| <=
+    density * width + P; a panel with an infinite P (a node whose error
+    has no bound) is bisected instead.  A panel that one of ``cuts``
+    (any order) falls strictly inside is read in pieces
+    (``_read_pieces``) and accepted when its pieces' rule errors, which
+    sum to (|c_13| + |c_14|) * width, are within density * width plus
+    their summed P; that sum is at least 4.4 |K15 - G7|, so a cut never
+    loosens the rule-error side of the test.  Its rows in the result are
+    its pieces.  Raises ToleranceNotMet once more than
+    ``max_subdivisions`` panels have been made.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    payload = {k: np.asarray(v) for k, v in (payload or {}).items()}
-    keys = list(payload)
+    labels = None if labels is None else np.asarray(labels)
     span = (float(np.min(lo, initial=np.inf)),
             float(np.max(hi, initial=-np.inf)))
     cuts = np.unique(np.asarray(cuts, dtype=float))
     split = _cut_inside(cuts, lo, hi)
-    done = []
+    done = [[np.empty(0)] * 5]
     n_panels = lo.size
     while lo.size:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         vals, pw = f(mid[:, None] + half[:, None] * GK15_NODES[None, :],
-                     payload)
+                     labels)
         fine = half * (vals @ GK15_WEIGHTS)
         err = np.abs(fine - half * (vals[:, 1::2] @ G7_WEIGHTS))
         P = np.zeros(lo.size) if pw is None else half * (pw @ GK15_WEIGHTS)
@@ -258,33 +256,28 @@ def adaptive_panels(f, lo, hi, density: float, payload: dict | None = None,
                 f"subdivision cap {max_subdivisions} reached on "
                 f"[{span[0]}, {span[1]}]")
         whole = ok & ~split
-        done.append([lo[whole], hi[whole], fine[whole], err[whole], P[whole]]
-                    + [payload[k][whole] for k in keys])
+        done.append([lo[whole], hi[whole], fine[whole], err[whole], P[whole]])
         if s.size:
             keep = ok[s][owner]
-            done.append([c[keep] for c in pieces]
-                        + [payload[k][s[owner[keep]]] for k in keys])
+            done.append([c[keep] for c in pieces])
         if ok.all():
             break
         lo, mid, hi = lo[bad], mid[bad], hi[bad]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        payload = {k: np.concatenate([v[bad]] * 2)
-                   for k, v in payload.items()}
+        if labels is not None:
+            labels = np.concatenate([labels[bad]] * 2)
         split = np.concatenate([split[bad]] * 2)
         split[split] = _cut_inside(cuts, lo[split], hi[split])
-    cols = [np.concatenate(c) for c in zip(*done)] if done \
-        else [lo, hi, lo, lo, lo] + [payload[k] for k in keys]
-    return Panels(*cols[:5], dict(zip(keys, cols[5:])))
+    return Panels(*map(np.concatenate, zip(*done)))
 
 
 def adaptive_quad(f, a: float, b: float, tol: float,
                   max_subdivisions: int = 20_000) -> IntegralResult:
     """Globally adaptive integration of a vectorized integrand on [a, b].
 
-    ``f`` maps an ndarray of points to an ndarray of values (real or
-    complex), taken as exact (P = 0).  Raises ToleranceNotMet if the
-    subdivision cap is reached while the summed error estimate still
-    exceeds ``tol``.
+    ``f`` maps an ndarray of points to an ndarray of real values, taken
+    as exact (P = 0).  Raises ToleranceNotMet if the subdivision cap is
+    reached while the summed error estimate still exceeds ``tol``.
     """
     if b <= a:
         return IntegralResult(0.0, 0.0, 0)
@@ -292,9 +285,8 @@ def adaptive_quad(f, a: float, b: float, tol: float,
         lambda ts, _: (f(ts.ravel()).reshape(ts.shape), None),
         [a], [b], tol / (b - a), None, max_subdivisions)
     # correctly rounded sums: independent of the acceptance order
-    value = comp_sum_complex(p.value) if np.iscomplexobj(p.value) \
-        else comp_sum(p.value)
-    return IntegralResult(value, comp_sum(p.rule_error), p.value.size)
+    return IntegralResult(comp_sum(p.value), comp_sum(p.rule_error),
+                          p.value.size)
 
 
 def _log_product_rule(n: int):

@@ -28,7 +28,7 @@ from .zeta import _lambert_w
 __all__ = [
     "ResonatorParams", "ResonatorTable", "solve_L", "build_resonator",
     "resonator_numerator", "resonator_denominator", "lemma4_check",
-    "write_table", "read_table",
+    "write_table", "read_table", "read_header",
 ]
 
 #: Default cap on the number of table entries.
@@ -126,6 +126,8 @@ class ResonatorTable:
             raise ValueError("table must start with n = 1")
         if np.any(np.diff(ns) <= 0):
             raise ValueError("table ns must be strictly ascending")
+        if not np.all(np.isfinite(rs)):
+            raise ValueError("table coefficients r(n) must be finite")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "rs", rs)
 
@@ -233,18 +235,22 @@ def lemma4_check(params: ResonatorParams) -> dict:
 
     Returns ratio_plus, ratio_minus (numerator/denominator) and their
     normalizations by h^mu (log N)^(1/2) (log log N)^(mu - nu + 1/2).
-    Requires 0 < h <= 1/log log N.
+    Requires 0 < h <= 1/log log N and a normalization that does not
+    underflow to 0.
     """
     lnN = math.log(params.N)
-    if lnN <= 1.0 or params.h > 1.0 / math.log(lnN):
-        raise ValueError("need h <= 1/log log N and log log N > 0")
+    if lnN <= 1.0 or not 0.0 < params.h <= 1.0 / math.log(lnN):
+        raise ValueError("need 0 < h <= 1/log log N and log log N > 0")
+    scale = (params.h ** params.mu * lnN ** 0.5
+             * math.log(lnN) ** (params.mu - params.nu + 0.5))
+    if scale == 0.0:
+        raise ValueError("the normalization h^mu (log N)^(1/2) "
+                         "(log log N)^(mu - nu + 1/2) underflows to 0")
     out = {}
     for variant in ("plus", "minus"):
         t = build_resonator(params, variant)
         out[f"ratio_{variant}"] = (resonator_numerator(t)
                                    / resonator_denominator(t))
-    scale = (params.h ** params.mu * lnN ** 0.5
-             * math.log(lnN) ** (params.mu - params.nu + 0.5))
     out["normalized_plus"] = out["ratio_plus"] / scale
     out["normalized_minus"] = out["ratio_minus"] / scale
     return out
@@ -268,8 +274,8 @@ def write_table(table: ResonatorTable, path: str) -> None:
 def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read (ns, rs) from a table file; header metadata is ignored.
 
-    Raises ParseError, with the line number, on a malformed line or an
-    entry n outside [1, 2^63), the int64 range.
+    Raises ParseError, with the line number, on a malformed line, an
+    entry n outside [1, 2^63), the int64 range, or a non-finite r(n).
     """
     ns, rs = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -290,4 +296,32 @@ def read_table(path: str) -> tuple[np.ndarray, np.ndarray]:
             if not 1 <= ns[-1] < 2 ** 63:
                 raise errors.ParseError(
                     f"line {ln}: n must be >= 1 and < 2^63", line_number=ln)
+            if not math.isfinite(rs[-1]):
+                raise errors.ParseError(
+                    f"line {ln}: r(n) must be finite", line_number=ln)
     return np.asarray(ns, dtype=np.int64), np.asarray(rs, dtype=float)
+
+
+def read_header(path: str):
+    """(sign, ResonatorParams) from the header line that ``write_table``
+    puts first in a table file, or None when the file does not start
+    with one.  Raises ParseError on a malformed header.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        words = fh.readline().split()
+    if words[:2] != ["#", "resonator"]:
+        return None
+    try:
+        kv = dict(word.split("=", 1) for word in words[2:])
+        if kv.keys() != {"sign", "N", "mu", "nu", "h", "L", "A", "B",
+                         "override"} or kv["sign"] not in ("plus", "minus") \
+                or kv["override"] not in ("True", "False"):
+            raise ValueError("expected write_table's nine fields")
+        params = ResonatorParams(
+            **{k: int(kv[k]) for k in ("mu", "nu", "N")},
+            **{k: float(kv[k]) for k in ("h", "L", "A", "B")},
+            override=kv["override"] == "True")
+    except ValueError as exc:
+        raise errors.ParseError(f"line 1: bad resonator header: {exc}",
+                                line_number=1) from None
+    return kv["sign"], params

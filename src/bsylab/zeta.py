@@ -490,7 +490,8 @@ def _em_sigma_grid(sigmas: np.ndarray, t: float,
 def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
     """Euler-Maclaurin evaluation of zeta(s) with an attached error bound.
 
-    Requires sigma >= -1 and |s - 1| >= the pole threshold.
+    Requires sigma >= -1 and |s - 1| >= the pole threshold; raises
+    PrecisionUnreachable where the bound is not finite.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -502,6 +503,8 @@ def zeta_em(s: complex, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
     conj = s.imag < 0
     t = abs(s.imag)
     vals, bounds = _em_batch(s.real, np.array([t]), cfg)
+    if not np.isfinite(bounds[0]):
+        raise errors.PrecisionUnreachable(f"no finite error bound at s={s}")
     v = complex(vals[0])
     if conj:
         v = v.conjugate()
@@ -852,20 +855,6 @@ def hardy_z(t: float, cfg: PrecisionConfig = DEFAULT) -> ZetaValue:
     vals, errs = hardy_z_batch(np.array([float(t)]),
                                cfg.target_abs_error, cfg)
     return ZetaValue(complex(vals[0]), float(errs[0]))
-
-
-def log_abs_zeta_half(t: float, cfg: PrecisionConfig = DEFAULT) -> float:
-    """log|zeta(1/2+it)| away from zero ordinates.
-
-    Raises NearZeroOrdinate when |Z(t)| < 10 * target_abs_error; callers
-    are required to subtract the singularity instead.
-    """
-    z = hardy_z(t, cfg)
-    az = abs(z.value.real)
-    if az < 10.0 * cfg.target_abs_error:
-        raise errors.NearZeroOrdinate(
-            f"|Z({t})| = {az:.2e} too close to a zero ordinate")
-    return math.log(az)
 
 
 # ----------------------------------------------------------------------

@@ -176,6 +176,50 @@ def test_resonator_non_finite_input_exits_2(capsys, params):
     assert doc["error"] == "ValueError" and "finite" in doc["message"]
 
 
+@pytest.mark.parametrize("h", [None, "0", "1e-300"])
+def test_resonator_check_needs_positive_h_exits_2(capsys, h):
+    # --h defaults to 0; h^mu = 0 was a ZeroDivisionError traceback
+    argv = ["resonator", "check", "--mu", "2", "--nu", "0", "--N", "100"]
+    assert run(argv + ([] if h is None else ["--h", h])) == 2
+    assert _error(capsys)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_mv_table_coefficient_not_finite_exits_2(tmp_path, capsys, r):
+    table = tmp_path / "t.txt"
+    table.write_text(f"1 1.0\n2 {r}\n")
+    assert run(["mv", "exact", "--table", str(table), "--T", "1000"]) == 2
+    doc = _error(capsys)
+    assert doc["error"] == "ParseError"
+    assert doc["message"].startswith("line 2:")
+
+
+def test_mv_lemma3_normalizes_by_the_header_N(tmp_path, toy_table):
+    # the toy table's N is 100 and its largest entry 95: a file with
+    # write_table's header gives the library's gap, one without it keeps
+    # N = the largest entry
+    path = tmp_path / "toy.txt"
+    resonator.write_table(toy_table, str(path))
+    flags = ["--alpha", "0.6", "--h", "0.1", "--T", "200"]
+    req = dirichlet.Lemma3Request(0.6, 0.1, 200.0, toy_table)
+    pair = dataclasses.replace(req, table=(toy_table.ns, toy_table.rs))
+    for expect in (req, pair):
+        code, out = _run(["mv", "lemma3", "--table", str(path), *flags])
+        assert code == 0
+        assert json.loads(out)["normalized_gap"] \
+            == cli._fmt(dirichlet.lemma3_compare(expect))
+        path.write_text("".join(path.read_text().splitlines(True)[1:]))
+
+
+def test_mv_malformed_header_exits_2(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("# resonator sign=plus N=abc\n1 1.0\n")
+    assert run(["mv", "exact", "--table", str(table), "--T", "1000"]) == 2
+    doc = _error(capsys)
+    assert doc["error"] == "ParseError"
+    assert doc["message"].startswith("line 1:")
+
+
 _FINITE_T = "find_zeros_up_to requires finite T >= 15"
 
 

@@ -205,6 +205,23 @@ def test_table_entries_below_1_are_rejected(ns):
         mean_square_exact(table, 10.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_table_coefficients_not_finite_are_rejected(r):
+    table = ([1, 2], [1.0, r])
+    with pytest.raises(ValueError, match="finite"):
+        eval_R_batch(table, [10.0])
+    with pytest.raises(ValueError, match="finite"):
+        mean_square_exact(table, 10.0)
+
+
+@pytest.mark.parametrize("ts", [[math.nan], [1.0, math.inf], [-math.inf],
+                                [[1.0, 2.0]], 3.0])
+def test_eval_R_batch_rejects_bad_heights(toy_table, ts):
+    # at the parent: nan for a non-finite height, IndexError otherwise
+    with pytest.raises(ValueError, match="1-d array of finite t"):
+        eval_R_batch(toy_table, ts)
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
 def test_mean_square_rejects_bad_heights(trivial_table, T):
     with pytest.raises(ValueError):

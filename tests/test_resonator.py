@@ -16,6 +16,7 @@ from bsylab.resonator import (
     ResonatorTable,
     build_resonator,
     lemma4_check,
+    read_header,
     read_table,
     resonator_denominator,
     resonator_numerator,
@@ -292,6 +293,16 @@ def test_lemma4_h_guard():
         lemma4_check(params)
 
 
+@pytest.mark.parametrize("h, match", [(0.0, "0 < h"),
+                                      (1e-300, "underflows to 0")])
+def test_lemma4_needs_positive_h_and_a_nonzero_scale(h, match):
+    # h = 0 and h = 1e-300 made h^mu, the normalization's first factor,
+    # exactly 0 (a ZeroDivisionError)
+    params = ResonatorParams.solved(N=4103, nu=0, h=h)
+    with pytest.raises(ValueError, match=match):
+        lemma4_check(params)
+
+
 def test_table_io_roundtrip(toy_table, tmp_path):
     path = str(tmp_path / "table.txt")
     write_table(toy_table, path)
@@ -315,3 +326,49 @@ def test_table_entry_out_of_range_is_a_parse_error(tmp_path, n):
     with pytest.raises(errors.ParseError, match=r">= 1 and < 2\^63") as exc:
         read_table(str(path))
     assert exc.value.line_number == 3
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+def test_table_coefficient_not_finite_is_a_parse_error(tmp_path, r):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1 1.0\n2 0.5\n3 {r}\n")
+    with pytest.raises(errors.ParseError, match="finite") as exc:
+        read_table(str(path))
+    assert exc.value.line_number == 3
+
+
+def test_table_coefficients_must_be_finite():
+    # L = 1e300 overflows r(pq) = r(p) r(q)
+    params = ResonatorParams(mu=2, nu=0, N=100, h=0.1, L=1e300, A=2.0,
+                             B=30.0, override=True)
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="finite"):
+        build_resonator(params)
+
+
+def test_header_roundtrip(toy_table, tmp_path):
+    path = str(tmp_path / "table.txt")
+    write_table(toy_table, path)
+    assert read_header(path) == ("plus", toy_table.params)
+    (tmp_path / "plain.txt").write_text("# N = 10\n1 1.0\n")
+    assert read_header(str(tmp_path / "plain.txt")) is None
+
+
+@pytest.mark.parametrize("header", [
+    "# resonator",
+    "# resonator sign=plus N=abc mu=2 nu=0 h=0.1 L=1.0 A=2.0 B=30.0 "
+    "override=True",
+    "# resonator sign=odd N=100 mu=2 nu=0 h=0.1 L=1.0 A=2.0 B=30.0 "
+    "override=True",
+    "# resonator sign=plus N=100 mu=2 nu=0 h=nan L=1.0 A=2.0 B=30.0 "
+    "override=True",
+    "# resonator sign=plus N=100 mu=2 nu=0 h=0.1 L=1.0 A=2.0 B=30.0 "
+    "override=yes",
+    "# resonator sign=plus N=100 mu=2 nu=0 h=0.1 L=1.0 A=2.0 B=30.0",
+])
+def test_malformed_header_is_a_parse_error(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n1 1.0\n")
+    with pytest.raises(errors.ParseError, match="header") as exc:
+        read_header(str(path))
+    assert exc.value.line_number == 1

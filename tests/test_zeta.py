@@ -22,7 +22,6 @@ from bsylab.zeta import (
     _rs_theta_ld,
     hardy_z,
     hardy_z_batch,
-    log_abs_zeta_half,
     log_zeta_branch,
     rs_error_bound,
     rs_theta,
@@ -694,6 +693,13 @@ def test_zeta_em_and_log_zeta_branch_refuse_nonfinite_input(x):
             f()
 
 
+def test_zeta_em_refuses_a_bound_that_is_not_finite():
+    # at sigma = t = 1e300, M^(-sigma) underflows to 0 while the tail's
+    # rounding term overflows: their product made the bound nan
+    with pytest.raises(errors.PrecisionUnreachable, match="finite"):
+        zeta_em(complex(1e300, 1e300))
+
+
 def _near_points(ev, xs):
     """Heights c + x * radius about every centre of ``ev``, each x in xs,
     moved in by an ulp where the sum rounds out of the disk, and the index
@@ -797,8 +803,9 @@ def test_em_batch_truncates_by_the_largest_abs_height():
 
 
 def test_log_abs_and_branch_consistency():
-    for t in (21.0, 143.111, 5005.5):
-        direct = log_abs_zeta_half(t, DEFAULT)
+    ts = np.array([21.0, 143.111, 5005.5])
+    z, _ = hardy_z_batch(ts, DEFAULT.target_abs_error, DEFAULT)
+    for t, direct in zip(ts.tolist(), np.log(np.abs(z)).tolist()):
         branch = log_zeta_branch(0.5, t, DEFAULT)
         assert abs(direct - branch.real) < 1e-10
         oracle = complex(mpmath.log(mpmath.zeta(0.5 + 1j * t)))
