@@ -36,8 +36,8 @@ import numpy as np
 from . import errors, zeta
 from .accum import comp_sum
 from .config import DEFAULT, PrecisionConfig
-from .quadrature import (_U, GK15_NODES, IntegralResult, adaptive_panels,
-                         log_singular_batch, split_at_cuts)
+from .quadrature import (_U, GK15_NODES, IntegralResult, _cut_inside,
+                         adaptive_panels, log_singular_batch, split_at_cuts)
 from .zeros import ZeroCandidate, ZeroList
 
 __all__ = [
@@ -67,6 +67,17 @@ _GRADE = math.log(1.5)
 #: rho^-14, rho the Bernstein-ellipse parameter of the nearest ordinate
 #: (0.2 to 0.36 on the fillers between t = 20 and 120).
 _KRONROD_C = 0.4
+
+#: The same for the rule error of a filler a cut falls inside, the sum of
+#: its pieces' (|c_13| + |c_14|) * width (``quadrature.adaptive_panels``):
+#: 1.0 to 2.1 times max|weight| * width * rho^-14 on the fillers between
+#: t = 15 and 110 of the weighted integrand.
+_TOP_MODES_C = 2.5
+
+#: ``_graded`` splits a filler into at most this many equal parts: an
+#: ordinate just beyond a span's end can lie arbitrarily near its end
+#: filler, and equal parts that narrow would cost more than bisection.
+_MAX_SPLIT = 16
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ def _split(p, q, n, to_u=None, from_u=None):
     return lo, hi
 
 
-def _graded(p, q, ords, density, weight_f):
+def _graded(p, q, ords, density, weight_f, cuts=()):
     """Pieces (lo, hi) of the fillers [p_i, q_i], 0 <= p_i, ascending.
 
     First graded toward t = +-i/2: equal steps of at most _GRADE in
@@ -221,10 +232,13 @@ def _graded(p, q, ords, density, weight_f):
     that K15 - G7 meets the piece's share of the tolerance although the
     nearest of ``ords`` lies only d beyond an end:
     _KRONROD_C * max|weight| * rho^-14 <= density, with
-    rho = x + sqrt(x^2 - 1) and x = 1 + d / half-width.  Low fillers at a
-    tight tolerance split; fillers high on the line or at a loose
-    tolerance stay whole.  ``ords`` are the span's own, so that a scan
-    reads no zero beyond its end.
+    rho = x + sqrt(x^2 - 1) and x = 1 + d / half-width; a piece that one
+    of ``cuts`` (ascending) falls strictly inside is judged on its pieces'
+    top modes instead, with _TOP_MODES_C.  Low fillers at a tight
+    tolerance split; fillers high on the line or at a loose tolerance
+    stay whole.  ``ords`` are the span's own and those within _REACH
+    beyond its ends, the ordinates the segment profile reads: one just
+    beyond an end limits the end filler as much as one inside.
     """
     n = np.ceil((np.arcsinh(2.0 * q) - np.arcsinh(2.0 * p)) / _GRADE)
     lo, hi = _split(p, q, np.maximum(n, 1).astype(int),
@@ -239,14 +253,16 @@ def _graded(p, q, ords, density, weight_f):
     d = np.minimum(lo - below, above - hi)
     scale = 1.0 if weight_f is None else np.maximum(
         np.abs(weight_f(lo)), np.abs(weight_f(hi)))
-    rho = np.maximum(_KRONROD_C * scale / density, 1.0) ** (1.0 / 14.0)
+    c = np.where(_cut_inside(np.asarray(cuts, dtype=float), lo, hi),
+                 _TOP_MODES_C, _KRONROD_C)
+    rho = np.maximum(c * scale / density, 1.0) ** (1.0 / 14.0)
     x = 0.5 * (rho + 1.0 / rho)
     n = np.ceil((hi - lo) * (x - 1.0) / (2.0 * d))
-    return _split(lo, hi, np.maximum(n, 1).astype(int))
+    return _split(lo, hi, np.clip(n, 1, _MAX_SPLIT).astype(int))
 
 
 def _panel_layout(a: float, b: float, ords: np.ndarray, density=None,
-                  weight_f=None):
+                  weight_f=None, cuts=()):
     """Panels (lo, hi, gamma) tiling [a, b], 0 <= a, ascending.
 
     Each ordinate in [a, b] gets a singular panel capped at _SING_RADIUS
@@ -261,9 +277,10 @@ def _panel_layout(a: float, b: float, ords: np.ndarray, density=None,
     Smooth filler panels (gamma NaN) cover the rest, graded toward
     +-i/2 and, at the tolerance ``density`` per unit length of
     weight_f(t) times log|Z(t)| (None: not), toward the nearest
-    ordinates (``_graded``): the K15 error falls at a rate set by the
-    nearest complex singularity.  Pieces no wider than 1e-14 are left
-    out.  ``ords`` must be ascending.
+    ordinates, in the span or within _REACH beyond it (``_graded``): the
+    K15 error falls at a rate set by the nearest complex singularity,
+    and a filler holding one of ``cuts`` is judged on its pieces.  Pieces
+    no wider than 1e-14 are left out.  ``ords`` must be ascending.
     """
     if not b > a:
         return np.empty(0), np.empty(0), np.empty(0)
@@ -283,7 +300,8 @@ def _panel_layout(a: float, b: float, ords: np.ndarray, density=None,
     # the fillers: before each ordinate's panel, then the tail
     p, q = np.append(a, right), np.append(left, b)
     keep = (q > p + 1e-14) | (g.size == 0)
-    flo, fhi = _graded(p[keep], q[keep], g, density, weight_f)
+    near = ords[(ords >= a - _REACH) & (ords <= b + _REACH)]
+    flo, fhi = _graded(p[keep], q[keep], near, density, weight_f, cuts)
     lo = np.concatenate([left, flo])
     order = np.argsort(lo, kind="stable")
     hi = np.concatenate([right, fhi])[order]
@@ -359,8 +377,9 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     nseg = cuts.size - 1
     total_w = float(cuts[-1] - cuts[0])
     density = cfg.quad_tol / max(total_w, 1e-300)
-    lo, hi, gs = _panel_layout(cuts[0], cuts[-1], ords, density, weight_f)
     inner = np.unique(cuts)
+    lo, hi, gs = _panel_layout(cuts[0], cuts[-1], ords, density, weight_f,
+                               inner)
     last = np.searchsorted(cuts, cuts[-1]) - 1    # the last non-empty one
 
     def segment(t):

@@ -7,16 +7,19 @@ main sums of :mod:`bsylab.zeta` and R(t) and the exact mean square of
 * a uniform grid of heights is one blocked matrix product;
 * any other input is cut into clusters of nearby heights (quadrature
   nodes, Newton triplets, derivative stencils), and each cluster is a
-  Taylor expansion in the height offset about its midpoint, after
-  Odlyzko and Schoenhage: one phase reduction per term and cluster, the
-  moments of all clusters as one real matrix product, and an expansion
-  order set by the truncation tail.  A lone height is a cluster of one.
-  Its three steps, the greedy cut (``_clusters``), the moments
-  (``_cluster_moments``) and Horner in the offset (``cluster_horner``,
-  on contiguous columns of the moments), also serve ``expansion_about``,
-  whose moments are built once so that each further height within a
-  centre's disk costs the Horner sum (the Newton rounds of the zero
-  solve).
+  Taylor expansion in the height offset about its centre, after
+  Odlyzko and Schoenhage: the moments of all clusters as one real
+  matrix product per block of centres, and an expansion order set by
+  the truncation tail.  The centres sit on a lattice c_0 + k*2*rho
+  (``_lattice``), so that, as on the grid path, the phases of C centres
+  are outer x inner products of about 2 sqrt(C) reductions; where that
+  saves too few (few or scattered heights, a lone height) the heights
+  are cut greedily (``_clusters``) and each cluster's midpoint
+  is reduced.  The moments (``_cluster_moments``) and Horner in the
+  offset (``cluster_horner``, on contiguous columns of the moments)
+  also serve ``expansion_about``, whose moments are built once so that
+  each further height within a centre's disk costs the Horner sum (the
+  Newton rounds of the zero solve).
 
 ``truncated_sums`` sums to a truncation N that varies with t, one
 cluster pass per batch over every truncation and exponent: clusters
@@ -82,10 +85,17 @@ _GRID_ULPS = 8.0
 #: max log n, share one phase reduction.  A larger value means fewer
 #: clusters but a longer expansion (about 27 terms at 3 for a 1e-15
 #: floor) and a rounding bound that grows like e^_CLUSTER_R.  On the
-#: 10*2^k integral ladder to 5120, 2, 3 and 4 took about 0.25, 0.2 and
-#: 0.15 s (2-vCPU x86, one BLAS thread, medians of 9 runs), and gave
-#: I(5120) error estimates of 9.3e-12, 1.06e-11 and 1.41e-11.
+#: 10*2^k integral ladder to 5120 with its zeros at hand, 2, 3 and 4 took
+#: 0.133, 0.116 and 0.101 s (2-vCPU x86, one BLAS thread, best of 9
+#: interleaved runs), and gave I(5120) error estimates of 9.0e-12,
+#: 1.03e-11 and 1.39e-11.
 _CLUSTER_R = 3.0
+
+#: The cluster path takes the lattice only when it reduces at least this
+#: many fewer phases than one reduction of the bases per occupied cell:
+#: below that its fixed cost and its extra cells (5-30% more than the
+#: greedy cut makes) outweigh the reductions it saves.
+_LATTICE_MIN_SAVING = 4096
 
 
 def phase_roundoff(tmax: float, lmax: float, amp_sum: float) -> float:
@@ -344,22 +354,32 @@ def phase_sum(ns: np.ndarray, amps: np.ndarray,
       a_n l_n; the remainder max eps^2 * sum |a_n| l_n^2 / 2 is added to
       the bound.
     * Clusters, for any other input (Odlyzko and Schoenhage, Trans. AMS
-      309 (1988) 797-809).  The sorted heights are cut greedily into
-      clusters of span <= 2*rho, rho = _CLUSTER_R / max l_n.  With c the
-      cluster midpoint (longdouble) and x = (t - c)/rho in [-1, 1],
+      309 (1988) 797-809).  With rho = _CLUSTER_R / max l_n, each
+      height t takes a centre c (longdouble) with x = (t - c)/rho in
+      [-1, 1], and
 
           S(t) = sum_{j<J} m_j (-i x)^j,
           m_j = sum_n a_n exp(-i c l_n) (rho l_n)^j / j!,
 
-      so the phases are built once per cluster, not once per height,
-      and the moments of all clusters are one real product V^T @ A, A
-      the (M x 2C) real view of the complex a_n exp(-i c l_n), in chunks
-      of at most _CHUNK phases.  With r = rho * max l_n * max|x| over
-      the call, J is the smallest order whose tail
-      sum|a_n| * r^J/J! * (J+1)/(J+1-r) is below the floor.  The bound is
-      ``_expansion_bound``.  A lone height is a cluster of one: x = 0,
-      r = 0, J = 1, no tail, so its bound is the floor and the product
-      term.
+      so the phases are built once per centre, not once per height, and
+      the moments of a block of centres are one real product V^T @ A, A
+      the real view of the complex a_n exp(-i c l_n), in blocks of at
+      most about _CHUNK / 2 phases.  The centres are the occupied cells
+      of the lattice c_k = c_0 + k*2*rho over the heights (``_lattice``):
+      with k = q*L + j, exp(-i c_k l_n) = outer[q] * inner[j], the outer
+      phases from ``unit_phases`` at c_0 + q*L*2*rho and the inner ones
+      reduced directly at j*2*rho, so the reductions number about
+      (C/L) * bases + L * M for C cells, not C * bases, and each term
+      holds one more product: ``PRODUCT_ROUNDOFF`` * sum |a_n| more.
+      When that saves fewer than _LATTICE_MIN_SAVING reductions, the
+      sorted heights are cut greedily into clusters of span <= 2*rho
+      about their midpoints (``_clusters``), each reduced by
+      ``unit_phases``.  With
+      r = rho * max l_n * max|x| over the call, J is the smallest order
+      whose tail sum|a_n| * r^J/J! * (J+1)/(J+1-r) is below the floor.
+      The bound is ``_expansion_bound``.  A lone height is a cluster of
+      one: x = 0, r = 0, J = 1, no tail, so its bound is the floor and
+      the product term.
     """
     K = ts.size
     plan = factor_plan(ns)
@@ -399,13 +419,114 @@ def phase_sum(ns: np.ndarray, amps: np.ndarray,
     order = np.argsort(ts, kind="stable")
     srt = ts[order]
     rho = _CLUSTER_R / lmax if lmax > 0.0 else math.inf
-    _, _, cl, mid, x = _clusters(srt, rho)
+    rows = max(1, _CHUNK // (2 * P))
+    lattice = _lattice(srt, rho, ns, plan.bases.size, rows)
+    if lattice is None:
+        _, _, cl, mid, x = _clusters(srt, rho)
+        blocks = _even_blocks(mid.size, rows)
+
+        def centre_phases(c0, c1):
+            return unit_phases(mid[c0:c1], ns).T
+    else:
+        cl, x, centre_phases, blocks, reach = lattice
+        bound = phase_roundoff(max(tmax, reach), lmax, amp_sum)
+        built += PRODUCT_ROUNDOFF * amp_sum
     r = _CLUSTER_R * float(np.max(np.abs(x)))   # rho * max l_n * max|x|
     J, tail = _taylor_order(r, amp_sum, bound)
-    mom = _cluster_moments(ns, amps, logs, mid, rho, J,
-                           max(1, _CHUNK // (2 * P)))
+    mom = _cluster_moments(logs, amps, centre_phases, blocks, rho, J)
     vals[order] = cluster_horner(mom, cl, x)
     return vals, _expansion_bound(bound, built, amp_sum, r, tail)
+
+
+def _lattice(srt: np.ndarray, rho: float, ns: np.ndarray, n_bases: int,
+             rows: int):
+    """The cluster path's cells: centres c_k = c_0 + k*2*rho, laid over
+    the ascending heights srt symmetrically about their midpoint, and
+    each height in the cell of its nearest centre, so that its offset
+    x = (t - c_k)/rho lies in [-1, 1].
+
+    With k = q*L + j, L about sqrt(cells * bases / len(ns)), the phases of
+    a centre are outer[q] * inner[j]: ``unit_phases`` at the points
+    c_0 + (2*rho*L)*q of the occupied q, and a direct ``reduced_phases``
+    of every n at the points 2*rho*j of the occupied j, so that one more
+    product is the only rounding a term gains (``PRODUCT_ROUNDOFF``).
+    The outer step 2*rho*L is formed in longdouble, where it is exact
+    for L < 2^11, so that outer + inner is the centre c_k of x to a
+    longdouble rounding.
+
+    Returns (cl, x, centre_phases, blocks, reach): the occupied cell of
+    each height (numbered in ascending order), the offsets, a function
+    of (c0, c1) giving the len(ns) x (c1 - c0) phases exp(-i c l_n) of
+    occupied cells c0..c1 - 1, the boundaries of blocks of about
+    ``rows`` occupied cells that split no run of one q (so that each
+    outer phase is built once), and the largest |outer| + |inner| of a
+    centre, the height the phase floor must hold for.  None when the
+    lattice saves fewer than _LATTICE_MIN_SAVING reductions against one
+    ``unit_phases`` row per occupied cell: the caller then takes the
+    greedy cut (``_clusters``), which makes no more clusters than the
+    lattice occupies cells.
+    """
+    K, M = srt.size, ns.size
+    width = 2.0 * rho
+    cells = max(1, math.ceil(float(srt[-1] - srt[0]) / width))
+    if cells > K * K or n_bases * min(K, cells) < _LATTICE_MIN_SAVING:
+        return None                             # too sparse or too few
+    step = np.longdouble(width)
+    c_0 = 0.5 * (np.longdouble(srt[0]) + srt[-1]) - step * (cells - 1) / 2
+    # the nearest centre in float64 (x is then taken exactly); ascending
+    k = np.clip(np.rint((srt - float(c_0)) / width), 0, cells - 1) \
+        .astype(np.int64)
+    cl, cells_at = _runs(k)
+    L = max(1, min(round(math.sqrt(cells * n_bases / M)), cells,
+                   _CHUNK // (2 * M)))
+    q, j = np.divmod(cells_at, L)
+    qi, qs = _runs(q)
+    used = np.bincount(j, minlength=L) > 0
+    js = np.flatnonzero(used)
+    if cells_at.size * n_bases - (qs.size * n_bases + js.size * M) \
+            < _LATTICE_MIN_SAVING:
+        return None
+    ji = (np.cumsum(used) - 1)[j]
+    outer_at = c_0 + (step * L) * qs.astype(np.longdouble)
+    inner_at = step * js.astype(np.longdouble)
+    inner = reduced_phases(np.log(ns.astype(np.longdouble))[:, None]
+                           * inner_at[None, :])
+    # x = (t - c_k)/rho with c_k split into float64 hi + lo: t - hi is
+    # exact where hi is within a factor 2 of t (Sterbenz), and off by
+    # at most an ulp of 2*rho elsewhere
+    centre = c_0 + step * cells_at.astype(np.longdouble)
+    hi = centre.astype(float)
+    lo = (centre - hi).astype(float)
+    x = srt - hi[cl]
+    x -= lo[cl]
+    x /= rho
+    reach = float(np.max(np.abs(outer_at[qi]) + inner_at[ji]))
+    first = np.flatnonzero(np.diff(qi, prepend=-1))     # each run of one q
+    blocks = np.append(first[np.diff(first // rows, prepend=-1) != 0],
+                       cells_at.size)
+
+    def centre_phases(c0, c1):
+        q0 = qi[c0]
+        outer = unit_phases(outer_at[q0:qi[c1 - 1] + 1], ns).T
+        out = np.take(outer, qi[c0:c1] - q0, axis=1)
+        out *= np.take(inner, ji[c0:c1], axis=1)
+        return out
+
+    return cl, x, centre_phases, blocks, reach
+
+
+def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run, values) of the non-decreasing integers v: the index of each
+    element's run of equal values, and the value of each run."""
+    new = np.empty(v.size, dtype=bool)
+    new[0] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return np.cumsum(new) - 1, v[new]
+
+
+def _even_blocks(C: int, rows: int) -> np.ndarray:
+    """The boundaries of blocks of ``rows`` centres, the last shorter."""
+    return np.append(np.arange(0, C, rows), C)
 
 
 def _clusters(srt: np.ndarray, rho: float, groups: np.ndarray | None = None):
@@ -440,39 +561,39 @@ def _clusters(srt: np.ndarray, rho: float, groups: np.ndarray | None = None):
     return starts, ends, cl, mid, srt_ld.astype(float)
 
 
-def _cluster_moments(ns: np.ndarray, amps: np.ndarray, logs: np.ndarray,
-                     mid: np.ndarray, rho: float, J: int, rows: int,
+def _cluster_moments(logs: np.ndarray, amps: np.ndarray, centre_phases,
+                     blocks: np.ndarray, rho: float, J: int,
                      terms: np.ndarray | None = None) -> np.ndarray:
     """The moments m_j = sum_n a_n exp(-i c l_n) (rho l_n)^j / j!,
-    j < J, of each centre c of ``mid`` (longdouble), as a (len(mid) x J)
-    complex array: the cluster path's phase step (``phase_sum``).
+    j < J, of each centre c, as a (C x J) complex array: the cluster
+    path's phase step (``phase_sum``).
 
-    ``logs`` are the float64 l_n.  The phases are reduced once per centre
-    by ``unit_phases``, ``rows`` centres at a time, and the moments of
-    each block are one real product V^T @ A, V the (M x J) powers
-    (rho l_n)^j / j! and A the real view of a_n exp(-i c l_n), one column
-    per centre.  ``amps`` may also be a stack of R rows of amplitudes on
-    the same n: they share the phases, A holds R columns per centre, and
-    the moments are (R x len(mid) x J).  ``terms``, when given, holds for
-    each centre the count of leading entries of ns its sum takes; the
-    amplitudes of the rest are 0 there.  The moments are stored order by
-    order, so that ``mom.T`` is the contiguous columns ``cluster_horner``
-    reads.
+    ``logs`` are the float64 l_n and ``centre_phases(c0, c1)`` the
+    phases exp(-i c l_n) of centres c0..c1 - 1, one column per centre,
+    taken block by block between the ascending boundaries ``blocks``
+    (0 first, C last).  The moments of each block are one real product
+    V^T @ A, V the (M x J) powers (rho l_n)^j / j! and A the real view
+    of a_n exp(-i c l_n), one column per centre.  ``amps`` may also be a
+    stack of R rows of amplitudes on the same n: they share the phases,
+    A holds R columns per centre, and the moments are (R x C x J).
+    ``terms``, when given, holds for each centre the count of leading n
+    its sum takes; the amplitudes of the rest are 0 there.  The moments
+    are stored order by order, so that ``mom.T`` is the contiguous
+    columns ``cluster_horner`` reads.
     """
-    V = np.ones((ns.size, J))                    # (rho l_n)^j / j!
+    M, C = logs.size, int(blocks[-1])
+    V = np.ones((M, J))                          # (rho l_n)^j / j!
     for j in range(1, J):
         V[:, j] = V[:, j - 1] * (rho / j) * logs
     stack = np.atleast_2d(amps)
     R = stack.shape[0]
-    by_order = np.empty((R, J, mid.size), dtype=complex)
-    for c0 in range(0, mid.size, rows):
-        c1 = min(mid.size, c0 + rows)
+    by_order = np.empty((R, J, C), dtype=complex)
+    for c0, c1 in zip(blocks[:-1].tolist(), blocks[1:].tolist()):
         W = stack.T[:, :, None]                  # (M x R x 1) or (M x R x b)
         if terms is not None:
-            W = W * (np.arange(ns.size)[:, None] < terms[c0:c1])[:, None, :]
-        A = np.multiply(unit_phases(mid[c0:c1], ns).T[:, None, :], W,
-                        order="C")
-        by_order[:, :, c0:c1] = (V.T @ A.reshape(ns.size, -1).view(float)) \
+            W = W * (np.arange(M)[:, None] < terms[c0:c1])[:, None, :]
+        A = np.multiply(centre_phases(c0, c1)[:, None, :], W, order="C")
+        by_order[:, :, c0:c1] = (V.T @ A.reshape(M, -1).view(float)) \
             .view(complex).reshape(J, R, c1 - c0).transpose(1, 0, 2)
     mom = by_order.transpose(0, 2, 1)
     return mom if amps.ndim > 1 else mom[0]
@@ -523,8 +644,10 @@ def expansion_about(ns: np.ndarray, amps: np.ndarray, centres: np.ndarray,
     plan = factor_plan(ns)
     amp_sum = float(amps.sum())
     J, tail = _taylor_order(r, amp_sum, phase_roundoff(0.0, 0.0, amp_sum))
-    mom = _cluster_moments(ns, amps, logs, centres, rho, J,
-                           max(1, _CENTRE_BLOCK // plan.closure.size))
+    mom = _cluster_moments(
+        logs, amps, lambda c0, c1: unit_phases(centres[c0:c1], ns).T,
+        _even_blocks(centres.size, max(1, _CENTRE_BLOCK // plan.closure.size)),
+        rho, J)
     floor = phase_roundoff(tmax, lmax, amp_sum)
     built = PRODUCT_ROUNDOFF * float(amps @ plan.products)
     return rho, mom, _expansion_bound(floor, built, amp_sum, r, tail)
@@ -600,9 +723,10 @@ def truncated_sums(ts: np.ndarray, N: np.ndarray,
     plan = factor_plan(n)
     J, bounds[:, order] = _truncation_bounds(srt, N, ends, cl, x, rho, amps,
                                              plan)
-    mom = _cluster_moments(n, amps, logs, mid, rho, J,
-                           max(1, _CHUNK // (2 * R * plan.closure.size)),
-                           N[starts])
+    mom = _cluster_moments(
+        logs, amps, lambda c0, c1: unit_phases(mid[c0:c1], n).T,
+        _even_blocks(mid.size, max(1, _CHUNK // (2 * R * plan.closure.size))),
+        rho, J, N[starts])
     for row in range(R):
         sums[row, order] = cluster_horner(mom[row], cl, x)
     return sums, bounds

@@ -142,7 +142,8 @@ def build_resonator(params: ResonatorParams, variant: str = "plus",
     the minus variant).  Deterministic; raises TableTooLarge past
     ``entry_cap`` entries, before the level that passes it is allocated.
     """
-    ps = primes_in(params.A, params.B)
+    # only primes p <= N enter an entry: sieve no further
+    ps = primes_in(params.A, min(params.B, params.N + 1))
     rp = params.L * np.log(ps.astype(float)) ** params.nu \
         / np.sqrt(ps.astype(float))
     if variant == "minus":

@@ -290,6 +290,13 @@ _EM_K_MAX = 30
 #: Least truncation M.
 _EM_M_MIN = 24
 
+#: Largest truncation M: it reaches t = 1e7 at a target of 1e-14 for
+#: sigma in [-1, 2] (M = 4.1e6 at sigma = -1), and one height at it holds
+#: a few hundred MB of factor plan and phases.  Far up the line or far
+#: off it the plan would otherwise ask for gigabytes (M = 2.8e8 at
+#: t = 1e9) or terabytes (5e11 at sigma = 100, t = 1e300).
+_EM_M_MAX = 1 << 22
+
 _EM_KS = np.arange(1, _EM_K_MAX + 1)
 _EM_2K1 = 2.0 * _EM_KS + 1.0
 _EM_JS = np.arange(2.0 * _EM_K_MAX + 1.0)
@@ -324,11 +331,11 @@ def _em_plan(sigma: float, tmax: float,
     1e-9 (relative) under the target so that rounding in the logs cannot
     put the bound above it.  Raises PrecisionUnreachable when every K
     needs M past 16 (tmax + 256), over 40 times the M a 1e-14 target
-    takes at any tmax up to 1e6.
+    takes at any tmax up to 1e6, or past _EM_M_MAX.
     """
     log_a, a = _em_log_remainder(sigma, tmax)
     log_m = (log_a - (math.log(target) - 1e-9)) / a
-    m_max = 16.0 * (tmax + 256.0)
+    m_max = min(16.0 * (tmax + 256.0), _EM_M_MAX)
     ok = log_m <= math.log(m_max)
     if not ok.any():
         raise errors.PrecisionUnreachable(

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,31 @@ def test_resonator_check_needs_positive_h_exits_2(capsys, h):
     argv = ["resonator", "check", "--mu", "2", "--nu", "0", "--N", "100"]
     assert run(argv + ([] if h is None else ["--h", h])) == 2
     assert _error(capsys)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("t,sigma", [("1e300", "100"), ("1e9", "0.5")])
+def test_zeta_past_the_em_cap_exits_2(capsys, t, sigma):
+    # the plans asked for 5.2e11 and 2.8e8 terms: a MemoryError traceback
+    # and gigabytes; the cap refuses them before anything is allocated
+    tracemalloc.start()
+    try:
+        code = run(["zeta", "--t", t, "--sigma", sigma])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 22
+    assert _error(capsys)["error"] == "PrecisionUnreachable"
+
+
+def test_resonator_build_window_past_N(tmp_path):
+    # B = 1e300 was a sieve numpy refused (exit 2); only primes <= N count
+    out = tmp_path / "t.txt"
+    code, _ = _run(["resonator", "build", "--mu", "2", "--nu", "0", "--N",
+                    "100", "--h", "0.1", "--A", "2", "--B", "1e300", "--L",
+                    "1", "--override", "--out", str(out)])
+    assert code == 0
+    ns, _ = resonator.read_table(str(out))
+    assert ns[-1] <= 100 and ns.size > 1
 
 
 @pytest.mark.parametrize("r", ["nan", "inf"])

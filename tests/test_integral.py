@@ -6,6 +6,7 @@ pieces for each log|t-gamma| factor against the Cauchy weight.
 """
 
 import math
+import random
 from unittest import mock
 
 import mpmath
@@ -420,6 +421,23 @@ def test_ladder_work_contract(zeros_10k, monkeypatch):
                         or stencil(gs, cfg))
     compute_I_many(10.0 * 2.0 ** np.arange(8), zeros_10k, DEFAULT)
     assert 1 <= len(calls) <= 3 and stencils == []
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5, 10])
+def test_benchmark_ladder_takes_one_z_batch(zeros_10k, monkeypatch, seed):
+    # the 8-point ladder base * 2^k to 128 base, base = 10 (1 + u/100):
+    # the filler holding the cut near 80.8 (seeds 0, 2, 5) was sized on
+    # K15 - G7 but judged on its pieces' top modes, and the end filler
+    # next to the ordinate 1287.41 just beyond T (seed 10) was sized
+    # without it; each failed round 1 and cost a second Z batch
+    base = 10.0 * (1.0 + 0.01 * random.Random(seed).random())
+    calls = []
+    z_batch = zeta.hardy_z_batch
+    monkeypatch.setattr(zeta, "hardy_z_batch",
+                        lambda ts, *a, **kw: calls.append(np.size(ts))
+                        or z_batch(ts, *a, **kw))
+    compute_I_many(np.geomspace(base, 128.0 * base, 8), zeros_10k, DEFAULT)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cfg", [

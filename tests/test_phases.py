@@ -1,4 +1,5 @@
-"""The phase-kernel module: one home for its names, and its greedy cut."""
+"""The phase-kernel module: one home for its names, its greedy cut and
+its lattice of cluster centres."""
 
 import ast
 import importlib.util
@@ -110,6 +111,133 @@ def test_clusters_match_the_plain_greedy_cut(inputs):
     assert cl.tolist() == p_cl
     assert np.array_equal(mid, np.array(p_mid, dtype=np.longdouble))
     assert np.array_equal(x, np.array(p_x))
+
+
+def _direct(ns, amps, ts):
+    """sum_n a_n exp(-i t l_n), each phase reduced once in longdouble:
+    within ``phase_roundoff`` of the exact sum."""
+    logs = np.log(ns.astype(np.longdouble))
+    return phases.reduced_phases(ts.astype(np.longdouble)[:, None]
+                                 * logs[None, :]) @ amps
+
+
+def _width(ns):
+    """The cell width 2*rho of the cluster path for the integers ns."""
+    return 2.0 * phases._CLUSTER_R / math.log(int(np.max(ns)))
+
+
+@st.composite
+def _lattice_inputs(draw):
+    """Integers (a prefix 1..M or a sparse set), real amplitudes and
+    heights: a lone height, heights on cell edges (the span a whole
+    number of cells, so that the edges fall on t_min + k*2*rho), dense
+    heights over many cells, or heights over several octaves."""
+    if draw(st.booleans()):
+        ns = np.arange(1, draw(st.sampled_from([2, 30, 120, 400])) + 1)
+    else:
+        ns = np.array(sorted(set(draw(st.lists(st.integers(1, 10 ** 6),
+                                               min_size=2, max_size=60)))
+                             | {1}))
+    amps = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))) \
+        .standard_normal(ns.size)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["lone", "edges", "cells", "octaves"]))
+    t0 = draw(st.floats(14.0, 1e5))
+    if kind == "lone":
+        return ns, amps, np.array([t0])
+    K = draw(st.sampled_from([2, 40, 600, 2500]))
+    if kind == "octaves":
+        return ns, amps, t0 * 2.0 ** rng.uniform(0.0, 4.0, K)
+    cells = draw(st.integers(1, 2 * K))
+    if kind == "edges":
+        k = np.concatenate([[0, cells], rng.integers(0, cells + 1, K)])
+        return ns, amps, t0 + _width(ns) * k
+    return ns, amps, t0 + _width(ns) * cells * rng.uniform(0.0, 1.0, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lattice_inputs())
+# 1300 heights over 4400 cells from 1e5
+@example((np.arange(1, 201),
+          np.random.default_rng(1).standard_normal(200),
+          1e5 + 5000.0 * np.random.default_rng(2).uniform(0.0, 1.0, 1300)))
+def test_phase_sum_on_the_lattice_within_bound(inputs):
+    ns, amps, ts = inputs
+    vals, bound = phases.phase_sum(ns, amps, ts)
+    ref = _direct(ns, amps, ts)
+    floor = phases.phase_roundoff(float(ts.max()), math.log(ns.max()),
+                                  float(np.abs(amps).sum()))
+    assert np.all(np.abs(vals - ref) <= bound + floor)
+
+
+@pytest.mark.parametrize("n", [125, 124, 97])
+def test_lattice_phases_term_by_term(n):
+    # one term at a time, the bound is that of one unit phase: an outer
+    # step 2*rho*L rounded to float64 put 3 times the bound into the
+    # phases of these 6000 heights from 512 to 1024
+    ns = np.arange(1, 126)
+    amps = np.zeros(ns.size)
+    amps[n - 1] = 1.0
+    ts = 512.0 + 512.0 * np.random.default_rng(2).uniform(0.0, 1.0, 6000)
+    vals, bound = phases.phase_sum(ns, amps, ts)
+    ref = _direct(ns, amps, ts)
+    floor = phases.phase_roundoff(float(ts.max()), math.log(125), 1.0)
+    assert np.all(np.abs(vals - ref) <= bound + floor)
+
+
+def _greedy_reductions(ns, ts):
+    """The phases the greedy cut reduces: the bases, once per cluster."""
+    rho = phases._CLUSTER_R / math.log(int(ns.max()))
+    mid = phases._clusters(np.sort(ts), rho)[3]
+    return mid.size * phases.factor_plan(ns).bases.size
+
+
+@pytest.mark.parametrize("M,t0,span,K", [
+    (252, 512.0, 512.0, 6459),       # the ladder's top group below 1024
+    (321, 1024.0, 266.0, 3444),
+    (126, 256.0, 256.0, 3000),
+    (2506, 8192.0, 1800.0, 4000),
+])
+def test_lattice_reduces_order_sqrt_cells_phases(monkeypatch, M, t0, span, K):
+    ns = np.arange(1, M)
+    ts = t0 + span * np.random.default_rng(M).uniform(0.0, 1.0, K)
+    reduced = []
+    reduce = phases.reduced_phases
+
+    def spy(x):
+        reduced.append(x.size)
+        return reduce(x)
+
+    monkeypatch.setattr(phases, "reduced_phases", spy)
+    vals, bound = phases.phase_sum(ns, ns ** -0.5, ts)
+    cells = math.ceil(float(np.ptp(ts)) / _width(ns))
+    P = phases.factor_plan(ns).closure.size
+    assert sum(reduced) <= (2 * math.isqrt(cells - 1) + 4) * P
+    assert 2 * sum(reduced) <= _greedy_reductions(ns, ts)
+    assert np.all(np.abs(vals - _direct(ns, ns ** -0.5, ts)) <= 2 * bound)
+
+
+def test_lattice_bound_takes_one_more_product_per_term(monkeypatch):
+    # each lattice phase is outer * inner: one product on top of those
+    # that built the outer phase, PRODUCT_ROUNDOFF * sum|a_n| in all
+    ns = np.arange(1, 300)
+    amps = np.random.default_rng(5).standard_normal(ns.size)
+    built = []
+    expansion_bound = phases._expansion_bound
+
+    def spy(floor, b, amp_sum, r, tail):
+        built.append(b)
+        return expansion_bound(floor, b, amp_sum, r, tail)
+
+    monkeypatch.setattr(phases, "_expansion_bound", spy)
+    products = float(np.abs(amps) @ phases.factor_plan(ns).products)
+    dense = 1000.0 + 300.0 * np.random.default_rng(6).uniform(0, 1, 4000)
+    phases.phase_sum(ns, amps, dense)               # the lattice
+    phases.phase_sum(ns, amps, np.array([1e3, 2e3, 3e3]))  # three of one
+    assert built[0] == pytest.approx(phases.PRODUCT_ROUNDOFF * (
+        products + float(np.abs(amps).sum())), rel=1e-12, abs=0.0)
+    assert built[1] == pytest.approx(phases.PRODUCT_ROUNDOFF * products,
+                                     rel=1e-12, abs=0.0)
 
 
 def _fresh_phases():

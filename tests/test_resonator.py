@@ -180,6 +180,20 @@ def test_minus_variant_signs(toy_params):
         assert rm == pytest.approx(mobius(n) * rp, rel=1e-14)
 
 
+def test_window_past_N_is_not_sieved():
+    # only primes <= N enter an entry: B = 1e300 builds the table of
+    # B = N + 1 without sieving to B
+    wide = ResonatorParams(mu=2, nu=0, N=100, h=0.1, L=1.0, A=2.0,
+                           B=1e300, override=True)
+    tight = ResonatorParams(mu=2, nu=0, N=100, h=0.1, L=1.0, A=2.0,
+                            B=101.0, override=True)
+    for variant in ("plus", "minus"):
+        got, ref = build_resonator(wide, variant), build_resonator(tight,
+                                                                   variant)
+        np.testing.assert_array_equal(got.ns, ref.ns)
+        np.testing.assert_array_equal(got.rs, ref.rs)
+
+
 def test_entry_cap():
     params = ResonatorParams(mu=2, nu=0, N=10 ** 9, h=0.1, L=1.0,
                              A=2.0, B=200.0, override=True)

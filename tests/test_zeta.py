@@ -610,9 +610,9 @@ def test_afe_builds_its_phases_once_per_moment_block(monkeypatch):
     blocks, built = [], []
     moments, unit_phases = phases._cluster_moments, phases.unit_phases
 
-    def moments_spy(ns, amps, logs, mid, rho, J, rows, terms=None):
-        blocks.append(-(-mid.size // rows))
-        return moments(ns, amps, logs, mid, rho, J, rows, terms)
+    def moments_spy(logs, amps, centre_phases, bounds, rho, J, terms=None):
+        blocks.append(bounds.size - 1)
+        return moments(logs, amps, centre_phases, bounds, rho, J, terms)
 
     def phases_spy(ts_ld, ns):
         built.append(ts_ld.size)
@@ -691,6 +691,15 @@ def test_zeta_em_and_log_zeta_branch_refuse_nonfinite_input(x):
               lambda: log_zeta_branch(x, 10.0)):
         with pytest.raises(ValueError, match="finite"):
             f()
+
+
+def test_em_plan_is_capped():
+    # 5.2e11 terms at sigma = 100, t = 1e300, and 2.8e8 at t = 1e9: both
+    # past _EM_M_MAX, refused before anything is allocated
+    for sigma, t in ((100.0, 1e300), (0.5, 1e9)):
+        with pytest.raises(errors.PrecisionUnreachable, match="4194304"):
+            zeta._em_plan(sigma, t, 1e-12)
+    assert zeta._em_plan(-1.0, 1e7, 1e-14)[0] <= zeta._EM_M_MAX
 
 
 def test_zeta_em_refuses_a_bound_that_is_not_finite():
