@@ -88,9 +88,7 @@ def S1_direct(t: float, zeros: ZeroList,
     ordinate anywhere below t.
     """
     t = float(t)
-    if t < zeta.THETA_T_MIN:
-        raise ValueError(f"S1_direct requires t >= {zeta.THETA_T_MIN}")
-    zeros.require_height(t)
+    zeros.require_height(_s1_height(t))
     g = zeros.ordinates[zeros.ordinates < t]
     on = np.abs(zeros.ordinates - t) < ORDINATE_ACCURACY
     count = np.count_nonzero((zeros.ordinates < t) & ~on) \
@@ -106,6 +104,14 @@ def S1_direct(t: float, zeros: ZeroList,
     q_hi = float(q)
     q_lo = float(q - np.longdouble(q_hi))
     return math.fsum([t] * g.size + (-g).tolist() + [-t, -q_hi, -q_lo])
+
+
+def _s1_height(t: float) -> float:
+    """The height a zero list must cover for ``S1_direct`` at t: t, once
+    t is at least ``zeta.THETA_T_MIN`` (else ValueError)."""
+    if not t >= zeta.THETA_T_MIN:
+        raise ValueError(f"S1_direct requires t >= {zeta.THETA_T_MIN}")
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +134,7 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
     """
     T = float(T)
     grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
-        raise ValueError("t_grid must be strictly ascending")
-    if not 3.0 <= T <= grid[0]:
-        raise ValueError("need 3 <= T <= min(t_grid)")
-    zeros.require_height(grid[-1])
+    zeros.require_height(_lemma2_height(T, grid))
     cuts = grid.copy() if grid[0] == T else np.concatenate([[T], grid])
     v, e, _, _ = _segment_profile(cuts, zeros.ordinates, cfg, None)
     run, budget = np.cumsum(v), np.cumsum(e)
@@ -143,6 +145,17 @@ def lemma2_scan(T: float, t_grid, zeros: ZeroList,
     sup = float(np.max(np.abs(norm)))
     return ScanReport(np.column_stack([grid, run]), "none",
                       np.array([sup]), 0.0, budgets=budget)
+
+
+def _lemma2_height(T: float, grid: np.ndarray) -> float:
+    """The height a zero list must cover for ``lemma2_scan`` from T over
+    the grid: its last point, once the grid is strictly ascending and
+    3 <= T <= its first point (else ValueError)."""
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
+        raise ValueError("t_grid must be strictly ascending")
+    if not 3.0 <= T <= grid[0]:
+        raise ValueError("need 3 <= T <= min(t_grid)")
+    return float(grid[-1])
 
 
 def omega_normalized(ts, vals, h: float):
@@ -166,11 +179,7 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
     h = 0.3, Z errors of 1e-6 and quad_tol 1e-4.
     """
     T, h = float(T), float(h)
-    if not 0.0 < h <= 1.0:
-        raise ValueError("need 0 < h <= 1")
-    if not T >= 10.0:
-        raise ValueError("need T >= 10")
-    zeros.require_height(2 * T + h)
+    zeros.require_height(_omega_height(T, h))
     delta = h / 4.0
     n = int(math.floor(T / delta))
     centers = T + delta * np.arange(n + 1)
@@ -187,3 +196,14 @@ def omega_scan(T: float, h: float, zeros: ZeroList,
         np.column_stack([centers, W]), "none",
         np.array([norm[imax], centers[imax], norm[imin], centers[imin]]),
         0.0, budgets=budget)
+
+
+def _omega_height(T: float, h: float) -> float:
+    """The height a zero list must cover for ``omega_scan`` at (T, h):
+    2T + h, the end of the last window, once 0 < h <= 1 and T >= 10 (else
+    ValueError)."""
+    if not 0.0 < h <= 1.0:
+        raise ValueError("need 0 < h <= 1")
+    if not T >= 10.0:
+        raise ValueError("need T >= 10")
+    return 2 * T + h

@@ -221,7 +221,8 @@ def _cmd_arg(args, rc: RunConfig, out) -> int:
         if args.method == "littlewood":
             stat = argument.S1_littlewood(t, cfg)
         else:
-            zl = _load_zeros(rc.zero_cache_path, t + 5.0, cfg)
+            zl = _load_zeros(rc.zero_cache_path,
+                             argument._s1_height(t) + 5.0, cfg)
             stat = argument.S1_direct(t, zl, cfg)
         norm = float(argument.lemma2_normalized(
             np.array([t]), np.array([stat]))[0])
@@ -229,8 +230,9 @@ def _cmd_arg(args, rc: RunConfig, out) -> int:
         return 0
     if sub == "lemma2":
         T, tmax, npts = float(args.T), float(args.tmax), int(args.points)
-        zl = _load_zeros(rc.zero_cache_path, tmax + 5.0, cfg)
         grid = np.geomspace(T, tmax, npts)
+        zl = _load_zeros(rc.zero_cache_path,
+                         argument._lemma2_height(T, grid) + 5.0, cfg)
         rep = argument.lemma2_scan(T, grid, zl, cfg)
         ts, vals = rep.samples[:, 0], rep.samples[:, 1]
         norms = argument.lemma2_normalized(ts, vals)
@@ -239,7 +241,8 @@ def _cmd_arg(args, rc: RunConfig, out) -> int:
         return 0
     # omega
     T, h = float(args.T), float(args.h)
-    zl = _load_zeros(rc.zero_cache_path, 2.0 * T + h + 5.0, cfg)
+    zl = _load_zeros(rc.zero_cache_path, argument._omega_height(T, h) + 5.0,
+                     cfg)
     rep = argument.omega_scan(T, h, zl, cfg)
     ts, vals = rep.samples[:, 0], rep.samples[:, 1]
     norms = argument.omega_normalized(ts, vals, h)

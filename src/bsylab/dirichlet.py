@@ -171,9 +171,10 @@ def mean_square_exact(table, T: float) -> float:
 #: matrix product (``phases.phase_sum``): O(sqrt(K) * pi(M)) phase
 #: reductions and O(sqrt(K) * M) complex products for K points and M
 #: terms.  The functional equation sums it in one cluster pass
-#: (``phases.truncated_sums``): one phase reduction per term and cluster
-#: of nearby heights, and a Horner sum per height.  The cut-over is not
-#: re-tuned to these costs.
+#: (``phases.truncated_sums``): one reduction of the bases per occupied
+#: lattice cell of nearby heights (fewer where a cell's phases split into
+#: outer x inner products), and a Horner sum per height.  The cut-over is
+#: not re-tuned to these costs.
 _AFE_CUTOVER = 30_000.0
 
 

@@ -5,27 +5,26 @@ main sums of :mod:`bsylab.zeta` and R(t) and the exact mean square of
 :mod:`bsylab.dirichlet`.  ``phase_sum`` takes one of two paths:
 
 * a uniform grid of heights is one blocked matrix product;
-* any other input is cut into clusters of nearby heights (quadrature
-  nodes, Newton triplets, derivative stencils), and each cluster is a
-  Taylor expansion in the height offset about its centre, after
-  Odlyzko and Schoenhage: the moments of all clusters as one real
-  matrix product per block of centres, and an expansion order set by
-  the truncation tail.  The centres sit on a lattice c_0 + k*2*rho
-  (``_lattice``), so that, as on the grid path, the phases of C centres
-  are outer x inner products of about 2 sqrt(C) reductions; where that
-  saves too few (few or scattered heights, a lone height) the heights
-  are cut greedily (``_clusters``) and each cluster's midpoint
-  is reduced.  The moments (``_cluster_moments``) and Horner in the
+* any other input (quadrature nodes, Newton triplets, derivative
+  stencils) is a cluster pass, after Odlyzko and Schoenhage: each height
+  takes the nearest centre of a lattice c_0 + k*2*rho (``_lattice``),
+  and each occupied cell is a Taylor expansion in the height offset
+  about its centre, the moments of all cells as one real matrix product
+  per block of centres, and an expansion order set by the truncation
+  tail.  Where it saves enough, as on the grid path, the phases of C
+  centres are outer x inner products of about 2 sqrt(C) reductions;
+  elsewhere (few or scattered heights, a lone height) each centre is
+  reduced.  The moments (``_cluster_moments``) and Horner in the
   offset (``cluster_horner``, on contiguous columns of the moments)
   also serve ``expansion_about``, whose moments are built once so that
   each further height within a centre's disk costs the Horner sum (the
   Newton rounds of the zero solve).
 
 ``truncated_sums`` sums to a truncation N that varies with t, one
-cluster pass per batch over every truncation and exponent: clusters
-never cross a change of N, the phases of 1..max N are reduced once per
-cluster, each cluster's moments drop the terms past its own N, and each
-height gets the bound of its own N.
+cluster pass per batch over every truncation and exponent, on the same
+lattice: no cell crosses a change of N, the phases of 1..max N are
+built once per cell, each cell's moments drop the terms past its own N,
+and each height gets the bound of its own N.
 
 The kernel takes the integers n, not their logs.  n^(-it) is completely
 multiplicative, so ``unit_phases`` reduces t*log(b) mod 2*pi in
@@ -81,20 +80,20 @@ _HORNER_BLOCK = 1 << 13
 #: round each point by one or two).
 _GRID_ULPS = 8.0
 
-#: Off a grid, heights within 2*rho of each other, rho = _CLUSTER_R /
-#: max log n, share one phase reduction.  A larger value means fewer
-#: clusters but a longer expansion (about 27 terms at 3 for a 1e-15
-#: floor) and a rounding bound that grows like e^_CLUSTER_R.  On the
+#: Off a grid, the heights of one lattice cell of width 2*rho, rho =
+#: _CLUSTER_R / max log n, share one phase reduction.  A larger value
+#: means fewer cells but a longer expansion (about 27 terms at 3 for a
+#: 1e-15 floor) and a rounding bound that grows like e^_CLUSTER_R.  On the
 #: 10*2^k integral ladder to 5120 with its zeros at hand, 2, 3 and 4 took
 #: 0.133, 0.116 and 0.101 s (2-vCPU x86, one BLAS thread, best of 9
 #: interleaved runs), and gave I(5120) error estimates of 9.0e-12,
 #: 1.03e-11 and 1.39e-11.
 _CLUSTER_R = 3.0
 
-#: The cluster path takes the lattice only when it reduces at least this
-#: many fewer phases than one reduction of the bases per occupied cell:
-#: below that its fixed cost and its extra cells (5-30% more than the
-#: greedy cut makes) outweigh the reductions it saves.
+#: The cluster path splits a centre's phases into outer x inner only when
+#: that reduces at least this many fewer phases than one reduction of the
+#: bases per occupied cell: below that the inner reductions of every n
+#: and the product per term outweigh the reductions it saves.
 _LATTICE_MIN_SAVING = 4096
 
 
@@ -355,8 +354,9 @@ def phase_sum(ns: np.ndarray, amps: np.ndarray,
       the bound.
     * Clusters, for any other input (Odlyzko and Schoenhage, Trans. AMS
       309 (1988) 797-809).  With rho = _CLUSTER_R / max l_n, each
-      height t takes a centre c (longdouble) with x = (t - c)/rho in
-      [-1, 1], and
+      height t takes the centre c (longdouble) of its cell of the
+      lattice c_k = c_0 + k*2*rho over the heights (``_lattice``), with
+      x = (t - c)/rho in [-1, 1], and
 
           S(t) = sum_{j<J} m_j (-i x)^j,
           m_j = sum_n a_n exp(-i c l_n) (rho l_n)^j / j!,
@@ -364,22 +364,23 @@ def phase_sum(ns: np.ndarray, amps: np.ndarray,
       so the phases are built once per centre, not once per height, and
       the moments of a block of centres are one real product V^T @ A, A
       the real view of the complex a_n exp(-i c l_n), in blocks of at
-      most about _CHUNK / 2 phases.  The centres are the occupied cells
-      of the lattice c_k = c_0 + k*2*rho over the heights (``_lattice``):
-      with k = q*L + j, exp(-i c_k l_n) = outer[q] * inner[j], the outer
+      most about _CHUNK / 2 phases, one column per occupied cell.  With
+      k = q*L + j, exp(-i c_k l_n) = outer[q] * inner[j], the outer
       phases from ``unit_phases`` at c_0 + q*L*2*rho and the inner ones
       reduced directly at j*2*rho, so the reductions number about
       (C/L) * bases + L * M for C cells, not C * bases, and each term
       holds one more product: ``PRODUCT_ROUNDOFF`` * sum |a_n| more.
-      When that saves fewer than _LATTICE_MIN_SAVING reductions, the
-      sorted heights are cut greedily into clusters of span <= 2*rho
-      about their midpoints (``_clusters``), each reduced by
-      ``unit_phases``.  With
+      When that saves fewer than _LATTICE_MIN_SAVING reductions, L = 1:
+      each centre is one ``unit_phases`` row and no product is added.
+      The floor holds up to the largest |outer| + |inner| of a centre,
+      where the phases are reduced, when that is above max|t|.  With
       r = rho * max l_n * max|x| over the call, J is the smallest order
       whose tail sum|a_n| * r^J/J! * (J+1)/(J+1-r) is below the floor.
-      The bound is ``_expansion_bound``.  A lone height is a cluster of
-      one: x = 0, r = 0, J = 1, no tail, so its bound is the floor and
-      the product term.
+      The bound is ``_expansion_bound``.  A lone height is its own
+      centre: x = 0, r = 0, J = 1, no tail, so its bound is the floor
+      and the product term.  Heights over more than one cell whose
+      float64 rounding exceeds rho raise PrecisionUnreachable: no centre
+      could sit within rho of each.
     """
     K = ts.size
     plan = factor_plan(ns)
@@ -419,17 +420,10 @@ def phase_sum(ns: np.ndarray, amps: np.ndarray,
     order = np.argsort(ts, kind="stable")
     srt = ts[order]
     rho = _CLUSTER_R / lmax if lmax > 0.0 else math.inf
-    rows = max(1, _CHUNK // (2 * P))
-    lattice = _lattice(srt, rho, ns, plan.bases.size, rows)
-    if lattice is None:
-        _, _, cl, mid, x = _clusters(srt, rho)
-        blocks = _even_blocks(mid.size, rows)
-
-        def centre_phases(c0, c1):
-            return unit_phases(mid[c0:c1], ns).T
-    else:
-        cl, x, centre_phases, blocks, reach = lattice
-        bound = phase_roundoff(max(tmax, reach), lmax, amp_sum)
+    cl, x, _, centre_phases, blocks, reach, split = _lattice(
+        srt, rho, ns, plan.bases.size, max(1, _CHUNK // (2 * P)))
+    bound = phase_roundoff(max(tmax, float(reach.max())), lmax, amp_sum)
+    if split:
         built += PRODUCT_ROUNDOFF * amp_sum
     r = _CLUSTER_R * float(np.max(np.abs(x)))   # rho * max l_n * max|x|
     J, tail = _taylor_order(r, amp_sum, bound)
@@ -439,58 +433,64 @@ def phase_sum(ns: np.ndarray, amps: np.ndarray,
 
 
 def _lattice(srt: np.ndarray, rho: float, ns: np.ndarray, n_bases: int,
-             rows: int):
-    """The cluster path's cells: centres c_k = c_0 + k*2*rho, laid over
-    the ascending heights srt symmetrically about their midpoint, and
-    each height in the cell of its nearest centre, so that its offset
-    x = (t - c_k)/rho lies in [-1, 1].
+             rows: int, groups: np.ndarray | None = None):
+    """The cells of the cluster path: centres c_k = c_0 + k*2*rho, laid
+    over the ascending heights srt symmetrically about their midpoint,
+    and each height in the cell of its nearest centre, so that its offset
+    x = (t - c_k)/rho lies in [-1, 1].  A cell is a run of equal
+    (k, group): with ``groups`` (one non-decreasing key per height, the
+    truncations of ``truncated_sums``) no cell crosses a change of key,
+    and two cells may share a centre.  A lattice of one cell is centred
+    on the midpoint, so that a lone height has x = 0 (also at
+    rho = inf).
 
-    With k = q*L + j, L about sqrt(cells * bases / len(ns)), the phases of
-    a centre are outer[q] * inner[j]: ``unit_phases`` at the points
-    c_0 + (2*rho*L)*q of the occupied q, and a direct ``reduced_phases``
-    of every n at the points 2*rho*j of the occupied j, so that one more
-    product is the only rounding a term gains (``PRODUCT_ROUNDOFF``).
-    The outer step 2*rho*L is formed in longdouble, where it is exact
-    for L < 2^11, so that outer + inner is the centre c_k of x to a
-    longdouble rounding.
+    With k = q*L + j, the phases of a centre are outer[q] * inner[j]:
+    ``unit_phases`` at the points c_0 + (2*rho*L)*q of the occupied q,
+    and a direct ``reduced_phases`` of every n at the points 2*rho*j of
+    the occupied j, so that one more product is the only rounding a term
+    gains (``PRODUCT_ROUNDOFF``).  L is about
+    sqrt(cells * bases / len(ns)), or 1 (one ``unit_phases`` row per
+    occupied centre, no product) where that split saves fewer than
+    _LATTICE_MIN_SAVING reductions.  The outer step 2*rho*L is formed in
+    longdouble, where it is exact for L < 2^11, so that outer + inner is
+    the centre c_k of x to a longdouble rounding.
 
-    Returns (cl, x, centre_phases, blocks, reach): the occupied cell of
-    each height (numbered in ascending order), the offsets, a function
-    of (c0, c1) giving the len(ns) x (c1 - c0) phases exp(-i c l_n) of
-    occupied cells c0..c1 - 1, the boundaries of blocks of about
-    ``rows`` occupied cells that split no run of one q (so that each
-    outer phase is built once), and the largest |outer| + |inner| of a
-    centre, the height the phase floor must hold for.  None when the
-    lattice saves fewer than _LATTICE_MIN_SAVING reductions against one
-    ``unit_phases`` row per occupied cell: the caller then takes the
-    greedy cut (``_clusters``), which makes no more clusters than the
-    lattice occupies cells.
+    Returns (cl, x, first, centre_phases, blocks, reach, split): the
+    cell of each height (numbered in ascending order), the offsets, the
+    first height of each cell, a function of (c0, c1) giving the
+    len(ns) x (c1 - c0) phases exp(-i c l_n) of cells c0..c1 - 1, the
+    boundaries of blocks of about ``rows`` cells that split no run of
+    one q (so that each outer phase is built once), the |outer| + |inner|
+    of each cell's centre (the height its phase floor must hold for),
+    and whether L > 1.  Raises PrecisionUnreachable when the heights
+    span more than one cell and float64 rounds the largest by more than
+    rho, so that no centre could be placed within rho of each.
     """
     K, M = srt.size, ns.size
     width = 2.0 * rho
-    cells = max(1, math.ceil(float(srt[-1] - srt[0]) / width))
-    if cells > K * K or n_bases * min(K, cells) < _LATTICE_MIN_SAVING:
-        return None                             # too sparse or too few
-    step = np.longdouble(width)
+    span = float(srt[-1] - srt[0]) / width
+    top = max(abs(float(srt[0])), abs(float(srt[-1])))
+    if span > 1.0 and top * np.finfo(float).eps > rho:
+        raise errors.PrecisionUnreachable(
+            f"heights from {float(srt[0])!r} to {float(srt[-1])!r} are "
+            f"rounded by more than the cell radius {rho!r}")
+    cells = max(1, math.ceil(span))
+    step = np.longdouble(width if cells > 1 else 0.0)
     c_0 = 0.5 * (np.longdouble(srt[0]) + srt[-1]) - step * (cells - 1) / 2
     # the nearest centre in float64 (x is then taken exactly); ascending
     k = np.clip(np.rint((srt - float(c_0)) / width), 0, cells - 1) \
         .astype(np.int64)
-    cl, cells_at = _runs(k)
-    L = max(1, min(round(math.sqrt(cells * n_bases / M)), cells,
-                   _CHUNK // (2 * M)))
-    q, j = np.divmod(cells_at, L)
-    qi, qs = _runs(q)
-    used = np.bincount(j, minlength=L) > 0
-    js = np.flatnonzero(used)
-    if cells_at.size * n_bases - (qs.size * n_bases + js.size * M) \
-            < _LATTICE_MIN_SAVING:
-        return None
-    ji = (np.cumsum(used) - 1)[j]
-    outer_at = c_0 + (step * L) * qs.astype(np.longdouble)
-    inner_at = step * js.astype(np.longdouble)
-    inner = reduced_phases(np.log(ns.astype(np.longdouble))[:, None]
-                           * inner_at[None, :])
+    cl, first = _runs(k, groups)
+    cells_at = k[first]
+    L = 1
+    if cells <= K * K and n_bases * min(K, cells) >= _LATTICE_MIN_SAVING:
+        L = max(1, min(round(math.sqrt(cells * n_bases / M)), cells,
+                       _CHUNK // (2 * M)))
+        q, j = np.divmod(cells_at, L)
+        saved = (cells_at.size - 1 - np.count_nonzero(np.diff(q))) * n_bases \
+            - np.count_nonzero(np.bincount(j, minlength=L)) * M
+        if saved < _LATTICE_MIN_SAVING:
+            L = 1
     # x = (t - c_k)/rho with c_k split into float64 hi + lo: t - hi is
     # exact where hi is within a factor 2 of t (Sterbenz), and off by
     # at most an ulp of 2*rho elsewhere
@@ -500,9 +500,20 @@ def _lattice(srt: np.ndarray, rho: float, ns: np.ndarray, n_bases: int,
     x = srt - hi[cl]
     x -= lo[cl]
     x /= rho
-    reach = float(np.max(np.abs(outer_at[qi]) + inner_at[ji]))
-    first = np.flatnonzero(np.diff(qi, prepend=-1))     # each run of one q
-    blocks = np.append(first[np.diff(first // rows, prepend=-1) != 0],
+    if L == 1:
+        C = cells_at.size
+        return (cl, x, first, lambda c0, c1: unit_phases(centre[c0:c1], ns).T,
+                np.append(np.arange(0, C, rows), C),
+                np.abs(centre).astype(float), False)
+    qi, q_first = _runs(q)
+    js = np.flatnonzero(np.bincount(j, minlength=L))
+    ji = np.searchsorted(js, j)
+    outer_at = c_0 + (step * L) * q[q_first].astype(np.longdouble)
+    inner_at = step * js.astype(np.longdouble)
+    inner = reduced_phases(np.log(ns.astype(np.longdouble))[:, None]
+                           * inner_at[None, :])
+    reach = (np.abs(outer_at[qi]) + inner_at[ji]).astype(float)
+    blocks = np.append(q_first[np.diff(q_first // rows, prepend=-1) != 0],
                        cells_at.size)
 
     def centre_phases(c0, c1):
@@ -512,53 +523,20 @@ def _lattice(srt: np.ndarray, rho: float, ns: np.ndarray, n_bases: int,
         out *= np.take(inner, ji[c0:c1], axis=1)
         return out
 
-    return cl, x, centre_phases, blocks, reach
+    return cl, x, first, centre_phases, blocks, reach, True
 
 
-def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run, values) of the non-decreasing integers v: the index of each
-    element's run of equal values, and the value of each run."""
+def _runs(v: np.ndarray,
+          w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(run, first) of the non-decreasing integers v, paired, when given,
+    with the non-decreasing keys w: the index of each element's run of
+    equal (v, w), and the index of each run's first element."""
     new = np.empty(v.size, dtype=bool)
     new[0] = True
     np.not_equal(v[1:], v[:-1], out=new[1:])
-    return np.cumsum(new) - 1, v[new]
-
-
-def _even_blocks(C: int, rows: int) -> np.ndarray:
-    """The boundaries of blocks of ``rows`` centres, the last shorter."""
-    return np.append(np.arange(0, C, rows), C)
-
-
-def _clusters(srt: np.ndarray, rho: float, groups: np.ndarray | None = None):
-    """The greedy cut of the ascending heights srt (at least one) into
-    clusters: each takes every height within 2*rho of its first, i, and,
-    when ``groups`` is given (one non-decreasing key per height: the
-    truncations of ``truncated_sums``), none past the last height of
-    i's group.  The reach of every height is one vectorized search, the
-    group ends come from the runs of equal keys, and the walk reads only
-    the cluster starts, never a list of all K reaches.
-
-    Returns (starts, ends, cl, mid, x): the index range of each cluster,
-    the cluster of each height, the midpoints c (longdouble) and each
-    height's offset x = (t - c)/rho, in [-1, 1].
-    """
-    K = srt.size
-    nxt = srt.searchsorted(srt + 2.0 * rho, side="right")
-    if groups is not None:
-        ends = np.append(np.flatnonzero(groups[1:] != groups[:-1]) + 1, K)
-        nxt = np.minimum(nxt, np.repeat(ends, np.diff(ends, prepend=0)))
-    starts, i = [], 0
-    while i < K:
-        starts.append(i)
-        i = int(nxt[i])
-    starts = np.array(starts)
-    ends = np.append(starts[1:], K)
-    srt_ld = srt.astype(np.longdouble)
-    mid = 0.5 * (srt_ld[starts] + srt_ld[ends - 1])
-    cl = np.repeat(np.arange(starts.size), ends - starts)
-    srt_ld -= mid[cl]
-    srt_ld /= rho
-    return starts, ends, cl, mid, srt_ld.astype(float)
+    if w is not None:
+        new[1:] |= w[1:] != w[:-1]
+    return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
 def _cluster_moments(logs: np.ndarray, amps: np.ndarray, centre_phases,
@@ -644,10 +622,10 @@ def expansion_about(ns: np.ndarray, amps: np.ndarray, centres: np.ndarray,
     plan = factor_plan(ns)
     amp_sum = float(amps.sum())
     J, tail = _taylor_order(r, amp_sum, phase_roundoff(0.0, 0.0, amp_sum))
+    rows = max(1, _CENTRE_BLOCK // plan.closure.size)
     mom = _cluster_moments(
         logs, amps, lambda c0, c1: unit_phases(centres[c0:c1], ns).T,
-        _even_blocks(centres.size, max(1, _CENTRE_BLOCK // plan.closure.size)),
-        rho, J)
+        np.append(np.arange(0, centres.size, rows), centres.size), rho, J)
     floor = phase_roundoff(tmax, lmax, amp_sum)
     built = PRODUCT_ROUNDOFF * float(amps @ plan.products)
     return rho, mom, _expansion_bound(floor, built, amp_sum, r, tail)
@@ -666,24 +644,28 @@ def sums_at_height(ns: np.ndarray, exponents: np.ndarray, t: float):
             PRODUCT_ROUNDOFF * float((ampm @ factor_plan(ns).products).max()))
 
 
-def _truncation_bounds(srt, N, ends, cl, x, rho, amps, plan):
+def _truncation_bounds(N, reach, x, split, rho, amps, plan):
     """(J, bounds) of the cluster pass of ``truncated_sums``: the Taylor
-    order, and the bound of each height (ascending heights srt, their
-    truncations N, their clusters cl and offsets x) per row of ``amps``.
+    order, and the bound of each height (its truncation N, the
+    |outer| + |inner| of its centre, reach, and its offset x) per row of
+    ``amps``.
 
     Each height gets the cluster path's bound at its own truncation N_k,
     with A_k = sum over n <= N_k of |a_n| and r_k = rho log(N_k) |x_k|:
-    ``phase_roundoff`` at the top of its cluster, the built phases
-    (prefix sums of |a_n| times ``plan.products``), the arithmetic floor
-    times e^(r_k) - 1, and the Taylor tail A_k r_k^J/J! (J+1)/(J+1-r_k),
-    J sized at the largest r_k against the smallest floor per unit
-    amplitude.
+    ``phase_roundoff`` at its centre, where the phases are reduced; the
+    built phases (prefix sums of |a_n| times ``plan.products``, and A_k
+    more for the product outer * inner when the lattice splits); the
+    arithmetic floor times e^(r_k) - 1; and the Taylor tail
+    A_k r_k^J/J! (J+1)/(J+1-r_k), J sized at the largest r_k against the
+    smallest floor per unit amplitude.
     """
     r = rho * np.log(N) * np.abs(x)
-    unit = phase_roundoff(srt[ends - 1][cl], np.log(N), 1.0)
+    unit = phase_roundoff(reach, np.log(N), 1.0)
     J, _ = _taylor_order(float(r.max()), 1.0, float(unit.min()))
     unit += phase_roundoff(0.0, 0.0, 1.0) * np.expm1(r)
     unit += r ** J / float(math.factorial(J)) * (J + 1) / (J + 1 - r)
+    if split:
+        unit += PRODUCT_ROUNDOFF
     amps_abs = np.abs(amps)
     return J, np.cumsum(amps_abs, axis=1)[:, N - 1] * unit \
         + PRODUCT_ROUNDOFF \
@@ -697,13 +679,13 @@ def truncated_sums(ts: np.ndarray, N: np.ndarray,
     in t).
 
     One cluster pass serves every truncation and exponent.  The sorted
-    heights are cut into clusters as on the cluster path of
-    ``phase_sum`` (``_clusters``), rho = _CLUSTER_R / log N_max, but
-    never across a change of N.  The phases of n = 1..N_max are reduced
-    once per cluster midpoint, and a cluster of truncation N_c takes
-    a_n = 0 for n > N_c (``_cluster_moments``).  Each exponent is a row
-    of amplitudes on the same phases, summed by one Horner pass.  Each
-    height gets the bound of its own truncation
+    heights take the cells of the lattice of ``phase_sum``'s cluster path
+    (``_lattice``), rho = _CLUSTER_R / log N_max, with N as the group
+    key, so that no cell crosses a change of N.  The phases of
+    n = 1..N_max are built once per occupied cell, and a cell of
+    truncation N_c takes a_n = 0 for n > N_c (``_cluster_moments``).
+    Each exponent is a row of amplitudes on the same phases, summed by
+    one Horner pass.  Each height gets the bound of its own truncation
     (``_truncation_bounds``).  Returns the sums and their bounds, each
     of shape (len(exponents), len(ts)).
     """
@@ -719,14 +701,14 @@ def truncated_sums(ts: np.ndarray, N: np.ndarray,
     logs = np.log(n.astype(float))
     amps = n ** -np.array(exponents, dtype=float)[:, None]
     rho = _CLUSTER_R / float(logs[-1])
-    starts, ends, cl, mid, x = _clusters(srt, rho, N)
     plan = factor_plan(n)
-    J, bounds[:, order] = _truncation_bounds(srt, N, ends, cl, x, rho, amps,
-                                             plan)
-    mom = _cluster_moments(
-        logs, amps, lambda c0, c1: unit_phases(mid[c0:c1], n).T,
-        _even_blocks(mid.size, max(1, _CHUNK // (2 * R * plan.closure.size))),
-        rho, J, N[starts])
+    cl, x, first, centre_phases, blocks, reach, split = _lattice(
+        srt, rho, n, plan.bases.size,
+        max(1, _CHUNK // (2 * R * plan.closure.size)), N)
+    J, bounds[:, order] = _truncation_bounds(N, reach[cl], x, split, rho,
+                                             amps, plan)
+    mom = _cluster_moments(logs, amps, centre_phases, blocks, rho, J,
+                           N[first])
     for row in range(R):
         sums[row, order] = cluster_horner(mom[row], cl, x)
     return sums, bounds

@@ -1,11 +1,11 @@
-"""Prime enumeration and small multiplicative-function helpers."""
+"""Prime enumeration and factorization."""
 
 import math
 
 import numpy as np
 
 __all__ = ["primes_up_to", "primes_in", "smallest_prime_factors",
-           "von_mangoldt", "factorize", "is_squarefree", "mobius"]
+           "factorize"]
 
 #: The least-prime-factor table, grown on demand by ``smallest_prime_factors``.
 _SPF = np.arange(2, dtype=np.int32)
@@ -73,25 +73,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def von_mangoldt(n: int) -> float:
-    """log p when n is a power of the prime p, else 0."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("von_mangoldt requires n >= 1")
-    if n == 1:
-        return 0.0
-    f = factorize(n)
-    return math.log(f[0][0]) if len(f) == 1 else 0.0
-
-
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n))
-
-
-def mobius(n: int) -> int:
-    f = factorize(n)
-    if any(e > 1 for _, e in f):
-        return 0
-    return -1 if len(f) % 2 else 1

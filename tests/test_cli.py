@@ -264,8 +264,9 @@ _FINITE_T = "find_zeros_up_to requires finite T >= 15"
     (["arg", "lemma2", "--T", "nan", "--tmax", "40", "--points", "3"],
      "ValueError", "t_grid must be strictly ascending"),
     (["arg", "lemma2", "--T", "20", "--tmax", "nan", "--points", "3"],
-     "ValueError", _FINITE_T),
-    (["arg", "omega", "--T", "nan", "--h", "0.3"], "ValueError", _FINITE_T),
+     "ValueError", "t_grid must be strictly ascending"),
+    (["arg", "omega", "--T", "nan", "--h", "0.3"], "ValueError",
+     "need T >= 10"),
     (["arg", "omega", "--T", "inf", "--h", "0.3"], "ValueError", _FINITE_T),
 ], ids=["zeta-inf", "zeta-nan", "s-inf", "s-nan", "integral-nan", "tail-inf",
         "zeros-nan", "zeros-inf", "lemma2-T-nan", "lemma2-tmax-nan",
@@ -278,6 +279,23 @@ def test_non_finite_height_exits_2(tmp_path, monkeypatch, capsys,
     assert run(argv) == 2
     doc = _error(capsys)
     assert doc["error"] == error and message in doc["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["arg", "omega", "--T", "20", "--h", "5"], "need 0 < h <= 1"),
+    (["arg", "omega", "--T", "20", "--h", "nan"], "need 0 < h <= 1"),
+    (["arg", "s1", "--t", "5", "--method", "direct"],
+     "S1_direct requires t >= 10"),
+    (["arg", "lemma2", "--T", "2", "--tmax", "40", "--points", "3"],
+     "need 3 <= T <= min(t_grid)"),
+], ids=["omega-h-5", "omega-h-nan", "s1-direct-t-5", "lemma2-T-2"])
+def test_arg_checks_its_flags_before_it_loads_zeros(tmp_path, capsys, argv,
+                                                    message):
+    cache = tmp_path / "zeros.txt"
+    assert run([*argv, "--zero-cache", str(cache)]) == 2
+    doc = _error(capsys)
+    assert doc["error"] == "ValueError" and message in doc["message"]
+    assert not cache.exists()
 
 
 def test_mv_table_entry_below_1_exits_2(tmp_path, capsys):

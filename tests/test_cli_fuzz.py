@@ -25,6 +25,10 @@ from bsylab.resonator import build_resonator
 #: typical flags and one extreme reach the computation.
 _EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 
+#: The extremes of a height that may need zeros found: all but 1e300, so
+#: that a list to at most 45 is ever found.
+_HEIGHTS = tuple(x for x in _EXTREMES if x != "1e300")
+
 #: A verified zero list to 40, as ``export_zeros`` writes it.
 _ZERO_LIST = ["# zero ordinates up to 40.0", "14.134725141734693",
               "21.022039638771556", "25.01085758014569", "30.42487612585951",
@@ -102,11 +106,19 @@ _argv = st.one_of(
     _flags(T=_num("1000")).map(
         lambda f: ["mv", "exact", "--table", "{table}", *f]),
     # T <= 50: the moment integral's grid grows with T
-    _flags(alpha=_num("0.6"), h=_num("0.1"),
-           T=_num("20", tuple(x for x in _EXTREMES if x != "1e300"))).map(
+    _flags(alpha=_num("0.6"), h=_num("0.1"), T=_num("20", _HEIGHTS)).map(
         lambda f: ["mv", "lemma3", "--table", "{table}", *f]),
     _flags(t=_num("30"), zeros=_optional(st.just("{zeros}"))).map(
         lambda f: ["arg", "s", *f]),
+    # the scans on the zero file as their cache, at heights <= 40
+    _flags(t=_num("30", _HEIGHTS),
+           method=_optional(st.sampled_from(["direct", "littlewood"]))).map(
+        lambda f: ["arg", "s1", "--zero-cache", "{zeros}", *f]),
+    _flags(T=_num("20", _HEIGHTS), tmax=_num("35", _HEIGHTS),
+           points=_num("3")).map(
+        lambda f: ["arg", "lemma2", "--zero-cache", "{zeros}", *f]),
+    _flags(T=_num("15", _HEIGHTS), h=_num("0.3")).map(
+        lambda f: ["arg", "omega", "--zero-cache", "{zeros}", *f]),
     _flags(T=_num("30"), tmax=_optional(_num("40")),
            format=_optional(st.sampled_from(["csv", "json"]))).map(
         lambda f: ["integral", "--zeros", "{zeros}", *f]),

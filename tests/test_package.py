@@ -1,5 +1,6 @@
 """The package's lazy exports, the import boundary of each module, and
-no private definition that only the tests use."""
+no private definition or unexported public function that only the tests
+use."""
 
 import ast
 import subprocess
@@ -13,7 +14,8 @@ import bsylab
 
 _SRC = Path(bsylab.__file__).parent
 _MODULES = sorted(p.stem for p in _SRC.glob("*.py") if p.stem != "__init__")
-_TRACER = _SRC.parents[1] / "perfbench" / "tracing.py"
+_ROOT = _SRC.parents[1]
+_TRACER = _ROOT / "perfbench" / "tracing.py"
 _LOADED = ("import sys, bsylab.{}; print(*sorted(m for m in sys.modules "
            "if m.split('.')[0] in ('bsylab', 'scipy', 'mpmath')))")
 
@@ -75,18 +77,48 @@ def _names(tree):
     return out
 
 
+def _tops():
+    """(module, node, names read) of every top-level statement of src/."""
+    return [(module, node, _names(node))
+            for module in [*_MODULES, "__init__"]
+            for node in ast.parse((_SRC / f"{module}.py").read_text()).body]
+
+
+def _read_elsewhere(name, node, tops):
+    """Whether a top-level statement of src/ other than node, and other
+    than a module's ``__all__``, reads name."""
+    return any(name in names for _, other, names in tops
+               if other is not node and not (
+                   isinstance(other, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__"
+                           for t in other.targets)))
+
+
 def test_every_private_definition_has_a_caller_in_src():
     # a private top-level function or class that nothing else in src/
     # reads, and that the benchmark's tracer does not read, serves only
     # the tests: point them at the production path instead
     tracer = _names(ast.parse(_TRACER.read_text()))
-    tops = [(module, node, _names(node))
-            for module in [*_MODULES, "__init__"]
-            for node in ast.parse((_SRC / f"{module}.py").read_text()).body]
+    tops = _tops()
     unused = [f"{module}.{node.name}" for module, node, _ in tops
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name.startswith("_") and not node.name.endswith("__")
               and node.name not in tracer
-              and not any(node.name in names
-                          for _, other, names in tops if other is not node)]
+              and not _read_elsewhere(node.name, node, tops)]
+    assert unused == []
+
+
+def test_every_public_function_has_a_reader():
+    # a public top-level function that the package does not export, and
+    # that nothing in src/, perfbench/ or demos/ reads apart from its
+    # definition and its module's __all__, serves only the tests
+    outside = set().union(*(_names(ast.parse(path.read_text()))
+                            for folder in ("perfbench", "demos")
+                            for path in sorted((_ROOT / folder).glob("*.py"))))
+    tops = _tops()
+    unused = [f"{module}.{node.name}" for module, node, _ in tops
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")
+              and node.name not in bsylab._HOME and node.name not in outside
+              and not _read_elsewhere(node.name, node, tops)]
     assert unused == []

@@ -1,5 +1,5 @@
-"""The phase-kernel module: one home for its names, its greedy cut and
-its lattice of cluster centres."""
+"""The phase-kernel module: one home for its names, and its lattice of
+cluster centres."""
 
 import ast
 import importlib.util
@@ -55,27 +55,6 @@ def test_kernel_names_have_one_home():
     assert found == []
 
 
-def _plain_clusters(srt, rho, groups):
-    """The greedy cut one height at a time: a cluster takes each next
-    height within 2*rho of its first and, with groups, in its group."""
-    K = len(srt)
-    starts, i = [], 0
-    while i < K:
-        starts.append(i)
-        j = i
-        while j < K and srt[j] <= srt[i] + 2.0 * rho \
-                and (groups is None or groups[j] == groups[i]):
-            j += 1
-        i = j
-    ends = starts[1:] + [K]
-    mid = [0.5 * (np.longdouble(srt[s]) + np.longdouble(srt[e - 1]))
-           for s, e in zip(starts, ends)]
-    cl = [c for c, (s, e) in enumerate(zip(starts, ends))
-          for _ in range(s, e)]
-    x = [float((np.longdouble(srt[k]) - mid[cl[k]]) / rho) for k in range(K)]
-    return starts, ends, cl, mid, x
-
-
 @st.composite
 def _cut_inputs(draw):
     """Ascending heights with repeats, a cluster radius (finite or
@@ -102,15 +81,51 @@ def _cut_inputs(draw):
 @example((np.array([5.0, 5.0, 5.0, 9.0]), math.inf, None))
 @example((np.array([5.0, 5.0, 6.0, 6.0]), 1.0, np.array([1, 2, 2, 2])))
 @example((np.array([5.0, 6.0, 7.0, 7.0, 9.5]), 1.0, None))   # 7 = 5 + 2*rho
-def test_clusters_match_the_plain_greedy_cut(inputs):
+@example((np.array([5.0, 7.0]), 1.0, None))                 # x = -1 and 1
+def test_lattice_cells_hold_their_heights(inputs):
     srt, rho, groups = inputs
-    starts, ends, cl, mid, x = phases._clusters(srt, rho, groups)
-    p_starts, p_ends, p_cl, p_mid, p_x = _plain_clusters(
-        srt.tolist(), rho, None if groups is None else groups.tolist())
-    assert starts.tolist() == p_starts and ends.tolist() == p_ends
-    assert cl.tolist() == p_cl
-    assert np.array_equal(mid, np.array(p_mid, dtype=np.longdouble))
-    assert np.array_equal(x, np.array(p_x))
+    ns = np.arange(1, 3)
+    cl, x, first, _, _, reach, split = phases._lattice(srt, rho, ns, 1, 8,
+                                                       groups)
+    # cells ascend from 0 one at a time, each from its first height
+    assert cl[0] == 0 and set(np.diff(cl).tolist()) <= {0, 1}
+    assert first.tolist() == np.flatnonzero(np.diff(cl, prepend=-1)).tolist()
+    if groups is not None:                       # no cell crosses a change
+        assert np.array_equal(groups, groups[first][cl])
+    assert not split                             # one base: no split
+    top = float(np.max(np.abs(srt)))
+    assert np.all(np.abs(x) <= 1.0 + 8.0 * np.spacing(top) / rho)
+    if srt[0] == srt[-1]:                        # a lone height
+        assert np.all(x == 0.0)
+    if math.isinf(rho):                          # one cell per group
+        assert np.all(x == 0.0)
+        return
+    # each centre is c_0 + k*2*rho: within a cell one centre, and from a
+    # cell to the next a whole number of cells, none only at a new group
+    centre = srt - rho * x
+    cells = (centre[first] - centre[0]) / (2.0 * rho)
+    tol = 8.0 * np.spacing(top + rho) / rho
+    assert np.all(np.abs(centre - centre[first][cl]) <= tol * rho)
+    assert np.all(np.abs(cells - np.rint(cells)) <= tol)
+    steps = np.diff(np.rint(cells))
+    assert np.all(steps >= 0)
+    if groups is not None:
+        assert np.all((steps > 0) | (np.diff(groups[first]) != 0))
+    else:
+        assert np.all(steps > 0)
+    assert np.allclose(reach[cl], np.abs(centre), rtol=1e-12,
+                       atol=tol * rho)
+
+
+def test_lattice_refuses_heights_rounded_past_a_cell():
+    # float64 spaces heights near 1e20 by 16384: no centre sits within
+    # rho of each, so the pass raises rather than expand about far centres
+    ns = np.arange(1, 50)
+    for ts in ([0.0, 1e300], [1e20, 1e20 + 16384.0]):
+        with pytest.raises(errors.PrecisionUnreachable, match="cell radius"):
+            phases.phase_sum(ns, ns ** -0.5, np.array(ts))
+    vals, bound = phases.phase_sum(ns, ns ** -0.5, np.array([1e300]))
+    assert np.isfinite(vals).all() and math.isfinite(bound)
 
 
 def _direct(ns, amps, ts):
@@ -185,11 +200,14 @@ def test_lattice_phases_term_by_term(n):
     assert np.all(np.abs(vals - ref) <= bound + floor)
 
 
-def _greedy_reductions(ns, ts):
-    """The phases the greedy cut reduces: the bases, once per cluster."""
-    rho = phases._CLUSTER_R / math.log(int(ns.max()))
-    mid = phases._clusters(np.sort(ts), rho)[3]
-    return mid.size * phases.factor_plan(ns).bases.size
+def _per_cell_reductions(ns, ts):
+    """The phases of one reduction of the bases per occupied cell of the
+    lattice, laid symmetrically about the midpoint of the heights."""
+    width = _width(ns)
+    cells = math.ceil(float(np.ptp(ts)) / width)
+    c_0 = 0.5 * (ts.min() + ts.max()) - width * (cells - 1) / 2
+    occupied = np.unique(np.rint((ts - c_0) / width)).size
+    return occupied * phases.factor_plan(ns).bases.size
 
 
 @pytest.mark.parametrize("M,t0,span,K", [
@@ -213,7 +231,7 @@ def test_lattice_reduces_order_sqrt_cells_phases(monkeypatch, M, t0, span, K):
     cells = math.ceil(float(np.ptp(ts)) / _width(ns))
     P = phases.factor_plan(ns).closure.size
     assert sum(reduced) <= (2 * math.isqrt(cells - 1) + 4) * P
-    assert 2 * sum(reduced) <= _greedy_reductions(ns, ts)
+    assert 2 * sum(reduced) <= _per_cell_reductions(ns, ts)
     assert np.all(np.abs(vals - _direct(ns, ns ** -0.5, ts)) <= 2 * bound)
 
 
@@ -238,6 +256,27 @@ def test_lattice_bound_takes_one_more_product_per_term(monkeypatch):
         products + float(np.abs(amps).sum())), rel=1e-12, abs=0.0)
     assert built[1] == pytest.approx(phases.PRODUCT_ROUNDOFF * products,
                                      rel=1e-12, abs=0.0)
+
+
+def test_truncated_sums_split_lattice_within_bound(monkeypatch):
+    # 20 000 Riemann-Siegel heights at 1e5, N = 126: the lattice splits,
+    # and each bound holds PRODUCT_ROUNDOFF * A_k for the product
+    # outer * inner on top of what the same cells cost unsplit
+    ts = 1e5 + 1000.0 * np.random.default_rng(8).uniform(0.0, 1.0, 20000)
+    N = np.full(ts.size, 126)
+    (S,), (bound,) = phases.truncated_sums(ts, N, (0.5,))
+    ns = np.arange(1, 127)
+    amps = ns ** -0.5
+    ref = np.concatenate([_direct(ns, amps, part)
+                          for part in np.array_split(ts, 10)])
+    floor = phases.phase_roundoff(float(ts.max()), math.log(126),
+                                  float(amps.sum()))
+    assert np.all(np.abs(S - ref) <= bound + floor)
+    monkeypatch.setattr(phases, "_LATTICE_MIN_SAVING", math.inf)
+    (S_plain,), (plain,) = phases.truncated_sums(ts, N, (0.5,))
+    assert np.all(np.abs(S - S_plain) <= bound + plain)
+    assert np.allclose(bound - plain, phases.PRODUCT_ROUNDOFF * amps.sum(),
+                       rtol=1e-6, atol=0.0)
 
 
 def _fresh_phases():

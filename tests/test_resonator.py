@@ -23,14 +23,7 @@ from bsylab.resonator import (
     solve_L,
     write_table,
 )
-from bsylab.sieve import (
-    factorize,
-    is_squarefree,
-    mobius,
-    primes_in,
-    primes_up_to,
-    von_mangoldt,
-)
+from bsylab.sieve import factorize, primes_in, primes_up_to
 
 # ---------------------------------------------------------------- sieve
 
@@ -55,23 +48,11 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=50_000))
-def test_mobius_brute(n):
-    f = factorize(n) if n > 1 else []
-    if any(e > 1 for _, e in f):
-        assert mobius(n) == 0
-        assert not is_squarefree(n)
-    else:
-        assert mobius(n) == (-1) ** len(f)
-        assert is_squarefree(n)
-
-
-def test_von_mangoldt():
-    assert von_mangoldt(1) == 0.0
-    assert von_mangoldt(12) == 0.0
-    assert von_mangoldt(9) == pytest.approx(math.log(3))
-    assert von_mangoldt(31) == pytest.approx(math.log(31))
+def _mobius(n):
+    """mu(n) from the factorization: 0 unless n is squarefree, else -1 to
+    the number of its primes."""
+    f = factorize(n)
+    return 0 if any(e > 1 for _, e in f) else (-1) ** len(f)
 
 
 # ----------------------------------------------------------- parameters
@@ -177,7 +158,7 @@ def test_minus_variant_signs(toy_params):
     plus = build_resonator(toy_params, "plus")
     np.testing.assert_array_equal(minus.ns, plus.ns)
     for n, rm, rp in zip(minus.ns.tolist(), minus.rs, plus.rs):
-        assert rm == pytest.approx(mobius(n) * rp, rel=1e-14)
+        assert rm == pytest.approx(_mobius(n) * rp, rel=1e-14)
 
 
 def test_window_past_N_is_not_sieved():
