@@ -155,10 +155,10 @@ def _integral_csv_row(T: float, res) -> str:
 
 def _cmd_integral_scan(args, rc: RunConfig, out) -> int:
     cfg = rc.precision
-    zl = zeros.verify_zero_list(zeros.import_zeros(args.zeros), cfg)
     tmin, tmax, npts = float(args.tmin), float(args.tmax), int(args.points)
-    if not (0 < tmin < tmax and npts >= 2):
-        raise ValueError("need 0 < tmin < tmax and points >= 2")
+    if not (0 < tmin < tmax < math.inf and npts >= 2):
+        raise ValueError("need 0 < tmin < tmax < inf and points >= 2")
+    zl = zeros.verify_zero_list(zeros.import_zeros(args.zeros), cfg)
     Ts = np.geomspace(tmin, tmax, npts)
     results = integral.compute_I_many(Ts, zl, cfg)
     samples = np.column_stack([Ts, [r.value for r in results]])
@@ -230,6 +230,12 @@ def _cmd_arg(args, rc: RunConfig, out) -> int:
         return 0
     if sub == "lemma2":
         T, tmax, npts = float(args.T), float(args.tmax), int(args.points)
+        # np.geomspace warns on a negative or infinite end: refuse those
+        # here, with the messages of argument._lemma2_height
+        if T < 3.0 or math.isinf(T):
+            raise ValueError("need 3 <= T <= min(t_grid)")
+        if not (tmax > 0.0 and npts >= 1) or math.isinf(tmax):
+            raise ValueError("t_grid must be strictly ascending")
         grid = np.geomspace(T, tmax, npts)
         zl = _load_zeros(rc.zero_cache_path,
                          argument._lemma2_height(T, grid) + 5.0, cfg)

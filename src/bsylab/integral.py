@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, zeta
-from .accum import comp_sum
+from .accum import comp_sum, sorted_unique
 from .config import DEFAULT, PrecisionConfig
 from .quadrature import (_U, GK15_NODES, IntegralResult, _cut_inside,
                          adaptive_panels, log_singular_batch, split_at_cuts)
@@ -188,7 +188,7 @@ def _remainder_rule(ords: np.ndarray, cfg: PrecisionConfig, weight_f):
         out[rows] -= np.log(np.maximum(d * nb, 1e-300))
         ri, ci = np.nonzero(d < _NEAR_GUARD)
         if ri.size:
-            need = np.unique(k[ri])
+            need = sorted_unique(k[ri])
             need = need[np.isnan(zp_log[need])]
             if need.size:
                 zp_log[need], zp_rel[need] = _z_log_derivative(ords[need],
@@ -377,7 +377,7 @@ def _segment_profile(cuts: np.ndarray, ords: np.ndarray,
     nseg = cuts.size - 1
     total_w = float(cuts[-1] - cuts[0])
     density = cfg.quad_tol / max(total_w, 1e-300)
-    inner = np.unique(cuts)
+    inner = sorted_unique(cuts)
     lo, hi, gs = _panel_layout(cuts[0], cuts[-1], ords, density, weight_f,
                                inner)
     last = np.searchsorted(cuts, cuts[-1]) - 1    # the last non-empty one

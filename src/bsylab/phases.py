@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, sieve
+from .accum import sorted_unique
 
 #: The least longdouble significand (bits after the leading one) the
 #: phase bounds hold for: x87 extended precision.  ``LD_PHASE_ROUNDOFF``
@@ -67,9 +68,12 @@ LD_PHASE_ROUNDOFF = 1.5e-18
 _CHUNK = 4_000_000  # max elements of any (points x terms) intermediate
 
 #: At most this many phases are built at once for the moments of
-#: ``expansion_about`` (1 MiB of complex), so that its memory does not
-#: grow with the number of centres.
-_CENTRE_BLOCK = 1 << 16
+#: ``expansion_about`` (512 KiB of complex), so that its memory does not
+#: grow with the number of centres.  1 MiB blocks left the heap larger:
+#: the benchmark's zero hunt to about 1e3 (find and verify) peaked at
+#: 48.1 MB resident with them and at 45.2 MB with these, whose
+#: ``hardy_z_near`` calls took about 0.1 ms (3%) longer (2-vCPU x86).
+_CENTRE_BLOCK = 1 << 15
 
 #: ``cluster_horner`` sums at most this many heights at once (three
 #: complex temporaries of 128 KiB each).
@@ -173,18 +177,18 @@ def _least_factors(u: np.ndarray) -> np.ndarray:
 def _build_plan(ns: np.ndarray) -> _FactorPlan:
     """The ``_FactorPlan`` of the integers ns, in vectorized passes over
     the closure: one per round of new factors, one per level."""
-    u = np.sort(np.append(ns, 1))
-    u = u[np.append(True, u[1:] != u[:-1])]
+    u = sorted_unique(np.append(ns, 1))
     if u[0] < 1:
         raise ValueError("the phase kernel takes integers n >= 1")
     while True:
         p = _least_factors(u)
         if u[-1] == u.size:                     # 1..M: closed already
             break
-        new = np.setdiff1d(np.concatenate([p, u // p]), u)
+        new = np.concatenate([p, u // p])
+        new = new[u[np.minimum(np.searchsorted(u, new), u.size - 1)] != new]
         if new.size == 0:
             break
-        u = np.union1d(u, new)
+        u = sorted_unique(np.concatenate([u, new]))
     bases = np.flatnonzero((p == u) & (u > 1))
     comp = np.flatnonzero(p < u)                # built from two factors
     pf = np.searchsorted(u, p[comp])
@@ -285,7 +289,9 @@ def unit_phases(ts_ld: np.ndarray, ns: np.ndarray) -> np.ndarray:
     E[0] = 1.0
     E[plan.bases] = _base_phases(ts_ld, plan.base_logs)
     for idx, pf, cf in plan.levels:
-        E[idx] = E[pf] * E[cf]
+        prod = E[pf]              # in place: two temporaries, not three
+        prod *= E[cf]
+        E[idx] = prod
     return (E if plan.take is None else E[plan.take]).T
 
 
@@ -555,9 +561,11 @@ def _cluster_moments(logs: np.ndarray, amps: np.ndarray, centre_phases,
     stack of R rows of amplitudes on the same n: they share the phases,
     A holds R columns per centre, and the moments are (R x C x J).
     ``terms``, when given, holds for each centre the count of leading n
-    its sum takes; the amplitudes of the rest are 0 there.  The moments
-    are stored order by order, so that ``mom.T`` is the contiguous
-    columns ``cluster_horner`` reads.
+    its sum takes; the amplitudes of the rest are 0 there.  Each call of
+    ``centre_phases`` returns a new array, which one row of amplitudes
+    and no ``terms`` scale in place.  The moments are stored order by
+    order, so that ``mom.T`` is the contiguous columns ``cluster_horner``
+    reads.
     """
     M, C = logs.size, int(blocks[-1])
     V = np.ones((M, J))                          # (rho l_n)^j / j!
@@ -570,7 +578,11 @@ def _cluster_moments(logs: np.ndarray, amps: np.ndarray, centre_phases,
         W = stack.T[:, :, None]                  # (M x R x 1) or (M x R x b)
         if terms is not None:
             W = W * (np.arange(M)[:, None] < terms[c0:c1])[:, None, :]
-        A = np.multiply(centre_phases(c0, c1)[:, None, :], W, order="C")
+        A = centre_phases(c0, c1)[:, None, :]
+        if W.shape[1:] == (1, 1):                # one row, no terms
+            np.multiply(A, W, out=A)
+        else:
+            A = np.multiply(A, W, order="C")
         by_order[:, :, c0:c1] = (V.T @ A.reshape(M, -1).view(float)) \
             .view(complex).reshape(J, R, c1 - c0).transpose(1, 0, 2)
     mom = by_order.transpose(0, 2, 1)

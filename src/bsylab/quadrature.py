@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import comp_sum
+from .accum import comp_sum, sorted_unique
 from .errors import ToleranceNotMet
 
 # Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15),
@@ -229,7 +229,7 @@ def adaptive_panels(f, lo, hi, density: float, labels=None,
     labels = None if labels is None else np.asarray(labels)
     span = (float(np.min(lo, initial=np.inf)),
             float(np.max(hi, initial=-np.inf)))
-    cuts = np.unique(np.asarray(cuts, dtype=float))
+    cuts = sorted_unique(np.asarray(cuts, dtype=float))
     split = _cut_inside(cuts, lo, hi)
     done = [[np.empty(0)] * 5]
     n_panels = lo.size

@@ -18,8 +18,8 @@ certified bracket is found by Newton's method on Z at the target
 accuracy, with bisection wherever a step would leave the bracket, on
 one Taylor expansion of Z per bracket (``zeta.hardy_z_near``): its
 phases are reduced once, and each round costs a Horner sum per point.
-``verify_zero_list`` evaluates Z by ``zeta.hardy_z_batch``,
-independently of that expansion.
+``verify_zero_list`` builds its own expansion, one about each listed
+ordinate, so that it does not rely on those of the solve.
 """
 
 import math
@@ -99,6 +99,22 @@ class ZeroCandidate:
                 f"beta must lie strictly in (1/2, 1), got {self.beta}")
 
 
+def _z_triplets(near: zeta.NearZ, x: np.ndarray, at: np.ndarray, h: float,
+                cfg: PrecisionConfig):
+    """((Z(x), Z(x + h), Z(x - h)), their bounds): each x on the
+    expansion of ``near`` about centre ``at``, except where
+    ``near.serves`` refuses a point, which ``zeta.hardy_z_batch``
+    evaluates at ``cfg.target_abs_error``."""
+    pts, idx = np.concatenate([x, x + h, x - h]), np.tile(at, 3)
+    z, e = np.empty(pts.size), np.empty(pts.size)
+    here = near.serves(pts, idx)
+    z[here], e[here] = near(pts[here], idx[here])
+    if not np.all(here):
+        z[~here], e[~here] = zeta.hardy_z_batch(pts[~here],
+                                                cfg.target_abs_error, cfg)
+    return np.split(z, 3), np.split(e, 3)
+
+
 def _solve_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
                     fhi: np.ndarray, cfg: PrecisionConfig) -> np.ndarray:
     """Roots of Z by safeguarded Newton inside sign-change brackets.
@@ -126,22 +142,16 @@ def _solve_brackets(lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     # NaN, or an end reached by rounding: take the midpoint
     x = np.where((x > lo) & (x < hi), x, lo + 0.5 * w)
     h = 1e-5
-    tol = cfg.target_abs_error
     # 2h: the stencil, and room for the rounding of the midpoint
-    near = zeta.hardy_z_near(lo + 0.5 * w, 0.5 * w + 2 * h, tol, cfg)
+    near = zeta.hardy_z_near(lo + 0.5 * w, 0.5 * w + 2 * h,
+                             cfg.target_abs_error, cfg)
     act = np.arange(x.size)
     for _ in range(_REFINE_MAX_ROUNDS):
         if act.size == 0:
             break
         g = x[act]
-        pts, at = np.concatenate([g, g + h, g - h]), np.tile(act, 3)
-        z, e = np.empty(pts.size), np.empty(pts.size)
-        here = near.serves(pts, at)
-        z[here], e[here] = near(pts[here], at[here])
-        if not np.all(here):
-            z[~here], e[~here] = zeta.hardy_z_batch(pts[~here], tol, cfg)
-        z0, zp, zm = np.split(z, 3)
-        sure = np.abs(z0) > e[:g.size]
+        (z0, zp, zm), (e0, _, _) = _z_triplets(near, g, act, h, cfg)
+        sure = np.abs(z0) > e0
         up = sure & (np.sign(z0) == np.sign(flo[act]))  # root above g
         a = lo[act] = np.where(up, g, lo[act])
         b = hi[act] = np.where(sure & ~up, g, hi[act])
@@ -252,19 +262,28 @@ def verify_zero_list(zl: ZeroList, cfg: PrecisionConfig = DEFAULT) -> ZeroList:
 
     Each ordinate must be a root of Z with a certified sign change of Z
     across [gamma - h, gamma + h], h = 1e-5, and no two ordinates lie
-    within 2h: each holds a zero of its own.  With g_a the last good Gram
-    point at or below the covered height H, the ordinates below g_a count
-    towards Turing's n + 1, and each sign change of Z in (g_a, H] must
-    hold exactly one listed ordinate.
+    within 2h: each holds a zero of its own.  Z and its bound at gamma
+    and gamma +- h come from one ``zeta.hardy_z_near`` with a disk of
+    radius 2h about each ordinate, a Taylor expansion of a few orders;
+    a point it does not serve (where ``hardy_z_batch`` would try
+    Riemann-Siegel) is evaluated by ``zeta.hardy_z_batch``.  An
+    ordinate below 2h raises Inconsistent with its index.  With g_a the
+    last good Gram point at or below the covered height H, the
+    ordinates below g_a count towards Turing's n + 1, and each sign
+    change of Z in (g_a, H] must hold exactly one listed ordinate.
     """
     g = zl.ordinates
     if g.size:
         h = 1e-5
-        # one call: each triplet shares one phase reduction
-        z, e = zeta.hardy_z_batch(np.concatenate([g, g + h, g - h]),
-                                  cfg.target_abs_error, cfg)
-        vals, vp, vm = np.split(z, 3)
-        _, ep, em = np.split(e, 3)
+        if g[0] < 2 * h:    # its disk would reach below t = 0
+            raise errors.Inconsistent(
+                f"listed ordinate {g[0]} lies within {2 * h} of t = 0, "
+                f"below the first zero", index=0)
+        # one expansion about each ordinate; 2h: the stencil, and room
+        # for the rounding of g +- h
+        near = zeta.hardy_z_near(g, 2 * h, cfg.target_abs_error, cfg)
+        (vals, vp, vm), (_, ep, em) = _z_triplets(near, g, np.arange(g.size),
+                                                  h, cfg)
         deriv = np.abs(vp - vm) / (2 * h)
         bad = np.abs(vals) > 1e-7 * np.maximum(deriv, 1.0)
         if np.any(bad):

@@ -298,6 +298,39 @@ def test_arg_checks_its_flags_before_it_loads_zeros(tmp_path, capsys, argv,
     assert not cache.exists()
 
 
+# np.geomspace warns on a negative or infinite end: the flags are refused
+# before the grid is built, with no warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T, tmax, message", [
+    ("-1", "40", "need 3 <= T <= min(t_grid)"),
+    ("inf", "40", "need 3 <= T <= min(t_grid)"),
+    ("20", "-40", "t_grid must be strictly ascending"),
+    ("20", "inf", "t_grid must be strictly ascending"),
+], ids=["T-negative", "T-inf", "tmax-negative", "tmax-inf"])
+def test_arg_lemma2_refuses_grid_ends_without_a_warning(tmp_path, capsys, T,
+                                                        tmax, message):
+    cache = tmp_path / "zeros.txt"
+    assert run(["arg", "lemma2", "--T", T, "--tmax", tmax, "--points", "3",
+                "--zero-cache", str(cache)]) == 2
+    doc = _error(capsys)
+    assert doc["error"] == "ValueError" and message in doc["message"]
+    assert not cache.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tmin, tmax", [("10", "inf"), ("10", "nan"),
+                                        ("-1", "40"), ("40", "10")])
+def test_integral_scan_checks_its_grid_before_the_zeros(tmp_path, capsys,
+                                                        tmin, tmax):
+    # the zero file does not exist: the flags are refused first
+    assert run(["integral-scan", "--tmin", tmin, "--tmax", tmax,
+                "--points", "8", "--zeros", str(tmp_path / "none.txt"),
+                "--out", str(tmp_path / "out.csv")]) == 2
+    doc = _error(capsys)
+    assert doc == {"error": "ValueError",
+                   "message": "need 0 < tmin < tmax < inf and points >= 2"}
+
+
 def test_mv_table_entry_below_1_exits_2(tmp_path, capsys):
     table = tmp_path / "t.txt"
     table.write_text("0 1.0\n2 0.5\n")

@@ -122,6 +122,15 @@ _argv = st.one_of(
     _flags(T=_num("30"), tmax=_optional(_num("40")),
            format=_optional(st.sampled_from(["csv", "json"]))).map(
         lambda f: ["integral", "--zeros", "{zeros}", *f]),
+    st.just(["zeros", "verify", "--in", "{zeros}"]),
+    # heights <= 40, which the zero file covers at most; the fit needs
+    # 1.5 decades
+    _flags(tmin=_num("1", _HEIGHTS), tmax=_num("40", _HEIGHTS),
+           points=_num("8"),
+           model=_optional(st.sampled_from(["pure_power",
+                                            "logT_over_T2"]))).map(
+        lambda f: ["integral-scan", "--zeros", "{zeros}", "--out", "{out}",
+                   *f]),
 )
 
 

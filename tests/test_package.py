@@ -51,6 +51,22 @@ def test_module_imports_alone(loaded, module):
     assert loaded[module] == sorted(_reach(module, {"bsylab"}))
 
 
+def test_integrals_and_phase_plans_leave_numpy_ma_unloaded():
+    # the plain np.unique of NumPy 2.4 imports numpy.ma (about 1 MB) on its
+    # first call; the package takes distinct values by a sort
+    code = ("import sys; import numpy as np; "
+            "from bsylab import integral, phases, zeros; "
+            "zl = zeros.verify_zero_list(zeros.find_zeros_up_to(100.0)); "
+            "integral.compute_I_many([20.0, 40.0, 80.0], zl); "
+            "ns = np.arange(1, 3000) * 7919 + 1; "
+            "phases.phase_sum(ns, np.ones(ns.size), np.array([10.0, 11.5])); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True, check=True, cwd=_SRC.parent,
+                         timeout=120).stdout.split()
+    assert out == ["False"]
+
+
 def test_exports_are_their_home_objects():
     star = {}
     exec("from bsylab import *", star)

@@ -277,17 +277,100 @@ def test_verify_rejects_deleted_ordinate_offset_by_a_twin(zeros_100, offset):
 
 
 def test_verify_needs_a_sign_change_at_each_ordinate(zeros_100, monkeypatch):
-    # |Z| keeps every residual small but changes sign nowhere
-    z_batch = zeta.hardy_z_batch
+    # |Z| keeps every residual small but changes sign nowhere, on the
+    # expansion about each ordinate and on the batch alike
+    def abs_of(z_of):
+        def abs_z(*args, **kwargs):
+            z, e = z_of(*args, **kwargs)
+            return np.abs(z), e
+        return abs_z
 
-    def abs_z(*args, **kwargs):
-        z, e = z_batch(*args, **kwargs)
-        return np.abs(z), e
-
-    monkeypatch.setattr(zeta, "hardy_z_batch", abs_z)
+    monkeypatch.setattr(zeta, "hardy_z_batch", abs_of(zeta.hardy_z_batch))
+    monkeypatch.setattr(zeta.NearZ, "__call__", abs_of(zeta.NearZ.__call__))
     with pytest.raises(errors.Inconsistent) as exc:
         verify_zero_list(zeros_100, DEFAULT)
     assert exc.value.index == 0
+
+
+# the expansion about each ordinate covers 2h = 2e-5 on either side
+@pytest.mark.parametrize("low", ["1e-300", "1.5e-5"])
+def test_verify_refuses_an_ordinate_whose_disk_reaches_below_zero(low):
+    zl = import_zeros(io.StringIO(f"{low}\n14.134725141734693\n"))
+    with pytest.raises(errors.Inconsistent) as exc:
+        verify_zero_list(zl, DEFAULT)
+    assert exc.value.index == 0
+
+
+@pytest.fixture(scope="module")
+def zeros_1300():
+    return find_zeros_up_to(1300.0, DEFAULT)
+
+
+def test_verify_triplets_lie_within_their_bounds_of_siegelz(zeros_1300,
+                                                           monkeypatch):
+    seen = []
+    triplets = zeros._z_triplets
+
+    def spy(near, x, at, h, cfg):
+        out = triplets(near, x, at, h, cfg)
+        seen.append((x, h, out))
+        return out
+
+    monkeypatch.setattr(zeros, "_z_triplets", spy)
+    verify_zero_list(zeros_1300, DEFAULT)
+    (g, h, ((z0, zp, zm), (e0, ep, em))), = seen
+    assert g is zeros_1300.ordinates
+    # 32 ordinates from gamma_1 to the last, in every octave group
+    pick = np.linspace(0, g.size - 1, 32).astype(int)
+    with mpmath.workdps(20):
+        for k in pick.tolist():
+            for t, z, e in ((g[k], z0[k], e0[k]), (g[k] + h, zp[k], ep[k]),
+                            (g[k] - h, zm[k], em[k])):
+                assert abs(z - float(mpmath.siegelz(t))) <= e
+
+
+def test_verify_takes_every_triplet_from_one_expansion(monkeypatch):
+    zl = find_zeros_up_to(1003.7, DEFAULT)
+    builds, batched = [], []
+    near, batch = zeta.hardy_z_near, zeta.hardy_z_batch
+
+    def near_spy(centres, radius, tol, cfg):
+        builds.append((centres, radius))
+        return near(centres, radius, tol, cfg)
+
+    def batch_spy(ts, *args):
+        batched.append(ts)
+        return batch(ts, *args)
+
+    monkeypatch.setattr(zeta, "hardy_z_near", near_spy)
+    monkeypatch.setattr(zeta, "hardy_z_batch", batch_spy)
+    out = verify_zero_list(zl, DEFAULT)
+    assert out.verified and len(out) == 652
+    assert np.array_equal(out.ordinates.view(np.uint64),
+                          zl.ordinates.view(np.uint64))
+    (centres, radius), = builds
+    assert centres is zl.ordinates and radius == 2e-5
+    # hardy_z_batch serves the count alone, no point of a triplet
+    g, h = zl.ordinates, 1e-5
+    stencil = np.concatenate([g, g + h, g - h])
+    assert batched and not any(np.isin(ts, stencil).any() for ts in batched)
+
+
+def test_triplets_outside_their_disks_go_to_the_batch(zeros_100):
+    # disks of h/2: each ordinate lies in its own, x +- h in none
+    g, h, tol = zeros_100.ordinates, 1e-5, DEFAULT.target_abs_error
+    near = zeta.hardy_z_near(g, h / 2, tol, DEFAULT)
+    at = np.arange(g.size)
+    assert near.serves(g, at).all()
+    assert not near.serves(g + h, at).any()
+    assert not near.serves(g - h, at).any()
+    z, e = zeros._z_triplets(near, g, at, h, DEFAULT)
+    on_near = near(g, at)
+    on_batch = hardy_z_batch(np.concatenate([g + h, g - h]), tol, DEFAULT)
+    for got, want in ((z[0], on_near[0]), (e[0], on_near[1]),
+                      (np.concatenate(z[1:]), on_batch[0]),
+                      (np.concatenate(e[1:]), on_batch[1])):
+        assert np.array_equal(got, want)
 
 
 def test_export_import_roundtrip(zeros_100, tmp_path):
